@@ -198,7 +198,7 @@ runScaling(int ndev,
 {
     SchedulerConfig cfg;
     cfg.policy = policy;
-    cfg.devices.assign(std::size_t(ndev), cfg.gpu);
+    cfg.devices.assign(std::size_t(ndev), gpu::titanXMaxwell());
     cfg.placement = std::make_shared<LoadBalancePlacement>();
     // Placement balances tenant *counts*; per-tenant work still
     // differs (a VGG-16 iteration is ~10x an AlexNet one), so the
@@ -218,7 +218,7 @@ runDense(int ndev, SchedPolicy policy)
 {
     SchedulerConfig cfg;
     cfg.policy = policy;
-    cfg.devices.assign(std::size_t(ndev), cfg.gpu);
+    cfg.devices.assign(std::size_t(ndev), gpu::titanXMaxwell());
     cfg.placement = std::make_shared<LoadBalancePlacement>();
     Scheduler sched(cfg);
     for (JobSpec &spec : denseMix())
@@ -232,7 +232,7 @@ runTrace(std::shared_ptr<PlacementPolicy> placement, bool rebalance,
 {
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::RoundRobin;
-    cfg.devices.assign(std::size_t(ndev), cfg.gpu);
+    cfg.devices.assign(std::size_t(ndev), gpu::titanXMaxwell());
     cfg.placement = std::move(placement);
     if (rebalance) {
         cfg.rebalancePeriod = 100 * kNsPerMs;
@@ -489,7 +489,7 @@ traceMode(const char *path)
     obs::MetricsRegistry metrics;
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::RoundRobin;
-    cfg.devices.assign(2, cfg.gpu);
+    cfg.devices.assign(2, gpu::titanXMaxwell());
     cfg.placement = std::make_shared<BestFitPlacement>();
     cfg.rebalancePeriod = 100 * kNsPerMs;
     cfg.rebalanceThreshold = 2;

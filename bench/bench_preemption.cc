@@ -251,7 +251,7 @@ scenarioB()
         // An 11 GiB device: the Baseline hog fits beside the
         // vDNN_dyn tenant's floor, but squeezes its free share
         // enough that the derived plan must offload.
-        cfg.gpu.dramCapacity = 11_GiB;
+        cfg.devices[0].dramCapacity = 11_GiB;
         Scheduler sched(cfg);
 
         JobSpec hog;

@@ -121,7 +121,7 @@ runWorkload(const Scenario &sc, bool telemetry)
     SchedulerConfig cfg;
     cfg.policy = sc.policy;
     if (sc.devices > 1) {
-        cfg.devices.assign(std::size_t(sc.devices), cfg.gpu);
+        cfg.devices.assign(std::size_t(sc.devices), gpu::titanXMaxwell());
         cfg.placement = std::make_shared<LoadBalancePlacement>();
         cfg.rebalancePeriod = 100 * kNsPerMs;
         cfg.rebalanceThreshold = 2;

@@ -152,7 +152,7 @@ dumpLifecycle()
     // the hog's exit triggers the grow-back replan sweep.
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::PreemptivePriority;
-    cfg.gpu.dramCapacity = Bytes(11) * 1024 * 1024 * 1024;
+    cfg.devices[0].dramCapacity = Bytes(11) * 1024 * 1024 * 1024;
     Scheduler sched(cfg);
 
     JobSpec hog;

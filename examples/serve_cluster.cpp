@@ -103,7 +103,7 @@ runMultiDevice(const std::shared_ptr<const net::Network> &network,
 {
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::RoundRobin;
-    cfg.devices.assign(std::size_t(ndev), cfg.gpu);
+    cfg.devices.assign(std::size_t(ndev), gpu::titanXMaxwell());
     cfg.placement = std::move(placement);
     if (rebalance) {
         cfg.rebalancePeriod = 100 * kNsPerMs;

@@ -199,11 +199,16 @@ auditLedger(const ServeReport &report)
             next = ReplayState::Evicted;
             rule = DeltaRule::Zero; // target reserve+evict cancel out
         } else if (what == "finish" || what == "fail") {
-            legal = t.state == ReplayState::Running ||
+            // Admission may give up on a job still queued (repeated
+            // setup OOM): it holds no reservation, so nothing moves.
+            const bool queued = what == "fail" &&
+                                (t.state == ReplayState::Unseen ||
+                                 t.state == ReplayState::Queued);
+            legal = queued || t.state == ReplayState::Running ||
                     t.state == ReplayState::Suspended ||
                     t.state == ReplayState::Evicted;
             next = ReplayState::Terminal;
-            rule = DeltaRule::NonPos;
+            rule = queued ? DeltaRule::Zero : DeltaRule::NonPos;
         } else if (what == "requeue") {
             legal = t.state == ReplayState::Running ||
                     t.state == ReplayState::Suspended ||

@@ -13,6 +13,7 @@
  *     Running -migrate-out-> Migrating -migrate-> Running
  *                            Migrating -migrate-stall-> Evicted
  *     (live) -finish/fail-> done, -requeue-> Queued
+ *     Queued -fail-> done  (admission gave up; ledger untouched)
  *     Running -profile/replan/page-out-> Running
  *
  * and proves:

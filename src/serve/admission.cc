@@ -148,17 +148,75 @@ AdmissionController::AdmissionController(Bytes capacity, double safety_)
     VDNN_ASSERT(safety_ >= 1.0, "safety factor must be >= 1");
 }
 
+AdmissionController::Entry &
+AdmissionController::entryIn(JobId id, Where w, const char *what)
+{
+    VDNN_ASSERT(id >= 0, "negative job id %d", id);
+    if (std::size_t(id) >= entries.size())
+        entries.resize(std::size_t(id) + 1);
+    Entry &e = entries[std::size_t(id)];
+    VDNN_ASSERT(e.where == w, "%s: job %d in the wrong ledger state",
+                what, id);
+    return e;
+}
+
+const AdmissionController::Entry &
+AdmissionController::entryIn(JobId id, Where w, const char *what) const
+{
+    VDNN_ASSERT(id >= 0 && std::size_t(id) < entries.size() &&
+                    entries[std::size_t(id)].where == w,
+                "%s: job %d in the wrong ledger state", what, id);
+    return entries[std::size_t(id)];
+}
+
+void
+AdmissionController::addResident(JobId id, const Reservation &r)
+{
+    Entry &e = entries[std::size_t(id)];
+    e.r = r;
+    e.where = Where::Resident;
+    e.slot = residents.size();
+    residents.push_back(id);
+    persistentSum += r.persistent;
+    if (!arenaStale)
+        arena = combineArena(arena, r.transient);
+}
+
+void
+AdmissionController::dropResident(JobId id, Where to)
+{
+    Entry &e = entries[std::size_t(id)];
+    persistentSum -= e.r.persistent;
+    // Swap-remove: the resident set is unordered.
+    JobId moved = residents.back();
+    residents[e.slot] = moved;
+    entries[std::size_t(moved)].slot = e.slot;
+    residents.pop_back();
+    e.where = to;
+    arenaStale = true;
+}
+
 Bytes
 AdmissionController::transientArena() const
 {
-    Bytes t = 0;
-    for (const auto &[id, r] : reservations) {
-        if (overlapTransients)
-            t += r.transient;
-        else
-            t = std::max(t, r.transient);
+    if (arenaStale) {
+        arena = 0;
+        for (JobId id : residents)
+            arena = combineArena(arena, entries[std::size_t(id)].r.transient);
+        arenaStale = false;
     }
-    return t;
+    return arena;
+}
+
+AdmissionController::Reservation
+AdmissionController::scaled(const FootprintEstimate &est,
+                            double scale) const
+{
+    double s = safety * scale;
+    Reservation r;
+    r.persistent = Bytes(std::ceil(double(est.persistent) * s));
+    r.transient = Bytes(std::ceil(double(est.transient) * s));
+    return r;
 }
 
 Bytes
@@ -171,21 +229,16 @@ AdmissionController::reservationFor(const FootprintEstimate &est,
 bool
 AdmissionController::fits(const Reservation &r) const
 {
-    Bytes arena = overlapTransients
-                      ? transientArena() + r.transient
-                      : std::max(transientArena(), r.transient);
-    return persistentSum + r.persistent + arena <= cap;
+    return persistentSum + r.persistent +
+               combineArena(transientArena(), r.transient) <=
+           cap;
 }
 
 bool
 AdmissionController::canAdmit(const FootprintEstimate &est,
                               double scale) const
 {
-    double s = safety * scale;
-    Reservation r;
-    r.persistent = Bytes(std::ceil(double(est.persistent) * s));
-    r.transient = Bytes(std::ceil(double(est.transient) * s));
-    return fits(r);
+    return fits(scaled(est, scale));
 }
 
 bool
@@ -199,63 +252,45 @@ void
 AdmissionController::admit(JobId id, const FootprintEstimate &est,
                            double scale)
 {
-    double s = safety * scale;
-    Reservation r;
-    r.persistent = Bytes(std::ceil(double(est.persistent) * s));
-    r.transient = Bytes(std::ceil(double(est.transient) * s));
-    auto [it, inserted] = reservations.emplace(id, r);
-    VDNN_ASSERT(inserted, "job %d admitted twice", id);
-    persistentSum += r.persistent;
+    entryIn(id, Where::None, "admit");
+    addResident(id, scaled(est, scale));
 }
 
 void
 AdmissionController::release(JobId id)
 {
-    auto it = reservations.find(id);
-    if (it != reservations.end()) {
-        persistentSum -= it->second.persistent;
-        reservations.erase(it);
-        return;
-    }
-    auto ev = evictedLedger.find(id);
-    VDNN_ASSERT(ev != evictedLedger.end(),
+    VDNN_ASSERT(id >= 0 && std::size_t(id) < entries.size() &&
+                    entries[std::size_t(id)].where != Where::None,
                 "releasing unadmitted job %d", id);
-    evictedLedger.erase(ev);
+    Entry &e = entries[std::size_t(id)];
+    if (e.where == Where::Resident) {
+        dropResident(id, Where::None);
+    } else {
+        e.where = Where::None;
+        --evicted;
+    }
 }
 
 void
 AdmissionController::evict(JobId id)
 {
-    auto it = reservations.find(id);
-    VDNN_ASSERT(it != reservations.end(),
-                "evicting unadmitted job %d", id);
-    persistentSum -= it->second.persistent;
-    auto [ev, inserted] = evictedLedger.emplace(id, it->second);
-    VDNN_ASSERT(inserted, "job %d already on the evicted ledger", id);
-    (void)ev;
-    reservations.erase(it);
+    entryIn(id, Where::Resident, "evict");
+    dropResident(id, Where::Evicted);
+    ++evicted;
 }
 
 bool
 AdmissionController::canReadmit(JobId id) const
 {
-    auto ev = evictedLedger.find(id);
-    VDNN_ASSERT(ev != evictedLedger.end(),
-                "readmit query for non-evicted job %d", id);
-    return fits(ev->second);
+    return fits(entryIn(id, Where::Evicted, "readmit query").r);
 }
 
 void
 AdmissionController::readmit(JobId id)
 {
-    auto ev = evictedLedger.find(id);
-    VDNN_ASSERT(ev != evictedLedger.end(),
-                "readmitting non-evicted job %d", id);
-    auto [it, inserted] = reservations.emplace(id, ev->second);
-    VDNN_ASSERT(inserted, "job %d already resident", id);
-    (void)it;
-    persistentSum += ev->second.persistent;
-    evictedLedger.erase(ev);
+    Entry &e = entryIn(id, Where::Evicted, "readmit");
+    --evicted;
+    addResident(id, e.r);
 }
 
 Bytes
@@ -263,21 +298,63 @@ AdmissionController::updateReservation(JobId id,
                                        const FootprintEstimate &measured,
                                        double scale)
 {
-    auto it = reservations.find(id);
-    VDNN_ASSERT(it != reservations.end(),
-                "profile update for non-resident job %d", id);
-    double s = safety * scale;
-    Reservation m;
-    m.persistent = Bytes(std::ceil(double(measured.persistent) * s));
-    m.transient = Bytes(std::ceil(double(measured.transient) * s));
-
-    Reservation &r = it->second;
+    Reservation &r = entryIn(id, Where::Resident, "profile update").r;
+    Reservation m = scaled(measured, scale);
     Bytes before = r.persistent + r.transient;
     Bytes new_persistent = std::min(r.persistent, m.persistent);
     persistentSum += new_persistent - r.persistent;
     r.persistent = new_persistent;
     r.transient = std::min(r.transient, m.transient);
+    arenaStale = true;
     return before - (r.persistent + r.transient);
+}
+
+Bytes
+AdmissionController::reservedFor(JobId id) const
+{
+    const Reservation &r = entryIn(id, Where::Resident, "reservedFor").r;
+    return r.persistent + r.transient;
+}
+
+int
+AdmissionController::evictionsToFit(const FootprintEstimate &est,
+                                    double scale,
+                                    const std::vector<JobId> &victims) const
+{
+    const Reservation need = scaled(est, scale);
+    // Start from every victim gone: the arena of the residents that
+    // stay, and the persistent bytes they hold.
+    Bytes persistent = persistentSum;
+    for (JobId v : victims) {
+        const Entry &e = entryIn(v, Where::Resident, "make-room victim");
+        e.victim = true;
+        persistent -= e.r.persistent;
+    }
+    Bytes arena_left = 0;
+    for (JobId id : residents) {
+        const Entry &e = entries[std::size_t(id)];
+        if (!e.victim)
+            arena_left = combineArena(arena_left, e.r.transient);
+    }
+    for (JobId v : victims)
+        entries[std::size_t(v)].victim = false;
+    // Fitting is monotone in the number evicted: walk victims back in,
+    // last first, while the job still fits.
+    int fewest = -1;
+    for (std::size_t n = victims.size();; --n) {
+        if (persistent + need.persistent +
+                combineArena(arena_left, need.transient) >
+            cap) {
+            break;
+        }
+        fewest = int(n);
+        if (n == 0)
+            break;
+        const Reservation &r = entries[std::size_t(victims[n - 1])].r;
+        persistent += r.persistent;
+        arena_left = combineArena(arena_left, r.transient);
+    }
+    return fewest;
 }
 
 Bytes

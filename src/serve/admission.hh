@@ -38,7 +38,9 @@
 #include "net/network.hh"
 #include "serve/job.hh"
 
-#include <unordered_map>
+#include <algorithm>
+#include <cstdint>
+#include <vector>
 
 namespace vdnn::serve
 {
@@ -91,7 +93,11 @@ class AdmissionController
      * working set must be reserved at once (sum instead of max).
      * Default off (iteration-granularity interleaving).
      */
-    void setOverlapTransients(bool overlap) { overlapTransients = overlap; }
+    void setOverlapTransients(bool overlap)
+    {
+        overlapTransients = overlap;
+        arenaStale = true;
+    }
 
     /**
      * Would @p est (scaled by @p scale) fit beside the admitted set,
@@ -148,14 +154,26 @@ class AdmissionController
     Bytes reservationFor(const FootprintEstimate &est,
                          double scale = 1.0) const;
 
+    /** Bytes a resident job's reservation holds on this ledger. */
+    Bytes reservedFor(JobId id) const;
+
+    /**
+     * Make-room dry run: the fewest leading entries of @p victims
+     * (distinct resident jobs, in eviction order) whose eviction lets
+     * @p est fit, or -1 when evicting all of them is not enough. One
+     * pass over the resident set, however many victims are tried.
+     */
+    int evictionsToFit(const FootprintEstimate &est, double scale,
+                       const std::vector<JobId> &victims) const;
+
     Bytes capacity() const { return cap; }
     /** Committed device bytes: sum of resident persistents + the
      *  transient arena. Evicted tenants contribute nothing. */
     Bytes reservedBytes() const;
     /** Device-resident reservations (Running/Suspended tenants). */
-    int admittedCount() const { return int(reservations.size()); }
+    int admittedCount() const { return int(residents.size()); }
     /** Tenants parked on the evicted ledger. */
-    int evictedCount() const { return int(evictedLedger.size()); }
+    int evictedCount() const { return evicted; }
 
   private:
     struct Reservation
@@ -163,10 +181,40 @@ class AdmissionController
         Bytes persistent = 0;
         Bytes transient = 0;
     };
+    enum class Where : std::uint8_t
+    {
+        None,
+        Resident, ///< holds device bytes
+        Evicted,  ///< reservation remembered, device bytes free
+    };
+    /** One job's ledger entry (job ids are small and dense). */
+    struct Entry
+    {
+        Reservation r;
+        Where where = Where::None;
+        /** Index in `residents` while Resident. */
+        std::size_t slot = 0;
+        /** evictionsToFit() scratch mark, clear between calls. */
+        mutable bool victim = false;
+    };
 
     /** Transient arena the admitted set needs: max, or sum when
-     *  packed overlap keeps several iterations in flight at once. */
+     *  packed overlap keeps several iterations in flight at once.
+     *  Cached; recomputed only after a reservation leaves or shrinks. */
     Bytes transientArena() const;
+    /** Arena of two disjoint sets: sum or max, as above. */
+    Bytes combineArena(Bytes a, Bytes b) const
+    {
+        return overlapTransients ? a + b : std::max(a, b);
+    }
+    /** @p id's entry, asserted to be in state @p w. */
+    Entry &entryIn(JobId id, Where w, const char *what);
+    const Entry &entryIn(JobId id, Where w, const char *what) const;
+    /** Move @p id's entry (holding @p r) onto the resident set. */
+    void addResident(JobId id, const Reservation &r);
+    /** Take @p id off the resident set, into state @p to. */
+    void dropResident(JobId id, Where to);
+    Reservation scaled(const FootprintEstimate &est, double scale) const;
 
     bool fits(const Reservation &r) const;
 
@@ -174,9 +222,13 @@ class AdmissionController
     double safety;
     bool overlapTransients = false;
     Bytes persistentSum = 0;
-    std::unordered_map<JobId, Reservation> reservations;
-    /** Preempted tenants: reservation remembered, device bytes free. */
-    std::unordered_map<JobId, Reservation> evictedLedger;
+    mutable Bytes arena = 0;
+    mutable bool arenaStale = false;
+    /** Ledger entries by job id, grown on demand. */
+    std::vector<Entry> entries;
+    /** Resident job ids (unordered; entries hold their slots). */
+    std::vector<JobId> residents;
+    int evicted = 0;
 };
 
 } // namespace vdnn::serve

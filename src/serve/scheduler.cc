@@ -26,20 +26,30 @@ schedPolicyName(SchedPolicy p)
     return "?";
 }
 
-SchedulerConfig::SchedulerConfig() : gpu(gpu::titanXMaxwell()) {}
-
 namespace
 {
 
 gpu::ClusterSpec
 clusterSpecFor(const SchedulerConfig &cfg)
 {
+    VDNN_ASSERT(!cfg.devices.empty(), "scheduler needs a device");
     gpu::ClusterSpec cs;
-    cs.devices = cfg.devices.empty()
-                     ? std::vector<gpu::GpuSpec>{cfg.gpu}
-                     : cfg.devices;
+    cs.devices = cfg.devices;
     cs.contention = cfg.contention;
     return cs;
+}
+
+/** Do two devices yield identical footprint estimates? */
+bool
+sameEstimateSpec(const gpu::GpuSpec &a, const gpu::GpuSpec &b)
+{
+    return a.name == b.name && a.peakFlops == b.peakFlops &&
+           a.dramBandwidth == b.dramBandwidth &&
+           a.dramCapacity == b.dramCapacity &&
+           a.hostCapacity == b.hostCapacity &&
+           a.pcie.rawBandwidth == b.pcie.rawBandwidth &&
+           a.pcie.dmaBandwidth == b.pcie.dmaBandwidth &&
+           a.pcie.setupLatency == b.pcie.setupLatency;
 }
 
 } // namespace
@@ -64,8 +74,21 @@ Scheduler::Scheduler(SchedulerConfig config)
 {
     VDNN_ASSERT(cfg.maxJobsInFlight >= 0,
                 "maxJobsInFlight must be >= 0");
-    for (int d = 0; d < cluster.deviceCount(); ++d)
+    for (int d = 0; d < cluster.deviceCount(); ++d) {
         devs.push_back(std::make_unique<DeviceCtx>(d, cluster, cfg));
+        // Identical devices yield identical estimates: share the cache
+        // entry of the first same-spec device so a homogeneous cluster
+        // derives each job's admission plan once, not once per device.
+        DeviceCtx &ctx = *devs.back();
+        ctx.estimateSlot = d;
+        for (int k = 0; k < d; ++k) {
+            if (sameEstimateSpec(devs[std::size_t(k)]->dev->spec(),
+                                 ctx.dev->spec())) {
+                ctx.estimateSlot = k;
+                break;
+            }
+        }
+    }
     cluster.setTelemetry(cfg.telemetry);
     if (obs::MetricsRegistry *m = cfg.telemetry.metrics) {
         ctrAdmissions = &m->counter("sched.admissions");
@@ -189,24 +212,6 @@ Scheduler::stopWaiting(Job &job)
     job.record.waitingSince = kTimeNone;
 }
 
-namespace
-{
-
-/** Do two devices yield identical footprint estimates? */
-bool
-sameEstimateSpec(const gpu::GpuSpec &a, const gpu::GpuSpec &b)
-{
-    return a.name == b.name && a.peakFlops == b.peakFlops &&
-           a.dramBandwidth == b.dramBandwidth &&
-           a.dramCapacity == b.dramCapacity &&
-           a.hostCapacity == b.hostCapacity &&
-           a.pcie.rawBandwidth == b.pcie.rawBandwidth &&
-           a.pcie.dmaBandwidth == b.pcie.dmaBandwidth &&
-           a.pcie.setupLatency == b.pcie.setupLatency;
-}
-
-} // namespace
-
 const FootprintEstimate &
 Scheduler::estimateFor(const Job &job, DeviceCtx &d)
 {
@@ -219,18 +224,7 @@ Scheduler::estimateFor(const Job &job, DeviceCtx &d)
         m.transient = job.measured.transient;
         return m;
     }
-    // Identical devices yield identical estimates: share the cache
-    // entry of the first same-spec device so a homogeneous cluster
-    // derives each job's admission plan once, not once per device.
-    int canonical = d.id;
-    for (int k = 0; k < d.id; ++k) {
-        if (sameEstimateSpec(devs[std::size_t(k)]->dev->spec(),
-                             d.dev->spec())) {
-            canonical = k;
-            break;
-        }
-    }
-    auto key = std::make_pair(job.id, canonical);
+    auto key = std::make_pair(job.id, d.estimateSlot);
     auto it = estimates.find(key);
     if (it == estimates.end()) {
         // Budget for the planner's most conservative plan, derived
@@ -270,15 +264,6 @@ Scheduler::reservedBytesTotal() const
     for (const auto &d : devs)
         total += d->admission.reservedBytes();
     return total;
-}
-
-int
-Scheduler::jobsInFlight() const
-{
-    int n = 0;
-    for (const auto &d : devs)
-        n += int(d->running.size());
-    return n;
 }
 
 bool
@@ -339,84 +324,6 @@ Scheduler::tryAdmit(Job &job, const FootprintEstimate &est, DeviceCtx &d)
     return true;
 }
 
-void
-Scheduler::admitFromQueue()
-{
-    DeviceCtx &d0 = *devs[0];
-    // Priority scheduling admits the most important arrivals first;
-    // the queue stays FIFO within a priority level. Aging lifts a
-    // long-waiting job's effective priority, so a starved arrival
-    // eventually sorts ahead of younger, nominally hotter ones.
-    if (cfg.policy == SchedPolicy::PreemptivePriority) {
-        TimeNs now = cluster.now();
-        queue.stableSort([this, now](JobId a, JobId b) {
-            return effectivePriority(*jobs[std::size_t(a)], now) >
-                   effectivePriority(*jobs[std::size_t(b)], now);
-        });
-    }
-    std::size_t i = 0;
-    while (i < queue.size()) {
-        Job &job = *jobs[std::size_t(queue.at(i))];
-        const FootprintEstimate &est = estimateFor(job, d0);
-        // Feasibility includes any OOM-backoff inflation: a job whose
-        // grown reservation no longer fits even an empty device must
-        // go terminal here, or it would sit in the queue forever.
-        if (!d0.admission.feasible(est, job.reserveScale)) {
-            queue.take(i);
-            job.record.state = JobState::Rejected;
-            ++numTerminal;
-            job.record.finishTime = cluster.now();
-            job.record.failReason = strFormat(
-                "reservation %s exceeds device capacity %s",
-                formatBytes(
-                    d0.admission.reservationFor(est, job.reserveScale))
-                    .c_str(),
-                formatBytes(d0.admission.capacity()).c_str());
-            continue;
-        }
-        bool wants_room =
-            (cfg.maxJobsInFlight > 0 &&
-             jobsInFlight() >= cfg.maxJobsInFlight) ||
-            !d0.admission.canAdmit(est, job.reserveScale);
-        if (wants_room && cfg.policy == SchedPolicy::PreemptivePriority)
-            wants_room = !makeRoomFor(job, est, d0);
-        if (cfg.maxJobsInFlight > 0 &&
-            jobsInFlight() >= cfg.maxJobsInFlight) {
-            break;
-        }
-        if (cfg.policy == SchedPolicy::FifoExclusive &&
-            !d0.running.empty()) {
-            break;
-        }
-        if (wants_room) {
-            if (cfg.policy != SchedPolicy::FifoExclusive) {
-                // Backfill: a smaller job further back may still fit.
-                ++i;
-                continue;
-            }
-            break; // strict arrival order for FIFO
-        }
-        if (tryAdmit(job, est, d0)) {
-            queue.take(i);
-            continue;
-        }
-        // No progress despite a fitting reservation: page co-tenants'
-        // cold buffers before inflating this job's reservation (and,
-        // under the priority policy, before tenants get evicted).
-        if (cfg.bufferPaging &&
-            pageVictimBuffers(
-                d0, d0.admission.reservationFor(est, job.reserveScale)) >
-                0 &&
-            tryAdmit(job, est, d0)) {
-            queue.take(i);
-            continue;
-        }
-        if (backoffAfterSetupOom(job, i))
-            continue;
-        ++i;
-    }
-}
-
 bool
 Scheduler::backoffAfterSetupOom(Job &job, std::size_t queue_index)
 {
@@ -437,6 +344,9 @@ Scheduler::backoffAfterSetupOom(Job &job, std::size_t queue_index)
         job.record.finishTime = cluster.now();
         job.record.failReason =
             "admission gave up after repeated setup OOM: " + why;
+        // Queued jobs hold no reservation: the ledger does not move.
+        logLifecycle(job.id, "fail", reservedBytesTotal(),
+                     job.record.deviceId);
         return true; // taken from the queue, now terminal
     }
     return false;
@@ -507,12 +417,10 @@ Scheduler::finishJob(Job &job, JobState final_state,
 
     // Freed capacity: evicted tenants may fit again, and survivors
     // whose planner supports it may grow their plans back.
+    resumePending = true;
     if (cfg.policy == SchedPolicy::PreemptivePriority) {
-        resumePending = true;
         for (JobId id : d.running)
             jobs[std::size_t(id)]->replanRequested = true;
-    } else if (deviceCount() > 1) {
-        resumePending = true;
     }
 }
 
@@ -546,39 +454,6 @@ Scheduler::evictForRequeue(Job &job)
 }
 
 // --- lifecycle state machine (PreemptivePriority) ----------------------------
-
-Job *
-Scheduler::pickVictim(DeviceCtx &d, double below_priority)
-{
-    // Lowest effective priority first (an aged-in tenant keeps the
-    // boost it earned, so it is not the default victim); the
-    // latest-arrived tenant of that level goes first (LIFO), so
-    // incumbents are disturbed least.
-    TimeNs now = cluster.now();
-    Job *victim = nullptr;
-    double victim_eff = 0.0;
-    for (JobId id : d.running) {
-        Job *j = jobs[std::size_t(id)].get();
-        double eff = effectivePriority(*j, now);
-        if (eff >= below_priority)
-            continue;
-        // Iteration granularity parks victims only at iteration
-        // boundaries; at op granularity a live stepper is parked at
-        // its current Sync/Barrier boundary and the partial iteration
-        // unwound by evictToHost().
-        if (cfg.preemptGranularity == PreemptGranularity::Iteration &&
-            j->session->activeStepper()) {
-            continue;
-        }
-        if (!victim || eff < victim_eff ||
-            (eff == victim_eff &&
-             j->spec.arrival > victim->spec.arrival)) {
-            victim = j;
-            victim_eff = eff;
-        }
-    }
-    return victim;
-}
 
 Job *
 Scheduler::topChallengerOn(DeviceCtx &d, const Job &inflight)
@@ -679,61 +554,82 @@ Scheduler::preempt(Job &victim)
     return true;
 }
 
-bool
-Scheduler::makeRoomFor(Job &job, const FootprintEstimate &est,
-                       DeviceCtx &d)
+int
+Scheduler::makeRoomFor(Job &job)
 {
-    auto blocked = [&] {
-        return (cfg.maxJobsInFlight > 0 &&
-                jobsInFlight() >= cfg.maxJobsInFlight) ||
-               !d.admission.canAdmit(est, job.reserveScale);
-    };
-    double bar = effectivePriority(job, cluster.now());
-    while (blocked()) {
-        Job *victim = pickVictim(d, bar);
-        if (!victim || !preempt(*victim))
-            return false; // nobody below this priority (or host full)
-        ++job.record.victimsPreempted;
-    }
-    return true;
-}
-
-Scheduler::DeviceCtx *
-Scheduler::pickPreemptDevice(Job &job)
-{
-    // Cluster make-room target: the feasible device holding the most
-    // evictable reserved bytes strictly below the arrival's effective
-    // priority — where makeRoomFor() has the best odds of clearing
-    // enough space. Side-effect-free: nothing is evicted here.
+    // One victim scan: the candidates of the feasible device holding
+    // the most reserved bytes below the job's effective priority —
+    // where eviction has the best odds of clearing enough space.
     TimeNs now = cluster.now();
     double bar = effectivePriority(job, now);
     DeviceCtx *best = nullptr;
-    Bytes best_evictable = 0;
+    Bytes best_bytes = 0;
+    candidates.clear();
     for (auto &dp : devs) {
         DeviceCtx &d = *dp;
-        if (!d.admission.feasible(estimateFor(job, d),
+        if (!d.admission.feasible(*jobEst[std::size_t(d.id)],
                                   job.reserveScale)) {
             continue;
         }
-        Bytes evictable = 0;
+        std::size_t first = candidates.size();
+        Bytes bytes = 0;
         for (JobId id : d.running) {
-            Job &v = *jobs[std::size_t(id)];
-            if (effectivePriority(v, now) >= bar)
-                continue;
-            if (cfg.preemptGranularity ==
-                    PreemptGranularity::Iteration &&
-                v.session->activeStepper()) {
+            Job *v = jobs[std::size_t(id)].get();
+            double eff = effectivePriority(*v, now);
+            // Iteration granularity parks victims only at iteration
+            // boundaries; at op granularity a live stepper is parked
+            // at its current Sync/Barrier boundary and the partial
+            // iteration unwound by evictToHost().
+            if (eff >= bar ||
+                (cfg.preemptGranularity == PreemptGranularity::Iteration &&
+                 v->session->activeStepper())) {
                 continue;
             }
-            evictable += d.admission.reservationFor(estimateFor(v, d),
-                                                    v.reserveScale);
+            candidates.push_back({eff, v, candidates.size()});
+            bytes += d.admission.reservedFor(id);
         }
-        if (evictable > 0 && (!best || evictable > best_evictable)) {
+        if (bytes > 0 && (!best || bytes > best_bytes)) {
             best = &d;
-            best_evictable = evictable;
+            best_bytes = bytes;
+            candidates.erase(candidates.begin(),
+                             candidates.begin() + std::ptrdiff_t(first));
+        } else {
+            candidates.resize(first);
         }
     }
-    return best;
+    if (!best)
+        return -1;
+    // Eviction order: lowest effective priority first (an aged-in
+    // tenant keeps the boost it earned, so it is not the default
+    // victim); the latest-arrived tenant of a level first (LIFO), so
+    // incumbents are disturbed least.
+    std::sort(candidates.begin(), candidates.end(),
+              [](const Candidate &a, const Candidate &b) {
+                  if (a.eff != b.eff)
+                      return a.eff < b.eff;
+                  if (a.job->spec.arrival != b.job->spec.arrival)
+                      return a.job->spec.arrival > b.job->spec.arrival;
+                  return a.pos < b.pos;
+              });
+    victims.clear();
+    for (const Candidate &c : candidates)
+        victims.push_back(c.job->id);
+    // Dry run on the ledger: size the whole victim set before anyone
+    // is evicted, so an insufficient set costs nothing.
+    int need = best->admission.evictionsToFit(
+        *jobEst[std::size_t(best->id)], job.reserveScale, victims);
+    if (need < 0)
+        return -1;
+    if (cfg.maxJobsInFlight > 0)
+        need = std::max(need, residentJobs - cfg.maxJobsInFlight + 1);
+    if (need > int(victims.size()))
+        return -1;
+    for (int k = 0; k < need; ++k) {
+        if (!preempt(*jobs[std::size_t(victims[std::size_t(k)])]))
+            return -1; // pinned host memory cannot stage the victim
+        ++job.record.victimsPreempted;
+    }
+    return best->id;
 }
 
 // --- buffer-granularity paging (Salus-style) ---------------------------------
@@ -922,26 +818,23 @@ Scheduler::adoptProfile(Job &job)
     }
 }
 
-// --- cluster path (2+ devices) -----------------------------------------------
+// --- admission ---------------------------------------------------------------
 
 int
-Scheduler::choosePlacement(Job &job)
+Scheduler::choosePlacement(const Job &job)
 {
-    std::vector<DeviceLoad> loads;
-    loads.reserve(devs.size());
+    loads.clear();
     for (auto &d : devs) {
         DeviceLoad l;
         l.device = d->id;
         l.capacity = d->admission.capacity();
         l.reserved = d->admission.reservedBytes();
         l.runningJobs = int(d->running.size());
-        l.fits = d->admission.canAdmit(estimateFor(job, *d),
-                                       job.reserveScale);
         // FIFO-exclusive serves one tenant per device at a time.
-        if (cfg.policy == SchedPolicy::FifoExclusive &&
-            !d->running.empty()) {
-            l.fits = false;
-        }
+        l.fits = !(cfg.policy == SchedPolicy::FifoExclusive &&
+                   !d->running.empty()) &&
+                 d->admission.canAdmit(*jobEst[std::size_t(d->id)],
+                                       job.reserveScale);
         loads.push_back(l);
     }
     int pick = cfg.placement->place(loads);
@@ -954,11 +847,12 @@ Scheduler::choosePlacement(Job &job)
 }
 
 void
-Scheduler::admitFromQueueCluster()
+Scheduler::admitQueued()
 {
-    // Same admission order as the single-device sweep: under the
-    // priority policy the most important (aging-adjusted) arrivals
-    // place first, FIFO within a level.
+    // Priority scheduling admits the most important arrivals first;
+    // the queue stays FIFO within a priority level. Aging lifts a
+    // long-waiting job's effective priority, so a starved arrival
+    // eventually sorts ahead of younger, nominally hotter ones.
     if (cfg.policy == SchedPolicy::PreemptivePriority) {
         TimeNs now = cluster.now();
         queue.stableSort([this, now](JobId a, JobId b) {
@@ -969,15 +863,18 @@ Scheduler::admitFromQueueCluster()
     std::size_t i = 0;
     while (i < queue.size()) {
         Job &job = *jobs[std::size_t(queue.at(i))];
-        // Rejection only when no device of the cluster could ever
-        // hold the (possibly backoff-inflated) reservation alone.
+        // One estimate lookup per device serves every decision below.
+        // Rejection only when no device could ever hold the (possibly
+        // backoff-inflated) reservation alone: such a job would sit in
+        // the queue forever.
+        jobEst.clear();
         bool feasible_somewhere = false;
         Bytes largest_cap = 0;
         for (auto &d : devs) {
-            feasible_somewhere |= d->admission.feasible(
-                estimateFor(job, *d), job.reserveScale);
-            largest_cap = std::max(largest_cap,
-                                   d->admission.capacity());
+            jobEst.push_back(&estimateFor(job, *d));
+            feasible_somewhere |=
+                d->admission.feasible(*jobEst.back(), job.reserveScale);
+            largest_cap = std::max(largest_cap, d->admission.capacity());
         }
         if (!feasible_somewhere) {
             queue.take(i);
@@ -990,42 +887,33 @@ Scheduler::admitFromQueueCluster()
                 formatBytes(largest_cap).c_str());
             continue;
         }
-        if (cfg.maxJobsInFlight > 0 &&
-            jobsInFlight() >= cfg.maxJobsInFlight) {
-            break;
-        }
-        int target = choosePlacement(job);
-        if (target < 0 &&
-            cfg.policy == SchedPolicy::PreemptivePriority) {
-            // No device fits outright: evict below-priority tenants
-            // on the device holding the most reclaimable reservation,
-            // then place there.
-            if (DeviceCtx *pd = pickPreemptDevice(job)) {
-                if (makeRoomFor(job, estimateFor(job, *pd), *pd))
-                    target = pd->id;
-            }
-        }
+        const bool cap_binds = cfg.maxJobsInFlight > 0 &&
+                               residentJobs >= cfg.maxJobsInFlight;
+        int target = cap_binds ? -1 : choosePlacement(job);
+        // No device fits outright, or no slot is free: under the
+        // priority policy evict below-priority tenants, all or none.
+        if (target < 0 && cfg.policy == SchedPolicy::PreemptivePriority)
+            target = makeRoomFor(job);
         if (target < 0) {
-            // Nothing fits right now. FIFO keeps strict arrival order
-            // (no later job may jump a blocked head, matching the
-            // single-device path); the packing policies backfill.
-            if (cfg.policy == SchedPolicy::FifoExclusive)
+            // Nothing fits right now. A full in-flight cap admits
+            // nobody, and FIFO keeps strict arrival order (no later
+            // job may jump a blocked head); the packing policies
+            // backfill.
+            if (cap_binds || cfg.policy == SchedPolicy::FifoExclusive)
                 break;
             ++i;
             continue;
         }
         DeviceCtx &d = *devs[std::size_t(target)];
-        if (tryAdmit(job, estimateFor(job, d), d)) {
-            queue.take(i);
-            continue;
-        }
+        const FootprintEstimate &est = *jobEst[std::size_t(target)];
         // No progress despite a fitting reservation: page co-tenants'
-        // cold buffers before inflating this job's reservation.
-        if (cfg.bufferPaging &&
-            pageVictimBuffers(d, d.admission.reservationFor(
-                                     estimateFor(job, d),
-                                     job.reserveScale)) > 0 &&
-            tryAdmit(job, estimateFor(job, d), d)) {
+        // cold buffers before inflating this job's reservation (and,
+        // under the priority policy, before tenants get evicted).
+        if (tryAdmit(job, est, d) ||
+            (cfg.bufferPaging &&
+             pageVictimBuffers(d, d.admission.reservationFor(
+                                      est, job.reserveScale)) > 0 &&
+             tryAdmit(job, est, d))) {
             queue.take(i);
             continue;
         }
@@ -1034,6 +922,8 @@ Scheduler::admitFromQueueCluster()
         ++i;
     }
 }
+
+// --- the engine --------------------------------------------------------------
 
 Job *
 Scheduler::pickNextOn(DeviceCtx &d)
@@ -1078,16 +968,11 @@ Scheduler::pickNextOn(DeviceCtx &d)
     return jobs[std::size_t(d.running[d.rrCursor++])].get();
 }
 
-bool
-Scheduler::stepDeviceOnce(DeviceCtx &d)
+Job &
+Scheduler::pickInFlight(DeviceCtx &d)
 {
-    if (d.running.empty()) {
-        ++statFruitlessPolls;
-        return false;
-    }
-    Job *job = nullptr;
     if (d.inFlight >= 0) {
-        job = jobs[std::size_t(d.inFlight)].get();
+        Job &job = *jobs[std::size_t(d.inFlight)];
         // Op-granularity dispatch preemption: ledger room is not the
         // only resource a high-priority arrival needs — it needs the
         // SMs. At iteration granularity the device hands over only at
@@ -1097,75 +982,79 @@ Scheduler::stepDeviceOnce(DeviceCtx &d)
         // (suspend() freezes its stepper mid-iteration, memory and
         // ledger reservation untouched) and continues byte-identically
         // when it is next picked, so the switch costs no DMA at all.
+        Job *top = nullptr;
         if (cfg.policy == SchedPolicy::PreemptivePriority &&
             cfg.preemptGranularity == PreemptGranularity::Op) {
-            Job *top = topChallengerOn(d, *job);
-            if (top) {
-                parkInFlight(d, *job, *top);
-                job = nullptr;
-            }
+            top = topChallengerOn(d, job);
         }
+        if (!top)
+            return job;
+        parkInFlight(d, job, *top);
     }
-    if (!job) {
-        job = pickNextOn(d);
-        if (job->record.state == JobState::Suspended) {
-            // A parked-resident victim is top again: un-freeze its
-            // stepper and continue the interrupted iteration in place.
+    Job &job = *pickNextOn(d);
+    if (job.record.state == JobState::Suspended) {
+        // A parked-resident victim is top again: un-freeze its
+        // stepper and continue the interrupted iteration in place.
+        Bytes before = reservedBytesTotal();
+        job.session->resume();
+        job.record.state = JobState::Running;
+        logLifecycle(job.id, "resume", before, d.id);
+    }
+    // Grow-back sweep: a co-tenant exited since this tenant last ran;
+    // planners that support it re-plan in place against the fresh
+    // free share at this iteration boundary.
+    if (job.replanRequested) {
+        job.replanRequested = false;
+        if (cfg.policy == SchedPolicy::PreemptivePriority &&
+            !job.session->activeStepper()) {
             Bytes before = reservedBytesTotal();
-            job->session->resume();
-            job->record.state = JobState::Running;
-            logLifecycle(job->id, "resume", before, d.id);
-        }
-        // Grow-back sweep: a co-tenant exited since this tenant last
-        // ran; planners that support it re-plan in place against the
-        // fresh free share at this iteration boundary.
-        if (job->replanRequested) {
-            job->replanRequested = false;
-            if (cfg.policy == SchedPolicy::PreemptivePriority &&
-                !job->session->activeStepper()) {
-                Bytes before = reservedBytesTotal();
-                if (job->session->replan()) {
-                    ++job->record.replans;
-                    logLifecycle(job->id, "replan", before, d.id);
-                }
+            if (job.session->replan()) {
+                ++job.record.replans;
+                logLifecycle(job.id, "replan", before, d.id);
             }
         }
-        if (job->record.firstDispatchTime == kTimeNone) {
-            job->record.firstDispatchTime = cluster.now();
-            notePreemptionLatency(*job);
-        }
-        if (!job->session->activeStepper())
-            job->session->beginIteration();
-        job->stepBlocked = false;
-        d.inFlight = job->id;
     }
-    core::IterationStepper *st = job->session->activeStepper();
-    VDNN_ASSERT(st, "in-flight job %d has no stepper", job->id);
-    if (job->stepBlocked && !forceWakeAll) {
-        // Still blocked: no completion has landed on this tenant's
-        // streams since the stepper last returned Blocked, so a
-        // re-poll must block again — skip the pure call.
+    job.stepBlocked = false;
+    d.inFlight = job.id;
+    return job;
+}
+
+bool
+Scheduler::stepTenant(Job &job)
+{
+    core::IterationStepper *st = job.session->activeStepper();
+    if (!st) {
+        if (job.record.firstDispatchTime == kTimeNone) {
+            job.record.firstDispatchTime = cluster.now();
+            notePreemptionLatency(job);
+        }
+        st = &job.session->beginIteration();
+        job.stepBlocked = false;
+    }
+    if (job.stepBlocked && !forceWakeAll) {
+        // No completion has landed on this tenant's streams since it
+        // blocked, so a re-poll must block again — skip the pure call.
         ++statFruitlessPolls;
         return false;
     }
-    core::IterationStepper::Status s = st->step(/*blocking=*/false);
-    if (s == core::IterationStepper::Status::Blocked) {
-        job->stepBlocked = true;
+    if (st->step(/*blocking=*/false) ==
+        core::IterationStepper::Status::Blocked) {
+        job.stepBlocked = true;
         ++statFruitlessPolls;
         return false;
     }
     if (!st->finished())
         return true;
-    d.inFlight = -1;
-    core::IterationResult r = job->session->completeIteration();
+    devs[std::size_t(job.record.deviceId)]->inFlight = -1;
+    core::IterationResult r = job.session->completeIteration();
     if (r.ok) {
-        chargeIteration(*job, r);
-        if (job->record.itersDone >= job->spec.iterations)
-            finishJob(*job, JobState::Finished);
+        chargeIteration(job, r);
+        if (job.record.itersDone >= job.spec.iterations)
+            finishJob(job, JobState::Finished);
     } else {
         // In-flight OOM: only this job's iteration aborts; it is torn
         // down and requeued (it may be re-placed on another device).
-        evictForRequeue(*job);
+        evictForRequeue(job);
     }
     // Completed-iteration boundary: effective priorities aged, so the
     // priority policy's admission decisions (sort order, make-room
@@ -1176,66 +1065,29 @@ Scheduler::stepDeviceOnce(DeviceCtx &d)
 }
 
 bool
-Scheduler::sweepPacked(DeviceCtx &d)
+Scheduler::stepDevice(DeviceCtx &d)
 {
+    if (d.running.empty()) {
+        ++statFruitlessPolls;
+        return false;
+    }
+    if (cfg.policy != SchedPolicy::PackedOverlap)
+        return stepTenant(pickInFlight(d));
     // Op-granularity packing: every resident tenant owns a resumable
     // IterationStepper over its compiled IterationProgram. One sweep
     // offers each tenant a single step; a tenant blocked on a stream
     // join (its offload or prefetch still in flight) is skipped rather
     // than allowed to stall the host, so the next tenant's compute op
     // dispatches under the blocked tenant's DMA.
-    if (d.running.empty()) {
-        ++statFruitlessPolls;
-        return false;
-    }
     bool progress = false;
-    std::vector<JobId> round = d.running;
+    round = d.running;
     for (JobId id : round) {
         Job &job = *jobs[std::size_t(id)];
-        if (job.record.state != JobState::Running)
-            continue; // finished or evicted earlier in this round
-        core::IterationStepper *st = job.session->activeStepper();
-        if (!st) {
-            if (job.record.firstDispatchTime == kTimeNone) {
-                job.record.firstDispatchTime = cluster.now();
-                notePreemptionLatency(job);
-            }
-            st = &job.session->beginIteration();
-            job.stepBlocked = false;
-        }
-        if (job.stepBlocked && !forceWakeAll) {
-            // No completion on this tenant's streams since it
-            // blocked: the re-poll is provably fruitless.
-            ++statFruitlessPolls;
-            continue;
-        }
-        core::IterationStepper::Status s =
-            st->step(/*blocking=*/false);
-        if (s == core::IterationStepper::Status::Blocked) {
-            job.stepBlocked = true;
-            ++statFruitlessPolls;
-            continue;
-        }
-        progress = true;
-        if (!st->finished())
-            continue;
-        core::IterationResult r = job.session->completeIteration();
-        if (r.ok) {
-            chargeIteration(job, r);
-            if (job.record.itersDone >= job.spec.iterations)
-                finishJob(job, JobState::Finished);
-        } else {
-            evictForRequeue(job);
-        }
+        // Skip tenants finished or evicted earlier in this round.
+        if (job.record.state == JobState::Running && stepTenant(job))
+            progress = true;
     }
     return progress;
-}
-
-bool
-Scheduler::sweepDevice(DeviceCtx &d)
-{
-    return cfg.policy == SchedPolicy::PackedOverlap ? sweepPacked(d)
-                                                    : stepDeviceOnce(d);
 }
 
 void
@@ -1402,38 +1254,28 @@ Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
 void
 Scheduler::runEngine()
 {
-    // The one serve loop: every policy at every device count. Each
-    // device's resident set advances through resumable steppers while
-    // its siblings' kernels and DMAs run on the shared clock, so N
-    // devices genuinely serve N tenants' compute concurrently — and
-    // under PackedOverlap every resident tenant of a device holds a
-    // live stepper at once.
+    // The one serve loop: every policy at every device count, one
+    // cadence. Each device's resident set advances through resumable
+    // steppers while its siblings' kernels and DMAs run on the shared
+    // clock, so N devices genuinely serve N tenants' compute
+    // concurrently — and under PackedOverlap every resident tenant of
+    // a device holds a live stepper at once.
     //
-    // The loop is event-driven. The old per-configuration loops
-    // polled: every turn rescanned the admission queue and offered
-    // every tenant a step, an O(devices + tenants + queued) toll per
-    // executed event. Here each turn drains only the wake-set — the
-    // devices whose state actually changed since they last made no
+    // The loop is event-driven. Each turn drains only the wake-set —
+    // the devices whose state actually changed since they last made no
     // progress (a completion event executed on them, or a tenant was
     // admitted / resumed / migrated in) — and within a device each
     // tenant carries a blocked-stepper memo (Job::stepBlocked, cleared
     // by the wake hook of the one tenant whose stream the completion
     // landed on), so a thousand-tenant device re-polls one tenant per
-    // completion, not a thousand. The admission rescan runs only when
-    // `admissionDirty` says one of its inputs moved. Outputs are
-    // byte-identical to the polling loops because every skipped call
-    // was pure: a non-blocking step offered to a blocked or empty
-    // tenant returns without side effects, and a rescan with unchanged
-    // inputs reproduces its previous (fruitless) decisions.
-    //
-    // The classic single-device iteration-granularity configurations
-    // instead run their preamble exactly at iteration boundaries, with
-    // an *unconditional* admission rescan there — the legacy loops'
-    // cadence, which matters under the priority policy because aging
-    // makes admission order a function of time, not just of ledger
-    // events. (At Op preemption granularity the preamble runs every
-    // turn: a high-priority arrival must not wait out an iteration to
-    // be seen.)
+    // completion, not a thousand. The admission sweep reruns only when
+    // `admissionDirty` says one of its inputs moved: an arrival, a
+    // ledger or running-set change, a pending setup-OOM retry, or —
+    // under the priority policy, whose admission order ages with time
+    // — a completed iteration. Every skipped call is pure: a
+    // non-blocking step offered to a blocked or empty tenant returns
+    // without side effects, and a rescan with unchanged inputs
+    // reproduces its previous (fruitless) decisions.
     //
     // Arrivals stay turn-boundary-scheduled rather than becoming real
     // clock events: collectArrivals() is O(1) until the cached
@@ -1441,70 +1283,59 @@ Scheduler::runEngine()
     // process the queue *mid*-turn and shift admit times). The idle
     // path advances straight to that cached arrival, and rebalance
     // sweeps gate on their precomputed next-due time.
-    const bool boundary_preamble =
-        deviceCount() == 1 &&
-        cfg.policy != SchedPolicy::PackedOverlap &&
-        cfg.preemptGranularity == PreemptGranularity::Iteration;
     for (auto &d : devs)
         wake.add(d->id);
     while (!allDone()) {
-        if (!boundary_preamble || devs[0]->inFlight < 0) {
-            collectArrivals();
-            if (boundary_preamble) {
-                admitFromQueue();
-            } else if (admissionDirty) {
-                admissionDirty = false;
-                // May re-dirty itself: a setup-OOM backoff must retry
-                // against the pool's next-turn state, every turn,
-                // until it admits or goes terminal (the polling
-                // cadence).
-                if (deviceCount() == 1)
-                    admitFromQueue();
-                else
-                    admitFromQueueCluster();
-            }
-            if (resumePending) {
-                resumePending = false;
-                resumeEvictedSweep();
-            }
-            if (cfg.rebalancePeriod > 0 &&
-                (nextRebalance == kTimeNone ||
-                 cluster.now() >= nextRebalance)) {
-                maybeRebalance();
-            }
+        collectArrivals();
+        if (admissionDirty) {
+            admissionDirty = false;
+            // May re-dirty itself: a setup-OOM backoff must retry
+            // against the pool's next-turn state, every turn, until it
+            // admits or goes terminal (the polling cadence).
+            admitQueued();
+        }
+        if (resumePending) {
+            resumePending = false;
+            resumeEvictedSweep();
+        }
+        if (cfg.rebalancePeriod > 0 &&
+            (nextRebalance == kTimeNone || cluster.now() >= nextRebalance))
+            maybeRebalance();
 
-            if (residentJobs == 0) {
-                if (!evictedJobs.empty()) {
-                    // Preempted tenants and nothing resident: readmit.
-                    resumeEvictedSweep();
-                    if (residentJobs > 0)
-                        continue;
-                }
-                TimeNs next = nextPendingArrivalTime();
-                if (next == kTimeNone) {
-                    if (!evictedJobs.empty()) {
-                        // Backstop: an evicted tenant that cannot come
-                        // back even with the cluster drained must go
-                        // terminal, not hang the scheduler.
-                        std::vector<JobId> stuck = evictedJobs;
-                        for (JobId id : stuck) {
-                            finishJob(*jobs[std::size_t(id)],
-                                      JobState::Failed,
-                                      "evicted tenant could not be "
-                                      "readmitted: " +
-                                          jobs[std::size_t(id)]
-                                              ->session->failReason());
-                        }
-                        continue;
-                    }
-                    // Nothing running, nothing admissible, nothing
-                    // still to arrive: every job went terminal.
-                    break;
-                }
-                ++statIdleAdvances;
-                cluster.advanceTo(next);
-                continue;
+        if (residentJobs == 0) {
+            if (!evictedJobs.empty()) {
+                // Preempted tenants and nothing resident: readmit.
+                resumeEvictedSweep();
+                if (residentJobs > 0)
+                    continue;
             }
+            TimeNs next = nextPendingArrivalTime();
+            if (next == kTimeNone) {
+                if (!evictedJobs.empty()) {
+                    // Backstop: an evicted tenant that cannot come back
+                    // even with the cluster drained must go terminal,
+                    // not hang the scheduler.
+                    std::vector<JobId> stuck = evictedJobs;
+                    for (JobId id : stuck) {
+                        finishJob(*jobs[std::size_t(id)], JobState::Failed,
+                                  "evicted tenant could not be "
+                                  "readmitted: " +
+                                      jobs[std::size_t(id)]
+                                          ->session->failReason());
+                    }
+                    continue;
+                }
+                // A setup-OOM retry is pending: rerun the sweep until
+                // the job admits or gives up.
+                if (admissionDirty)
+                    continue;
+                // Nothing running, nothing admissible, nothing still
+                // to arrive: every job went terminal.
+                break;
+            }
+            ++statIdleAdvances;
+            cluster.advanceTo(next);
+            continue;
         }
 
         if (forceWakeAll) {
@@ -1525,7 +1356,7 @@ Scheduler::runEngine()
         // stranded.
         bool progress = false;
         for (int id = wake.next(0); id != -1; id = wake.next(id + 1)) {
-            if (sweepDevice(*devs[std::size_t(id)]))
+            if (stepDevice(*devs[std::size_t(id)]))
                 progress = true;
             else
                 wake.remove(id);

@@ -10,8 +10,8 @@
  * a pluggable PlacementPolicy (serve/placement.hh) picks the device;
  * the freed residency of the vDNN policies is what lets many more
  * tenants pack onto the same 12 GB devices than the baseline
- * allocator. The classic single-device construction (no
- * SchedulerConfig::devices) behaves exactly as it always has.
+ * allocator. A single GPU is simply a cluster of one: the default
+ * SchedulerConfig::devices holds one Titan X (Maxwell).
  *
  * Scheduling policies (iteration order *within* a device):
  *
@@ -44,19 +44,26 @@
  *    its wait, so a hostile stream of high-priority arrivals cannot
  *    park a low-priority job forever.
  *
- * One event-driven engine serves every configuration: per turn it
- * sweeps only the devices on the WakeSet (populated by the Device
- * completion hooks, which also identify the one tenant whose stream
- * drained), offers each woken device one non-blocking step per
- * unblocked tenant, and executes exactly one completion event when no
- * stepper progressed. Admission rescans gate on a dirty flag; the
- * classic single-device iteration-granularity configurations process
- * arrivals and admission only at iteration boundaries, reproducing
- * the legacy loops' cadence byte-for-byte. On a cluster a periodic
+ * One event-driven engine serves every configuration with one
+ * cadence: per turn it collects arrivals, reruns the one admission
+ * sweep when a dirty flag says its inputs moved, then sweeps only the
+ * devices on the WakeSet (populated by the Device completion hooks,
+ * which also identify the one tenant whose stream drained) and
+ * executes exactly one completion event when no stepper progressed.
+ * Every tenant advances through one per-tenant step routine; the
+ * one-iteration-per-device policies call it for the tenant they pick,
+ * PackedOverlap for every resident tenant. On a cluster a periodic
  * rebalance sweep migrates the smallest-footprint tenant off the
  * most-loaded device whenever the queue-depth imbalance reaches a
  * threshold (Session::migrate: suspend -> evict-to-host -> re-plan
  * and resume on the target).
+ *
+ * Make-room under PreemptivePriority is all-or-nothing: the whole
+ * victim set is chosen against the admission ledger first, and when
+ * evicting every eligible victim still would not free enough (bytes,
+ * or an in-flight slot) nobody is evicted. A partial eviction would
+ * only be undone by the next resume sweep and repeated on the next
+ * admission rescan.
  *
  * Under memory pressure the scheduler pages *buffers* before it
  * evicts *tenants* (Salus-style): when SchedulerConfig::bufferPaging
@@ -115,8 +122,6 @@ enum class PreemptGranularity : std::uint8_t
     /**
      * Only tenants with no iteration in flight are preemptible; a
      * high-priority arrival waits out the victim's current iteration.
-     * This is the legacy (golden-pinned) behavior and keeps the
-     * single-device admission cadence at iteration boundaries.
      */
     Iteration,
     /**
@@ -124,7 +129,6 @@ enum class PreemptGranularity : std::uint8_t
      * boundary and the partial iteration unwound (it re-runs after
      * resume), so the preemptor dispatches its first kernel within
      * simulated microseconds instead of a full victim iteration.
-     * Arrivals and admission are processed every engine turn.
      */
     Op,
 };
@@ -132,15 +136,12 @@ enum class PreemptGranularity : std::uint8_t
 struct SchedulerConfig
 {
     SchedPolicy policy = SchedPolicy::RoundRobin;
-    /** The device all tenants share (single-device mode). */
-    gpu::GpuSpec gpu;
     /**
-     * Cluster mode: one GpuSpec per device (heterogeneous allowed).
-     * Empty (the default) serves on the single device in `gpu`; a
-     * non-empty list supersedes `gpu`. Every policy works at every
-     * device count.
+     * One GpuSpec per device (heterogeneous allowed); must not be
+     * empty. Defaults to a single Titan X (Maxwell). Every policy
+     * works at every device count.
      */
-    std::vector<gpu::GpuSpec> devices;
+    std::vector<gpu::GpuSpec> devices{gpu::titanXMaxwell()};
     /** Device chooser for admissions. Null = BestFitPlacement. */
     std::shared_ptr<PlacementPolicy> placement;
     /**
@@ -162,8 +163,7 @@ struct SchedulerConfig
     /** OOM requeues before a job is marked Failed. */
     int maxOomRequeues = 3;
     /**
-     * Preemption granularity (PreemptivePriority only). The default,
-     * Iteration, is golden-pinned legacy behavior; Op enables
+     * Preemption granularity (PreemptivePriority only). Op enables
      * microsecond mid-iteration preemption (see the enum).
      */
     PreemptGranularity preemptGranularity = PreemptGranularity::Iteration;
@@ -189,8 +189,6 @@ struct SchedulerConfig
      * Null members (the default) cost one branch per choke point.
      */
     obs::Telemetry telemetry;
-
-    SchedulerConfig();
 };
 
 class Scheduler
@@ -226,7 +224,7 @@ class Scheduler
         return devs.at(std::size_t(d))->admission;
     }
     const Job &job(JobId id) const { return *jobs.at(std::size_t(id)); }
-    int jobsInFlight() const;
+    int jobsInFlight() const { return residentJobs; }
     int jobsEvicted() const { return int(evictedJobs.size()); }
     int jobsOnDevice(int d) const
     {
@@ -272,9 +270,12 @@ class Scheduler
         std::vector<JobId> running; ///< admitted here, submission order
         std::size_t rrCursor = 0;
         /** Job whose iteration the engine has in flight
-         *  (iteration-granularity policies; -1 under PackedOverlap,
+         *  (one-iteration-per-device policies; -1 under PackedOverlap,
          *  where every resident tenant may hold a live stepper). */
         JobId inFlight = -1;
+        /** Lowest device id with an identical spec: same-spec devices
+         *  share one footprint-estimate cache entry per job. */
+        int estimateSlot = 0;
         int jobsPlaced = 0;
         int migrationsIn = 0;
         int migrationsOut = 0;
@@ -318,23 +319,18 @@ class Scheduler
     ServeReport buildReport();
 
     // --- admission -------------------------------------------------------
-    /** Single-device admission sweep (golden-pinned legacy order:
-     *  priority sort, feasibility rejection, make-room, backfill). */
-    void admitFromQueue();
-    /** Cluster admission: place queued jobs via the PlacementPolicy
-     *  (same rejection/make-room/backfill structure per job). */
-    void admitFromQueueCluster();
-    /** Snapshot per-device loads and ask the placement policy. */
-    int choosePlacement(Job &job);
+    /** The admission sweep, at every device count: priority sort,
+     *  rejection when no device could ever hold the job, placement
+     *  via the PlacementPolicy, make-room, backfill. */
+    void admitQueued();
+    /** Snapshot per-device loads and ask the placement policy
+     *  (estimates from `jobEst`). */
+    int choosePlacement(const Job &job);
     /** Inflate a setup-OOM'd job's reservation; true when it went
      *  terminal (Failed) and was taken from the queue. */
     bool backoffAfterSetupOom(Job &job, std::size_t queue_index);
 
     // --- lifecycle state machine (PreemptivePriority) --------------------
-    /** Lowest-priority tenant of @p d strictly below @p priority
-     *  (latest arrival breaks ties), or nullptr. Tenants with an
-     *  iteration in flight are victims only at Op granularity. */
-    Job *pickVictim(DeviceCtx &d, double below_priority);
     /** Suspend + evict one tenant, moving its reservation to the
      *  evicted ledger. False when pinned host memory is exhausted.
      *  Accepts a victim already parked resident by parkInFlight(). */
@@ -349,14 +345,18 @@ class Scheduler
      *  @p challenger, which is charged the victimsPreempted
      *  attribution that feeds preemption-latency sampling. */
     void parkInFlight(DeviceCtx &d, Job &victim, Job &challenger);
-    /** Evict @p d's lowest-priority tenants until @p job's
-     *  reservation (and, when the in-flight cap binds, a slot)
-     *  fits. */
-    bool makeRoomFor(Job &job, const FootprintEstimate &est,
-                     DeviceCtx &d);
-    /** Cluster make-room target: the feasible device holding the most
-     *  evictable (below-@p job's-priority) reserved bytes, or null. */
-    DeviceCtx *pickPreemptDevice(Job &job);
+    /**
+     * All-or-nothing make-room for @p job (estimates from `jobEst`).
+     * One victim scan picks the feasible device holding the most
+     * reserved bytes below the job's effective priority (tenants with
+     * an iteration in flight count only at Op granularity); a dry run
+     * against that device's ledger then sizes the victim set —
+     * lowest effective priority first, latest arrival first within a
+     * level — that lets the job fit and, when the in-flight cap binds,
+     * frees a slot. @return the device now holding room, or -1 with
+     * nobody evicted.
+     */
+    int makeRoomFor(Job &job);
     /** Resume evicted tenants that fit again, onto the device each is
      *  homed on — best effective priority first under the priority
      *  policy, earliest arrival otherwise. */
@@ -372,14 +372,18 @@ class Scheduler
     // --- the unified event-driven engine ---------------------------------
     /** Within-device iteration order (priority / RR / SRPT / FIFO). */
     Job *pickNextOn(DeviceCtx &d);
-    /** Offer @p d's single in-flight iteration one non-blocking step
-     *  (iteration-granularity policies). */
-    bool stepDeviceOnce(DeviceCtx &d);
-    /** Offer every unblocked resident tenant of @p d one non-blocking
-     *  step (PackedOverlap: one live stepper per tenant). */
-    bool sweepPacked(DeviceCtx &d);
-    /** One step offer to @p d, dispatched by policy. */
-    bool sweepDevice(DeviceCtx &d);
+    /** The tenant whose iteration @p d runs next (one iteration per
+     *  device): the in-flight one unless an Op-granularity challenger
+     *  parks it, else a fresh pick — resumed in place when parked,
+     *  grown back by a re-plan when a co-tenant left. */
+    Job &pickInFlight(DeviceCtx &d);
+    /** The per-tenant step routine: begin the iteration (stamping
+     *  first dispatch), honour the blocked memo, take one non-blocking
+     *  step, fold a finished iteration. @return progress. */
+    bool stepTenant(Job &job);
+    /** One step offer to @p d: its in-flight tenant, or every resident
+     *  tenant under PackedOverlap. @return progress. */
+    bool stepDevice(DeviceCtx &d);
     /** Feed the preemption-latency telemetry at first dispatch. */
     void notePreemptionLatency(const Job &job);
     /** Periodic migration sweep off the most-loaded device. */
@@ -423,10 +427,8 @@ class Scheduler
      * under the priority policy, or a pending setup-OOM retry could
      * alter its decisions — on every other turn the old polling
      * rescan was provably pure, so skipping it cannot change outputs.
-     * (The classic single-device iteration-granularity configurations
-     * instead rescan unconditionally at every iteration boundary,
-     * the legacy loops' exact cadence.) `residentJobs` caches the
-     * summed running-set size so the idle test is O(1).
+     * `residentJobs` caches the summed running-set size (the jobs in
+     * flight) so the idle and in-flight-cap tests are O(1).
      */
     WakeSet wake;
     bool admissionDirty = true;
@@ -435,6 +437,25 @@ class Scheduler
     std::uint64_t statFruitlessPolls = 0;
     std::uint64_t statIdleAdvances = 0;
     bool forceWakeAll = false;
+
+    /**
+     * Per-call scratch, kept to spare the admission sweep and the
+     * packed step a heap allocation per queued job or per offer:
+     * the current job's estimate per device, the placement snapshot,
+     * make-room candidates and their eviction order, and the resident
+     * round a packed sweep offers steps to.
+     */
+    std::vector<const FootprintEstimate *> jobEst;
+    std::vector<DeviceLoad> loads;
+    struct Candidate
+    {
+        double eff;      ///< effective priority at the scan
+        Job *job;
+        std::size_t pos; ///< scan order: ties keep running-set order
+    };
+    std::vector<Candidate> candidates;
+    std::vector<JobId> victims;
+    std::vector<JobId> round;
 
     std::vector<LifecycleEvent> lifecycleLog;
     stats::TimeWeighted inflight;

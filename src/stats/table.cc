@@ -56,8 +56,11 @@ Table::render() const
 
     auto renderRow = [&](const std::vector<std::string> &row) {
         std::string line = "|";
-        for (std::size_t c = 0; c < row.size(); ++c)
-            line += " " + padRight(row[c], widths[c]) + " |";
+        for (std::size_t c = 0; c < row.size(); ++c) {
+            line += ' ';
+            line += padRight(row[c], widths[c]);
+            line += " |";
+        }
         return line + "\n";
     };
 

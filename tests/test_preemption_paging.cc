@@ -287,7 +287,7 @@ runPagingScenario(Bytes capacity)
     // inflating its way past the squeeze or failing out.
     cfg.oomBackoffScale = 1.0;
     cfg.maxOomRequeues = 1000;
-    cfg.gpu.dramCapacity = capacity;
+    cfg.devices[0].dramCapacity = capacity;
     Scheduler sched(cfg);
 
     JobSpec hog;
@@ -350,4 +350,124 @@ TEST(BufferPaging, SchedulerPagesBuffersBeforeTenantsAndAuditReplays)
     }
     ASSERT_TRUE(paged)
         << "no capacity in the sweep triggered the paging path";
+}
+
+// --- all-or-nothing make-room ------------------------------------------------
+
+namespace
+{
+
+/**
+ * A scaled-down bench_preemption Scenario A served through the cluster
+ * path: low-priority VGG-16 (64) / AlexNet (128) vDNN_all tenants fill
+ * device 0, then urgent Baseline VGG-16 (32) arrivals need room. The
+ * second device holds 64 MiB — no tenant fits there — so every tenant
+ * lands on device 0, and an urgent arrival whose make-room cannot free
+ * enough must not evict anyone: a partial eviction is undone by the
+ * next resume sweep and repeated by the next admission rescan, which
+ * used to thrash one victim through hundreds of evict/resume cycles.
+ */
+ServeReport
+runThrashMix()
+{
+    SchedulerConfig cfg;
+    cfg.policy = SchedPolicy::PreemptivePriority;
+    cfg.preemptGranularity = PreemptGranularity::Iteration;
+    gpu::GpuSpec tiny = gpu::titanXMaxwell();
+    tiny.dramCapacity = 64_MiB;
+    cfg.devices = {gpu::titanXMaxwell(), tiny};
+    Scheduler sched(cfg);
+
+    std::shared_ptr<const net::Network> vgg = net::buildVgg16(64);
+    std::shared_ptr<const net::Network> alex = net::buildAlexNet(128);
+    for (int i = 0; i < 4; ++i) {
+        JobSpec spec;
+        bool is_vgg = i % 2 == 0;
+        spec.name = strFormat(is_vgg ? "vgg-%d" : "alex-%d", i);
+        spec.network = is_vgg ? vgg : alex;
+        spec.planner = vdnnAll();
+        spec.arrival = TimeNs(i) * 50 * kNsPerMs;
+        spec.iterations = 2 + i % 3;
+        sched.submit(std::move(spec));
+    }
+    std::shared_ptr<const net::Network> urgent_net = net::buildVgg16(32);
+    for (int i = 0; i < 3; ++i) {
+        JobSpec spec;
+        spec.name = strFormat("urgent-%d", i);
+        spec.network = urgent_net;
+        spec.planner = std::make_shared<core::BaselinePlanner>(
+            core::AlgoPreference::MemoryOptimal);
+        spec.priority = 10;
+        spec.arrival = (400 + TimeNs(i) * 700) * kNsPerMs;
+        spec.iterations = 2;
+        sched.submit(std::move(spec));
+    }
+    return sched.run();
+}
+
+} // namespace
+
+TEST(AllOrNothingMakeRoom, ClusterPathDoesNotThrashAVictim)
+{
+    ServeReport r = runThrashMix();
+    EXPECT_EQ(r.finishedCount(), 7);
+    // The third urgent arrival meets a make-room that cannot succeed;
+    // evicting partway used to cost hundreds of preemptions here.
+    int preemptions = 0;
+    for (const JobOutcome &j : r.jobs)
+        preemptions += j.preemptions;
+    EXPECT_GT(preemptions, 0);
+    EXPECT_LT(preemptions, 10);
+    expectClean(r);
+    for (const JobOutcome &j : r.jobs)
+        EXPECT_EQ(j.device, 0) << j.name; // the tiny device holds nobody
+}
+
+TEST(AllOrNothingMakeRoom, InsufficientVictimSetEvictsNobody)
+{
+    // A priority-5 Baseline hog and a priority-0 vDNN_all tenant share
+    // the device; a priority-3 Baseline arrival needs more than the
+    // free bytes plus the only tenant below it could give. Make-room
+    // must leave that tenant alone: the arrival waits for the hog.
+    SchedulerConfig cfg;
+    cfg.policy = SchedPolicy::PreemptivePriority;
+    cfg.preemptGranularity = PreemptGranularity::Op;
+    Scheduler sched(cfg);
+    std::shared_ptr<const net::Network> vgg = net::buildVgg16(64);
+    auto baseline = std::make_shared<core::BaselinePlanner>(
+        core::AlgoPreference::MemoryOptimal);
+
+    JobSpec hog;
+    hog.name = "hog";
+    hog.network = vgg;
+    hog.planner = baseline;
+    hog.priority = 5;
+    hog.iterations = 2;
+    JobId hog_id = sched.submit(std::move(hog));
+
+    JobSpec low;
+    low.name = "low";
+    low.network = net::buildAlexNet(64);
+    low.planner = vdnnAll();
+    low.iterations = 4;
+    JobId low_id = sched.submit(std::move(low));
+
+    JobSpec mid;
+    mid.name = "mid";
+    mid.network = vgg;
+    mid.planner = baseline;
+    mid.priority = 3;
+    mid.arrival = 1 * kNsPerMs;
+    mid.iterations = 1;
+    JobId mid_id = sched.submit(std::move(mid));
+
+    ServeReport r = sched.run();
+    EXPECT_EQ(r.finishedCount(), 3);
+    EXPECT_EQ(countEvents(r, "evict"), 0);
+    EXPECT_EQ(r.jobs[std::size_t(low_id)].preemptions, 0);
+    EXPECT_EQ(r.jobs[std::size_t(mid_id)].victimsPreempted, 0);
+    // The arrival got in only once the hog left.
+    EXPECT_GE(r.jobs[std::size_t(mid_id)].admitTime,
+              r.jobs[std::size_t(hog_id)].finishTime);
+    expectClean(r);
 }

@@ -12,6 +12,7 @@
 #include "core/dynamic_policy.hh"
 #include "serve/scheduler.hh"
 
+#include "check/ledger_auditor.hh"
 #include "common/random.hh"
 #include "common/units.hh"
 #include "mem/memory_pool.hh"
@@ -600,6 +601,64 @@ TEST(Scheduler, InFlightOomRequeuesBoundedThenFails)
     EXPECT_EQ(sched.admissionState().admittedCount(), 0);
 }
 
+namespace
+{
+
+/**
+ * Runs like UnderestimatingPlanner the first time (the iteration OOMs
+ * in flight, so the job is requeued), then plans a network-wide static
+ * allocation too large for the device, so every readmission fails at
+ * setup while the honest vDNN_all reservation still fits the ledger.
+ */
+class SetupOomAfterRequeuePlanner : public UnderestimatingPlanner
+{
+  public:
+    std::string name() const override { return "setup-oom"; }
+
+    core::MemoryPlan plan(const net::Network &net,
+                          const core::PlannerContext &ctx) override
+    {
+        if (plans++ == 0)
+            return UnderestimatingPlanner::plan(net, ctx);
+        return core::BaselinePlanner(core::AlgoPreference::MemoryOptimal)
+            .plan(net, ctx);
+    }
+
+  private:
+    int plans = 0;
+};
+
+} // namespace
+
+TEST(Scheduler, SetupOomGiveUpAfterRequeueAuditsClean)
+{
+    // Requeued after an in-flight OOM, then given up on by admission
+    // after repeated setup OOM: the job must leave a "fail" event, or
+    // the auditor finds it lost in the queue.
+    SchedulerConfig cfg;
+    cfg.policy = SchedPolicy::RoundRobin;
+    cfg.oomBackoffScale = 1.0; // stays feasible: exercises the bound
+    cfg.maxOomRequeues = 2;
+    Scheduler sched(cfg);
+    JobSpec spec;
+    spec.network = net::buildVgg16(256);
+    spec.planner = std::make_shared<SetupOomAfterRequeuePlanner>();
+    spec.iterations = 1;
+    sched.submit(std::move(spec));
+    ServeReport rep = sched.run();
+
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    EXPECT_EQ(rep.jobs[0].state, JobState::Failed);
+    EXPECT_EQ(rep.jobs[0].oomRequeues, cfg.maxOomRequeues + 1);
+    EXPECT_NE(rep.jobs[0].failReason.find("repeated setup OOM"),
+              std::string::npos);
+    ASSERT_FALSE(rep.lifecycle.empty());
+    EXPECT_STREQ(rep.lifecycle.back().what, "fail");
+    check::CheckResult audit = check::auditLedger(rep);
+    EXPECT_TRUE(audit.ok()) << audit.report();
+    EXPECT_EQ(sched.devicePool().usedBytes(), 0);
+}
+
 TEST(Scheduler, InFlightOomRequeueRecoversWhenCoTenantLeaves)
 {
     // The same underestimating tenant OOMs only because a Baseline hog
@@ -740,11 +799,19 @@ TEST(PreemptivePriority, HighPriorityArrivalPreemptsAndVictimResumes)
     EXPECT_TRUE(saw_resume);
 }
 
-TEST(PreemptivePriority, InFlightCapPreemptsLowestPriority)
+namespace
+{
+
+/** Two low-priority tenants fill a two-job in-flight cap; a
+ *  higher-priority arrival must preempt one of them to get a slot,
+ *  whatever the device count (room on the ledger is not enough). */
+void
+expectCapPreemptsLowestPriority(int devices)
 {
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::PreemptivePriority;
     cfg.maxJobsInFlight = 2;
+    cfg.devices.assign(std::size_t(devices), gpu::titanXMaxwell());
     Scheduler sched(cfg);
     auto network = tinyNet();
     for (int i = 0; i < 2; ++i) {
@@ -771,8 +838,25 @@ TEST(PreemptivePriority, InFlightCapPreemptsLowestPriority)
         preempted += j.preemptions;
     EXPECT_EQ(preempted, 1);
     EXPECT_EQ(rep.jobs[std::size_t(high_id)].preemptions, 0);
+    EXPECT_EQ(rep.jobs[std::size_t(high_id)].victimsPreempted, 1);
     EXPECT_EQ(rep.reservedBytesAtEnd, 0);
     EXPECT_EQ(rep.evictedLedgerAtEnd, 0);
+    check::CheckResult audit = check::auditLedger(rep);
+    EXPECT_TRUE(audit.ok()) << audit.report();
+}
+
+} // namespace
+
+TEST(PreemptivePriority, InFlightCapPreemptsLowestPriority)
+{
+    expectCapPreemptsLowestPriority(1);
+}
+
+TEST(PreemptivePriority, InFlightCapPreemptsLowestPriorityOnTwoDevices)
+{
+    // The same slot-freeing make-room on a cluster: the cap binds
+    // before any device runs out of ledger room.
+    expectCapPreemptsLowestPriority(2);
 }
 
 TEST(PreemptivePriority, HighPriorityJctBeatsRoundRobinUnderLoad)

@@ -18,6 +18,18 @@
  * decision than the polling loop did — a correctness bug, not a perf
  * win. Debug by diffing `memory_timeline lifecycle` / bench_cluster
  * output against a pre-change build.
+ *
+ * Re-pinned on purpose once: when the scheduler collapsed to one
+ * cadence (one admission sweep at every device count, no
+ * iteration-boundary special case for a single device), the
+ * single-device iteration-granularity workloads — SingleRoundRobin,
+ * SingleSrpt and Preemption — started processing arrivals at the
+ * next engine turn instead of the in-flight tenant's next iteration
+ * boundary. Their admit and first-dispatch times moved, so their
+ * foldJobs/foldLifecycle hashes moved; their makespans, finished
+ * counts and lifecycle sizes did not, every cluster golden and the
+ * FIFO/packed goldens held, and each spurious-wakeup twin still equals
+ * its non-spurious value.
  */
 
 #include "serve/placement.hh"
@@ -146,7 +158,7 @@ runClusterBurst(bool forceWakeAll = false)
 {
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::RoundRobin;
-    cfg.devices.assign(2, cfg.gpu);
+    cfg.devices.assign(2, gpu::titanXMaxwell());
     cfg.placement = std::make_shared<LoadBalancePlacement>();
     cfg.rebalancePeriod = 100 * kNsPerMs;
     cfg.rebalanceThreshold = 2;
@@ -172,7 +184,7 @@ runClusterSparse()
 {
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::FifoExclusive;
-    cfg.devices.assign(3, cfg.gpu);
+    cfg.devices.assign(3, gpu::titanXMaxwell());
     Scheduler sched(cfg);
     for (int i = 0; i < 6; ++i) {
         JobSpec spec;
@@ -192,7 +204,7 @@ runClusterSrpt(bool forceWakeAll = false)
 {
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::ShortestRemaining;
-    cfg.devices.assign(2, cfg.gpu);
+    cfg.devices.assign(2, gpu::titanXMaxwell());
     Scheduler sched(cfg);
     for (int i = 0; i < 10; ++i) {
         JobSpec spec;
@@ -242,8 +254,7 @@ runSingleDevice(SchedPolicy policy, bool forceWakeAll = false)
 }
 
 /** The preemption workload: a priority-10 urgent arrival preempts
- *  background tenants on one device (runInterleaved shares the
- *  idle-path fast path the satellite fix touched). */
+ *  background tenants on one device. */
 ServeReport
 runPreemption()
 {
@@ -312,8 +323,10 @@ TEST(ServeEquivalence, ClusterSrptGolden)
 }
 
 // Golden values produced by the legacy single-device loops
-// (`runInterleaved` / `runPacked`) at PR 10's base commit. The
-// unified engine must reproduce every one of them.
+// (`runInterleaved` / `runPacked`) before the unified engine replaced
+// them. The engine must reproduce every one of them, except the
+// round-robin, SRPT and preemption hashes re-pinned for the
+// one-cadence engine (see the file comment).
 
 TEST(ServeEquivalence, SingleFifoGolden)
 {
@@ -330,8 +343,8 @@ TEST(ServeEquivalence, SingleRoundRobinGolden)
     ServeReport r = runSingleDevice(SchedPolicy::RoundRobin);
     EXPECT_EQ(r.finishedCount(), 8);
     EXPECT_EQ(r.makespan, 4803144288);
-    EXPECT_EQ(foldJobs(r), 17887363300148685550ULL);
-    EXPECT_EQ(foldLifecycle(r), 3054758802806694419ULL);
+    EXPECT_EQ(foldJobs(r), 12137626524374515989ULL);
+    EXPECT_EQ(foldLifecycle(r), 18003435595093417042ULL);
     expectClean(r);
 }
 
@@ -340,8 +353,8 @@ TEST(ServeEquivalence, SingleSrptGolden)
     ServeReport r = runSingleDevice(SchedPolicy::ShortestRemaining);
     EXPECT_EQ(r.finishedCount(), 8);
     EXPECT_EQ(r.makespan, 4803144288);
-    EXPECT_EQ(foldJobs(r), 1464349741132414958ULL);
-    EXPECT_EQ(foldLifecycle(r), 18029822621006097403ULL);
+    EXPECT_EQ(foldJobs(r), 6083441925284450525ULL);
+    EXPECT_EQ(foldLifecycle(r), 12238940889479334138ULL);
     expectClean(r);
 }
 
@@ -360,8 +373,8 @@ TEST(ServeEquivalence, PreemptionGolden)
     ServeReport r = runPreemption();
     EXPECT_EQ(r.finishedCount(), 5);
     EXPECT_EQ(r.makespan, 11466176140);
-    EXPECT_EQ(foldJobs(r), 13172782408820595359ULL);
-    EXPECT_EQ(foldLifecycle(r), 11727778982525866355ULL);
+    EXPECT_EQ(foldJobs(r), 17198612749890686031ULL);
+    EXPECT_EQ(foldLifecycle(r), 4247188742333838493ULL);
     EXPECT_EQ(r.lifecycle.size(), 15u);
     expectClean(r);
 }
@@ -411,8 +424,8 @@ TEST(ServeEquivalence, SpuriousWakeupsSingleRoundRobin)
     ServeReport r =
         runSingleDevice(SchedPolicy::RoundRobin, /*forceWakeAll=*/true);
     EXPECT_EQ(r.makespan, 4803144288);
-    EXPECT_EQ(foldJobs(r), 17887363300148685550ULL);
-    EXPECT_EQ(foldLifecycle(r), 3054758802806694419ULL);
+    EXPECT_EQ(foldJobs(r), 12137626524374515989ULL);
+    EXPECT_EQ(foldLifecycle(r), 18003435595093417042ULL);
     expectClean(r);
 }
 
@@ -421,8 +434,8 @@ TEST(ServeEquivalence, SpuriousWakeupsSingleSrpt)
     ServeReport r = runSingleDevice(SchedPolicy::ShortestRemaining,
                                     /*forceWakeAll=*/true);
     EXPECT_EQ(r.makespan, 4803144288);
-    EXPECT_EQ(foldJobs(r), 1464349741132414958ULL);
-    EXPECT_EQ(foldLifecycle(r), 18029822621006097403ULL);
+    EXPECT_EQ(foldJobs(r), 6083441925284450525ULL);
+    EXPECT_EQ(foldLifecycle(r), 12238940889479334138ULL);
     expectClean(r);
 }
 
@@ -445,7 +458,7 @@ TEST(ServeEquivalence, LoopCountersFlushToMetrics)
     obs::MetricsRegistry metrics;
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::RoundRobin;
-    cfg.devices.assign(2, cfg.gpu);
+    cfg.devices.assign(2, gpu::titanXMaxwell());
     cfg.telemetry.metrics = &metrics;
     Scheduler sched(cfg);
     for (int i = 0; i < 4; ++i) {
