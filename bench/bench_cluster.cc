@@ -337,10 +337,6 @@ scenarioA()
     recordServeMetrics("scaling.4dev_packed", four_packed);
     recordBenchMetric("scaling.2dev.speedup", t2 / t1);
     recordBenchMetric("scaling.4dev.speedup", t4 / t1);
-    recordBenchMetric("scaling.2dev_packed.compute_util",
-                      two_packed.computeUtilization());
-    recordBenchMetric("scaling.4dev_packed.compute_util",
-                      four_packed.computeUtilization());
 }
 
 // --- scenario A2: packed density = utilization -------------------------------
@@ -393,10 +389,6 @@ scenarioA2()
 
     recordServeMetrics("dense.2dev_rr", rr);
     recordServeMetrics("dense.2dev_packed", packed);
-    recordBenchMetric("dense.2dev_packed.compute_util",
-                      packed.computeUtilization());
-    recordBenchMetric("dense.2dev_rr.compute_util",
-                      rr.computeUtilization());
 }
 
 // --- scenario B: migration on imbalance --------------------------------------

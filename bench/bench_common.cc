@@ -163,6 +163,10 @@ writeBenchJson(const std::string &path, const std::string &bench)
 void
 recordBenchMetric(const std::string &name, double value)
 {
+    for (const auto &[key, v] : metricSink()) {
+        if (key == name)
+            panic("bench metric '%s' recorded twice", name.c_str());
+    }
     metricSink().emplace_back(name, value);
 }
 

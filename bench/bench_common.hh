@@ -78,7 +78,8 @@ void registerSim(const std::string &name, std::function<void()> fn);
  * while building their report; when the binary was invoked with
  * `--bench-json <path>`, benchMain() writes every recorded metric to
  * @p path as one JSON document (`{"bench": ..., "metrics": {...}}`) —
- * the BENCH_<name>.json perf-trajectory snapshots CI archives.
+ * the BENCH_<name>.json perf-trajectory snapshots CI archives. Keys
+ * are unique: recording one twice panics and names the key.
  */
 void recordBenchMetric(const std::string &name, double value);
 

@@ -45,6 +45,8 @@ diagCodeName(DiagCode c)
         return "LeakedAlloc";
       case DiagCode::HostLeak:
         return "HostLeak";
+      case DiagCode::OffloadCoverage:
+        return "OffloadCoverage";
       case DiagCode::PlanShape:
         return "PlanShape";
       case DiagCode::Infeasible:

@@ -59,6 +59,7 @@ enum class DiagCode : std::uint8_t
     UnjoinedDma,    ///< DMA issued but never joined by a Sync/Barrier
     LeakedAlloc,    ///< device allocation still live at EndIteration
     HostLeak,       ///< host copy never fetched back nor dropped
+    OffloadCoverage,///< plan offload not issued once at its last reader
     // --- PlanVerifier: plan admissibility -------------------------------
     PlanShape,      ///< directive/algo vectors do not match the network
     Infeasible,     ///< plan marked infeasible reached verification

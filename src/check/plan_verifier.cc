@@ -3,7 +3,6 @@
 #include "check/program_verifier.hh"
 #include "common/logging.hh"
 #include "core/iteration_program.hh"
-#include "dnn/conv_algo.hh"
 #include "dnn/cudnn_sim.hh"
 #include "net/network_stats.hh"
 
@@ -19,48 +18,6 @@ using core::PlannerContext;
 
 namespace
 {
-
-/**
- * Analytic persistent footprint, mirroring Executor::setup(): weights,
- * one shared dW per region, the static classifier block, and — under
- * network-wide static allocation — every feature map, the reused
- * gradient peak and the shared workspace.
- */
-Bytes
-persistentFootprint(const net::Network &net, const MemoryPlan &plan,
-                    const net::NetworkStats &stats)
-{
-    Bytes persistent = 0;
-    Bytes max_dw_managed = 0;
-    Bytes max_dw_classifier = 0;
-    for (net::LayerId id : net.topoOrder()) {
-        const net::LayerNode &n = net.node(id);
-        Bytes w = n.spec.weightBytes();
-        persistent += w;
-        Bytes &max_dw =
-            n.classifier ? max_dw_classifier : max_dw_managed;
-        max_dw = std::max(max_dw, w);
-    }
-    persistent += max_dw_managed + max_dw_classifier;
-    for (net::BufferId b = 0; b < net::BufferId(net.numBuffers()); ++b) {
-        if (net.buffer(b).classifier)
-            persistent += net.buffer(b).bytes();
-    }
-    persistent += stats.peakGradientBytesScoped(
-        net::NetworkStats::GradScope::Classifier);
-
-    if (plan.staticAllocation) {
-        for (net::BufferId b = 0; b < net::BufferId(net.numBuffers());
-             ++b) {
-            if (!net.buffer(b).classifier)
-                persistent += net.buffer(b).bytes();
-        }
-        persistent += stats.peakGradientBytesScoped(
-            net::NetworkStats::GradScope::Managed);
-        persistent += stats.maxWorkspaceBytes(plan.algos, false);
-    }
-    return persistent;
-}
 
 void
 checkDirectives(const net::Network &net, const MemoryPlan &plan,
@@ -134,9 +91,7 @@ checkPrefetchPriorities(const net::Network &net, const MemoryPlan &plan,
     for (net::LayerId id : net.topoOrder()) {
         std::map<int, net::BufferId> seen;
         for (net::LayerId in_id : net.node(id).inputs) {
-            net::BufferId b = in_id == net::kInputLayer
-                                  ? net.inputBuffer()
-                                  : net.node(in_id).yBuffer;
+            net::BufferId b = net.producedBuffer(in_id);
             if (!plan.offloads(b))
                 continue;
             const BufferDirective &d = plan.directive(b);
@@ -196,7 +151,8 @@ verifyPlan(const net::Network &net, const MemoryPlan &plan,
 
     dnn::CudnnSim cudnn(ctx.gpu);
     net::NetworkStats stats(net, cudnn);
-    out.persistentBytes = persistentFootprint(net, plan, stats);
+    out.persistentBytes =
+        core::persistentFootprint(net, plan, stats).total();
     out.provablePeakBytes = out.persistentBytes + out.peakTransientBytes;
 
     if (out.provablePeakBytes > ctx.capacity()) {

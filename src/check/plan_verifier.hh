@@ -17,8 +17,9 @@
  *  - Program correctness — the plan is compiled exactly as the
  *    Executor would and the resulting op stream is run through the
  *    ProgramVerifier; its findings are folded into this result.
- *  - Capacity — the analytic persistent footprint (mirroring
- *    Executor::setup) plus the program's provable transient peak must
+ *  - Capacity — the persistent footprint (core::persistentFootprint,
+ *    the regions Executor::setup allocates) plus the program's
+ *    provable transient peak must
  *    fit PlannerContext::capacity() (ShareExceeded; an error only when
  *    CheckConfig::enforceCapacity, a warning otherwise, because the
  *    runtime degrades gracefully on OOM).

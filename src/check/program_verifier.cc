@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "core/prefetch.hh"
-#include "dnn/conv_algo.hh"
 
 #include <algorithm>
 #include <optional>
@@ -95,8 +94,12 @@ struct Interp
     std::vector<net::BufferId> pendingOffloads;
     std::vector<net::BufferId> pendingPrefetches;
     std::vector<net::BufferId> deferredJoins; // async-release ablation
-    std::vector<std::vector<net::BufferId>> bwdReleaseAt;
     core::PrefetchState pf;
+    // Plan coverage, per buffer: Offload ops naming it, the layer of
+    // the last one, and the layer whose Release drained its refcount.
+    std::vector<int> offloadOps;
+    std::vector<net::LayerId> offloadLayer;
+    std::vector<net::LayerId> drainedAt;
 
     Bytes transient = 0;
 
@@ -114,17 +117,14 @@ struct Interp
         st.assign(nb, AbsResidency::Unallocated);
         readersLeft.assign(nb, 0);
         gradLive.assign(nb, false);
+        offloadOps.assign(nb, 0);
+        offloadLayer.assign(nb, net::kInputLayer);
+        drainedAt.assign(nb, net::kInputLayer);
         for (net::BufferId b = 0; b < net::BufferId(nb); ++b) {
             if (buffersStatic || net.buffer(b).classifier) {
                 isStatic[std::size_t(b)] = true;
                 st[std::size_t(b)] = AbsResidency::Resident;
             }
-        }
-        bwdReleaseAt.assign(net.numLayers(), {});
-        for (net::BufferId b = 0; b < net::BufferId(nb); ++b) {
-            net::LayerId last = net.lastBwdUser(b);
-            if (last != net::kInputLayer)
-                bwdReleaseAt[std::size_t(last)].push_back(b);
         }
     }
 
@@ -156,40 +156,6 @@ struct Interp
     void setState(net::BufferId b, AbsResidency r)
     {
         st[std::size_t(b)] = r;
-    }
-
-    std::vector<net::BufferId> inputBuffers(net::LayerId id) const
-    {
-        std::vector<net::BufferId> bufs;
-        for (net::LayerId in_id : net.node(id).inputs) {
-            bufs.push_back(in_id == net::kInputLayer
-                               ? net.inputBuffer()
-                               : net.node(in_id).yBuffer);
-        }
-        return bufs;
-    }
-
-    /** Buffers opBwdFetch must make resident (X and/or Y roles). */
-    std::vector<net::BufferId> neededBackward(net::LayerId id) const
-    {
-        const net::LayerNode &n = net.node(id);
-        std::vector<net::BufferId> needed;
-        if (n.spec.backwardNeedsX()) {
-            for (net::BufferId b : inputBuffers(id))
-                needed.push_back(b);
-        }
-        if (n.spec.backwardNeedsY())
-            needed.push_back(n.yBuffer);
-        return needed;
-    }
-
-    Bytes workspaceBytes(net::LayerId id) const
-    {
-        const dnn::LayerSpec &spec = net.node(id).spec;
-        if (spec.kind != dnn::LayerKind::Conv || buffersStatic)
-            return 0;
-        return dnn::convWorkspaceBytes(plan.algos[std::size_t(id)],
-                                       spec);
     }
 
     /** A read access requires a valid device copy. */
@@ -240,17 +206,17 @@ struct Interp
         }
     }
 
-    void opFwdAlloc(net::LayerId id)
+    void opFwdAlloc(const IterOp &o)
     {
-        const net::LayerNode &n = net.node(id);
-        for (net::BufferId b : inputBuffers(id))
+        for (net::BufferId b : o.buffers)
             requireReadable(b, "forward Alloc input check");
 
-        if (!n.spec.inPlace()) {
-            switch (state(n.yBuffer)) {
+        net::BufferId y = o.yBuffer;
+        if (o.allocY) {
+            switch (state(y)) {
               case AbsResidency::Unallocated:
-                setState(n.yBuffer, AbsResidency::Resident);
-                addBytes(net.buffer(n.yBuffer).bytes());
+                setState(y, AbsResidency::Resident);
+                addBytes(net.buffer(y).bytes());
                 break;
               case AbsResidency::Resident: // static region
                 break;
@@ -258,24 +224,24 @@ struct Interp
                 diag(DiagCode::UseUnallocated,
                      strFormat("Y buffer %d of '%s' re-allocated after "
                                "release within one iteration",
-                               n.yBuffer, layerName(id)),
-                     n.yBuffer);
-                setState(n.yBuffer, AbsResidency::Resident);
+                               y, layerName(o.layer)),
+                     y);
+                setState(y, AbsResidency::Resident);
                 break;
               default:
                 diag(DiagCode::UseUnallocated,
                      strFormat("Y buffer %d of '%s' allocated while in "
                                "state '%s'",
-                               n.yBuffer, layerName(id),
-                               absResidencyName(state(n.yBuffer))),
-                     n.yBuffer);
+                               y, layerName(o.layer),
+                               absResidencyName(state(y))),
+                     y);
                 break;
             }
         }
-        allocWorkspace(id);
+        allocWorkspace(o);
     }
 
-    void allocWorkspace(net::LayerId id)
+    void allocWorkspace(const IterOp &o)
     {
         if (ws) {
             // The runtime's ws.reset() here would strand the previous
@@ -284,50 +250,41 @@ struct Interp
                  strFormat("workspace of a previous layer still live "
                            "entering Alloc of '%s' (its Release op is "
                            "missing)",
-                           layerName(id)));
+                           layerName(o.layer)));
             subBytes(*ws);
             ws.reset();
         }
-        Bytes bytes = workspaceBytes(id);
-        if (bytes > 0) {
-            ws = bytes;
-            addBytes(bytes);
+        if (o.wsBytes > 0) {
+            ws = o.wsBytes;
+            addBytes(o.wsBytes);
         }
     }
 
-    void opFwdKernel(net::LayerId id)
+    void opFwdKernel(const IterOp &o)
     {
-        const net::LayerNode &n = net.node(id);
-        for (net::BufferId b : inputBuffers(id))
+        for (net::BufferId b : o.buffers)
             requireReadable(b, "forward kernel");
-        if (!n.spec.inPlace())
-            requireReadable(n.yBuffer, "forward kernel output");
-        requireWorkspace(id);
+        if (o.allocY)
+            requireReadable(o.yBuffer, "forward kernel output");
+        requireWorkspace(o);
     }
 
-    void requireWorkspace(net::LayerId id)
+    void requireWorkspace(const IterOp &o)
     {
-        Bytes need = workspaceBytes(id);
-        if (need > 0 && (!ws || *ws != need)) {
+        if (o.wsBytes > 0 && (!ws || *ws != o.wsBytes)) {
             diag(DiagCode::MissingWorkspace,
                  strFormat("conv kernel of '%s' needs %lld workspace "
                            "bytes but %lld are allocated",
-                           layerName(id), (long long)need,
+                           layerName(o.layer), (long long)o.wsBytes,
                            (long long)(ws ? *ws : 0)));
         }
     }
 
-    void opFwdOffload(net::LayerId id)
+    void opFwdOffload(const IterOp &o)
     {
-        for (net::BufferId b : inputBuffers(id)) {
-            if (!plan.offloads(b))
-                continue;
-            if (net.buffer(b).lastFwdReader != id)
-                continue;
-            if (std::find(pendingOffloads.begin(), pendingOffloads.end(),
-                          b) != pendingOffloads.end()) {
-                continue; // duplicate input edge (concat), one DMA
-            }
+        for (net::BufferId b : o.buffers) {
+            ++offloadOps[std::size_t(b)];
+            offloadLayer[std::size_t(b)] = o.layer;
             if (isStatic[std::size_t(b)]) {
                 diag(DiagCode::DoubleOffload,
                      strFormat("offload of buffer %d which lives in the "
@@ -400,18 +357,18 @@ struct Interp
         }
     }
 
-    void opFwdRelease(net::LayerId id)
+    void opFwdRelease(const IterOp &o)
     {
         if (cfg.syncAtLayerBoundary && !pendingOffloads.empty()) {
             diag(DiagCode::SyncOrder,
                  strFormat("Release of '%s' runs under %zu un-joined "
                            "offload DMAs (Sync dropped or reordered)",
-                           layerName(id), pendingOffloads.size()));
+                           layerName(o.layer), pendingOffloads.size()));
         }
         releaseWorkspace();
         if (buffersStatic)
             return;
-        for (net::BufferId b : inputBuffers(id)) {
+        for (net::BufferId b : o.buffers) {
             if (--readersLeft[std::size_t(b)] < 0) {
                 diag(DiagCode::DoubleRelease,
                      strFormat("forward refcount of buffer %d went "
@@ -423,6 +380,7 @@ struct Interp
             }
             if (readersLeft[std::size_t(b)] > 0)
                 continue;
+            drainedAt[std::size_t(b)] = o.layer;
             const net::Buffer &buf = net.buffer(b);
             if (buf.bwdUsers.empty() && !buf.classifier &&
                 state(b) == AbsResidency::Resident) {
@@ -447,9 +405,9 @@ struct Interp
         deferredJoins.clear();
     }
 
-    void opBwdFetch(net::LayerId id)
+    void opBwdFetch(const IterOp &o)
     {
-        for (net::BufferId b : neededBackward(id)) {
+        for (net::BufferId b : o.buffers) {
             switch (state(b)) {
               case AbsResidency::Resident:
               case AbsResidency::OffloadInFlight:
@@ -475,7 +433,7 @@ struct Interp
                 diag(DiagCode::UseUnallocated,
                      strFormat("backward of '%s' needs buffer %d which "
                                "is %s",
-                               layerName(id), b,
+                               layerName(o.layer), b,
                                absResidencyName(state(b))),
                      b);
                 break;
@@ -483,16 +441,12 @@ struct Interp
         }
     }
 
-    void opBwdAlloc(net::LayerId id)
+    void opBwdAlloc(const IterOp &o)
     {
-        const net::LayerNode &n = net.node(id);
-        allocGradient(n.yBuffer);
-        for (net::LayerId in_id : n.inputs) {
-            if (in_id == net::kInputLayer)
-                continue; // the input image receives no gradient
-            allocGradient(net.node(in_id).yBuffer);
-        }
-        allocWorkspace(id);
+        allocGradient(o.yBuffer); // dY, then the dX set
+        for (net::BufferId b : o.buffers)
+            allocGradient(b);
+        allocWorkspace(o);
     }
 
     void allocGradient(net::BufferId b)
@@ -536,10 +490,9 @@ struct Interp
         }
     }
 
-    void opBwdKernel(net::LayerId id)
+    void opBwdKernel(const IterOp &o)
     {
-        const net::LayerNode &n = net.node(id);
-        for (net::BufferId b : neededBackward(id)) {
+        for (net::BufferId b : o.buffers) {
             switch (state(b)) {
               case AbsResidency::Resident:
                 break;
@@ -550,7 +503,7 @@ struct Interp
                      strFormat("backward kernel of '%s' reads buffer %d "
                                "in state '%s' (no fetch made it "
                                "resident)",
-                               layerName(id), b,
+                               layerName(o.layer), b,
                                absResidencyName(state(b))),
                      b);
                 break;
@@ -559,38 +512,37 @@ struct Interp
                 diag(DiagCode::UseUnallocated,
                      strFormat("backward kernel of '%s' reads buffer %d "
                                "in state '%s'",
-                               layerName(id), b,
+                               layerName(o.layer), b,
                                absResidencyName(state(b))),
                      b);
                 break;
             }
         }
-        if (!gradientAvailable(n.yBuffer)) {
+        if (!gradientAvailable(o.yBuffer)) {
             diag(DiagCode::MissingGradient,
                  strFormat("backward kernel of '%s' consumes dY of "
                            "buffer %d which was never allocated",
-                           layerName(id), n.yBuffer),
-                 n.yBuffer);
+                           layerName(o.layer), o.yBuffer),
+                 o.yBuffer);
         }
-        requireWorkspace(id);
+        requireWorkspace(o);
     }
 
-    void opBwdRelease(net::LayerId id)
+    void opBwdRelease(const IterOp &o)
     {
         if (!pendingPrefetches.empty()) {
             diag(DiagCode::SyncOrder,
                  strFormat("Release of '%s' backward runs under %zu "
                            "un-joined prefetch DMAs (Sync dropped or "
                            "reordered)",
-                           layerName(id), pendingPrefetches.size()));
+                           layerName(o.layer), pendingPrefetches.size()));
         }
         releaseWorkspace();
         if (buffersStatic)
             return;
-        const net::LayerNode &n = net.node(id);
-        if (net.buffer(n.yBuffer).producer == id)
-            releaseGradient(n.yBuffer);
-        for (net::BufferId b : bwdReleaseAt[std::size_t(id)]) {
+        if (o.releaseDY)
+            releaseGradient(o.yBuffer);
+        for (net::BufferId b : o.buffers) {
             if (isStatic[std::size_t(b)])
                 continue;
             switch (state(b)) {
@@ -602,7 +554,7 @@ struct Interp
                 diag(DiagCode::DoubleRelease,
                      strFormat("buffer %d released twice (last backward "
                                "user '%s' ran again?)",
-                               b, layerName(id)),
+                               b, layerName(o.layer)),
                      b);
                 break;
               default:
@@ -673,6 +625,40 @@ struct Interp
         if (ws) {
             diag(DiagCode::LeakedAlloc,
                  "convolution workspace still live at EndIteration");
+        }
+    }
+
+    /**
+     * The program against the plan: every buffer the plan offloads is
+     * offloaded by exactly one Offload op, at the layer whose forward
+     * Release drained its refcount (its last forward reader), and no
+     * other buffer is offloaded. Guards the compiled Offload operands,
+     * which the residency walk alone would accept as "kept resident".
+     */
+    void checkCoverage()
+    {
+        op = -1;
+        layer = -1;
+        for (net::BufferId b = 0; b < net::BufferId(net.numBuffers());
+             ++b) {
+            std::size_t i = std::size_t(b);
+            if (isStatic[i])
+                continue; // the residency walk reports static offloads
+            bool want = plan.offloads(b);
+            if (offloadOps[i] == (want ? 1 : 0) &&
+                (!want || offloadLayer[i] == drainedAt[i])) {
+                continue;
+            }
+            diag(DiagCode::OffloadCoverage,
+                 want ? strFormat("plan offloads buffer %d; the program "
+                                  "offloads it %d times, last at layer "
+                                  "%d (its last forward reader is %d)",
+                                  b, offloadOps[i], offloadLayer[i],
+                                  drainedAt[i])
+                      : strFormat("program offloads buffer %d, which "
+                                  "the plan keeps resident",
+                                  b),
+                 b);
         }
     }
 };
@@ -880,21 +866,21 @@ verifyProgram(const net::Network &net, const MemoryPlan &plan,
             break;
           case OpKind::Alloc:
             if (op.backward)
-                in.opBwdAlloc(op.layer);
+                in.opBwdAlloc(op);
             else
-                in.opFwdAlloc(op.layer);
+                in.opFwdAlloc(op);
             break;
           case OpKind::Kernel:
             if (op.backward)
-                in.opBwdKernel(op.layer);
+                in.opBwdKernel(op);
             else
-                in.opFwdKernel(op.layer);
+                in.opFwdKernel(op);
             break;
           case OpKind::Offload:
-            in.opFwdOffload(op.layer);
+            in.opFwdOffload(op);
             break;
           case OpKind::OnDemandFetch:
-            in.opBwdFetch(op.layer);
+            in.opBwdFetch(op);
             break;
           case OpKind::Prefetch:
             in.opBwdPrefetch(op.layer);
@@ -904,9 +890,9 @@ verifyProgram(const net::Network &net, const MemoryPlan &plan,
             break;
           case OpKind::Release:
             if (op.backward)
-                in.opBwdRelease(op.layer);
+                in.opBwdRelease(op);
             else
-                in.opFwdRelease(op.layer);
+                in.opFwdRelease(op);
             break;
           case OpKind::Barrier:
             in.opBarrier();
@@ -916,6 +902,7 @@ verifyProgram(const net::Network &net, const MemoryPlan &plan,
             break;
         }
     }
+    in.checkCoverage();
     structure.finish(prog);
     return out;
 }

@@ -15,14 +15,21 @@
  *
  * alongside the forward refcounts, the live gradient set, the current
  * layer's workspace, and the pending (un-joined) DMA lists each Sync op
- * drains — i.e. exactly the state the Executor's op bodies mutate, but
- * interpreted symbolically with no device, pool or clock behind it.
+ * drains — the state the Executor's op bodies mutate, interpreted
+ * symbolically with no device, pool or clock behind it. The verifier
+ * interprets the program's own operands (the buffers, Y/dY and
+ * workspace each IterOp carries, the same ones the IterationStepper
+ * executes), plus the plan-coverage check that ties those operands
+ * back to the MemoryPlan.
  *
  * Proven properties (each violation is a distinct DiagCode):
  *  - no op touches an Unallocated/Released buffer (UseUnallocated);
  *  - no kernel reads offloaded-and-not-fetched data (ReadOffloaded);
- *  - offloads are issued once, by the last forward reader, never on
- *    static buffers (DoubleOffload);
+ *  - offloads are issued once, never on static buffers
+ *    (DoubleOffload);
+ *  - plan coverage: every buffer the plan offloads is offloaded by
+ *    exactly one Offload op, at the layer whose forward Release drains
+ *    its refcount, and no other buffer is (OffloadCoverage);
  *  - releases balance allocations — no refcount underflow or release
  *    of a Released buffer (DoubleRelease), no leaked feature map,
  *    gradient or workspace at EndIteration (LeakedAlloc), no host copy

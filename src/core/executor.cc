@@ -4,8 +4,6 @@
 #include "common/logging.hh"
 #include "common/units.hh"
 
-#include <algorithm>
-
 namespace vdnn::core
 {
 
@@ -30,13 +28,6 @@ Executor::Executor(const net::Network &net_, const dnn::CudnnSim &cudnn_,
     rt.setStreamClient(streamCompute, mm.clientId(), cfg.pcieWeight);
     rt.setStreamClient(streamMemory, mm.clientId(), cfg.pcieWeight);
 
-    // Map each layer to the buffers it is the last backward user of.
-    bwdReleaseAt.assign(net.numLayers(), {});
-    for (net::BufferId b = 0; b < net::BufferId(net.numBuffers()); ++b) {
-        net::LayerId last = net.lastBwdUser(b);
-        if (last != net::kInputLayer)
-            bwdReleaseAt[std::size_t(last)].push_back(b);
-    }
     staticBuffers.assign(net.numBuffers(), false);
 
     if (obs::MetricsRegistry *m = rt.telemetry().metrics) {
@@ -87,7 +78,6 @@ Executor::rebuildDispatchPlan()
                 fill(lp.bwdData, "bwdD:" + spec.name,
                      cudnn.perf().convBackwardData(spec, algo));
             }
-            lp.wsBytes = dnn::convWorkspaceBytes(algo, spec);
         } else {
             fill(lp.fwd, "fwd:" + spec.name, cudnn.perf().forward(spec));
             fill(lp.bwdFilter, "bwd:" + spec.name,
@@ -112,76 +102,6 @@ Executor::rebuildDispatchPlan()
         bp.fetchTag = strFormat("fetch:%d", b);
         bp.gradTag = strFormat("grad:%d", b);
         initialReaders[std::size_t(b)] = buf.refCount;
-    }
-
-    // Per op: the exact operand buffers, resolved from the graph once.
-    auto input_buffer = [this](net::LayerId in_id) {
-        return in_id == net::kInputLayer ? net.inputBuffer()
-                                         : net.node(in_id).yBuffer;
-    };
-    opPlan.assign(prog.ops.size(), {});
-    for (std::size_t i = 0; i < prog.ops.size(); ++i) {
-        const IterOp &op = prog.ops[i];
-        if (op.layer == net::kInputLayer)
-            continue; // structural ops carry no operands
-        ExecOpPlan &p = opPlan[i];
-        const net::LayerNode &n = net.node(op.layer);
-        const auto &spec = n.spec;
-        switch (op.kind) {
-          case OpKind::Alloc:
-            if (!op.backward) {
-                for (net::LayerId in_id : n.inputs)
-                    p.buffers.push_back(input_buffer(in_id));
-                p.yBuffer = n.yBuffer;
-                p.allocY = !spec.inPlace();
-            } else {
-                // dY first (p.yBuffer), then the dX buffers; the
-                // network input receives no gradient.
-                p.yBuffer = n.yBuffer;
-                for (net::LayerId in_id : n.inputs) {
-                    if (in_id != net::kInputLayer)
-                        p.buffers.push_back(net.node(in_id).yBuffer);
-                }
-            }
-            break;
-          case OpKind::Offload:
-            // The refcount rule of Fig. 3, resolved statically: the
-            // plan offloads b and this layer is its last forward
-            // reader (so each buffer lands in exactly one Offload op).
-            for (net::LayerId in_id : n.inputs) {
-                net::BufferId b = input_buffer(in_id);
-                if (!execPlan.offloads(b))
-                    continue;
-                if (net.buffer(b).lastFwdReader != op.layer)
-                    continue;
-                if (std::find(p.buffers.begin(), p.buffers.end(), b) !=
-                    p.buffers.end()) {
-                    continue;
-                }
-                p.buffers.push_back(b);
-            }
-            break;
-          case OpKind::OnDemandFetch:
-            if (spec.backwardNeedsX()) {
-                for (net::LayerId in_id : n.inputs)
-                    p.buffers.push_back(input_buffer(in_id));
-            }
-            if (spec.backwardNeedsY())
-                p.buffers.push_back(n.yBuffer);
-            break;
-          case OpKind::Release:
-            if (!op.backward) {
-                for (net::LayerId in_id : n.inputs)
-                    p.buffers.push_back(input_buffer(in_id));
-            } else {
-                p.buffers = bwdReleaseAt[std::size_t(op.layer)];
-                p.yBuffer = n.yBuffer;
-                p.releaseDY = net.buffer(n.yBuffer).producer == op.layer;
-            }
-            break;
-          default:
-            break;
-        }
     }
 }
 
@@ -228,77 +148,44 @@ bool
 Executor::setup()
 {
     VDNN_ASSERT(!setupDone, "setup() called twice");
+    const PersistentFootprint fp = persistentFootprint(net, execPlan, stats);
 
-    // Weights: W per layer, resident for the whole run. Weight
-    // gradients use a single shared max-size buffer per region, with
-    // updates applied in place during backward (Section IV-A).
-    Bytes max_dw_managed = 0;
-    Bytes max_dw_classifier = 0;
+    // Weights: W per layer, resident for the whole run, plus one shared
+    // dW per region (updates applied in place, Section IV-A).
     bool ok = true;
     for (net::LayerId id : net.topoOrder()) {
         const net::LayerNode &n = net.node(id);
         Bytes w = n.spec.weightBytes();
-        if (w <= 0)
-            continue;
-        ok = ok && allocPersistent(w, "W:" + n.spec.name, !n.classifier);
-        (n.classifier ? max_dw_classifier : max_dw_managed) =
-            std::max(n.classifier ? max_dw_classifier : max_dw_managed, w);
+        if (w > 0)
+            ok = ok && allocPersistent(w, "W:" + n.spec.name, !n.classifier);
     }
-    ok = ok && allocPersistent(max_dw_managed, "dW:shared", true);
-    ok = ok && allocPersistent(max_dw_classifier, "dW:classifier", false);
+    for (const PersistentRegion &r : fp.dw)
+        ok = ok && allocPersistent(r.bytes, r.tag, r.managed);
 
+    // The classifier tail is executed by unmodified cuBLAS code (Section
+    // IV-A): its activations and gradient maps live in a static region
+    // untouched by vDNN. A static-allocation plan (Section II-C) extends
+    // that region to every feature map, the minimal reused gradient
+    // buffers and one workspace sized to the network maximum.
     staticBuffers.assign(net.numBuffers(), false);
-    if (staticAlloc()) {
-        ok = ok && setupBaseline();
-    } else {
-        // The classifier tail is executed by unmodified cuBLAS code
-        // (Section IV-A): its activations and gradient maps live in a
-        // static region untouched by vDNN.
-        for (net::BufferId b = 0; ok && b < net::BufferId(net.numBuffers());
-             ++b) {
-            if (!net.buffer(b).classifier)
-                continue;
-            ok = ok && mm.allocBuffer(net, b);
-            staticBuffers[std::size_t(b)] = ok;
-        }
-        ok = ok &&
-             allocPersistent(stats.peakGradientBytesScoped(
-                                 net::NetworkStats::GradScope::Classifier),
-                             "grad:classifier", false);
+    for (net::BufferId b = 0; ok && b < net::BufferId(net.numBuffers());
+         ++b) {
+        if (!staticAlloc() && !net.buffer(b).classifier)
+            continue;
+        ok = mm.allocBuffer(net, b);
+        staticBuffers[std::size_t(b)] = ok;
     }
+    for (const PersistentRegion &r : fp.scratch)
+        ok = ok && allocPersistent(r.bytes, r.tag, r.managed);
 
     if (!ok) {
         teardownPartial();
         return false;
     }
+    buffersStatic = staticAlloc();
     persistentTotal = mm.deviceUsage();
     setupDone = true;
     return true;
-}
-
-bool
-Executor::setupBaseline()
-{
-    // Network-wide allocation (Section II-C): every feature-map buffer,
-    // the minimal reused gradient buffers, and one workspace buffer
-    // sized to the network maximum.
-    bool ok = true;
-    for (net::BufferId b = 0; ok && b < net::BufferId(net.numBuffers());
-         ++b) {
-        ok = ok && mm.allocBuffer(net, b);
-        staticBuffers[std::size_t(b)] = ok;
-    }
-    ok = ok && allocPersistent(stats.peakGradientBytesScoped(
-                                   net::NetworkStats::GradScope::Managed),
-                               "grad:shared", true);
-    ok = ok && allocPersistent(stats.peakGradientBytesScoped(
-                                   net::NetworkStats::GradScope::Classifier),
-                               "grad:classifier", false);
-    ok = ok && allocPersistent(
-                   stats.maxWorkspaceBytes(execPlan.algos, false),
-                   "ws:shared", true);
-    buffersStatic = ok;
-    return ok;
 }
 
 void
@@ -639,11 +526,12 @@ IterationStepper::opBeginIteration()
 }
 
 bool
-IterationStepper::opFwdAlloc(net::LayerId id, const ExecOpPlan &p)
+IterationStepper::opFwdAlloc(const IterOp &op)
 {
+    net::LayerId id = op.layer;
     // Input feature maps must be device-resident during forward
     // propagation (they are only ever offloaded by their last reader).
-    for (net::BufferId b : p.buffers) {
+    for (net::BufferId b : op.buffers) {
         Residence r = ex.mm.residence(b);
         VDNN_ASSERT(r == Residence::Device,
                     "fwd '%s': input buffer %d not resident (state %d)",
@@ -651,15 +539,15 @@ IterationStepper::opFwdAlloc(net::LayerId id, const ExecOpPlan &p)
     }
 
     // Allocate the output feature maps (in-place layers reuse X).
-    if (p.allocY &&
-        ex.mm.residence(p.yBuffer) == Residence::Unallocated) {
-        if (!ex.mm.allocBuffer(ex.net, p.yBuffer)) {
+    if (op.allocY &&
+        ex.mm.residence(op.yBuffer) == Residence::Unallocated) {
+        if (!ex.mm.allocBuffer(ex.net, op.yBuffer)) {
             ex.abortIteration(
                 res,
                 strFormat("OOM allocating Y of '%s' (%s)",
                           ex.net.node(id).spec.name.c_str(),
                           formatBytes(
-                              ex.bufferPlan[std::size_t(p.yBuffer)].bytes)
+                              ex.bufferPlan[std::size_t(op.yBuffer)].bytes)
                               .c_str()),
                 FailKind::FeatureMap, id);
             return false;
@@ -669,7 +557,7 @@ IterationStepper::opFwdAlloc(net::LayerId id, const ExecOpPlan &p)
     // Convolution workspace for the chosen algorithm.
     ws.reset();
     const ExecLaunchPlan &lp = ex.launchPlan[std::size_t(id)];
-    Bytes ws_bytes = ex.buffersStatic ? 0 : lp.wsBytes;
+    Bytes ws_bytes = op.wsBytes;
     if (ws_bytes > 0) {
         auto a = ex.mm.allocDevice(ws_bytes, lp.wsTag, lp.wsManaged);
         if (!a) {
@@ -693,13 +581,13 @@ IterationStepper::opFwdKernel(net::LayerId id)
 }
 
 void
-IterationStepper::opFwdOffload(const ExecOpPlan &p)
+IterationStepper::opFwdOffload(const IterOp &op)
 {
     // Offload: issued by the last forward consumer of each input buffer
-    // (the refcount rule of Fig. 3, resolved into p.buffers at compile
+    // (the refcount rule of Fig. 3, resolved into op.buffers at compile
     // time), overlapped with this layer's own forward computation on
     // stream_memory.
-    for (net::BufferId b : p.buffers) {
+    for (net::BufferId b : op.buffers) {
         if (!ex.mm.beginOffload(ex.net, b)) {
             warn("host memory exhausted; keeping buffer %d resident", b);
             continue;
@@ -766,8 +654,9 @@ IterationStepper::opSync(const IterOp &op, bool blocking)
 }
 
 void
-IterationStepper::opFwdRelease(net::LayerId id, const ExecOpPlan &p)
+IterationStepper::opFwdRelease(const IterOp &op)
 {
+    net::LayerId id = op.layer;
     if (ws) {
         ex.mm.releaseDevice(ws->alloc, ws->managed);
         ws.reset();
@@ -776,7 +665,7 @@ IterationStepper::opFwdRelease(net::LayerId id, const ExecOpPlan &p)
     // Aggressive release: buffers whose last reader has executed and
     // that are not reused by backward propagation are freed outright.
     if (!ex.buffersStatic) {
-        for (net::BufferId b : p.buffers) {
+        for (net::BufferId b : op.buffers) {
             if (--ex.remainingReaders[std::size_t(b)] > 0)
                 continue;
             if (ex.bufferPlan[std::size_t(b)].fwdReleasable &&
@@ -808,12 +697,13 @@ IterationStepper::opBarrier(bool blocking)
 }
 
 bool
-IterationStepper::opBwdFetch(net::LayerId id, const ExecOpPlan &p)
+IterationStepper::opBwdFetch(const IterOp &op)
 {
+    net::LayerId id = op.layer;
     // Residency: the layer's backward pass needs X and/or Y (Section
-    // III-A, resolved into p.buffers at compile time); offloaded data
+    // III-A, resolved into op.buffers at compile time); offloaded data
     // must be fetched back before the kernels.
-    for (net::BufferId b : p.buffers) {
+    for (net::BufferId b : op.buffers) {
         // A buffer prefetched during *this* layer cannot serve this
         // layer's own kernels without waiting; that only happens in
         // the degenerate single-layer-window case.
@@ -830,12 +720,13 @@ IterationStepper::opBwdFetch(net::LayerId id, const ExecOpPlan &p)
 }
 
 bool
-IterationStepper::opBwdAlloc(net::LayerId id, const ExecOpPlan &p)
+IterationStepper::opBwdAlloc(const IterOp &op)
 {
+    net::LayerId id = op.layer;
     // Gradient maps: dY must exist (allocated by this buffer's
     // consumers, or seeded here for the terminal loss layer); dX is
     // allocated on demand. The network input receives no gradient
-    // (p.buffers holds the dX set with it already excluded).
+    // (op.buffers holds the dX set with it already excluded).
     auto grad_with_recovery = [&](net::BufferId b) {
         if (ex.allocGradient(b))
             return true;
@@ -846,14 +737,14 @@ IterationStepper::opBwdAlloc(net::LayerId id, const ExecOpPlan &p)
         ++res.prefetchEvictions;
         return ex.allocGradient(b);
     };
-    if (!grad_with_recovery(p.yBuffer)) {
+    if (!grad_with_recovery(op.yBuffer)) {
         ex.abortIteration(res,
                           strFormat("OOM allocating dY of '%s'",
                                     ex.net.node(id).spec.name.c_str()),
                           FailKind::Gradient, id);
         return false;
     }
-    for (net::BufferId b : p.buffers) {
+    for (net::BufferId b : op.buffers) {
         if (!grad_with_recovery(b)) {
             ex.abortIteration(res,
                               strFormat("OOM allocating dX of '%s'",
@@ -866,7 +757,7 @@ IterationStepper::opBwdAlloc(net::LayerId id, const ExecOpPlan &p)
     // Backward convolution workspace.
     ws.reset();
     const ExecLaunchPlan &lp = ex.launchPlan[std::size_t(id)];
-    Bytes ws_bytes = ex.buffersStatic ? 0 : lp.wsBytes;
+    Bytes ws_bytes = op.wsBytes;
     if (ws_bytes > 0) {
         auto a = ex.mm.allocDevice(ws_bytes, lp.wsTag, lp.wsManaged);
         if (!a && ex.evictUnconsumedPrefetches(ws_bytes, id)) {
@@ -926,8 +817,9 @@ IterationStepper::opBwdKernel(net::LayerId id)
 }
 
 void
-IterationStepper::opBwdRelease(net::LayerId id, const ExecOpPlan &p)
+IterationStepper::opBwdRelease(const IterOp &op)
 {
+    net::LayerId id = op.layer;
     if (ws) {
         ex.mm.releaseDevice(ws->alloc, ws->managed);
         ws.reset();
@@ -935,11 +827,11 @@ IterationStepper::opBwdRelease(net::LayerId id, const ExecOpPlan &p)
 
     if (!ex.buffersStatic) {
         // dY fully consumed once this buffer's producer has run.
-        if (p.releaseDY)
-            ex.releaseGradient(p.yBuffer);
+        if (op.releaseDY)
+            ex.releaseGradient(op.yBuffer);
         // Feature maps whose last backward user just executed are
         // released immediately (Fig. 8).
-        for (net::BufferId b : p.buffers) {
+        for (net::BufferId b : op.buffers) {
             if (!ex.staticBuffers[std::size_t(b)] &&
                 ex.mm.residence(b) == Residence::Device) {
                 ex.mm.releaseBuffer(ex.net, b);
@@ -993,7 +885,6 @@ IterationStepper::step(bool blocking)
     VDNN_ASSERT(pcIndex < ex.prog.ops.size(),
                 "stepper ran off the program");
     const IterOp &op = ex.prog.ops[pcIndex];
-    const ExecOpPlan &plan = ex.opPlan[pcIndex];
 
     // Entering a new (layer, phase) group: take the timestamp the
     // monolithic loop captured at forwardLayer/backwardLayer entry.
@@ -1011,8 +902,7 @@ IterationStepper::step(bool blocking)
         ok = opBeginIteration();
         break;
       case OpKind::Alloc:
-        ok = op.backward ? opBwdAlloc(op.layer, plan)
-                         : opFwdAlloc(op.layer, plan);
+        ok = op.backward ? opBwdAlloc(op) : opFwdAlloc(op);
         break;
       case OpKind::Kernel:
         if (op.backward)
@@ -1021,19 +911,19 @@ IterationStepper::step(bool blocking)
             opFwdKernel(op.layer);
         break;
       case OpKind::Offload:
-        opFwdOffload(plan);
+        opFwdOffload(op);
         break;
       case OpKind::OnDemandFetch:
-        ok = opBwdFetch(op.layer, plan);
+        ok = opBwdFetch(op);
         break;
       case OpKind::Prefetch:
         opBwdPrefetch(op.layer);
         break;
       case OpKind::Release:
         if (op.backward)
-            opBwdRelease(op.layer, plan);
+            opBwdRelease(op);
         else
-            opFwdRelease(op.layer, plan);
+            opFwdRelease(op);
         break;
       case OpKind::Sync:
         if (opSync(op, blocking) == Status::Blocked)

@@ -167,12 +167,11 @@ struct TaggedAlloc
 
 /**
  * Pre-resolved dispatch tables (the flat-dispatch layer). The
- * IterationProgram stays the verifiable IR (src/check interprets it);
- * these tables cache, per layer / per buffer / per op, everything the
- * IR's semantics determine statically — kernel descriptors with their
- * costs resolved, DMA tags and compressed byte counts, and the exact
- * buffer lists each op touches — so the stepper's per-op work is a
- * table walk, not graph traversal plus string formatting. Rebuilt by
+ * IterationProgram's ops carry the buffers each op touches; these
+ * tables cache, per layer and per buffer, the device-side details —
+ * kernel descriptors with their costs resolved, DMA tags and
+ * compressed byte counts — so the stepper's per-op work is a table
+ * walk, not cost-model calls plus string formatting. Rebuilt by
  * Executor::rebuildDispatchPlan() at construction and adoptPlan().
  */
 struct ExecLaunchPlan
@@ -184,8 +183,6 @@ struct ExecLaunchPlan
     /** Backward data-gradient kernel (conv with non-input X only). */
     gpu::KernelDesc bwdData;
     bool hasBwdData = false;
-    /** Conv workspace for the plan's algorithm (0 for non-conv). */
-    Bytes wsBytes = 0;
     std::string wsTag;
     bool wsManaged = false;
     bool classifier = false;
@@ -204,26 +201,6 @@ struct ExecBufferPlan
     std::string prefetchTag;
     std::string fetchTag;
     std::string gradTag;
-};
-
-/** Per-op resolved operands, aligned index-for-index with prog.ops. */
-struct ExecOpPlan
-{
-    /**
-     * The buffers this op touches: forward Alloc = input feature maps
-     * (residency preconditions); Offload = inputs the plan offloads
-     * whose last forward reader is this layer (deduplicated); Fetch =
-     * X/Y operands backward needs resident; backward Alloc = the dX
-     * gradient buffers; Release = forward input buffers (refcount
-     * drops) or the backward release set (last backward user here).
-     */
-    std::vector<net::BufferId> buffers;
-    /** The layer's output buffer (Alloc ops). */
-    net::BufferId yBuffer = -1;
-    /** Forward Alloc materializes yBuffer (not in-place). */
-    bool allocY = false;
-    /** Backward Release frees dY (this layer produced yBuffer). */
-    bool releaseDY = false;
 };
 
 class Executor;
@@ -281,15 +258,15 @@ class IterationStepper
 
     // --- op bodies (false = iteration aborted) ---------------------------
     bool opBeginIteration();
-    bool opFwdAlloc(net::LayerId id, const ExecOpPlan &p);
+    bool opFwdAlloc(const IterOp &op);
     void opFwdKernel(net::LayerId id);
-    void opFwdOffload(const ExecOpPlan &p);
-    void opFwdRelease(net::LayerId id, const ExecOpPlan &p);
-    bool opBwdFetch(net::LayerId id, const ExecOpPlan &p);
-    bool opBwdAlloc(net::LayerId id, const ExecOpPlan &p);
+    void opFwdOffload(const IterOp &op);
+    void opFwdRelease(const IterOp &op);
+    bool opBwdFetch(const IterOp &op);
+    bool opBwdAlloc(const IterOp &op);
     void opBwdPrefetch(net::LayerId id);
     void opBwdKernel(net::LayerId id);
-    void opBwdRelease(net::LayerId id, const ExecOpPlan &p);
+    void opBwdRelease(const IterOp &op);
     Status opSync(const IterOp &op, bool blocking);
     Status opBarrier(bool blocking);
     Status opEndIteration(bool blocking);
@@ -411,7 +388,6 @@ class Executor
     // --- setup helpers ------------------------------------------------------
     bool allocPersistent(Bytes bytes, const std::string &tag,
                          bool managed);
-    bool setupBaseline();
     void teardownPartial();
 
     // --- kernel launch helpers -----------------------------------------------
@@ -440,7 +416,7 @@ class Executor
     /** Network-wide static allocation: no directives are executed. */
     bool staticAlloc() const { return execPlan.staticAllocation; }
 
-    /** Rebuild the flat-dispatch tables from (net, execPlan, prog). */
+    /** Rebuild the flat-dispatch tables from (net, execPlan). */
     void rebuildDispatchPlan();
 
     const net::Network &net;
@@ -462,13 +438,10 @@ class Executor
     bool buffersStatic = false;
     /** Buffers materialized at setup (classifier block / baseline). */
     std::vector<bool> staticBuffers;
-    /** Per layer: buffers whose last backward user is that layer. */
-    std::vector<std::vector<net::BufferId>> bwdReleaseAt;
 
     // Flat-dispatch tables (rebuildDispatchPlan).
     std::vector<ExecLaunchPlan> launchPlan; // per layer
     std::vector<ExecBufferPlan> bufferPlan; // per buffer
-    std::vector<ExecOpPlan> opPlan;         // aligned with prog.ops
     /** Initial forward refcounts, copied into remainingReaders. */
     std::vector<int> initialReaders;
 

@@ -27,6 +27,27 @@
  * decision inside the op bodies, so stepping the program reproduces
  * the monolithic loop exactly.
  *
+ * Every op carries its own operands, resolved from the graph and the
+ * plan once, here — the single definition of vDNN's per-buffer rules:
+ *
+ *   forward Alloc/Kernel/Release  the layer's input feature maps, one
+ *                                 entry per input edge (each Release
+ *                                 entry drops one forward refcount)
+ *   Offload                       inputs the plan offloads whose last
+ *                                 forward reader is this layer (Fig. 3)
+ *   OnDemandFetch, bwd Kernel     the X and/or Y buffers backward reads
+ *   backward Alloc                the dX gradient buffers
+ *   backward Release              buffers whose last backward user is
+ *                                 this layer (Fig. 8)
+ *   every layer op                yBuffer (Y, or dY backward), allocY,
+ *                                 releaseDY, conv workspace bytes
+ *
+ * The IterationStepper executes those operands concretely and the
+ * ProgramVerifier (check/program_verifier.hh) interprets the same
+ * operands abstractly, so the two cannot disagree on what an op
+ * touches. Because operands live inside the op, a program edited op by
+ * op (tests erase, insert and swap ops) keeps them attached.
+ *
  * The program is executed by an IterationStepper (core/executor.hh),
  * which advances one op at a time and can be suspended at every Sync
  * boundary — the substrate the serve layer's PackedOverlap policy uses
@@ -69,7 +90,7 @@ enum class OpKind : std::uint8_t
 
 const char *opKindName(OpKind k);
 
-/** One step of the compiled iteration. */
+/** One step of the compiled iteration, with its resolved operands. */
 struct IterOp
 {
     OpKind kind = OpKind::BeginIteration;
@@ -77,6 +98,16 @@ struct IterOp
     net::LayerId layer = net::kInputLayer;
     /** Backward-phase op (structural ops: phase they belong to). */
     bool backward = false;
+    /** The buffers this op touches (per kind: see the file comment). */
+    std::vector<net::BufferId> buffers;
+    /** The layer's output buffer Y; -1 on structural ops. */
+    net::BufferId yBuffer = -1;
+    /** Forward: Y is materialized by Alloc (the layer is not in place). */
+    bool allocY = false;
+    /** Backward Release frees dY (this layer produced yBuffer). */
+    bool releaseDY = false;
+    /** Convolution workspace of Alloc/Kernel (0 under a static plan). */
+    Bytes wsBytes = 0;
 };
 
 /**

@@ -114,6 +114,40 @@ offloadEligible(const net::Network &net, net::BufferId buffer)
     return !b.classifier && !b.bwdUsers.empty() && !b.readers.empty();
 }
 
+PersistentFootprint
+persistentFootprint(const net::Network &net, const MemoryPlan &plan,
+                    const net::NetworkStats &stats)
+{
+    using Scope = net::NetworkStats::GradScope;
+    PersistentFootprint fp;
+    Bytes dw_managed = 0;
+    Bytes dw_classifier = 0;
+    for (net::LayerId id : net.topoOrder()) {
+        const net::LayerNode &n = net.node(id);
+        Bytes w = n.spec.weightBytes();
+        fp.weights += w;
+        Bytes &dw = n.classifier ? dw_classifier : dw_managed;
+        dw = std::max(dw, w);
+    }
+    fp.dw = {{{"dW:shared", dw_managed, true},
+              {"dW:classifier", dw_classifier, false}}};
+    for (net::BufferId b = 0; b < net::BufferId(net.numBuffers()); ++b) {
+        if (plan.staticAllocation || net.buffer(b).classifier)
+            fp.staticMaps += net.buffer(b).bytes();
+    }
+    Bytes grad_managed = 0;
+    Bytes workspace = 0;
+    if (plan.staticAllocation) {
+        grad_managed = stats.peakGradientBytesScoped(Scope::Managed);
+        workspace = stats.maxWorkspaceBytes(plan.algos, false);
+    }
+    Bytes grad_classifier = stats.peakGradientBytesScoped(Scope::Classifier);
+    fp.scratch = {{{"grad:shared", grad_managed, true},
+                   {"grad:classifier", grad_classifier, false},
+                   {"ws:shared", workspace, true}}};
+    return fp;
+}
+
 namespace
 {
 

@@ -49,6 +49,7 @@
 #include "net/network_stats.hh"
 #include "obs/profiler.hh"
 
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <memory>
@@ -318,6 +319,48 @@ bool offloadEligible(const net::Network &net, net::BufferId buffer);
  * buffers a compressing planner would route through the ZVC engine.
  */
 bool holdsReluOutput(const net::Network &net, net::BufferId b);
+
+/** One shared persistent region: a single pool block. */
+struct PersistentRegion
+{
+    const char *tag = "";
+    Bytes bytes = 0;
+    /** Counts toward the vDNN-managed usage signal. */
+    bool managed = false;
+};
+
+/**
+ * The state a plan holds for the whole run: every layer's W, the
+ * feature maps materialized at setup (the classifier block; every map
+ * under network-wide static allocation, Section II-C) and the shared
+ * regions below. Executor::setup() allocates exactly this; admission
+ * and the PlanVerifier charge its total().
+ */
+struct PersistentFootprint
+{
+    Bytes weights = 0;
+    Bytes staticMaps = 0;
+    /** One dW per region (managed, classifier) sized to its largest W;
+     *  updates are applied in place (Section IV-A). */
+    std::array<PersistentRegion, 2> dw;
+    /** The reused gradient peaks (managed: static plans only) and, for
+     *  static plans, one workspace sized to the network maximum. */
+    std::array<PersistentRegion, 3> scratch;
+
+    Bytes total() const
+    {
+        Bytes t = weights + staticMaps;
+        for (const PersistentRegion &r : dw)
+            t += r.bytes;
+        for (const PersistentRegion &r : scratch)
+            t += r.bytes;
+        return t;
+    }
+};
+
+PersistentFootprint persistentFootprint(const net::Network &net,
+                                        const MemoryPlan &plan,
+                                        const net::NetworkStats &stats);
 
 // --- concrete planners -------------------------------------------------------
 

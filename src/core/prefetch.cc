@@ -28,9 +28,7 @@ findPrefetchLayer(const net::Network &net, net::LayerId curr_layer,
         // yet prefetched (Fig. 10 line 08).
         PrefetchCandidate cand;
         for (net::LayerId in_id : n.inputs) {
-            net::BufferId b = in_id == net::kInputLayer
-                                  ? net.inputBuffer()
-                                  : net.node(in_id).yBuffer;
+            net::BufferId b = net.producedBuffer(in_id);
             if (plan && plan->directive(b).prefetchPriority < 0)
                 continue; // hinted out of overlapped prefetching
             if (state.offloaded[std::size_t(b)] &&

@@ -119,6 +119,13 @@ class Network
     const Buffer &buffer(BufferId id) const;
     /** The buffer holding the network input batch. */
     BufferId inputBuffer() const { return 0; }
+    /** The buffer @p producer writes: its Y, or the input batch for
+     *  kInputLayer. */
+    BufferId producedBuffer(LayerId producer) const
+    {
+        return producer == kInputLayer ? inputBuffer()
+                                       : node(producer).yBuffer;
+    }
 
     /** Id of the last layer a given buffer must stay alive for during
      *  backward propagation; kInputLayer if unused in backward. */

@@ -118,12 +118,8 @@ NetworkStats::peakGradientBytesScoped(GradScope scope) const
         // The layer consumes its dY (gradient of its output buffer) and
         // produces dX into the gradient of each input buffer.
         allocGrad(n.yBuffer);
-        for (LayerId in_id : n.inputs) {
-            BufferId xb = in_id == kInputLayer
-                              ? net.inputBuffer()
-                              : net.node(in_id).yBuffer;
-            allocGrad(xb);
-        }
+        for (LayerId in_id : n.inputs)
+            allocGrad(net.producedBuffer(in_id));
         peak = std::max(peak, current);
         // Once the producer of a buffer has run its backward pass, the
         // buffer's gradient has been fully consumed.

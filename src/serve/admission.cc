@@ -19,9 +19,7 @@ inputBuffers(const net::Network &net, net::LayerId id)
 {
     std::vector<net::BufferId> out;
     for (net::LayerId in_id : net.node(id).inputs) {
-        net::BufferId b = in_id == net::kInputLayer
-                              ? net.inputBuffer()
-                              : net.node(in_id).yBuffer;
+        net::BufferId b = net.producedBuffer(in_id);
         if (std::find(out.begin(), out.end(), b) == out.end())
             out.push_back(b);
     }
@@ -43,39 +41,10 @@ estimateFootprint(const net::Network &net, const dnn::CudnnSim &cudnn,
 
     FootprintEstimate est;
 
-    // Persistent state, mirroring Executor::setup(): all weights, one
-    // shared dW per region, the static classifier block.
-    Bytes max_dw_managed = 0;
-    Bytes max_dw_classifier = 0;
-    for (net::LayerId id : net.topoOrder()) {
-        const net::LayerNode &n = net.node(id);
-        Bytes w = n.spec.weightBytes();
-        est.persistent += w;
-        (n.classifier ? max_dw_classifier : max_dw_managed) = std::max(
-            n.classifier ? max_dw_classifier : max_dw_managed, w);
-    }
-    est.persistent += max_dw_managed + max_dw_classifier;
-    for (net::BufferId b = 0; b < net::BufferId(net.numBuffers()); ++b) {
-        if (net.buffer(b).classifier)
-            est.persistent += net.buffer(b).bytes();
-    }
-    est.persistent += stats.peakGradientBytesScoped(
-        net::NetworkStats::GradScope::Classifier);
-
-    if (plan.staticAllocation) {
-        // Network-wide static allocation: every feature map, the reused
-        // gradient peak and the shared max workspace are all persistent
-        // (Baseline holds them even between iterations).
-        for (net::BufferId b = 0; b < net::BufferId(net.numBuffers());
-             ++b) {
-            if (!net.buffer(b).classifier)
-                est.persistent += net.buffer(b).bytes();
-        }
-        est.persistent += stats.peakGradientBytesScoped(
-            net::NetworkStats::GradScope::Managed);
-        est.persistent += stats.maxWorkspaceBytes(plan.algos, false);
-        return est;
-    }
+    // Persistent state: the regions Executor::setup() allocates.
+    est.persistent = core::persistentFootprint(net, plan, stats).total();
+    if (plan.staticAllocation)
+        return est; // Baseline holds everything between iterations
 
     // Managed buffers the plan does *not* offload stay resident from
     // their forward definition to their last backward use; they are

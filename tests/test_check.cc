@@ -22,14 +22,18 @@
 #include "core/dynamic_policy.hh"
 #include "core/executor.hh"
 #include "core/iteration_program.hh"
+#include "core/memory_manager.hh"
 #include "core/planner.hh"
+#include "mem/memory_pool.hh"
 #include "net/builders.hh"
+#include "serve/admission.hh"
 #include "serve/serve_stats.hh"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
 using namespace vdnn;
@@ -97,6 +101,11 @@ struct Golden
 
 TEST(CheckCleanPass, EveryPlannerByEveryNetwork)
 {
+    // Also the differential test of the one footprint definition and
+    // the shared op operands: admission's persistent estimate, the
+    // PlanVerifier's and what Executor::setup() allocates agree, and
+    // one executed iteration never outgrows the provable peak. Pool
+    // blocks round up to kAlignment, the only allowed slack.
     struct NetCase
     {
         const char *label;
@@ -106,28 +115,66 @@ TEST(CheckCleanPass, EveryPlannerByEveryNetwork)
     nets.push_back({"VGG-16 (64)", net::buildVgg16(64)});
     nets.push_back({"AlexNet (128)", net::buildAlexNet(128)});
     nets.push_back({"OverFeat (128)", net::buildOverFeat(128)});
+    // Inception concats repeat an input edge (duplicate operands).
+    nets.push_back({"GoogLeNet (32)", net::buildGoogLeNet(32)});
 
-    ExecutorConfig exec;
-    std::vector<std::shared_ptr<Planner>> planners = {
-        std::make_shared<BaselinePlanner>(AlgoPreference::MemoryOptimal),
-        std::make_shared<OffloadAllPlanner>(),
-        std::make_shared<OffloadConvPlanner>(),
-        std::make_shared<CompressedOffloadPlanner>(),
-        std::make_shared<DynamicPlanner>(exec),
-    };
+    const Bytes align = mem::MemoryPool::kAlignment;
+    dnn::CudnnSim cudnn(gpu::titanXMaxwell());
+    for (bool sync_boundary : {true, false}) {
+        for (bool prefetch : {true, false}) {
+            ExecutorConfig exec;
+            exec.syncAtLayerBoundary = sync_boundary;
+            exec.prefetchEnabled = prefetch;
+            std::vector<std::shared_ptr<Planner>> planners = {
+                std::make_shared<BaselinePlanner>(
+                    AlgoPreference::MemoryOptimal),
+                std::make_shared<OffloadAllPlanner>(),
+                std::make_shared<OffloadConvPlanner>(),
+                std::make_shared<CompressedOffloadPlanner>(),
+                std::make_shared<DynamicPlanner>(exec),
+            };
+            for (const NetCase &nc : nets) {
+                for (const auto &planner : planners) {
+                    std::string what =
+                        std::string(nc.label) + " x " + planner->name() +
+                        (sync_boundary ? " sync" : " async") +
+                        (prefetch ? " prefetch" : " no-prefetch");
+                    MemoryPlan plan = planner->plan(*nc.net, titanCtx());
+                    ASSERT_TRUE(plan.feasible) << what;
+                    CheckResult r = check::verifyPlan(*nc.net, plan,
+                                                      titanCtx(), exec);
+                    EXPECT_TRUE(r.ok()) << what << "\n" << r.report();
+                    EXPECT_GT(r.provablePeakBytes, 0) << what;
+                    EXPECT_GT(r.persistentBytes, 0) << what;
+                    EXPECT_EQ(
+                        serve::estimateFootprint(*nc.net, cudnn, plan)
+                            .persistent,
+                        r.persistentBytes)
+                        << what;
 
-    for (const NetCase &nc : nets) {
-        for (const auto &planner : planners) {
-            MemoryPlan plan = planner->plan(*nc.net, titanCtx());
-            ASSERT_TRUE(plan.feasible)
-                << nc.label << " x " << planner->name();
-            CheckResult r = check::verifyPlan(*nc.net, plan, titanCtx(),
-                                              exec);
-            EXPECT_TRUE(r.ok()) << nc.label << " x " << planner->name()
-                                << "\n"
-                                << r.report();
-            EXPECT_GT(r.provablePeakBytes, 0);
-            EXPECT_GT(r.persistentBytes, 0);
+                    gpu::Runtime rt(gpu::titanXMaxwell());
+                    MemoryManager mm(rt);
+                    Executor ex(*nc.net, cudnn, rt, mm, plan, exec);
+                    ASSERT_TRUE(ex.setup()) << what;
+                    Bytes setup_allocs = Bytes(mm.pool().liveAllocations());
+                    EXPECT_GE(ex.persistentBytes(), r.persistentBytes)
+                        << what;
+                    EXPECT_LE(ex.persistentBytes(),
+                              r.persistentBytes + align * setup_allocs)
+                        << what;
+
+                    IterationResult it = ex.runIteration();
+                    ASSERT_TRUE(it.ok) << what << ": " << it.failReason;
+                    // An iteration adds at most one feature map and
+                    // one gradient per buffer plus one workspace.
+                    Bytes max_allocs =
+                        setup_allocs + 2 * Bytes(nc.net->numBuffers()) + 1;
+                    EXPECT_LE(mm.pool().peakUsage(),
+                              r.provablePeakBytes + align * max_allocs)
+                        << what;
+                    ex.teardown();
+                }
+            }
         }
     }
 }
@@ -297,6 +344,52 @@ TEST(CheckSeededDefect, MisplacedBarrierBreaksPhaseStructure)
     CheckResult r = g.verify();
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(hasCode(r, DiagCode::BadStructure)) << r.report();
+}
+
+TEST(CheckSeededDefect, DroppedOffloadOperandBreaksPlanCoverage)
+{
+    // The residency walk alone accepts a buffer silently kept resident;
+    // the plan-coverage check must notice the missing offload.
+    Golden g;
+    int idx = findOp(g.prog, OpKind::Offload, /*backward=*/false);
+    ASSERT_GE(idx, 0);
+    std::vector<net::BufferId> &bufs = g.prog.ops[std::size_t(idx)].buffers;
+    ASSERT_FALSE(bufs.empty());
+    net::BufferId dropped = bufs.back();
+    bufs.pop_back();
+    CheckResult r = g.verify();
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(std::any_of(r.diags.begin(), r.diags.end(),
+                            [dropped](const check::Diagnostic &d) {
+                                return d.code == DiagCode::OffloadCoverage &&
+                                       d.buffer == dropped;
+                            }))
+        << r.report();
+}
+
+TEST(CheckSeededDefect, DroppedReleaseOperandLeaksAllocation)
+{
+    // Drop one managed buffer from the backward Release of its last
+    // backward user: nothing else frees it.
+    Golden g;
+    bool seeded = false;
+    for (IterOp &op : g.prog.ops) {
+        if (op.kind != OpKind::Release || !op.backward)
+            continue;
+        auto it = std::find_if(op.buffers.begin(), op.buffers.end(),
+                               [&g](net::BufferId b) {
+                                   return !g.net->buffer(b).classifier;
+                               });
+        if (it != op.buffers.end()) {
+            op.buffers.erase(it);
+            seeded = true;
+            break;
+        }
+    }
+    ASSERT_TRUE(seeded);
+    CheckResult r = g.verify();
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(hasCode(r, DiagCode::LeakedAlloc)) << r.report();
 }
 
 // --- seeded plan defects -----------------------------------------------------

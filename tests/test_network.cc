@@ -114,6 +114,9 @@ TEST(Network, InputBufferPropertiesAndReaders)
     ASSERT_EQ(in.readers.size(), 1u);
     EXPECT_EQ(in.readers[0], 0); // conv1
     EXPECT_EQ(in.refCount, 1);
+    EXPECT_EQ(net->producedBuffer(kInputLayer), net->inputBuffer());
+    // relu1 is in place: it "produces" conv1's buffer.
+    EXPECT_EQ(net->producedBuffer(1), net->node(0).yBuffer);
 }
 
 TEST(Network, RefcountMatchesFigure3)
