@@ -182,8 +182,6 @@ report()
 
     for (const ScenarioResult &r : results) {
         std::string prefix = metricPrefix(r.cfg.kind);
-        recordBenchMetric(prefix + ".finished",
-                          double(r.rep.finishedCount()));
         recordBenchMetric(prefix + ".slo_attainment",
                           r.rep.sloAttainment());
         recordBenchMetric(prefix + ".wakeups",

@@ -183,6 +183,12 @@ struct ExecLaunchPlan
     /** Backward data-gradient kernel (conv with non-input X only). */
     gpu::KernelDesc bwdData;
     bool hasBwdData = false;
+    /**
+     * Pool tag and managed flag of the layer's conv workspace. Its size
+     * is the op operand IterOp::wsBytes, which the ProgramVerifier
+     * charges; tag and flag are device-side details, split off like
+     * ExecBufferPlan's tags so the stepper formats no strings.
+     */
     std::string wsTag;
     bool wsManaged = false;
     bool classifier = false;
