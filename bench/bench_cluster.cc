@@ -500,7 +500,7 @@ traceMode(const char *path)
                 "migrations)\n",
                 trace.eventCount(), path, rep.finishedCount(),
                 totalMigrations(rep));
-    metrics.writeSnapshot(std::cout, sched.runtime().now());
+    metrics.writeSnapshot(std::cout, sched.device(0).now());
     return rep.finishedCount() == int(rep.jobs.size()) ? 0 : 1;
 }
 

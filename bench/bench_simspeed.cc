@@ -143,7 +143,7 @@ runWorkload(const Scenario &sc, bool telemetry)
 
     SpeedPoint p;
     p.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
-    p.events = std::int64_t(sched.runtime().clock().executed());
+    p.events = std::int64_t(sched.device(0).clock().executed());
     return p;
 }
 

@@ -94,7 +94,7 @@ dumpOverlap()
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::PackedOverlap;
     Scheduler sched(cfg);
-    sched.runtime().setKernelLog(true);
+    sched.device(0).setKernelLog(true);
 
     std::shared_ptr<const net::Network> vgg = net::buildVgg16(64);
     for (int i = 0; i < 2; ++i) {
@@ -106,7 +106,7 @@ dumpOverlap()
         spec.iterations = 1;
         sched.submit(std::move(spec));
     }
-    gpu::Runtime &rt = sched.runtime();
+    gpu::Runtime &rt = sched.device(0);
     ServeReport rep = sched.run();
 
     std::printf("# 2 VGG-16 (64) vDNN_all tenants, packed-overlap: "

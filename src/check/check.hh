@@ -10,15 +10,18 @@
  *    buffer through a residency lattice and proving the invariants the
  *    Executor's op bodies silently rely on.
  *  - PlanVerifier (check/plan_verifier.hh): MemoryPlan admissibility
- *    against its PlannerContext, before compilation.
+ *    against a granted share, folding in the ProgramVerifier's result
+ *    on the compiled program.
  *  - LedgerAuditor (check/ledger_auditor.hh): replayable checks over
  *    the serve layer's admission ledgers and LifecycleEvent log.
  *
- * Verification is wired into Executor program compilation and
- * Session plan resolution: on by default in Debug and the default
- * RelWithDebInfo (test) builds, one branch off in Release (CMake sets
- * VDNN_CHECK_OFF_BY_DEFAULT there). Either way a caller can force it
- * per-executor through ExecutorConfig::check.
+ * The plan and program checks have one wired gate: the Executor runs
+ * the PlanVerifier body on the very program it compiled (construction
+ * and adoptPlan), so every plan a Session, a vDNN_dyn trial or a test
+ * executes is checked once. The gate is on by default in Debug and
+ * the default RelWithDebInfo (test) builds, one branch off in Release
+ * (CMake sets VDNN_CHECK_OFF_BY_DEFAULT there); either way a caller
+ * can force it per-executor through ExecutorConfig::check.
  */
 
 #ifndef VDNN_CHECK_CHECK_HH
@@ -132,20 +135,17 @@ struct CheckResult
 /** Verification gate carried by ExecutorConfig. */
 struct CheckConfig
 {
-    /** Run the ProgramVerifier on every compiled IterationProgram. */
-    bool verifyPrograms = defaultEnabled();
-    /** Run the PlanVerifier on every resolved MemoryPlan. */
+    /** Run the Executor's plan gate (PlanVerifier + ProgramVerifier)
+     *  on every program it compiles; a failing plan panics. */
     bool verifyPlans = defaultEnabled();
     /**
-     * Treat ShareExceeded as an error. Wired (Executor/Session) paths
-     * leave this false: a plan that outgrows its share is a capacity
-     * condition the runtime handles gracefully (OOM -> requeue), not a
-     * program bug — standalone verification (memory_timeline verify,
-     * tests) turns it on to prove admissibility.
+     * Treat ShareExceeded as an error. Executors run with this false:
+     * a plan that outgrows its share is a capacity condition the
+     * runtime handles gracefully (OOM -> requeue), not a program bug —
+     * standalone verification (memory_timeline verify, tests) turns it
+     * on to prove admissibility.
      */
     bool enforceCapacity = false;
-    /** Wired paths panic on invariant errors (vs. report-and-continue). */
-    bool failFast = true;
 
     /**
      * Build-type default: true in Debug and the default RelWithDebInfo

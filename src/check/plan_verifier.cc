@@ -115,6 +115,36 @@ checkPrefetchPriorities(const net::Network &net, const MemoryPlan &plan,
 } // namespace
 
 CheckResult
+verifyCompiledPlan(const net::Network &net, const MemoryPlan &plan,
+                   const core::ExecutorConfig &cfg,
+                   const core::IterationProgram &prog,
+                   const net::NetworkStats &stats, Bytes share,
+                   const CheckConfig &ccfg)
+{
+    CheckResult out;
+    checkDirectives(net, plan, out);
+    checkPrefetchPriorities(net, plan, out);
+    out.merge(verifyProgram(net, plan, cfg, prog));
+
+    out.persistentBytes =
+        core::persistentFootprint(net, plan, stats).total();
+    out.provablePeakBytes = out.persistentBytes + out.peakTransientBytes;
+    if (out.provablePeakBytes > share) {
+        out.add(DiagCode::ShareExceeded,
+                ccfg.enforceCapacity ? Severity::Error
+                                     : Severity::Warning,
+                strFormat("provable peak residency %lld B exceeds the "
+                          "granted share %lld B (persistent %lld B + "
+                          "transient peak %lld B)",
+                          (long long)out.provablePeakBytes,
+                          (long long)share,
+                          (long long)out.persistentBytes,
+                          (long long)out.peakTransientBytes));
+    }
+    return out;
+}
+
+CheckResult
 verifyPlan(const net::Network &net, const MemoryPlan &plan,
            const PlannerContext &ctx, const core::ExecutorConfig &cfg,
            const CheckConfig &ccfg)
@@ -141,33 +171,10 @@ verifyPlan(const net::Network &net, const MemoryPlan &plan,
         return out; // nothing below is well-defined
     }
 
-    checkDirectives(net, plan, out);
-    checkPrefetchPriorities(net, plan, out);
-
-    // Compile exactly as the Executor would and prove the op stream.
-    core::IterationProgram prog =
-        core::IterationProgram::compile(net, plan, cfg);
-    out.merge(verifyProgram(net, plan, cfg, prog));
-
     dnn::CudnnSim cudnn(ctx.gpu);
-    net::NetworkStats stats(net, cudnn);
-    out.persistentBytes =
-        core::persistentFootprint(net, plan, stats).total();
-    out.provablePeakBytes = out.persistentBytes + out.peakTransientBytes;
-
-    if (out.provablePeakBytes > ctx.capacity()) {
-        out.add(DiagCode::ShareExceeded,
-                ccfg.enforceCapacity ? Severity::Error
-                                     : Severity::Warning,
-                strFormat("provable peak residency %lld B exceeds the "
-                          "granted share %lld B (persistent %lld B + "
-                          "transient peak %lld B)",
-                          (long long)out.provablePeakBytes,
-                          (long long)ctx.capacity(),
-                          (long long)out.persistentBytes,
-                          (long long)out.peakTransientBytes));
-    }
-    return out;
+    return verifyCompiledPlan(
+        net, plan, cfg, core::IterationProgram::compile(net, plan, cfg),
+        net::NetworkStats(net, cudnn), ctx.capacity(), ccfg);
 }
 
 } // namespace vdnn::check

@@ -1,6 +1,6 @@
 #include "core/executor.hh"
 
-#include "check/program_verifier.hh"
+#include "check/plan_verifier.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 
@@ -25,8 +25,8 @@ Executor::Executor(const net::Network &net_, const dnn::CudnnSim &cudnn_,
                 "plan directive vector size mismatch");
     streamCompute = rt.createStream("stream_compute");
     streamMemory = rt.createStream("stream_memory");
-    rt.setStreamClient(streamCompute, mm.clientId(), cfg.pcieWeight);
-    rt.setStreamClient(streamMemory, mm.clientId(), cfg.pcieWeight);
+    rt.setStreamClient(streamCompute, mm.clientId());
+    rt.setStreamClient(streamMemory, mm.clientId());
 
     staticBuffers.assign(net.numBuffers(), false);
 
@@ -39,9 +39,7 @@ Executor::Executor(const net::Network &net_, const dnn::CudnnSim &cudnn_,
 
     rebuildDispatchPlan();
     gradients.assign(net.numBuffers(), std::nullopt);
-
-    if (cfg.check.verifyPrograms)
-        verifyCompiledProgram("compile");
+    verifyGate("compile");
 }
 
 void
@@ -106,27 +104,29 @@ Executor::rebuildDispatchPlan()
 }
 
 void
-Executor::verifyCompiledProgram(const char *when)
+Executor::verifyGate(const char *when)
 {
-    check::CheckResult r = check::verifyProgram(net, execPlan, cfg, prog);
+    if (!cfg.check.verifyPlans)
+        return;
+    // The share is what the plan may assume: the free pool plus what
+    // this executor already holds (a re-plan keeps its persistent set).
+    gate = check::verifyCompiledPlan(net, execPlan, cfg, prog, stats,
+                                     mm.pool().freeBytes() + persistentTotal,
+                                     cfg.check);
     if (obs::MetricsRegistry *m = rt.telemetry().metrics) {
         m->counter("check.programs_verified").add();
-        if (!r.diags.empty())
-            m->counter("check.findings").add(double(r.diags.size()));
+        if (!gate.diags.empty())
+            m->counter("check.findings").add(double(gate.diags.size()));
     }
-    if (!r.diags.empty() && rt.telemetry().tracing()) {
+    if (!gate.diags.empty() && rt.telemetry().tracing()) {
         rt.telemetry().trace->instant(
             rt.deviceId(), mm.clientId(), "check",
             strFormat("check-findings:%s", when), rt.now());
     }
-    if (r.ok())
-        return;
-    if (cfg.check.failFast) {
-        panic("program verification failed at %s:\n%s", when,
-              r.report().c_str());
+    if (!gate.ok()) {
+        panic("plan verification failed at %s:\n%s", when,
+              gate.report().c_str());
     }
-    warn("program verification found %d errors at %s:\n%s",
-         r.errorCount(), when, r.report().c_str());
 }
 
 // --- setup -------------------------------------------------------------------
@@ -254,8 +254,7 @@ Executor::adoptPlan(const MemoryPlan &plan)
     execPlan = plan;
     prog = IterationProgram::compile(net, execPlan, cfg);
     rebuildDispatchPlan();
-    if (cfg.check.verifyPrograms)
-        verifyCompiledProgram("adopt-plan");
+    verifyGate("adopt-plan");
 }
 
 // --- kernel launches -----------------------------------------------------------

@@ -32,6 +32,14 @@
  * traffic. The executor consumes only the MemoryPlan's per-buffer
  * directives — it never consults a policy enum.
  *
+ * The Executor is the one verification gate (src/check/): where it
+ * compiles — construction and adoptPlan() — it runs the PlanVerifier,
+ * ProgramVerifier included, on the very program it will execute,
+ * against its pool's free bytes plus the persistent bytes it already
+ * holds, and panics on any error. A Session's plans, vDNN_dyn's
+ * profiling trials and directly built executors are all checked there,
+ * each plan once.
+ *
  * Execution is driven by an IterationStepper: a resumable cursor over
  * the program. runIteration() is a drain loop (step(blocking=true)
  * until done) and reproduces the former monolithic loop's timing
@@ -82,14 +90,9 @@ struct ExecutorConfig
     /** Bound the prefetch search window at the next CONV layer. */
     bool prefetchWindowBounded = true;
     /**
-     * Weight of this executor's DMAs in the PCIe fair-share arbiter
-     * when several tenants contend for the link (src/interconnect/).
-     */
-    double pcieWeight = 1.0;
-    /**
-     * Static verification (src/check/): run the ProgramVerifier over
-     * every compiled IterationProgram and the PlanVerifier over every
-     * resolved MemoryPlan. Defaults on, except in Release builds.
+     * Static verification (src/check/): the Executor's gate runs the
+     * PlanVerifier, ProgramVerifier included, on every program it
+     * compiles. Defaults on, except in Release builds.
      */
     check::CheckConfig check;
 };
@@ -385,11 +388,18 @@ class Executor
     /** The compiled op stream every iteration executes. */
     const IterationProgram &program() const { return prog; }
 
+    /** Findings of the last gate run (empty when verification is off). */
+    const check::CheckResult &checkResult() const { return gate; }
+
   private:
     friend class IterationStepper;
 
-    /** Run the ProgramVerifier over prog (cfg.check gates callers). */
-    void verifyCompiledProgram(const char *when);
+    /**
+     * The verification gate: when cfg.check.verifyPlans, verify
+     * execPlan on prog (check::verifyCompiledPlan) against the pool's
+     * free bytes plus persistentTotal; panic on any error.
+     */
+    void verifyGate(const char *when);
 
     // --- setup helpers ------------------------------------------------------
     bool allocPersistent(Bytes bytes, const std::string &tag,
@@ -433,6 +443,7 @@ class Executor
     ExecutorConfig cfg;
     net::NetworkStats stats;
     IterationProgram prog;
+    check::CheckResult gate;
 
     gpu::StreamId streamCompute = -1;
     gpu::StreamId streamMemory = -1;

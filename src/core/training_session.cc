@@ -1,6 +1,5 @@
 #include "core/training_session.hh"
 
-#include "check/plan_verifier.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 #include "dnn/cudnn_sim.hh"
@@ -170,30 +169,6 @@ Session::resolvePlan()
                                               : execPlan.failReason;
         return false;
     }
-    if (config.exec.check.verifyPlans) {
-        // Every plan path (setup, resume-after-evict, in-place replan,
-        // migrate) funnels through here, so this one call covers all
-        // re-plan surfaces. Capacity overrun stays a warning: the
-        // runtime degrades to OOM-requeue, which serving tests rely on.
-        check::CheckResult r = check::verifyPlan(
-            net, execPlan, plannerContext(), config.exec,
-            config.exec.check);
-        if (obs::MetricsRegistry *m = rt->telemetry().metrics) {
-            m->counter("check.plans_verified").add();
-            if (!r.diags.empty())
-                m->counter("check.findings").add(double(r.diags.size()));
-        }
-        if (!r.diags.empty() && rt->telemetry().tracing()) {
-            rt->telemetry().trace->instant(rt->deviceId(),
-                                           mm->clientId(), "check",
-                                           "check-findings:plan",
-                                           rt->now());
-        }
-        if (!r.ok() && config.exec.check.failFast) {
-            panic("plan verification failed for '%s':\n%s",
-                  plannerLabel.c_str(), r.report().c_str());
-        }
-    }
     planResolved = true;
     return true;
 }
@@ -270,6 +245,13 @@ Session::program() const
 {
     VDNN_ASSERT(ex, "program() before setup()");
     return ex->program();
+}
+
+const check::CheckResult &
+Session::checkResult() const
+{
+    VDNN_ASSERT(ex, "checkResult() before setup()");
+    return ex->checkResult();
 }
 
 // --- lifecycle transitions ---------------------------------------------------

@@ -40,6 +40,11 @@
  *    device of the node and resumes it there (the cross-device half
  *    of eviction: vDNN's staged state plus a fresh device-scoped
  *    re-plan make the tenant fully relocatable).
+ *
+ * The Session does no verification of its own: every plan it resolves
+ * (setup, resume-after-evict, in-place replan, migrate) reaches an
+ * Executor, whose gate checks it on the compiled program against the
+ * same share plannerContext() granted (core/executor.hh).
  */
 
 #ifndef VDNN_CORE_TRAINING_SESSION_HH
@@ -211,6 +216,9 @@ class Session
 
     /** The compiled op stream (after a successful setup()). */
     const IterationProgram &program() const;
+
+    /** Findings of the executor's verification gate on that stream. */
+    const check::CheckResult &checkResult() const;
 
     // --- lifecycle transitions (the serve layer's state machine) ---------
 

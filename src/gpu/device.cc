@@ -44,13 +44,11 @@ Device::createStream(const std::string &name)
 }
 
 void
-Device::setStreamClient(StreamId stream, int client, double weight)
+Device::setStreamClient(StreamId stream, int client)
 {
     VDNN_ASSERT(stream >= 0 && size_t(stream) < streams.size(),
                 "bad stream id %d", stream);
     streams[size_t(stream)].client = client;
-    arbD2H.setWeight(client, weight);
-    arbH2D.setWeight(client, weight);
 }
 
 int
@@ -363,9 +361,9 @@ Device::copyTryStart(CopyDir dir)
     CopyEngine &e = engineFor(dir);
     if (e.busy || e.waitQueue.empty())
         return;
-    // Grant the engine by weighted fair share over the queued tenants
-    // (FIFO among a single tenant's transfers, and trivially FIFO when
-    // only one stream is waiting).
+    // Grant the engine by fair share over the queued tenants (FIFO
+    // among a single tenant's transfers, and trivially FIFO when only
+    // one stream is waiting).
     std::size_t pick = 0;
     if (e.waitQueue.size() > 1) {
         std::vector<int> owners;

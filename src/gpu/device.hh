@@ -129,12 +129,10 @@ class Device
 
     /**
      * Attach a stream to a tenant for per-client accounting and PCIe
-     * fair-share arbitration. @p weight is the tenant's share of the
-     * link when several tenants' DMAs are queued on the same copy
-     * engine. Streams default to client 0, weight 1 (exclusive mode).
+     * fair-share arbitration. Streams default to client 0 (exclusive
+     * mode).
      */
-    void setStreamClient(StreamId stream, int client,
-                         double weight = 1.0);
+    void setStreamClient(StreamId stream, int client);
 
     /** Tenant a stream is attached to (0 unless set). */
     int streamClient(StreamId stream) const;

@@ -7,29 +7,13 @@
 namespace vdnn::ic
 {
 
-FairShareArbiter::ClientState &
-FairShareArbiter::stateFor(int client)
+Bytes &
+FairShareArbiter::servedFor(int client)
 {
     VDNN_ASSERT(client >= 0, "negative arbiter client id %d", client);
-    if (std::size_t(client) >= clients.size())
-        clients.resize(std::size_t(client) + 1);
-    return clients[std::size_t(client)];
-}
-
-void
-FairShareArbiter::setWeight(int client, double w)
-{
-    VDNN_ASSERT(w > 0.0, "arbiter weight must be positive (client %d)",
-                client);
-    stateFor(client).weight = w;
-}
-
-double
-FairShareArbiter::weight(int client) const
-{
-    if (client < 0 || std::size_t(client) >= clients.size())
-        return 1.0;
-    return clients[std::size_t(client)].weight;
+    if (std::size_t(client) >= served.size())
+        served.resize(std::size_t(client) + 1, 0);
+    return served[std::size_t(client)];
 }
 
 std::size_t
@@ -37,39 +21,23 @@ FairShareArbiter::pick(const std::vector<int> &candidates)
 {
     VDNN_ASSERT(!candidates.empty(), "pick() from an empty queue");
 
-    auto norm_of = [this](int c) {
-        if (c < 0 || std::size_t(c) >= clients.size())
-            return 0.0;
-        const ClientState &state = clients[std::size_t(c)];
-        return double(state.served) / state.weight;
-    };
-
     // Bounded deficit: forgive service history beyond kMaxCreditBytes
-    // of normalized credit, so a tenant that was idle while others
-    // moved data uncontended cannot starve them on (re)arrival.
-    double max_norm = 0.0;
+    // of credit, so a tenant that was idle while others moved data
+    // uncontended cannot starve them on (re)arrival.
+    Bytes max_served = 0;
     for (int c : candidates)
-        max_norm = std::max(max_norm, norm_of(c));
+        max_served = std::max(max_served, servedBytes(c));
     for (int c : candidates) {
-        ClientState &state = stateFor(c);
-        double floor_norm =
-            max_norm - double(kMaxCreditBytes) / state.weight;
-        if (double(state.served) / state.weight < floor_norm)
-            state.served = Bytes(floor_norm * state.weight);
+        Bytes &s = servedFor(c);
+        s = std::max(s, max_served - kMaxCreditBytes);
     }
 
     std::size_t best = 0;
-    double best_norm = 0.0;
-    bool have_best = false;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-        double norm = norm_of(candidates[i]);
+    for (std::size_t i = 1; i < candidates.size(); ++i) {
         // Strict < keeps the earliest (FIFO) transfer on ties, and the
         // first queued transfer of each client.
-        if (!have_best || norm < best_norm) {
-            have_best = true;
+        if (servedBytes(candidates[i]) < servedBytes(candidates[best]))
             best = i;
-            best_norm = norm;
-        }
     }
     return best;
 }
@@ -78,22 +46,21 @@ void
 FairShareArbiter::charge(int client, Bytes bytes)
 {
     VDNN_ASSERT(bytes >= 0, "negative service charge");
-    stateFor(client).served += bytes;
+    servedFor(client) += bytes;
 }
 
 Bytes
 FairShareArbiter::servedBytes(int client) const
 {
-    if (client < 0 || std::size_t(client) >= clients.size())
+    if (client < 0 || std::size_t(client) >= served.size())
         return 0;
-    return clients[std::size_t(client)].served;
+    return served[std::size_t(client)];
 }
 
 void
 FairShareArbiter::resetService()
 {
-    for (ClientState &state : clients)
-        state.served = 0;
+    std::fill(served.begin(), served.end(), 0);
 }
 
 } // namespace vdnn::ic

@@ -1,26 +1,25 @@
 /**
  * @file
- * Weighted fair-share arbiter for the PCIe DMA engines.
+ * Fair-share arbiter for the PCIe DMA engines.
  *
  * When several tenants of a shared device offload or prefetch
  * concurrently, their DMAs queue on the same copy engine (one per
  * direction, as on Titan X). A plain FIFO grant order lets a
  * burst-happy tenant monopolize the link: whoever enqueues first
  * drains first, and a tenant with many queued transfers starves the
- * others. This arbiter instead grants the engine by weighted fair
- * share over the *bytes already served*: among the queued candidates,
- * the client with the smallest served-bytes/weight ratio goes next
- * (deficit-style weighted round-robin at whole-transfer granularity),
- * so two equal-weight tenants that keep the link busy each receive
- * ~half its bandwidth, and a weight-2 tenant receives ~two thirds.
+ * others. This arbiter instead grants the engine by fair share over
+ * the *bytes already served*: among the queued candidates, the client
+ * with the fewest served bytes goes next (deficit-style round-robin at
+ * whole-transfer granularity), so two tenants that keep the link busy
+ * each receive ~half its bandwidth.
  *
  * Like DRR's bounded deficit counter, the credit a tenant can hold
  * against its peers is capped: at every grant, each queued tenant's
- * normalized service is raised to within kMaxCreditBytes/weight of
- * the furthest-ahead queued tenant. A tenant that was idle — or
- * admitted long after a co-tenant moved gigabytes uncontended — gets
- * at most that one bounded burst of priority instead of starving the
- * incumbent until their lifetime byte counts converge.
+ * service is raised to within kMaxCreditBytes of the furthest-ahead
+ * queued tenant. A tenant that was idle — or admitted long after a
+ * co-tenant moved gigabytes uncontended — gets at most that one
+ * bounded burst of priority instead of starving the incumbent until
+ * their lifetime byte counts converge.
  *
  * With a single client (exclusive training, or one tenant active at a
  * time) every pick degenerates to the FIFO head, so the arbiter is
@@ -41,16 +40,11 @@ namespace vdnn::ic
 class FairShareArbiter
 {
   public:
-    /** Set a client's link share weight (> 0; default 1.0). */
-    void setWeight(int client, double weight);
-
-    double weight(int client) const;
-
     /**
-     * Maximum normalized-service credit (bytes at weight 1.0) a
-     * queued tenant may hold over the furthest-ahead queued tenant.
-     * Bounds how long a freshly arrived tenant can monopolize the
-     * link before alternation resumes (a couple of feature maps).
+     * Maximum service credit (bytes) a queued tenant may hold over the
+     * furthest-ahead queued tenant. Bounds how long a freshly arrived
+     * tenant can monopolize the link before alternation resumes (a
+     * couple of feature maps).
      */
     static constexpr Bytes kMaxCreditBytes = Bytes(256) * 1024 * 1024;
 
@@ -61,8 +55,7 @@ class FairShareArbiter
      * @param candidates owning clients of the queued transfers, in
      *        FIFO order (one entry per transfer; repeats allowed)
      * @return index into @p candidates: the first transfer of the
-     *         client with the least normalized service; FIFO order
-     *         breaks ties
+     *         client with the least service; FIFO order breaks ties
      */
     std::size_t pick(const std::vector<int> &candidates);
 
@@ -72,25 +65,19 @@ class FairShareArbiter
     /** Total bytes granted to @p client so far. */
     Bytes servedBytes(int client) const;
 
-    /** Forget all service history (weights are kept). */
+    /** Forget all service history. */
     void resetService();
 
   private:
-    struct ClientState
-    {
-        double weight = 1.0;
-        Bytes served = 0;
-    };
-
-    /** Grow the table to cover @p client and return its state. */
-    ClientState &stateFor(int client);
+    /** Grow the table to cover @p client and return its service. */
+    Bytes &servedFor(int client);
 
     /**
-     * Client ids are small dense integers (tenant ids), so the state
-     * table is a flat vector: charge() — once per completed DMA — is
-     * an indexed increment instead of a hash lookup.
+     * Bytes served per client. Client ids are small dense integers
+     * (tenant ids), so the table is a flat vector: charge() — once per
+     * completed DMA — is an indexed increment instead of a hash lookup.
      */
-    std::vector<ClientState> clients;
+    std::vector<Bytes> served;
 };
 
 } // namespace vdnn::ic

@@ -45,17 +45,6 @@
 namespace vdnn::serve
 {
 
-/** Estimated device-pool footprint of one job. */
-struct FootprintEstimate
-{
-    /** Resident for the whole job: weights, dW, classifier block. */
-    Bytes persistent = 0;
-    /** Peak per-iteration working set (released between iterations). */
-    Bytes transient = 0;
-
-    Bytes total() const { return persistent + transient; }
-};
-
 /**
  * Analytically estimate the device footprint of training @p net under
  * a resolved MemoryPlan: static-allocation plans hold everything

@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -151,16 +152,15 @@ struct JobRecord
     TimeNs serviceTime = 0;
 };
 
-/**
- * Measured device footprint adopted after first-iteration profiling
- * (mirrors admission's FootprintEstimate split, which lives above this
- * header; the scheduler converts between the two).
- */
-struct MeasuredFootprint
+/** Estimated (or measured) device-pool footprint of one job. */
+struct FootprintEstimate
 {
-    bool valid = false;
+    /** Resident for the whole job: weights, dW, classifier block. */
     Bytes persistent = 0;
+    /** Peak per-iteration working set (released between iterations). */
     Bytes transient = 0;
+
+    Bytes total() const { return persistent + transient; }
 };
 
 /** A job owned by the scheduler. */
@@ -188,8 +188,8 @@ struct Job
      */
     bool stepBlocked = false;
     /** Measured footprint from the tenant's first iteration; once
-     *  valid, admission math uses it instead of the analytic model. */
-    MeasuredFootprint measured;
+     *  set, admission math uses it instead of the analytic model. */
+    std::optional<FootprintEstimate> measured;
 
     TimeNs queueingDelay() const
     {

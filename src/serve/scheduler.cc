@@ -72,8 +72,6 @@ Scheduler::Scheduler(SchedulerConfig config)
     : cfg(std::move(config)), cluster(clusterSpecFor(cfg)),
       inflight(cfg.keepTimeline)
 {
-    VDNN_ASSERT(cfg.maxJobsInFlight >= 0,
-                "maxJobsInFlight must be >= 0");
     for (int d = 0; d < cluster.deviceCount(); ++d) {
         devs.push_back(std::make_unique<DeviceCtx>(d, cluster, cfg));
         // Identical devices yield identical estimates: share the cache
@@ -215,15 +213,10 @@ Scheduler::stopWaiting(Job &job)
 const FootprintEstimate &
 Scheduler::estimateFor(const Job &job, DeviceCtx &d)
 {
-    if (job.measured.valid) {
-        // Measured footprints are bytes, not times — device-
-        // independent, so one slot overrides every per-device
-        // analytic entry.
-        FootprintEstimate &m = estimates[std::make_pair(job.id, -1)];
-        m.persistent = job.measured.persistent;
-        m.transient = job.measured.transient;
-        return m;
-    }
+    // Measured footprints are bytes, not times — device-independent,
+    // so they override every per-device analytic entry.
+    if (job.measured)
+        return *job.measured;
     auto key = std::make_pair(job.id, d.estimateSlot);
     auto it = estimates.find(key);
     if (it == estimates.end()) {
@@ -620,10 +613,6 @@ Scheduler::makeRoomFor(Job &job)
         *jobEst[std::size_t(best->id)], job.reserveScale, victims);
     if (need < 0)
         return -1;
-    if (cfg.maxJobsInFlight > 0)
-        need = std::max(need, residentJobs - cfg.maxJobsInFlight + 1);
-    if (need > int(victims.size()))
-        return -1;
     for (int k = 0; k < need; ++k) {
         if (!preempt(*jobs[std::size_t(victims[std::size_t(k)])]))
             return -1; // pinned host memory cannot stage the victim
@@ -695,12 +684,6 @@ Scheduler::resumeEvictedSweep()
         return a < b;
     });
     for (JobId id : order) {
-        // Readmission honours the in-flight cap exactly like fresh
-        // admission does.
-        if (cfg.maxJobsInFlight > 0 &&
-            jobsInFlight() >= cfg.maxJobsInFlight) {
-            break;
-        }
         Job &job = *jobs[std::size_t(id)];
         tryResumeOn(job, *devs[std::size_t(job.record.deviceId)]);
     }
@@ -797,16 +780,11 @@ Scheduler::adoptProfile(Job &job)
     const obs::ProfiledFootprint &fp = job.session->profiledFootprint();
     if (!fp.valid)
         return;
-    job.measured.valid = true;
-    job.measured.persistent = fp.persistent;
-    job.measured.transient = fp.transientPeak;
+    job.measured = FootprintEstimate{fp.persistent, fp.transientPeak};
     DeviceCtx &d = *devs[std::size_t(job.record.deviceId)];
     Bytes before = reservedBytesTotal();
-    FootprintEstimate meas;
-    meas.persistent = fp.persistent;
-    meas.transient = fp.transientPeak;
-    Bytes freed =
-        d.admission.updateReservation(job.id, meas, job.reserveScale);
+    Bytes freed = d.admission.updateReservation(job.id, *job.measured,
+                                                job.reserveScale);
     if (ctrProfiles)
         ctrProfiles->add();
     logLifecycle(job.id, "profile", before, d.id);
@@ -887,19 +865,16 @@ Scheduler::admitQueued()
                 formatBytes(largest_cap).c_str());
             continue;
         }
-        const bool cap_binds = cfg.maxJobsInFlight > 0 &&
-                               residentJobs >= cfg.maxJobsInFlight;
-        int target = cap_binds ? -1 : choosePlacement(job);
-        // No device fits outright, or no slot is free: under the
-        // priority policy evict below-priority tenants, all or none.
+        int target = choosePlacement(job);
+        // No device fits outright: under the priority policy evict
+        // below-priority tenants, all or none.
         if (target < 0 && cfg.policy == SchedPolicy::PreemptivePriority)
             target = makeRoomFor(job);
         if (target < 0) {
-            // Nothing fits right now. A full in-flight cap admits
-            // nobody, and FIFO keeps strict arrival order (no later
-            // job may jump a blocked head); the packing policies
-            // backfill.
-            if (cap_binds || cfg.policy == SchedPolicy::FifoExclusive)
+            // Nothing fits right now. FIFO keeps strict arrival order
+            // (no later job may jump a blocked head); the packing
+            // policies backfill.
+            if (cfg.policy == SchedPolicy::FifoExclusive)
                 break;
             ++i;
             continue;

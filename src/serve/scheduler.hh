@@ -60,8 +60,8 @@
  *
  * Make-room under PreemptivePriority is all-or-nothing: the whole
  * victim set is chosen against the admission ledger first, and when
- * evicting every eligible victim still would not free enough (bytes,
- * or an in-flight slot) nobody is evicted. A partial eviction would
+ * evicting every eligible victim still would not free enough bytes
+ * nobody is evicted. A partial eviction would
  * only be undone by the next resume sweep and repeated on the next
  * admission rescan.
  *
@@ -154,8 +154,6 @@ struct SchedulerConfig
     /** Queue-depth gap (most vs least loaded) triggering migration. */
     int rebalanceThreshold = 2;
     bool contention = true;
-    /** Cap on concurrently admitted jobs (0 = unlimited). */
-    int maxJobsInFlight = 0;
     /** Reservation inflation guarding estimate error/fragmentation. */
     double admissionSafety = 1.05;
     /** Reservation growth per OOM requeue of a job. */
@@ -207,17 +205,10 @@ class Scheduler
 
     // --- introspection (tests) -------------------------------------------
     int deviceCount() const { return int(devs.size()); }
-    /** Device 0 — the whole device on a single-GPU scheduler. */
-    gpu::Runtime &runtime() { return *devs[0]->dev; }
     gpu::Device &device(int d) { return *devs.at(std::size_t(d))->dev; }
-    mem::MemoryPool &devicePool() { return *devs[0]->pool; }
     mem::MemoryPool &devicePoolOn(int d)
     {
         return *devs.at(std::size_t(d))->pool;
-    }
-    const AdmissionController &admissionState() const
-    {
-        return devs[0]->admission;
     }
     const AdmissionController &admissionStateOn(int d) const
     {
@@ -352,9 +343,8 @@ class Scheduler
      * an iteration in flight count only at Op granularity); a dry run
      * against that device's ledger then sizes the victim set —
      * lowest effective priority first, latest arrival first within a
-     * level — that lets the job fit and, when the in-flight cap binds,
-     * frees a slot. @return the device now holding room, or -1 with
-     * nobody evicted.
+     * level — that lets the job fit. @return the device now holding
+     * room, or -1 with nobody evicted.
      */
     int makeRoomFor(Job &job);
     /** Resume evicted tenants that fit again, onto the device each is
@@ -428,7 +418,7 @@ class Scheduler
      * alter its decisions — on every other turn the old polling
      * rescan was provably pure, so skipping it cannot change outputs.
      * `residentJobs` caches the summed running-set size (the jobs in
-     * flight) so the idle and in-flight-cap tests are O(1).
+     * flight) so the idle test is O(1).
      */
     WakeSet wake;
     bool admissionDirty = true;

@@ -59,6 +59,16 @@ hasCode(const CheckResult &r, DiagCode code)
                        });
 }
 
+/** The diagnostic codes of @p r, in report order. */
+std::vector<DiagCode>
+codes(const CheckResult &r)
+{
+    std::vector<DiagCode> out;
+    for (const check::Diagnostic &d : r.diags)
+        out.push_back(d.code);
+    return out;
+}
+
 /** Index of the @p nth op matching (kind, backward), or -1. */
 int
 findOp(const IterationProgram &p, OpKind kind, bool backward,
@@ -125,6 +135,7 @@ TEST(CheckCleanPass, EveryPlannerByEveryNetwork)
             ExecutorConfig exec;
             exec.syncAtLayerBoundary = sync_boundary;
             exec.prefetchEnabled = prefetch;
+            exec.check.verifyPlans = true;
             std::vector<std::shared_ptr<Planner>> planners = {
                 std::make_shared<BaselinePlanner>(
                     AlgoPreference::MemoryOptimal),
@@ -155,6 +166,17 @@ TEST(CheckCleanPass, EveryPlannerByEveryNetwork)
                     gpu::Runtime rt(gpu::titanXMaxwell());
                     MemoryManager mm(rt);
                     Executor ex(*nc.net, cudnn, rt, mm, plan, exec);
+                    // The executor's gate on its own program (share:
+                    // the fresh pool) finds exactly what standalone
+                    // verification finds.
+                    const CheckResult &gate = ex.checkResult();
+                    EXPECT_EQ(codes(gate), codes(r)) << what;
+                    EXPECT_EQ(gate.persistentBytes, r.persistentBytes)
+                        << what;
+                    EXPECT_EQ(gate.peakTransientBytes, r.peakTransientBytes)
+                        << what;
+                    EXPECT_EQ(gate.provablePeakBytes, r.provablePeakBytes)
+                        << what;
                     ASSERT_TRUE(ex.setup()) << what;
                     Bytes setup_allocs = Bytes(mm.pool().liveAllocations());
                     EXPECT_GE(ex.persistentBytes(), r.persistentBytes)
@@ -436,25 +458,52 @@ TEST(CheckSeededDefect, CompressedDirectiveWithoutSparsity)
     EXPECT_TRUE(hasCode(r, DiagCode::CompressedDense)) << r.report();
 }
 
+namespace
+{
+
+/** A compressed VGG-16 plan whose first compressed directive carries a
+ *  dmaScale of 1.5 — a DMA that would *grow* the traffic. */
+MemoryPlan
+dmaScaleOutsideUnitInterval(const net::Network &network)
+{
+    MemoryPlan plan = CompressedOffloadPlanner().plan(network, titanCtx());
+    for (net::BufferId b = 0; b < net::BufferId(network.numBuffers());
+         ++b) {
+        if (plan.offloads(b) && plan.directive(b).compressed) {
+            plan.directive(b).dmaScale = 1.5;
+            return plan;
+        }
+    }
+    ADD_FAILURE() << "no compressed directive to corrupt";
+    return plan;
+}
+
+} // namespace
+
 TEST(CheckSeededDefect, DmaScaleOutsideUnitInterval)
 {
     auto network = net::buildVgg16(32);
-    MemoryPlan plan =
-        CompressedOffloadPlanner().plan(*network, titanCtx());
-    net::BufferId target = -1;
-    for (net::BufferId b = 0;
-         b < net::BufferId(network->numBuffers()); ++b) {
-        if (plan.offloads(b) && plan.directive(b).compressed) {
-            target = b;
-            break;
-        }
-    }
-    ASSERT_GE(target, 0);
-    plan.directive(target).dmaScale = 1.5; // would *grow* the traffic
+    MemoryPlan plan = dmaScaleOutsideUnitInterval(*network);
     CheckResult r = check::verifyPlan(*network, plan, titanCtx(),
                                       ExecutorConfig{});
     EXPECT_FALSE(r.ok());
     EXPECT_TRUE(hasCode(r, DiagCode::BadDmaScale)) << r.report();
+}
+
+TEST(CheckSeededDefect, ExecutorGateRejectsBadDmaScaleAtConstruction)
+{
+    // A directly built Executor — the way vDNN_dyn's profiling trials
+    // build theirs — runs the plan-level checks too, not only the
+    // program check: the contradictory directive dies at compile.
+    auto network = net::buildVgg16(32);
+    MemoryPlan plan = dmaScaleOutsideUnitInterval(*network);
+    ExecutorConfig exec;
+    exec.check.verifyPlans = true;
+    dnn::CudnnSim cudnn(gpu::titanXMaxwell());
+    gpu::Runtime rt(gpu::titanXMaxwell());
+    MemoryManager mm(rt);
+    EXPECT_DEATH(Executor(*network, cudnn, rt, mm, plan, exec),
+                 "BadDmaScale");
 }
 
 TEST(CheckSeededDefect, OversubscribedShareRejectedWhenEnforced)

@@ -3,9 +3,12 @@
  * Tests for the Session lifecycle state machine: suspend/resume
  * identity (golden-pinned against the uninterrupted stepper run),
  * evict-to-host / restore round trips, mid-iteration cancellation,
- * and mid-run in-place re-planning against a moving free share.
+ * mid-run in-place re-planning against a moving free share, and the
+ * executor's verification gate on every re-plan surface.
  */
 
+#include "check/check.hh"
+#include "check/plan_verifier.hh"
 #include "core/dynamic_policy.hh"
 #include "core/executor.hh"
 #include "core/training_session.hh"
@@ -14,9 +17,11 @@
 #include "mem/memory_pool.hh"
 #include "mem/pinned_host.hh"
 #include "net/builders.hh"
+#include "obs/metrics.hh"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 using namespace vdnn;
@@ -304,6 +309,93 @@ TEST(Lifecycle, ResumedTenantReplansAgainstTheCurrentShare)
     EXPECT_EQ(session.plan().offloadCount(), 0); // re-planned larger
     EXPECT_TRUE(session.runIteration().ok);
     session.teardown();
+    EXPECT_EQ(pool.usedBytes(), 0);
+    EXPECT_EQ(host.usedBytes(), 0);
+}
+
+// --- the verification gate on every re-plan surface --------------------------
+
+namespace
+{
+
+/** vDNN_all, advertising in-place re-planning (its plan never changes,
+ *  so every re-plan re-verifies the same plan against the share). */
+class InPlaceOffloadAllPlanner : public OffloadAllPlanner
+{
+  public:
+    InPlaceOffloadAllPlanner()
+        : OffloadAllPlanner(AlgoPreference::MemoryOptimal)
+    {}
+    ReplanHint replanHint() const override { return ReplanHint::InPlace; }
+};
+
+bool
+reportsShareExceeded(const check::CheckResult &r)
+{
+    return std::any_of(r.diags.begin(), r.diags.end(),
+                       [](const check::Diagnostic &d) {
+                           return d.code == check::DiagCode::ShareExceeded;
+                       });
+}
+
+} // namespace
+
+TEST(Lifecycle, EveryReplanSurfaceIsVerifiedOnceAgainstTheShare)
+{
+    // A co-tenant hog leaves a share that holds the tenant's persistent
+    // state but not its provable peak. Setup, in-place replan and
+    // resume-after-evict each compile one program, and the executor's
+    // gate verifies each exactly once against that share: a warning,
+    // not a failure, because the runtime degrades to OOM-requeue.
+    gpu::GpuSpec spec = gpu::titanXMaxwell();
+    gpu::Runtime rt(spec);
+    obs::MetricsRegistry metrics;
+    rt.setTelemetry({nullptr, &metrics});
+    mem::MemoryPool pool(spec.dramCapacity, "shared pool");
+    mem::PinnedHostAllocator host(spec.hostCapacity);
+
+    auto network = net::buildVgg16(64);
+    auto planner = std::make_shared<InPlaceOffloadAllPlanner>();
+    check::CheckResult full = check::verifyPlan(
+        *network, planner->plan(*network, PlannerContext::exclusive(spec)),
+        PlannerContext::exclusive(spec), ExecutorConfig{});
+    ASSERT_TRUE(full.ok()) << full.report();
+    Bytes share = full.persistentBytes +
+                  (full.provablePeakBytes - full.persistentBytes) / 2;
+    auto hog = pool.allocate(spec.dramCapacity - share, "co-tenant hog",
+                             /*client=*/99);
+
+    SharedGpu shared;
+    shared.runtime = &rt;
+    shared.pool = &pool;
+    shared.host = &host;
+    shared.clientId = 1;
+    SessionConfig cfg;
+    cfg.planner = planner;
+    cfg.exec.check.verifyPlans = true;
+    Session session(*network, cfg, shared);
+    obs::Counter &verified = metrics.counter("check.programs_verified");
+
+    ASSERT_TRUE(session.setup());
+    EXPECT_EQ(verified.value(), 1.0);
+    EXPECT_TRUE(session.checkResult().ok());
+    EXPECT_TRUE(reportsShareExceeded(session.checkResult()))
+        << session.checkResult().report();
+
+    ASSERT_TRUE(session.replan());
+    EXPECT_EQ(verified.value(), 2.0);
+    EXPECT_TRUE(reportsShareExceeded(session.checkResult()))
+        << session.checkResult().report();
+
+    session.suspend();
+    ASSERT_TRUE(session.evictToHost());
+    ASSERT_TRUE(session.resume());
+    EXPECT_EQ(verified.value(), 3.0);
+    EXPECT_TRUE(reportsShareExceeded(session.checkResult()))
+        << session.checkResult().report();
+
+    session.teardown();
+    pool.release(hog);
     EXPECT_EQ(pool.usedBytes(), 0);
     EXPECT_EQ(host.usedBytes(), 0);
 }

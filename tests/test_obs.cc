@@ -280,8 +280,8 @@ TEST(Scheduler, AdoptsProfiledFootprintAfterFirstIteration)
 
     ASSERT_EQ(rep.finishedCount(), 1);
     // The measured footprint was adopted...
-    EXPECT_TRUE(sched.job(id).measured.valid);
-    EXPECT_GT(sched.job(id).measured.persistent, 0);
+    ASSERT_TRUE(sched.job(id).measured.has_value());
+    EXPECT_GT(sched.job(id).measured->persistent, 0);
     // ...and the audit log shows the profile event shrinking (or at
     // worst keeping) the reservation right after iteration 1.
     bool saw_profile = false;

@@ -355,31 +355,3 @@ TEST(Runtime, ConcurrentOffloadersEachGetHalfTheLink)
     ASSERT_GT(window, 0.0);
     EXPECT_NEAR(bw_a / testSpec().pcie.dmaBandwidth, 0.5, 0.08);
 }
-
-TEST(Runtime, PcieWeightSkewsTheShareTwoToOne)
-{
-    Runtime rt(testSpec(), /*enable_contention=*/false);
-    rt.setKernelLog(true);
-    StreamId a = rt.createStream("heavy_mem");
-    StreamId b = rt.createStream("light_mem");
-    rt.setStreamClient(a, 1, /*weight=*/2.0);
-    rt.setStreamClient(b, 2, /*weight=*/1.0);
-
-    const Bytes xfer = 64_MiB;
-    for (int i = 0; i < 12; ++i) {
-        rt.memcpyAsync(a, xfer, CopyDir::DeviceToHost, "A");
-        rt.memcpyAsync(b, xfer, CopyDir::DeviceToHost, "B");
-    }
-    rt.deviceSynchronize();
-
-    // In the first 9 grants, the weight-2 tenant gets ~2 of every 3.
-    int a_grants = 0;
-    int seen = 0;
-    for (const CopyRecord &c : rt.copyLog()) {
-        if (seen++ >= 9)
-            break;
-        a_grants += c.tag == "A" ? 1 : 0;
-    }
-    EXPECT_GE(a_grants, 5);
-    EXPECT_LE(a_grants, 7);
-}

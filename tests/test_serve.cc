@@ -273,8 +273,8 @@ TEST(Scheduler, SingleJobRunsToCompletion)
     EXPECT_GT(rep.makespan, 0);
     EXPECT_EQ(rep.finishedCount(), 1);
     // The shared pool drains completely after teardown.
-    EXPECT_EQ(sched.devicePool().usedBytes(), 0);
-    EXPECT_EQ(sched.admissionState().admittedCount(), 0);
+    EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
+    EXPECT_EQ(sched.admissionStateOn(0).admittedCount(), 0);
 }
 
 TEST(Scheduler, RoundRobinIsFairAcrossEqualJobs)
@@ -376,21 +376,6 @@ TEST(Scheduler, VdnnAllPacksMoreVgg16TenantsThanBaseline)
     EXPECT_GE(vdnn_peak, 2 * base_peak);
 }
 
-TEST(Scheduler, MaxJobsInFlightCapsTenancy)
-{
-    SchedulerConfig cfg;
-    cfg.policy = SchedPolicy::RoundRobin;
-    cfg.maxJobsInFlight = 2;
-    Scheduler sched(cfg);
-    auto network = tinyNet();
-    for (int i = 0; i < 4; ++i) {
-        sched.submit(makeJob(network, vdnnAll(), 0, 2));
-    }
-    ServeReport rep = sched.run();
-    EXPECT_EQ(rep.finishedCount(), 4);
-    EXPECT_EQ(rep.peakJobsInFlight, 2);
-}
-
 TEST(Scheduler, PlannerJobSpecDrivesTheTenant)
 {
     // A job submitted with an explicit Planner (no enum fields) runs
@@ -478,8 +463,8 @@ TEST(PackedOverlap, FinishesEveryJobAndDrainsThePool)
     EXPECT_EQ(rep.finishedCount(), 3);
     for (const JobOutcome &j : rep.jobs)
         EXPECT_EQ(j.iterations, 3);
-    EXPECT_EQ(sched.devicePool().usedBytes(), 0);
-    EXPECT_EQ(sched.admissionState().admittedCount(), 0);
+    EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
+    EXPECT_EQ(sched.admissionStateOn(0).admittedCount(), 0);
 }
 
 TEST(PackedOverlap, BeatsRoundRobinOnJctAndComputeUtilization)
@@ -597,8 +582,8 @@ TEST(Scheduler, InFlightOomRequeuesBoundedThenFails)
               std::string::npos);
     EXPECT_EQ(rep.failedCount(), 1);
     // The abort path released everything it took.
-    EXPECT_EQ(sched.devicePool().usedBytes(), 0);
-    EXPECT_EQ(sched.admissionState().admittedCount(), 0);
+    EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
+    EXPECT_EQ(sched.admissionStateOn(0).admittedCount(), 0);
 }
 
 namespace
@@ -656,7 +641,7 @@ TEST(Scheduler, SetupOomGiveUpAfterRequeueAuditsClean)
     EXPECT_STREQ(rep.lifecycle.back().what, "fail");
     check::CheckResult audit = check::auditLedger(rep);
     EXPECT_TRUE(audit.ok()) << audit.report();
-    EXPECT_EQ(sched.devicePool().usedBytes(), 0);
+    EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
 }
 
 TEST(Scheduler, InFlightOomRequeueRecoversWhenCoTenantLeaves)
@@ -693,7 +678,7 @@ TEST(Scheduler, InFlightOomRequeueRecoversWhenCoTenantLeaves)
     EXPECT_GE(liar_out.oomRequeues, 1);
     // Recovery happened after the hog freed the pool.
     EXPECT_GE(liar_out.finishTime, hog_out.finishTime);
-    EXPECT_EQ(sched.devicePool().usedBytes(), 0);
+    EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
 }
 
 // --- preemptive priority: the tenant lifecycle state machine -----------------
@@ -774,8 +759,8 @@ TEST(PreemptivePriority, HighPriorityArrivalPreemptsAndVictimResumes)
     // The admission ledger balances to zero after the drain.
     EXPECT_EQ(rep.reservedBytesAtEnd, 0);
     EXPECT_EQ(rep.evictedLedgerAtEnd, 0);
-    EXPECT_EQ(sched.devicePool().usedBytes(), 0);
-    EXPECT_EQ(sched.admissionState().admittedCount(), 0);
+    EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
+    EXPECT_EQ(sched.admissionStateOn(0).admittedCount(), 0);
 
     // The audit log shows the suspend -> evict -> resume round trip,
     // with reserved bytes dropping at eviction and restored on resume.
@@ -797,66 +782,6 @@ TEST(PreemptivePriority, HighPriorityArrivalPreemptsAndVictimResumes)
     EXPECT_TRUE(saw_suspend);
     EXPECT_TRUE(saw_evict);
     EXPECT_TRUE(saw_resume);
-}
-
-namespace
-{
-
-/** Two low-priority tenants fill a two-job in-flight cap; a
- *  higher-priority arrival must preempt one of them to get a slot,
- *  whatever the device count (room on the ledger is not enough). */
-void
-expectCapPreemptsLowestPriority(int devices)
-{
-    SchedulerConfig cfg;
-    cfg.policy = SchedPolicy::PreemptivePriority;
-    cfg.maxJobsInFlight = 2;
-    cfg.devices.assign(std::size_t(devices), gpu::titanXMaxwell());
-    Scheduler sched(cfg);
-    auto network = tinyNet();
-    for (int i = 0; i < 2; ++i) {
-        JobSpec spec;
-        spec.network = network;
-        spec.planner = vdnnAll();
-        spec.priority = 0;
-        spec.iterations = 6;
-        sched.submit(std::move(spec));
-    }
-    JobSpec high;
-    high.network = network;
-    high.planner = vdnnAll();
-    high.priority = 5;
-    high.arrival = 1 * kNsPerMs;
-    high.iterations = 2;
-    JobId high_id = sched.submit(std::move(high));
-
-    ServeReport rep = sched.run();
-    EXPECT_EQ(rep.finishedCount(), 3);
-    EXPECT_EQ(rep.peakJobsInFlight, 2); // the cap held throughout
-    int preempted = 0;
-    for (const JobOutcome &j : rep.jobs)
-        preempted += j.preemptions;
-    EXPECT_EQ(preempted, 1);
-    EXPECT_EQ(rep.jobs[std::size_t(high_id)].preemptions, 0);
-    EXPECT_EQ(rep.jobs[std::size_t(high_id)].victimsPreempted, 1);
-    EXPECT_EQ(rep.reservedBytesAtEnd, 0);
-    EXPECT_EQ(rep.evictedLedgerAtEnd, 0);
-    check::CheckResult audit = check::auditLedger(rep);
-    EXPECT_TRUE(audit.ok()) << audit.report();
-}
-
-} // namespace
-
-TEST(PreemptivePriority, InFlightCapPreemptsLowestPriority)
-{
-    expectCapPreemptsLowestPriority(1);
-}
-
-TEST(PreemptivePriority, InFlightCapPreemptsLowestPriorityOnTwoDevices)
-{
-    // The same slot-freeing make-room on a cluster: the cap binds
-    // before any device runs out of ledger room.
-    expectCapPreemptsLowestPriority(2);
 }
 
 TEST(PreemptivePriority, HighPriorityJctBeatsRoundRobinUnderLoad)
@@ -923,7 +848,7 @@ TEST(PreemptivePriority, GrowBackReplanAfterCoTenantExit)
         saw_replan |= std::string(ev.what) == "replan";
     EXPECT_TRUE(saw_replan);
     EXPECT_EQ(rep.reservedBytesAtEnd, 0);
-    EXPECT_EQ(sched.devicePool().usedBytes(), 0);
+    EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
 }
 
 // --- priority aging ----------------------------------------------------------
