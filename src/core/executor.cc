@@ -313,27 +313,33 @@ Executor::releaseGradient(net::BufferId b)
 // --- transfers ----------------------------------------------------------------------
 
 bool
+Executor::coldPrefetch(net::BufferId b, int curr_topo) const
+{
+    // Brought back by an (opportunistic) prefetch, its device copy
+    // redundant with a still-valid pinned host copy, and its first
+    // backward use still ahead of layer `curr_topo`: dropping the
+    // device copy is free, and ensureResident() re-fetches it later.
+    if (!prefetchState || !prefetchState->prefetched[std::size_t(b)])
+        return false;
+    if (mm.residence(b) != Residence::Device || !mm.hostCopyValid(b))
+        return false;
+    const net::Buffer &buf = net.buffer(b);
+    // A first use at or past the cursor is this or a running layer's.
+    return !buf.bwdUsers.empty() &&
+           net.node(buf.bwdUsers.back()).topoIndex < curr_topo;
+}
+
+bool
 Executor::evictUnconsumedPrefetches(Bytes need, net::LayerId curr)
 {
-    // Candidates: buffers brought back by an (opportunistic) prefetch
-    // whose first backward use is still ahead of the current layer.
-    // Dropping their device copy is free because the pinned host copy
-    // is still valid; they will be re-fetched later.
+    // Stop once a block of `need` bytes could fit.
     int curr_topo = net.node(curr).topoIndex;
     bool evicted_any = false;
     for (net::BufferId b = 0; b < net::BufferId(net.numBuffers()); ++b) {
         if (mm.pool().largestFreeBlock() >= need)
             break;
-        if (!prefetchState || !prefetchState->prefetched[std::size_t(b)])
+        if (!coldPrefetch(b, curr_topo))
             continue;
-        if (mm.residence(b) != Residence::Device || !mm.hostCopyValid(b))
-            continue;
-        const net::Buffer &buf = net.buffer(b);
-        if (buf.bwdUsers.empty())
-            continue;
-        int first_use_topo = net.node(buf.bwdUsers.back()).topoIndex;
-        if (first_use_topo >= curr_topo)
-            continue; // in use by this or an already-running layer
         mm.evictToHost(net, b);
         prefetchState->prefetched[std::size_t(b)] = false;
         evicted_any = true;
@@ -344,13 +350,11 @@ Executor::evictUnconsumedPrefetches(Bytes need, net::LayerId curr)
 Bytes
 Executor::pageOutCold(Bytes need)
 {
-    // Serve-layer variant of evictUnconsumedPrefetches: the same
-    // candidate set (prefetched-but-unconsumed buffers whose device
-    // copy is redundant with a valid pinned-host copy), but driven by
-    // a byte budget on behalf of a *co-tenant* rather than by one of
+    // The same cold set as evictUnconsumedPrefetches, but driven by a
+    // byte budget on behalf of a *co-tenant* rather than by one of
     // this tenant's own allocations, and anchored at the live
     // stepper's cursor.
-    if (!stepper || !prefetchState)
+    if (!stepper)
         return 0;
     net::LayerId curr = stepper->groupLayer;
     if (curr < 0)
@@ -360,15 +364,8 @@ Executor::pageOutCold(Bytes need)
     for (net::BufferId b = 0; b < net::BufferId(net.numBuffers()); ++b) {
         if (freed >= need)
             break;
-        if (!prefetchState->prefetched[std::size_t(b)])
+        if (!coldPrefetch(b, curr_topo))
             continue;
-        if (mm.residence(b) != Residence::Device || !mm.hostCopyValid(b))
-            continue;
-        const net::Buffer &buf = net.buffer(b);
-        if (buf.bwdUsers.empty())
-            continue;
-        if (net.node(buf.bwdUsers.back()).topoIndex >= curr_topo)
-            continue; // in use by this or an already-running layer
         freed += bufferPlan[std::size_t(b)].bytes;
         mm.evictToHost(net, b);
         prefetchState->prefetched[std::size_t(b)] = false;

@@ -421,6 +421,10 @@ class Executor
      * @return true if anything was evicted
      */
     bool evictUnconsumedPrefetches(Bytes need, net::LayerId curr);
+    /** Is @p b a cold prefetch at layer @p curr_topo: prefetched,
+     *  device-resident with a valid host copy, first backward use
+     *  still ahead? The one candidate rule of both eviction paths. */
+    bool coldPrefetch(net::BufferId b, int curr_topo) const;
     bool allocGradient(net::BufferId b);
     void releaseGradient(net::BufferId b);
     bool gradientLive(net::BufferId b) const;

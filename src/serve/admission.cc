@@ -110,8 +110,9 @@ estimatePlannerFootprint(const net::Network &net,
                              planner.admissionPlan(net, ctx));
 }
 
-AdmissionController::AdmissionController(Bytes capacity, double safety_)
-    : cap(capacity), safety(safety_)
+AdmissionController::AdmissionController(Bytes capacity, double safety_,
+                                         bool overlap_transients)
+    : cap(capacity), safety(safety_), overlapTransients(overlap_transients)
 {
     VDNN_ASSERT(capacity > 0, "admission capacity must be positive");
     VDNN_ASSERT(safety_ >= 1.0, "safety factor must be >= 1");

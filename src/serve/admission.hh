@@ -72,21 +72,15 @@ class AdmissionController
      * @param capacity shared device pool size
      * @param safety   reservation inflation guarding estimate error
      *                 and allocator fragmentation (e.g. 1.05 = +5%)
+     * @param overlap_transients packed-overlap mode: iterations of all
+     *                 admitted tenants may be in flight
+     *                 *simultaneously*, so the shared-transient-arena
+     *                 assumption above no longer holds — every
+     *                 tenant's transient working set is reserved at
+     *                 once (sum instead of max).
      */
-    AdmissionController(Bytes capacity, double safety = 1.05);
-
-    /**
-     * Packed-overlap mode: iterations of all admitted tenants may be
-     * in flight *simultaneously*, so the shared-transient-arena
-     * assumption above no longer holds — every tenant's transient
-     * working set must be reserved at once (sum instead of max).
-     * Default off (iteration-granularity interleaving).
-     */
-    void setOverlapTransients(bool overlap)
-    {
-        overlapTransients = overlap;
-        arenaStale = true;
-    }
+    AdmissionController(Bytes capacity, double safety = 1.05,
+                        bool overlap_transients = false);
 
     /**
      * Would @p est (scaled by @p scale) fit beside the admitted set,
@@ -209,7 +203,7 @@ class AdmissionController
 
     Bytes cap;
     double safety;
-    bool overlapTransients = false;
+    bool overlapTransients;
     Bytes persistentSum = 0;
     mutable Bytes arena = 0;
     mutable bool arenaStale = false;

@@ -4,39 +4,60 @@
 #include "common/units.hh"
 
 #include <algorithm>
+#include <iterator>
 
 namespace vdnn::serve
 {
 
-const char *
-schedPolicyName(SchedPolicy p)
+/** Which resident runs next, and in which order the queue admits. */
+enum class Ordering : std::uint8_t
 {
-    switch (p) {
-      case SchedPolicy::FifoExclusive:
-        return "fifo-exclusive";
-      case SchedPolicy::RoundRobin:
-        return "round-robin";
-      case SchedPolicy::ShortestRemaining:
-        return "shortest-remaining";
-      case SchedPolicy::PackedOverlap:
-        return "packed-overlap";
-      case SchedPolicy::PreemptivePriority:
-        return "preemptive-priority";
-    }
-    return "?";
-}
+    RoundRobin,        ///< arrival order
+    ShortestRemaining, ///< fewest remaining iterations first
+    Priority,          ///< effective priority; preempts and grows back
+};
+
+/** How tenants share a device. */
+enum class Packing : std::uint8_t
+{
+    Exclusive,    ///< one resident; a blocked queue head blocks the rest
+    OneIteration, ///< one iteration in flight per device; backfill
+    OpPacked,     ///< every resident steps; transients reserved summed
+};
+
+struct PolicyPreset
+{
+    SchedPolicy policy;
+    const char *name;
+    Ordering ordering;
+    Packing packing;
+};
 
 namespace
 {
 
-gpu::ClusterSpec
-clusterSpecFor(const SchedulerConfig &cfg)
+/** The five presets, in SchedPolicy order: the only place a
+ *  SchedPolicy value is read. */
+constexpr PolicyPreset kPresets[] = {
+    {SchedPolicy::FifoExclusive, "fifo-exclusive", Ordering::RoundRobin,
+     Packing::Exclusive},
+    {SchedPolicy::RoundRobin, "round-robin", Ordering::RoundRobin,
+     Packing::OneIteration},
+    {SchedPolicy::ShortestRemaining, "shortest-remaining",
+     Ordering::ShortestRemaining, Packing::OneIteration},
+    {SchedPolicy::PackedOverlap, "packed-overlap", Ordering::RoundRobin,
+     Packing::OpPacked},
+    {SchedPolicy::PreemptivePriority, "preemptive-priority",
+     Ordering::Priority, Packing::OneIteration},
+};
+
+const PolicyPreset &
+presetFor(SchedPolicy p)
 {
-    VDNN_ASSERT(!cfg.devices.empty(), "scheduler needs a device");
-    gpu::ClusterSpec cs;
-    cs.devices = cfg.devices;
-    cs.contention = cfg.contention;
-    return cs;
+    auto row = std::size_t(p);
+    VDNN_ASSERT(row < std::size(kPresets) && kPresets[row].policy == p,
+                "unknown scheduling policy %d", int(p));
+    return kPresets[row];
 }
 
 /** Do two devices yield identical footprint estimates? */
@@ -54,26 +75,33 @@ sameEstimateSpec(const gpu::GpuSpec &a, const gpu::GpuSpec &b)
 
 } // namespace
 
+const char *
+schedPolicyName(SchedPolicy p)
+{
+    return presetFor(p).name;
+}
+
 Scheduler::DeviceCtx::DeviceCtx(int id_, gpu::Cluster &cluster_,
-                                const SchedulerConfig &cfg_)
+                                const SchedulerConfig &cfg_,
+                                bool overlap_transients)
     : id(id_), dev(&cluster_.device(id_)), pool(&cluster_.pool(id_)),
       host(&cluster_.host(id_)), cudnn(dev->spec()),
-      admission(pool->capacity(), cfg_.admissionSafety),
+      admission(pool->capacity(), cfg_.admissionSafety,
+                overlap_transients),
       track([this] { return this->dev->now(); }, cfg_.keepTimeline)
 {
     pool->setTracker(&track);
-    // Packed overlap keeps several tenants' iterations in flight at
-    // once, so their transient working sets must be reserved together.
-    admission.setOverlapTransients(cfg_.policy ==
-                                   SchedPolicy::PackedOverlap);
 }
 
 Scheduler::Scheduler(SchedulerConfig config)
-    : cfg(std::move(config)), cluster(clusterSpecFor(cfg)),
-      inflight(cfg.keepTimeline)
+    : cfg(std::move(config)), preset(presetFor(cfg.policy)),
+      cluster(gpu::ClusterSpec{cfg.devices}), inflight(cfg.keepTimeline)
 {
     for (int d = 0; d < cluster.deviceCount(); ++d) {
-        devs.push_back(std::make_unique<DeviceCtx>(d, cluster, cfg));
+        // Op-packed keeps several tenants' iterations in flight at
+        // once, so their transient working sets are reserved together.
+        devs.push_back(std::make_unique<DeviceCtx>(
+            d, cluster, cfg, preset.packing == Packing::OpPacked));
         // Identical devices yield identical estimates: share the cache
         // entry of the first same-spec device so a homogeneous cluster
         // derives each job's admission plan once, not once per device.
@@ -184,14 +212,12 @@ Scheduler::collectArrivals()
     // New queue entries: the admission rescan has fresh work.
     if (!arrived.empty())
         admissionDirty = true;
-    std::sort(arrived.begin(), arrived.end(),
-              [this](JobId a, JobId b) {
-                  const Job &ja = *jobs[std::size_t(a)];
-                  const Job &jb = *jobs[std::size_t(b)];
-                  if (ja.spec.arrival != jb.spec.arrival)
-                      return ja.spec.arrival < jb.spec.arrival;
-                  return a < b;
-              });
+    // Arrival order; the scan collected ties in id order.
+    std::stable_sort(arrived.begin(), arrived.end(),
+                     [this](JobId a, JobId b) {
+                         return jobs[std::size_t(a)]->spec.arrival <
+                                jobs[std::size_t(b)]->spec.arrival;
+                     });
     for (JobId id : arrived) {
         jobs[std::size_t(id)]->record.state = JobState::Queued;
         // Aging clock: the wait began at submission, not collection.
@@ -229,7 +255,7 @@ Scheduler::estimateFor(const Job &job, DeviceCtx &d)
                               *job.spec.network, d.cudnn,
                               *job.spec.planner,
                               core::PlannerContext::exclusive(
-                                  d.dev->spec(), cfg.contention)))
+                                  d.dev->spec())))
                  .first;
     }
     return it->second;
@@ -265,15 +291,9 @@ Scheduler::tryAdmit(Job &job, const FootprintEstimate &est, DeviceCtx &d)
     core::SessionConfig scfg;
     scfg.planner = job.spec.planner;
     scfg.gpu = d.dev->spec();
-    scfg.contention = cfg.contention;
     scfg.exec = job.spec.exec;
-    core::SharedGpu shared;
-    shared.runtime = d.dev;
-    shared.pool = d.pool;
-    shared.host = d.host;
-    shared.clientId = job.id;
     job.session = std::make_unique<core::Session>(*job.spec.network,
-                                                  scfg, shared);
+                                                  scfg, d.share(job.id));
     if (!job.session->setup()) {
         // The estimate said fit; the allocator disagreed
         // (fragmentation or estimate error).
@@ -283,8 +303,6 @@ Scheduler::tryAdmit(Job &job, const FootprintEstimate &est, DeviceCtx &d)
     }
     Bytes before = reservedBytesTotal();
     d.admission.admit(job.id, est, job.reserveScale);
-    job.record.state = JobState::Running;
-    stopWaiting(job);
     if (job.record.admitTime == kTimeNone)
         job.record.admitTime = cluster.now();
     job.record.persistentBytes =
@@ -296,10 +314,7 @@ Scheduler::tryAdmit(Job &job, const FootprintEstimate &est, DeviceCtx &d)
         job.record.placements.push_back(d.id);
     }
     ++d.jobsPlaced;
-    d.running.push_back(job.id);
-    ++residentJobs;
-    wake.add(d.id); // the new resident's first iteration can begin
-    recordInflight();
+    enterRunning(job, d);
     logLifecycle(job.id, "admit", before, d.id);
     if (ctrAdmissions)
         ctrAdmissions->add();
@@ -327,9 +342,7 @@ Scheduler::backoffAfterSetupOom(Job &job, std::size_t queue_index)
     // run every turn, exactly as the polling loop did: keep the
     // admission rescan dirty until the job admits or goes terminal.
     admissionDirty = true;
-    ++job.record.oomRequeues;
-    job.reserveScale *= cfg.oomBackoffScale;
-    if (job.record.oomRequeues > cfg.maxOomRequeues) {
+    if (stepOomBackoff(job)) {
         std::string why = job.record.failReason;
         queue.take(queue_index);
         job.record.state = JobState::Failed;
@@ -343,6 +356,31 @@ Scheduler::backoffAfterSetupOom(Job &job, std::size_t queue_index)
         return true; // taken from the queue, now terminal
     }
     return false;
+}
+
+bool
+Scheduler::stepOomBackoff(Job &job)
+{
+    ++job.record.oomRequeues;
+    job.reserveScale *= cfg.oomBackoffScale;
+    return job.record.oomRequeues > cfg.maxOomRequeues;
+}
+
+void
+Scheduler::enterRunning(Job &job, DeviceCtx &d)
+{
+    job.record.state = JobState::Running;
+    stopWaiting(job);
+    d.running.push_back(job.id);
+    ++residentJobs;
+    wake.add(d.id); // its next iteration can begin
+    recordInflight();
+}
+
+bool
+Scheduler::exclusivelyHeld(const DeviceCtx &d) const
+{
+    return preset.packing == Packing::Exclusive && !d.running.empty();
 }
 
 void
@@ -411,7 +449,7 @@ Scheduler::finishJob(Job &job, JobState final_state,
     // Freed capacity: evicted tenants may fit again, and survivors
     // whose planner supports it may grow their plans back.
     resumePending = true;
-    if (cfg.policy == SchedPolicy::PreemptivePriority) {
+    if (preset.ordering == Ordering::Priority) {
         for (JobId id : d.running)
             jobs[std::size_t(id)]->replanRequested = true;
     }
@@ -420,8 +458,7 @@ Scheduler::finishJob(Job &job, JobState final_state,
 void
 Scheduler::evictForRequeue(Job &job)
 {
-    ++job.record.oomRequeues;
-    job.reserveScale *= cfg.oomBackoffScale;
+    const bool give_up = stepOomBackoff(job);
     // Buffers before tenants, in-flight flavor: the aborted iteration
     // is already unwound, but paging co-tenants' cold prefetched-ahead
     // copies now means the re-admitted attempt runs against a pool
@@ -433,7 +470,7 @@ Scheduler::evictForRequeue(Job &job)
                                           job.reserveScale));
     }
     std::string why = job.session->failReason();
-    if (job.record.oomRequeues > cfg.maxOomRequeues) {
+    if (give_up) {
         finishJob(job, JobState::Failed,
                   "gave up after repeated iteration OOM: " + why);
         return;
@@ -446,7 +483,21 @@ Scheduler::evictForRequeue(Job &job)
     queue.pushFront(job.id);
 }
 
-// --- lifecycle state machine (PreemptivePriority) ----------------------------
+// --- lifecycle state machine (priority ordering) -----------------------------
+
+void
+Scheduler::setParked(Job &job, bool parked)
+{
+    // Suspend/resume in place: the ledger does not move.
+    Bytes before = reservedBytesTotal();
+    if (parked)
+        job.session->suspend();
+    else
+        job.session->resume();
+    job.record.state = parked ? JobState::Suspended : JobState::Running;
+    logLifecycle(job.id, parked ? "suspend" : "resume", before,
+                 job.record.deviceId);
+}
 
 Job *
 Scheduler::topChallengerOn(DeviceCtx &d, const Job &inflight)
@@ -480,13 +531,10 @@ Scheduler::parkInFlight(DeviceCtx &d, Job &victim, Job &challenger)
     // current op boundary and every byte it holds stays resident, so
     // the reservation ledger does not move and no staging DMA is
     // issued. The beneficiary samples preemption latency at its first
-    // dispatch (notePreemptionLatency keys on victimsPreempted).
+    // dispatch (stepTenant keys on victimsPreempted).
     // record.preemptions is *not* bumped: the auditor equates that
     // count with evict events, and nothing was evicted.
-    Bytes before = reservedBytesTotal();
-    victim.session->suspend();
-    victim.record.state = JobState::Suspended;
-    logLifecycle(victim.id, "suspend", before, d.id);
+    setParked(victim, true);
     d.inFlight = -1;
     ++challenger.record.victimsPreempted;
     if (ctrPreemptions)
@@ -507,21 +555,15 @@ Scheduler::preempt(Job &victim)
     // suspend step and stages the frozen state out.
     const bool was_parked =
         victim.record.state == JobState::Suspended;
-    if (!was_parked) {
-        victim.session->suspend();
-        victim.record.state = JobState::Suspended;
-        logLifecycle(victim.id, "suspend", before, d.id);
-    }
+    if (!was_parked)
+        setParked(victim, true);
 
     if (!victim.session->evictToHost()) {
         // Pinned host memory cannot stage the state; undo the park
         // (unless the victim was parked before this call — then it
         // stays parked, exactly as it was).
-        if (!was_parked) {
-            victim.session->resume();
-            victim.record.state = JobState::Running;
-            logLifecycle(victim.id, "resume", before, d.id);
-        }
+        if (!was_parked)
+            setParked(victim, false);
         return false;
     }
     d.admission.evict(victim.id);
@@ -578,7 +620,7 @@ Scheduler::makeRoomFor(Job &job)
                  v->session->activeStepper())) {
                 continue;
             }
-            candidates.push_back({eff, v, candidates.size()});
+            candidates.push_back({eff, v});
             bytes += d.admission.reservedFor(id);
         }
         if (bytes > 0 && (!best || bytes > best_bytes)) {
@@ -595,15 +637,13 @@ Scheduler::makeRoomFor(Job &job)
     // Eviction order: lowest effective priority first (an aged-in
     // tenant keeps the boost it earned, so it is not the default
     // victim); the latest-arrived tenant of a level first (LIFO), so
-    // incumbents are disturbed least.
-    std::sort(candidates.begin(), candidates.end(),
-              [](const Candidate &a, const Candidate &b) {
-                  if (a.eff != b.eff)
-                      return a.eff < b.eff;
-                  if (a.job->spec.arrival != b.job->spec.arrival)
-                      return a.job->spec.arrival > b.job->spec.arrival;
-                  return a.pos < b.pos;
-              });
+    // incumbents are disturbed least; ties keep running-set order.
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [](const Candidate &a, const Candidate &b) {
+                         if (a.eff != b.eff)
+                             return a.eff < b.eff;
+                         return a.job->spec.arrival > b.job->spec.arrival;
+                     });
     victims.clear();
     for (const Candidate &c : candidates)
         victims.push_back(c.job->id);
@@ -662,7 +702,7 @@ Scheduler::pageVictimBuffers(DeviceCtx &d, Bytes need)
 void
 Scheduler::resumeEvictedSweep()
 {
-    // Under the priority policy: best *effective* priority first
+    // Under priority ordering: best *effective* priority first
     // (evicted tenants keep aging, so a long-parked job climbs this
     // order too), then earliest arrival. Otherwise earliest arrival —
     // either way, the order admission would have picked them in. Each
@@ -673,7 +713,7 @@ Scheduler::resumeEvictedSweep()
               [this, now](JobId a, JobId b) {
         const Job &ja = *jobs[std::size_t(a)];
         const Job &jb = *jobs[std::size_t(b)];
-        if (cfg.policy == SchedPolicy::PreemptivePriority) {
+        if (preset.ordering == Ordering::Priority) {
             double ea = effectivePriority(ja, now);
             double eb = effectivePriority(jb, now);
             if (ea != eb)
@@ -692,7 +732,7 @@ Scheduler::resumeEvictedSweep()
 bool
 Scheduler::tryResumeOn(Job &job, DeviceCtx &d)
 {
-    if (!d.admission.canReadmit(job.id))
+    if (!d.admission.canReadmit(job.id) || exclusivelyHeld(d))
         return false;
     Bytes before = reservedBytesTotal();
     // resume() re-plans against the current free share before
@@ -706,13 +746,8 @@ Scheduler::tryResumeOn(Job &job, DeviceCtx &d)
         std::find(evictedJobs.begin(), evictedJobs.end(), job.id);
     VDNN_ASSERT(ev != evictedJobs.end(), "job %d not evicted", job.id);
     evictedJobs.erase(ev);
-    d.running.push_back(job.id);
-    ++residentJobs;
-    wake.add(d.id);
+    enterRunning(job, d);
     admissionDirty = true;
-    job.record.state = JobState::Running;
-    stopWaiting(job);
-    recordInflight();
     logLifecycle(job.id, "resume", before, d.id);
     return true;
 }
@@ -742,15 +777,8 @@ Scheduler::logLifecycle(JobId id, const char *what,
 void
 Scheduler::recordInflight()
 {
-    int n = jobsInFlight();
-    inflight.record(cluster.now(), double(n));
-    peakInflight = std::max(peakInflight, n);
-}
-
-bool
-Scheduler::allDone() const
-{
-    return numTerminal == int(jobs.size());
+    inflight.record(cluster.now(), double(residentJobs));
+    peakInflight = std::max(peakInflight, residentJobs);
 }
 
 void
@@ -808,9 +836,7 @@ Scheduler::choosePlacement(const Job &job)
         l.capacity = d->admission.capacity();
         l.reserved = d->admission.reservedBytes();
         l.runningJobs = int(d->running.size());
-        // FIFO-exclusive serves one tenant per device at a time.
-        l.fits = !(cfg.policy == SchedPolicy::FifoExclusive &&
-                   !d->running.empty()) &&
+        l.fits = !exclusivelyHeld(*d) &&
                  d->admission.canAdmit(*jobEst[std::size_t(d->id)],
                                        job.reserveScale);
         loads.push_back(l);
@@ -831,7 +857,7 @@ Scheduler::admitQueued()
     // the queue stays FIFO within a priority level. Aging lifts a
     // long-waiting job's effective priority, so a starved arrival
     // eventually sorts ahead of younger, nominally hotter ones.
-    if (cfg.policy == SchedPolicy::PreemptivePriority) {
+    if (preset.ordering == Ordering::Priority) {
         TimeNs now = cluster.now();
         queue.stableSort([this, now](JobId a, JobId b) {
             return effectivePriority(*jobs[std::size_t(a)], now) >
@@ -866,15 +892,15 @@ Scheduler::admitQueued()
             continue;
         }
         int target = choosePlacement(job);
-        // No device fits outright: under the priority policy evict
+        // No device fits outright: under priority ordering evict
         // below-priority tenants, all or none.
-        if (target < 0 && cfg.policy == SchedPolicy::PreemptivePriority)
+        if (target < 0 && preset.ordering == Ordering::Priority)
             target = makeRoomFor(job);
         if (target < 0) {
-            // Nothing fits right now. FIFO keeps strict arrival order
-            // (no later job may jump a blocked head); the packing
-            // policies backfill.
-            if (cfg.policy == SchedPolicy::FifoExclusive)
+            // Nothing fits right now. Exclusive packing keeps strict
+            // arrival order (no later job may jump a blocked head);
+            // the sharing packings backfill.
+            if (preset.packing == Packing::Exclusive)
                 break;
             ++i;
             continue;
@@ -883,7 +909,7 @@ Scheduler::admitQueued()
         const FootprintEstimate &est = *jobEst[std::size_t(target)];
         // No progress despite a fitting reservation: page co-tenants'
         // cold buffers before inflating this job's reservation (and,
-        // under the priority policy, before tenants get evicted).
+        // under priority ordering, before tenants get evicted).
         if (tryAdmit(job, est, d) ||
             (cfg.bufferPaging &&
              pageVictimBuffers(d, d.admission.reservationFor(
@@ -904,9 +930,7 @@ Job *
 Scheduler::pickNextOn(DeviceCtx &d)
 {
     VDNN_ASSERT(!d.running.empty(), "pickNextOn() with nothing running");
-    if (cfg.policy == SchedPolicy::FifoExclusive)
-        return jobs[std::size_t(d.running.front())].get();
-    if (cfg.policy == SchedPolicy::ShortestRemaining) {
+    if (preset.ordering == Ordering::ShortestRemaining) {
         Job *best = nullptr;
         for (JobId id : d.running) {
             Job *j = jobs[std::size_t(id)].get();
@@ -918,29 +942,32 @@ Scheduler::pickNextOn(DeviceCtx &d)
         }
         return best;
     }
-    if (cfg.policy == SchedPolicy::PreemptivePriority) {
-        // Strict (effective) priority; round-robin within the top
-        // level. Aged-in tenants keep their earned boost here too.
-        TimeNs now = cluster.now();
-        double top =
-            effectivePriority(*jobs[std::size_t(d.running.front())],
-                              now);
+    // Round-robin within the top level. The level is the effective
+    // priority under priority ordering (aged-in tenants keep their
+    // earned boost here too) and constant otherwise, where the walk
+    // stops at the cursor: plain round-robin, O(1). rrCursor never
+    // exceeds running.size(), so the wrap lands exactly where a
+    // reset-to-zero would.
+    const bool ranked = preset.ordering == Ordering::Priority;
+    TimeNs now = cluster.now();
+    double top = 0.0;
+    if (ranked) {
+        top = effectivePriority(*jobs[std::size_t(d.running.front())],
+                                now);
         for (JobId id : d.running) {
             top = std::max(
                 top, effectivePriority(*jobs[std::size_t(id)], now));
         }
-        for (std::size_t k = 0; k < d.running.size(); ++k) {
-            std::size_t idx = (d.rrCursor + k) % d.running.size();
-            Job *j = jobs[std::size_t(d.running[idx])].get();
-            if (effectivePriority(*j, now) == top) {
-                d.rrCursor = idx + 1;
-                return j;
-            }
+    }
+    for (std::size_t k = 0;; ++k) {
+        VDNN_ASSERT(k < d.running.size(), "no top-level tenant");
+        std::size_t idx = (d.rrCursor + k) % d.running.size();
+        Job *j = jobs[std::size_t(d.running[idx])].get();
+        if (!ranked || effectivePriority(*j, now) == top) {
+            d.rrCursor = idx + 1;
+            return j;
         }
     }
-    if (d.rrCursor >= d.running.size())
-        d.rrCursor = 0;
-    return jobs[std::size_t(d.running[d.rrCursor++])].get();
 }
 
 Job &
@@ -958,7 +985,7 @@ Scheduler::pickInFlight(DeviceCtx &d)
         // ledger reservation untouched) and continues byte-identically
         // when it is next picked, so the switch costs no DMA at all.
         Job *top = nullptr;
-        if (cfg.policy == SchedPolicy::PreemptivePriority &&
+        if (preset.ordering == Ordering::Priority &&
             cfg.preemptGranularity == PreemptGranularity::Op) {
             top = topChallengerOn(d, job);
         }
@@ -967,21 +994,17 @@ Scheduler::pickInFlight(DeviceCtx &d)
         parkInFlight(d, job, *top);
     }
     Job &job = *pickNextOn(d);
-    if (job.record.state == JobState::Suspended) {
-        // A parked-resident victim is top again: un-freeze its
-        // stepper and continue the interrupted iteration in place.
-        Bytes before = reservedBytesTotal();
-        job.session->resume();
-        job.record.state = JobState::Running;
-        logLifecycle(job.id, "resume", before, d.id);
-    }
-    // Grow-back sweep: a co-tenant exited since this tenant last ran;
-    // planners that support it re-plan in place against the fresh
-    // free share at this iteration boundary.
+    // A parked-resident victim is top again: un-freeze its stepper
+    // and continue the interrupted iteration in place.
+    if (job.record.state == JobState::Suspended)
+        setParked(job, false);
+    // Grow-back sweep (priority ordering, the only one that requests
+    // it): a co-tenant exited since this tenant last ran; planners
+    // that support it re-plan in place against the fresh free share
+    // at this iteration boundary.
     if (job.replanRequested) {
         job.replanRequested = false;
-        if (cfg.policy == SchedPolicy::PreemptivePriority &&
-            !job.session->activeStepper()) {
+        if (!job.session->activeStepper()) {
             Bytes before = reservedBytesTotal();
             if (job.session->replan()) {
                 ++job.record.replans;
@@ -1001,7 +1024,13 @@ Scheduler::stepTenant(Job &job)
     if (!st) {
         if (job.record.firstDispatchTime == kTimeNone) {
             job.record.firstDispatchTime = cluster.now();
-            notePreemptionLatency(job);
+            // Preemption latency: arrival to first kernel dispatch of
+            // a job that had to preempt someone to get in, the
+            // responsiveness its priority actually bought.
+            if (job.record.victimsPreempted > 0 && preemptLatAcc) {
+                preemptLatAcc->add(
+                    double(cluster.now() - job.spec.arrival) / 1e6);
+            }
         }
         st = &job.session->beginIteration();
         job.stepBlocked = false;
@@ -1031,10 +1060,10 @@ Scheduler::stepTenant(Job &job)
         // down and requeued (it may be re-placed on another device).
         evictForRequeue(job);
     }
-    // Completed-iteration boundary: effective priorities aged, so the
-    // priority policy's admission decisions (sort order, make-room
+    // Completed-iteration boundary: effective priorities aged, so
+    // priority ordering's admission decisions (sort order, make-room
     // bar) may have shifted on time alone — rescan next turn.
-    if (cfg.policy == SchedPolicy::PreemptivePriority)
+    if (preset.ordering == Ordering::Priority)
         admissionDirty = true;
     return true;
 }
@@ -1046,7 +1075,7 @@ Scheduler::stepDevice(DeviceCtx &d)
         ++statFruitlessPolls;
         return false;
     }
-    if (cfg.policy != SchedPolicy::PackedOverlap)
+    if (preset.packing != Packing::OpPacked)
         return stepTenant(pickInFlight(d));
     // Op-granularity packing: every resident tenant owns a resumable
     // IterationStepper over its compiled IterationProgram. One sweep
@@ -1066,31 +1095,14 @@ Scheduler::stepDevice(DeviceCtx &d)
 }
 
 void
-Scheduler::notePreemptionLatency(const Job &job)
-{
-    // Only beneficiaries sample the metric: arrival to first kernel
-    // dispatch of a job that had to evict someone to get in is the
-    // responsiveness its priority actually bought.
-    if (job.record.victimsPreempted > 0 && preemptLatAcc) {
-        preemptLatAcc->add(
-            double(job.record.firstDispatchTime - job.spec.arrival) /
-            1e6);
-    }
-}
-
-void
 Scheduler::maybeRebalance()
 {
-    if (cfg.rebalancePeriod <= 0 || deviceCount() < 2)
+    // The engine calls this only when a sweep is due; the first call
+    // just starts the period.
+    const bool first = nextRebalance == kTimeNone;
+    nextRebalance = cluster.now() + cfg.rebalancePeriod;
+    if (first || deviceCount() < 2)
         return;
-    TimeNs now = cluster.now();
-    if (nextRebalance == kTimeNone) {
-        nextRebalance = now + cfg.rebalancePeriod;
-        return;
-    }
-    if (now < nextRebalance)
-        return;
-    nextRebalance = now + cfg.rebalancePeriod;
 
     DeviceCtx *src = nullptr;
     DeviceCtx *dst = nullptr;
@@ -1166,12 +1178,7 @@ Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
 
     const FootprintEstimate &est = estimateFor(job, dst);
     dst.admission.admit(job.id, est, job.reserveScale);
-    core::SharedGpu target;
-    target.runtime = dst.dev;
-    target.pool = dst.pool;
-    target.host = dst.host;
-    target.clientId = job.id;
-    bool ok = job.session->migrate(target);
+    bool ok = job.session->migrate(dst.share(job.id));
     bool rehomed = job.session->deviceId() == dst.id;
     if (rehomed) {
         job.record.offloadedBytesPrior += src_offloaded;
@@ -1183,7 +1190,9 @@ Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
         ++dst.migrationsIn;
         ++dst.jobsPlaced;
     }
-    if (!ok) {
+    if (ok) {
+        enterRunning(job, dst);
+    } else {
         // The tenant is parked Evicted — on the target when the
         // re-plan/rebuild failed there, still on the source when its
         // pinned-host share refused the staged state. Either way the
@@ -1198,32 +1207,23 @@ Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
         }
         evictedJobs.push_back(job.id);
         resumePending = true;
-        logLifecycle(job.id, "migrate-stall", before,
-                     job.record.deviceId);
+    }
+    logLifecycle(job.id, ok ? "migrate" : "migrate-stall", before,
+                 job.record.deviceId);
+    if (ok && ctrMigrations)
+        ctrMigrations->add();
+    if (cfg.telemetry.tracing()) {
+        if (ok) {
+            cfg.telemetry.trace->setThreadName(dst.id, job.id,
+                                               job.spec.name);
+        }
         if (flow) {
             cfg.telemetry.trace->flowEnd(flow, job.record.deviceId,
                                          job.id, "sched", "migrate",
                                          cluster.now());
         }
-        return false;
     }
-    job.record.state = JobState::Running;
-    dst.running.push_back(job.id);
-    ++residentJobs;
-    wake.add(dst.id); // the migrant's next iteration starts here
-    recordInflight();
-    logLifecycle(job.id, "migrate", before, dst.id);
-    if (ctrMigrations)
-        ctrMigrations->add();
-    if (cfg.telemetry.tracing()) {
-        cfg.telemetry.trace->setThreadName(dst.id, job.id,
-                                           job.spec.name);
-        if (flow) {
-            cfg.telemetry.trace->flowEnd(flow, dst.id, job.id, "sched",
-                                         "migrate", cluster.now());
-        }
-    }
-    return true;
+    return ok;
 }
 
 void
@@ -1233,8 +1233,8 @@ Scheduler::runEngine()
     // cadence. Each device's resident set advances through resumable
     // steppers while its siblings' kernels and DMAs run on the shared
     // clock, so N devices genuinely serve N tenants' compute
-    // concurrently — and under PackedOverlap every resident tenant of
-    // a device holds a live stepper at once.
+    // concurrently — and under op-packed packing every resident tenant
+    // of a device holds a live stepper at once.
     //
     // The loop is event-driven. Each turn drains only the wake-set —
     // the devices whose state actually changed since they last made no
@@ -1246,8 +1246,8 @@ Scheduler::runEngine()
     // completion, not a thousand. The admission sweep reruns only when
     // `admissionDirty` says one of its inputs moved: an arrival, a
     // ledger or running-set change, a pending setup-OOM retry, or —
-    // under the priority policy, whose admission order ages with time
-    // — a completed iteration. Every skipped call is pure: a
+    // under priority ordering, whose admission order ages with time —
+    // a completed iteration. Every skipped call is pure: a
     // non-blocking step offered to a blocked or empty tenant returns
     // without side effects, and a rescan with unchanged inputs
     // reproduces its previous (fruitless) decisions.
@@ -1260,7 +1260,7 @@ Scheduler::runEngine()
     // sweeps gate on their precomputed next-due time.
     for (auto &d : devs)
         wake.add(d->id);
-    while (!allDone()) {
+    while (numTerminal < int(jobs.size())) {
         collectArrivals();
         if (admissionDirty) {
             admissionDirty = false;
@@ -1284,7 +1284,10 @@ Scheduler::runEngine()
                 if (residentJobs > 0)
                     continue;
             }
-            TimeNs next = nextPendingArrivalTime();
+            // The earliest arrival still Pending: the incrementally
+            // kept numPending/nextPendingArrival pair is exact because
+            // jobs leave Pending only via collectArrivals().
+            TimeNs next = numPending > 0 ? nextPendingArrival : kTimeNone;
             if (next == kTimeNone) {
                 if (!evictedJobs.empty()) {
                     // Backstop: an evicted tenant that cannot come back
@@ -1365,7 +1368,7 @@ Scheduler::buildReport()
         d->track.finish();
 
     ServeReport rep;
-    rep.schedulerName = schedPolicyName(cfg.policy);
+    rep.schedulerName = preset.name;
     rep.deviceCount = deviceCount();
     if (deviceCount() > 1) {
         rep.gpuName = strFormat("%s x%d",

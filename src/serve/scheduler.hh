@@ -13,36 +13,46 @@
  * allocator. A single GPU is simply a cluster of one: the default
  * SchedulerConfig::devices holds one Titan X (Maxwell).
  *
- * Scheduling policies (iteration order *within* a device):
+ * Scheduling policies. Each SchedPolicy is a preset: one row of a
+ * table (scheduler.cc) over two axes, resolved once at construction,
+ * and every scheduling decision reads an axis, never the preset.
  *
- *  - FifoExclusive: one job owns a device at a time, run to
- *    completion in arrival order — the status quo this subsystem
- *    exists to beat (head-of-line blocking, queueing delay).
- *  - RoundRobin: iteration-granularity time sharing in the style of
- *    the Salus execution engine — every admitted job keeps its
- *    persistent state device-resident while iterations from all
- *    tenants interleave on the shared compute engine, and the
- *    admission queue is backfilled whenever capacity frees up.
- *  - ShortestRemaining: same packing, but the next iteration goes to
- *    the admitted job with the fewest remaining iterations (SRPT at
- *    iteration granularity) — minimizes mean job completion time.
- *  - PackedOverlap: op-granularity packing over the IterationProgram
- *    steppers, on any device count. Whenever one tenant blocks on a
- *    DMA join, the next ready tenant's compute op is dispatched
- *    instead of idling the compute engine; admission reserves the
- *    *sum* of transients per device.
- *  - PreemptivePriority: priority packing driven by
- *    JobSpec::priority, on any device count. A higher-priority
- *    arrival that fails admission preempts the lowest-priority
- *    running tenants through the Session lifecycle state machine —
- *    at iteration boundaries by default, or mid-iteration at the
- *    victim's next Sync/Barrier boundary when
- *    SchedulerConfig::preemptGranularity is Op (the beneficiary is
- *    dispatching kernels within simulated microseconds; ServeReport
- *    records the preemption latency). JobSpec::agingRatePerSec
- *    bounds starvation: a queued job's effective priority grows with
- *    its wait, so a hostile stream of high-priority arrivals cannot
- *    park a low-priority job forever.
+ *  - Ordering, which resident runs its next iteration and in which
+ *    order the queue is admitted: round-robin (arrival order for the
+ *    queue), shortest-remaining (SRPT at iteration granularity:
+ *    fewest remaining iterations first) or priority (effective
+ *    priority, round-robin within the top level; see below).
+ *  - Packing, how tenants share a device: exclusive (one job owns
+ *    it; the queue keeps strict arrival order, no backfill),
+ *    one-iteration (every admitted job keeps its persistent state
+ *    device-resident while iterations from all tenants interleave on
+ *    the shared compute engine, Salus-style, and the queue is
+ *    backfilled) or op-packed (every resident tenant holds a live
+ *    IterationProgram stepper; whenever one blocks on a DMA join the
+ *    next tenant's compute op dispatches, and admission reserves the
+ *    *sum* of transients per device).
+ *
+ *      preset               ordering            packing
+ *      FifoExclusive        round-robin         exclusive
+ *      RoundRobin           round-robin         one-iteration
+ *      ShortestRemaining    shortest-remaining  one-iteration
+ *      PackedOverlap        round-robin         op-packed
+ *      PreemptivePriority   priority            one-iteration
+ *
+ * FifoExclusive is the status quo this subsystem exists to beat
+ * (head-of-line blocking, queueing delay); an exclusive device holds
+ * one resident, so its round-robin pick is that tenant. Priority
+ * ordering, driven by JobSpec::priority, also preempts: an arrival
+ * that fails admission evicts the lowest-priority running tenants
+ * through the Session lifecycle state machine — at iteration
+ * boundaries by default, or mid-iteration at the victim's next
+ * Sync/Barrier boundary when SchedulerConfig::preemptGranularity is
+ * Op (the beneficiary is dispatching kernels within simulated
+ * microseconds; ServeReport records the preemption latency) — and a
+ * co-tenant's exit lets survivors re-plan to grow back.
+ * JobSpec::agingRatePerSec bounds starvation: a queued job's
+ * effective priority grows with its wait, so a hostile stream of
+ * high-priority arrivals cannot park a low-priority job forever.
  *
  * One event-driven engine serves every configuration with one
  * cadence: per turn it collects arrivals, reruns the one admission
@@ -51,14 +61,14 @@
  * which also identify the one tenant whose stream drained) and
  * executes exactly one completion event when no stepper progressed.
  * Every tenant advances through one per-tenant step routine; the
- * one-iteration-per-device policies call it for the tenant they pick,
- * PackedOverlap for every resident tenant. On a cluster a periodic
+ * exclusive and one-iteration packings call it for the tenant they
+ * pick, op-packed for every resident tenant. On a cluster a periodic
  * rebalance sweep migrates the smallest-footprint tenant off the
  * most-loaded device whenever the queue-depth imbalance reaches a
  * threshold (Session::migrate: suspend -> evict-to-host -> re-plan
  * and resume on the target).
  *
- * Make-room under PreemptivePriority is all-or-nothing: the whole
+ * Make-room under priority ordering is all-or-nothing: the whole
  * victim set is chosen against the admission ledger first, and when
  * evicting every eligible victim still would not free enough bytes
  * nobody is evicted. A partial eviction would
@@ -116,6 +126,10 @@ enum class SchedPolicy : std::uint8_t
 
 const char *schedPolicyName(SchedPolicy p);
 
+/** One row of the scheduler's preset table (scheduler.cc): what a
+ *  SchedPolicy resolves to. Opaque outside the scheduler. */
+struct PolicyPreset;
+
 /** When may PreemptivePriority park a victim? */
 enum class PreemptGranularity : std::uint8_t
 {
@@ -153,7 +167,6 @@ struct SchedulerConfig
     TimeNs rebalancePeriod = 0;
     /** Queue-depth gap (most vs least loaded) triggering migration. */
     int rebalanceThreshold = 2;
-    bool contention = true;
     /** Reservation inflation guarding estimate error/fragmentation. */
     double admissionSafety = 1.05;
     /** Reservation growth per OOM requeue of a job. */
@@ -215,27 +228,6 @@ class Scheduler
         return devs.at(std::size_t(d))->admission;
     }
     const Job &job(JobId id) const { return *jobs.at(std::size_t(id)); }
-    int jobsInFlight() const { return residentJobs; }
-    int jobsEvicted() const { return int(evictedJobs.size()); }
-    int jobsOnDevice(int d) const
-    {
-        return int(devs.at(std::size_t(d))->running.size());
-    }
-
-    /** Event-driven serve-loop accounting (also on the ServeReport). */
-    struct LoopStats
-    {
-        /** Device wake-hook firings (one per executed event). */
-        std::uint64_t wakeups = 0;
-        /** Step offers that made no progress (blocked / no work). */
-        std::uint64_t fruitlessPolls = 0;
-        /** Idle clock advances to the next pending arrival. */
-        std::uint64_t idleAdvances = 0;
-    };
-    LoopStats loopStats() const
-    {
-        return {statWakeups, statFruitlessPolls, statIdleAdvances};
-    }
 
     /**
      * Test hook (spurious-wakeup safety): treat every device (and
@@ -260,9 +252,9 @@ class Scheduler
         mem::UsageTracker track;    ///< this device's pool usage
         std::vector<JobId> running; ///< admitted here, submission order
         std::size_t rrCursor = 0;
-        /** Job whose iteration the engine has in flight
-         *  (one-iteration-per-device policies; -1 under PackedOverlap,
-         *  where every resident tenant may hold a live stepper). */
+        /** Job whose iteration the engine has in flight (exclusive
+         *  and one-iteration packing; -1 under op-packed, where every
+         *  resident tenant may hold a live stepper). */
         JobId inFlight = -1;
         /** Lowest device id with an identical spec: same-spec devices
          *  share one footprint-estimate cache entry per job. */
@@ -272,7 +264,12 @@ class Scheduler
         int migrationsOut = 0;
 
         DeviceCtx(int id, gpu::Cluster &cluster,
-                  const SchedulerConfig &cfg);
+                  const SchedulerConfig &cfg, bool overlap_transients);
+        /** Job @p client's handle on this device's shared resources. */
+        core::SharedGpu share(JobId client) const
+        {
+            return {dev, pool, host, client};
+        }
     };
 
     void collectArrivals();
@@ -282,14 +279,6 @@ class Scheduler
                    const std::string &why = "");
     void evictForRequeue(Job &job);
     void recordInflight();
-    /** Earliest arrival still Pending (kTimeNone when none): the
-     *  incrementally maintained numPending/nextPendingArrival pair,
-     *  exact because jobs only leave Pending via collectArrivals(). */
-    TimeNs nextPendingArrivalTime() const
-    {
-        return numPending > 0 ? nextPendingArrival : kTimeNone;
-    }
-    bool allDone() const;
     /** Fold one completed (ok) iteration into the job's record. */
     void chargeIteration(Job &job, const core::IterationResult &r);
     /** Adopt the session's first-iteration profile: shrink the
@@ -302,8 +291,18 @@ class Scheduler
     double effectivePriority(const Job &job, TimeNs now) const;
     /** Fold the current waiting spell into the job's aging clock. */
     void stopWaiting(Job &job);
+    /** Put @p job on @p d's resident set as Running (aging stops,
+     *  the device is woken). */
+    void enterRunning(Job &job, DeviceCtx &d);
+    /** Does exclusive packing bar @p d from taking another tenant?
+     *  (An exclusive device holds at most one resident.) */
+    bool exclusivelyHeld(const DeviceCtx &d) const;
     /** Drop @p id from its device's resident set, fixing cursors. */
     void removeFromRunning(JobId id);
+    /** One OOM backoff step: count the requeue and inflate the job's
+     *  reservation. @return true when the job has now used up its
+     *  requeues and must go Failed. */
+    bool stepOomBackoff(Job &job);
     /** Append a lifecycle transition to the audit log. */
     void logLifecycle(JobId id, const char *what, Bytes reserved_before,
                       int device);
@@ -321,11 +320,14 @@ class Scheduler
      *  terminal (Failed) and was taken from the queue. */
     bool backoffAfterSetupOom(Job &job, std::size_t queue_index);
 
-    // --- lifecycle state machine (PreemptivePriority) --------------------
+    // --- lifecycle state machine (priority ordering) ----------------------
     /** Suspend + evict one tenant, moving its reservation to the
      *  evicted ledger. False when pinned host memory is exhausted.
      *  Accepts a victim already parked resident by parkInFlight(). */
     bool preempt(Job &victim);
+    /** Suspend (@p parked) or resume a resident tenant in place,
+     *  logging the lifecycle transition; the ledger does not move. */
+    void setParked(Job &job, bool parked);
     /** Highest effective-priority *Running* co-tenant of @p d with
      *  strictly higher priority than the in-flight tenant, or
      *  nullptr. Parked (Suspended) residents never challenge. */
@@ -348,8 +350,8 @@ class Scheduler
      */
     int makeRoomFor(Job &job);
     /** Resume evicted tenants that fit again, onto the device each is
-     *  homed on — best effective priority first under the priority
-     *  policy, earliest arrival otherwise. */
+     *  homed on — best effective priority first under priority
+     *  ordering, earliest arrival otherwise. */
     void resumeEvictedSweep();
     /** Readmit one evicted tenant onto @p d; false if it stays parked. */
     bool tryResumeOn(Job &job, DeviceCtx &d);
@@ -360,7 +362,9 @@ class Scheduler
     Bytes pageVictimBuffers(DeviceCtx &d, Bytes need);
 
     // --- the unified event-driven engine ---------------------------------
-    /** Within-device iteration order (priority / RR / SRPT / FIFO). */
+    /** The ordering axis within a device: fewest remaining iterations
+     *  under SRPT, else round-robin within the top effective-priority
+     *  level (every tenant is top outside priority ordering). */
     Job *pickNextOn(DeviceCtx &d);
     /** The tenant whose iteration @p d runs next (one iteration per
      *  device): the in-flight one unless an Op-granularity challenger
@@ -372,10 +376,8 @@ class Scheduler
      *  step, fold a finished iteration. @return progress. */
     bool stepTenant(Job &job);
     /** One step offer to @p d: its in-flight tenant, or every resident
-     *  tenant under PackedOverlap. @return progress. */
+     *  tenant under op-packed packing. @return progress. */
     bool stepDevice(DeviceCtx &d);
-    /** Feed the preemption-latency telemetry at first dispatch. */
-    void notePreemptionLatency(const Job &job);
     /** Periodic migration sweep off the most-loaded device. */
     void maybeRebalance();
     bool migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst);
@@ -387,6 +389,8 @@ class Scheduler
     static void deviceWakeTrampoline(void *self, int device, int client);
 
     SchedulerConfig cfg;
+    /** cfg.policy's row of the preset table, resolved once. */
+    const PolicyPreset &preset;
     gpu::Cluster cluster;
     std::vector<std::unique_ptr<DeviceCtx>> devs;
 
@@ -414,7 +418,7 @@ class Scheduler
      * it only when a step offer makes no progress. `admissionDirty`
      * gates the admission rescan: it runs only when an arrival, a
      * ledger change, a running-set change, an iteration boundary
-     * under the priority policy, or a pending setup-OOM retry could
+     * under priority ordering, or a pending setup-OOM retry could
      * alter its decisions — on every other turn the old polling
      * rescan was provably pure, so skipping it cannot change outputs.
      * `residentJobs` caches the summed running-set size (the jobs in
@@ -439,9 +443,8 @@ class Scheduler
     std::vector<DeviceLoad> loads;
     struct Candidate
     {
-        double eff;      ///< effective priority at the scan
+        double eff; ///< effective priority at the scan
         Job *job;
-        std::size_t pos; ///< scan order: ties keep running-set order
     };
     std::vector<Candidate> candidates;
     std::vector<JobId> victims;

@@ -482,8 +482,8 @@ TEST(PackedOverlap, BeatsRoundRobinOnJctAndComputeUtilization)
 
 TEST(PackedOverlap, AdmissionReservesTransientsSummed)
 {
-    AdmissionController ac(10_GiB, /*safety=*/1.0);
-    ac.setOverlapTransients(true);
+    AdmissionController ac(10_GiB, /*safety=*/1.0,
+                           /*overlap_transients=*/true);
     FootprintEstimate est;
     est.persistent = 1_GiB;
     est.transient = 3_GiB;

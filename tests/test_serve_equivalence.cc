@@ -8,11 +8,14 @@
  * scheduling decision: these tests pin ServeReports produced by the
  * *polling* loop — makespan, per-job admit/dispatch/finish times,
  * iteration counts, placements and the full lifecycle ledger folded
- * into one hash — on four deterministic workloads covering the
- * cluster round-robin burst (with rebalance migration), the sparse
- * FIFO idle path (clock advances to the next arrival), SRPT packing,
- * and the single-device preemptive-priority state machine whose idle
- * path shares the nextPendingArrival fast path.
+ * into one hash — on deterministic workloads covering the cluster
+ * round-robin burst (with rebalance migration), the sparse FIFO idle
+ * path (clock advances to the next arrival), SRPT packing, the
+ * single-device preemptive-priority state machine whose idle path
+ * shares the nextPendingArrival fast path, and (pinned later, before
+ * the scheduler's policy table) Op-granularity priority churn with
+ * buffer paging, op-packed overlap on two devices and priority
+ * make-room on two devices.
  *
  * If any of these change, the wake-list loop made a different
  * decision than the polling loop did — a correctness bug, not a perf
@@ -37,6 +40,7 @@
 
 #include "check/ledger_auditor.hh"
 #include "common/units.hh"
+#include "core/dynamic_policy.hh"
 #include "net/builders.hh"
 #include "obs/metrics.hh"
 
@@ -45,6 +49,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 
 using namespace vdnn;
@@ -147,6 +152,16 @@ expectClean(const ServeReport &r)
     EXPECT_EQ(r.evictedLedgerAtEnd, 0);
     check::CheckResult audit = check::auditLedger(r);
     EXPECT_TRUE(audit.ok()) << audit.report();
+}
+
+/** Lifecycle events of one kind ("evict", "replan", ...). */
+int
+countEvents(const ServeReport &r, const char *what)
+{
+    int n = 0;
+    for (const LifecycleEvent &ev : r.lifecycle)
+        n += std::string(ev.what) == what;
+    return n;
 }
 
 // --- workloads ---------------------------------------------------------------
@@ -281,6 +296,115 @@ runPreemption()
     urgent.arrival = 50 * kNsPerMs;
     urgent.iterations = 2;
     sched.submit(std::move(urgent));
+    return sched.run();
+}
+
+// --- preset rows no golden above runs -----------------------------------------
+//
+// Pinned before the scheduler resolved each SchedPolicy preset to an
+// ordering and a packing axis: Op-granularity preemption with buffer
+// paging, op-packed overlap on a cluster, and priority make-room on a
+// cluster.
+
+/** A scaled-down priority-churn mix: a resident field of aging
+ *  low-priority OverFeat tenants, then a stream of high-priority
+ *  AlexNet arrivals that park (Op granularity) and evict them, with
+ *  buffer paging on. An unpadded reservation lets one iteration OOM
+ *  in flight, so the requeue backoff runs too. */
+ServeReport
+runPriorityChurn(bool forceWakeAll = false)
+{
+    SchedulerConfig cfg;
+    cfg.policy = SchedPolicy::PreemptivePriority;
+    cfg.preemptGranularity = PreemptGranularity::Op;
+    cfg.bufferPaging = true;
+    cfg.admissionSafety = 1.0;
+    Scheduler sched(cfg);
+    for (int i = 0; i < 12; ++i) {
+        JobSpec spec;
+        spec.name = strFormat("low-%02d", i);
+        spec.network = sharedNet(1, 128);
+        // vDNN_dyn re-plans in place, so co-tenant exits grow it back.
+        spec.planner = i % 3 == 0 ? std::make_shared<core::DynamicPlanner>()
+                                  : vdnnAll();
+        spec.priority = 0;
+        spec.agingRatePerSec = 2.0;
+        spec.arrival = TimeNs(i) * 3 * kNsPerMs;
+        spec.iterations = 4;
+        sched.submit(std::move(spec));
+    }
+    for (int i = 0; i < 8; ++i) {
+        JobSpec spec;
+        spec.name = strFormat("hi-%02d", i);
+        spec.network = sharedNet(0, 128);
+        spec.planner = vdnnAll();
+        spec.priority = 10;
+        spec.arrival = 200 * kNsPerMs + TimeNs(i) * 350 * kNsPerMs;
+        spec.iterations = 2;
+        sched.submit(std::move(spec));
+    }
+    sched.setDebugForceWakeAll(forceWakeAll);
+    return sched.run();
+}
+
+/** Op-granularity packing on 2 devices, mixed batch sizes, with the
+ *  rebalance sweep armed (no migration happens in this mix). */
+ServeReport
+runClusterPacked(bool forceWakeAll = false)
+{
+    SchedulerConfig cfg;
+    cfg.policy = SchedPolicy::PackedOverlap;
+    cfg.devices.assign(2, gpu::titanXMaxwell());
+    cfg.placement = std::make_shared<LoadBalancePlacement>();
+    cfg.rebalancePeriod = 50 * kNsPerMs;
+    cfg.rebalanceThreshold = 2;
+    Scheduler sched(cfg);
+    for (int i = 0; i < 20; ++i) {
+        JobSpec spec;
+        spec.name = strFormat("pk-%02d", i);
+        spec.network = sharedNet(i % 2, i % 3 == 0 ? 128 : 64);
+        spec.planner = vdnnAll();
+        spec.arrival = TimeNs(i) * 4 * kNsPerMs;
+        spec.iterations = i % 3 + 2;
+        sched.submit(std::move(spec));
+    }
+    sched.setDebugForceWakeAll(forceWakeAll);
+    return sched.run();
+}
+
+/** Priority make-room across 2 devices: background tenants fill both,
+ *  then urgent arrivals evict the lowest-priority ones. No aging, so
+ *  victims tie within a level and the latest-arrival-first order
+ *  decides who goes. */
+ServeReport
+runClusterPriority(bool forceWakeAll = false)
+{
+    SchedulerConfig cfg;
+    cfg.policy = SchedPolicy::PreemptivePriority;
+    cfg.devices.assign(2, gpu::titanXMaxwell());
+    Scheduler sched(cfg);
+    for (int i = 0; i < 24; ++i) {
+        JobSpec spec;
+        spec.name = strFormat("cbg-%02d", i);
+        spec.network = sharedNet(1, 128);
+        spec.planner = vdnnAll();
+        spec.priority = i % 2;
+        spec.arrival = TimeNs(i) * kNsPerMs;
+        spec.iterations = 3;
+        sched.submit(std::move(spec));
+    }
+    for (int i = 0; i < 3; ++i) {
+        JobSpec urgent;
+        urgent.name = strFormat("curgent-%02d", i);
+        urgent.network = sharedNet(1, 64);
+        urgent.planner = std::make_shared<core::BaselinePlanner>(
+            core::AlgoPreference::MemoryOptimal);
+        urgent.priority = 10;
+        urgent.arrival = 50 * kNsPerMs + TimeNs(i) * 400 * kNsPerMs;
+        urgent.iterations = 2;
+        sched.submit(std::move(urgent));
+    }
+    sched.setDebugForceWakeAll(forceWakeAll);
     return sched.run();
 }
 
@@ -480,10 +604,6 @@ TEST(ServeEquivalence, LoopCountersFlushToMetrics)
               double(r.loopFruitlessPolls));
     EXPECT_EQ(metrics.counter("serve.idle_advances").value(),
               double(r.loopIdleAdvances));
-    Scheduler::LoopStats stats = sched.loopStats();
-    EXPECT_EQ(stats.wakeups, r.loopWakeups);
-    EXPECT_EQ(stats.fruitlessPolls, r.loopFruitlessPolls);
-    EXPECT_EQ(stats.idleAdvances, r.loopIdleAdvances);
 }
 
 // The legacy single-device loops never swept the wake-set, so the
@@ -525,4 +645,75 @@ TEST(ServeEquivalence, SingleDeviceCountersAndSlo)
     EXPECT_EQ(r.sloEligible(), 2);
     EXPECT_EQ(r.sloMet(), 1);
     EXPECT_DOUBLE_EQ(r.sloAttainment(), 0.5);
+}
+
+// The preset rows pinned above. Each workload also asserts the
+// lifecycle paths it exists to cover, so a retuned mix that stops
+// exercising them fails loudly instead of pinning nothing.
+
+TEST(ServeEquivalence, PriorityChurnGolden)
+{
+    ServeReport r = runPriorityChurn();
+    EXPECT_EQ(r.finishedCount(), 20);
+    EXPECT_EQ(r.makespan, 42390879418);
+    EXPECT_EQ(foldJobs(r), 11020798394722260960ULL);
+    EXPECT_EQ(foldLifecycle(r), 17789135973428322002ULL);
+    EXPECT_EQ(r.lifecycle.size(), 80u);
+    // Op-granularity parks (suspends no eviction follows), evictions,
+    // grow-back re-plans and an in-flight OOM requeue all occur.
+    EXPECT_GT(countEvents(r, "suspend"), countEvents(r, "evict"));
+    EXPECT_GT(countEvents(r, "evict"), 0);
+    EXPECT_GT(countEvents(r, "replan"), 0);
+    EXPECT_GT(countEvents(r, "requeue"), 0);
+    expectClean(r);
+}
+
+TEST(ServeEquivalence, ClusterPackedGolden)
+{
+    ServeReport r = runClusterPacked();
+    EXPECT_EQ(r.finishedCount(), 20);
+    EXPECT_EQ(r.makespan, 14776634872);
+    EXPECT_EQ(foldJobs(r), 8346973273147642711ULL);
+    EXPECT_EQ(foldLifecycle(r), 1480705925064736031ULL);
+    EXPECT_EQ(r.lifecycle.size(), 60u);
+    expectClean(r);
+}
+
+TEST(ServeEquivalence, ClusterPriorityGolden)
+{
+    ServeReport r = runClusterPriority();
+    EXPECT_EQ(r.finishedCount(), 27);
+    EXPECT_EQ(r.makespan, 35784928102);
+    EXPECT_EQ(foldJobs(r), 18092762474144792679ULL);
+    EXPECT_EQ(foldLifecycle(r), 2756059447095145987ULL);
+    EXPECT_EQ(r.lifecycle.size(), 90u);
+    EXPECT_GT(countEvents(r, "evict"), 0);
+    expectClean(r);
+}
+
+TEST(ServeEquivalence, SpuriousWakeupsPriorityChurn)
+{
+    ServeReport r = runPriorityChurn(/*forceWakeAll=*/true);
+    EXPECT_EQ(r.makespan, 42390879418);
+    EXPECT_EQ(foldJobs(r), 11020798394722260960ULL);
+    EXPECT_EQ(foldLifecycle(r), 17789135973428322002ULL);
+    expectClean(r);
+}
+
+TEST(ServeEquivalence, SpuriousWakeupsClusterPacked)
+{
+    ServeReport r = runClusterPacked(/*forceWakeAll=*/true);
+    EXPECT_EQ(r.makespan, 14776634872);
+    EXPECT_EQ(foldJobs(r), 8346973273147642711ULL);
+    EXPECT_EQ(foldLifecycle(r), 1480705925064736031ULL);
+    expectClean(r);
+}
+
+TEST(ServeEquivalence, SpuriousWakeupsClusterPriority)
+{
+    ServeReport r = runClusterPriority(/*forceWakeAll=*/true);
+    EXPECT_EQ(r.makespan, 35784928102);
+    EXPECT_EQ(foldJobs(r), 18092762474144792679ULL);
+    EXPECT_EQ(foldLifecycle(r), 2756059447095145987ULL);
+    expectClean(r);
 }
