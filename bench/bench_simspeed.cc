@@ -40,9 +40,12 @@
 #include "serve/placement.hh"
 #include "serve/scheduler.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <string>
+#include <tuple>
 
 using namespace vdnn;
 using namespace vdnn::bench;
@@ -216,30 +219,78 @@ report()
                       dense.secondsPerMillionEvents());
 }
 
+/** Do two runs agree on every job outcome and lifecycle event? */
+bool
+sameOutcomes(const ServeReport &a, const ServeReport &b)
+{
+    auto job_key = [](const JobOutcome &j) {
+        return std::make_tuple(j.state, j.admitTime, j.firstDispatchTime,
+                               j.finishTime, j.serviceTime, j.iterations,
+                               j.oomRequeues, j.preemptions, j.replans,
+                               j.pageOuts, j.migrations, j.device,
+                               j.placements, j.persistentBytes,
+                               j.peakPoolBytes, j.offloadedBytes);
+    };
+    auto event_key = [](const LifecycleEvent &e) {
+        return std::make_tuple(e.when, e.job, std::string(e.what),
+                               e.device, e.reservedBefore,
+                               e.reservedAfter);
+    };
+    if (a.makespan != b.makespan || a.jobs.size() != b.jobs.size() ||
+        a.lifecycle.size() != b.lifecycle.size()) {
+        return false;
+    }
+    for (std::size_t i = 0; i < a.jobs.size(); ++i) {
+        if (job_key(a.jobs[i]) != job_key(b.jobs[i]))
+            return false;
+    }
+    for (std::size_t i = 0; i < a.lifecycle.size(); ++i) {
+        if (event_key(a.lifecycle[i]) != event_key(b.lifecycle[i]))
+            return false;
+    }
+    return true;
+}
+
 /**
- * `bench_simspeed dense-smoke`: the dense256x1 scenario run once to
- * completion with the lifecycle audit replayed — the CI ASan/UBSan
- * smoke for the unified engine at thousand-tenant density (no timing
- * claims; sanitizers make the wall clock meaningless).
+ * `bench_simspeed dense-smoke`: the dense256x1 scenario run to
+ * completion twice — normally and with every resident offered a step
+ * every turn (Scheduler::setDebugForceWakeAll) — with the lifecycle
+ * audit replayed. The two runs must agree on every job outcome and
+ * lifecycle event: each step offer the per-device ready list skips
+ * must be pure. The CI ASan/UBSan smoke for the unified engine at
+ * thousand-tenant density (no timing claims; sanitizers make the wall
+ * clock meaningless).
  */
 int
 denseSmoke()
 {
-    SchedulerConfig cfg;
-    cfg.policy = kDense256x1.policy;
-    Scheduler sched(cfg);
-    for (JobSpec &spec : speedMix(kDense256x1))
-        sched.submit(std::move(spec));
-    ServeReport rep = sched.run();
+    ServeReport reps[2];
+    for (bool force : {false, true}) {
+        SchedulerConfig cfg;
+        cfg.policy = kDense256x1.policy;
+        Scheduler sched(cfg);
+        for (JobSpec &spec : speedMix(kDense256x1))
+            sched.submit(std::move(spec));
+        sched.setDebugForceWakeAll(force);
+        reps[force] = sched.run();
+    }
+    const ServeReport &rep = reps[0];
     check::CheckResult audit = check::auditLedger(rep);
     if (!audit.ok())
         std::printf("ledger audit:\n%s", audit.report().c_str());
+    bool same = sameOutcomes(rep, reps[1]);
+    if (!same)
+        std::printf("forced wakeups changed job outcomes or lifecycle\n");
     bool ok = rep.finishedCount() == int(rep.jobs.size()) &&
               rep.reservedBytesAtEnd == 0 &&
-              rep.evictedLedgerAtEnd == 0 && audit.ok();
-    std::printf("dense-smoke: %s (%d/%zu tenants finished)\n",
-                ok ? "PASS" : "FAIL", rep.finishedCount(),
-                rep.jobs.size());
+              rep.evictedLedgerAtEnd == 0 && audit.ok() && same;
+    std::printf("dense-smoke: %s (%d/%zu tenants finished, %.2f "
+                "fruitless offers per wakeup, %.2f forced)\n",
+                ok ? "PASS" : "FAIL", rep.finishedCount(), rep.jobs.size(),
+                double(rep.loopFruitlessPolls) /
+                    double(std::max<std::uint64_t>(rep.loopWakeups, 1)),
+                double(reps[1].loopFruitlessPolls) /
+                    double(std::max<std::uint64_t>(reps[1].loopWakeups, 1)));
     return ok ? 0 : 1;
 }
 

@@ -4,6 +4,7 @@
 #include "common/units.hh"
 
 #include <algorithm>
+#include <map>
 
 namespace vdnn::mem
 {
@@ -24,7 +25,7 @@ MemoryPool::MemoryPool(Bytes capacity, std::string name)
       largeThreshold(cap / kLargeFraction), poolName(std::move(name))
 {
     VDNN_ASSERT(capacity > 0, "pool capacity must be positive");
-    freeBlocks.emplace(0, cap);
+    freeBlocks.push_back(FreeBlock{0, cap});
 }
 
 void
@@ -45,57 +46,52 @@ std::optional<Allocation>
 MemoryPool::tryAllocate(Bytes size, const std::string &tag, int client)
 {
     VDNN_ASSERT(size >= 0, "negative allocation size");
+    VDNN_ASSERT(client >= 0, "%s: negative client id %d for '%s'",
+                poolName.c_str(), client, tag.c_str());
     Bytes need = std::max<Bytes>(alignUp(size, kAlignment), kAlignment);
 
-    // Two-tier best fit. Small requests first look for the smallest
-    // sufficient *small* free block, so the holes the giant-class
-    // buffers cycle through are raided only as a last resort — best-fit
-    // alone steers small allocations into those holes whenever they are
-    // momentarily the tightest fit, and a single small tenant splits a
-    // giant hole for the rest of the run. Ties go to the lowest offset
-    // for deterministic layouts.
-    auto best = freeBlocks.end();
-    if (need < largeThreshold) {
-        for (auto it = freeBlocks.begin(); it != freeBlocks.end(); ++it) {
-            if (it->second < need || it->second >= largeThreshold)
-                continue;
-            if (best == freeBlocks.end() || it->second < best->second)
-                best = it;
-        }
-    }
-    if (best == freeBlocks.end()) {
-        for (auto it = freeBlocks.begin(); it != freeBlocks.end(); ++it) {
-            if (it->second < need)
-                continue;
-            if (best == freeBlocks.end() || it->second < best->second)
-                best = it;
-        }
+    // Best fit: the smallest sufficient block, the lowest offset on
+    // ties (the scan runs in offset order and keeps the first), so
+    // layouts are deterministic. Small requests never need a separate
+    // small-block pass: any sufficient block below the large threshold
+    // is tighter than every large block, so plain best fit already
+    // keeps them out of the holes the giant-class buffers cycle
+    // through whenever a small hole fits.
+    std::size_t best = freeBlocks.size();
+    Bytes best_size = 0; // free blocks are never empty
+    for (std::size_t i = 0; i < freeBlocks.size(); ++i) {
+        Bytes bsize = freeBlocks[i].size;
+        if (bsize < need || (best_size > 0 && bsize >= best_size))
+            continue;
+        best = i;
+        best_size = bsize;
+        if (bsize == need)
+            break; // exact fit: nothing later can be tighter
     }
 
-    if (best == freeBlocks.end()) {
+    if (best == freeBlocks.size()) {
         oom.requested = need;
         oom.totalFree = freeBytes();
         oom.largestFree = largestFreeBlock();
         oom.tag = tag;
-        oom.layout = layoutString();
         return std::nullopt;
     }
 
-    Bytes block_offset = best->first;
-    Bytes block_size = best->second;
-    freeBlocks.erase(best);
+    // Carve in place: the remainder stays inside the block's span, so
+    // the vector keeps its offset order.
+    FreeBlock &blk = freeBlocks[best];
     Bytes offset;
     if (need >= largeThreshold) {
         // Large: carve from the high end of the block.
-        offset = block_offset + block_size - need;
-        if (block_size > need)
-            freeBlocks.emplace(block_offset, block_size - need);
+        offset = blk.offset + blk.size - need;
     } else {
         // Small: carve from the low end.
-        offset = block_offset;
-        if (block_size > need)
-            freeBlocks.emplace(block_offset + need, block_size - need);
+        offset = blk.offset;
+        blk.offset += need;
     }
+    blk.size -= need;
+    if (blk.size == 0)
+        freeBlocks.erase(freeBlocks.begin() + std::ptrdiff_t(best));
 
     Allocation a;
     a.id = nextId++;
@@ -104,7 +100,9 @@ MemoryPool::tryAllocate(Bytes size, const std::string &tag, int client)
     live.emplace(a.id, LiveBlock{offset, need, tag, client});
     used += need;
     peak = std::max(peak, used);
-    ClientUsage &cu = clients[client];
+    if (std::size_t(client) >= clients.size())
+        clients.resize(std::size_t(client) + 1);
+    ClientUsage &cu = clients[std::size_t(client)];
     cu.used += need;
     cu.peak = std::max(cu.peak, cu.used);
     notify();
@@ -136,28 +134,33 @@ MemoryPool::release(const Allocation &alloc)
     int client = it->second.client;
     live.erase(it);
     used -= size;
-    auto cit = clients.find(client);
-    VDNN_ASSERT(cit != clients.end() && cit->second.used >= size,
+    VDNN_ASSERT(clients[std::size_t(client)].used >= size,
                 "client %d accounting underflow", client);
-    cit->second.used -= size;
+    clients[std::size_t(client)].used -= size;
 
-    auto [ins, ok] = freeBlocks.emplace(offset, size);
-    VDNN_ASSERT(ok, "double free at offset %lld", (long long)offset);
-
-    // Coalesce with successor.
-    auto next = std::next(ins);
-    if (next != freeBlocks.end() &&
-        ins->first + ins->second == next->first) {
-        ins->second += next->second;
-        freeBlocks.erase(next);
-    }
-    // Coalesce with predecessor.
-    if (ins != freeBlocks.begin()) {
-        auto prev = std::prev(ins);
-        if (prev->first + prev->second == ins->first) {
-            prev->second += ins->second;
-            freeBlocks.erase(ins);
+    // First free block above the released span; its predecessor (if
+    // any) lies below it.
+    auto next = std::lower_bound(
+        freeBlocks.begin(), freeBlocks.end(), offset,
+        [](const FreeBlock &b, Bytes off) { return b.offset < off; });
+    VDNN_ASSERT(next == freeBlocks.end() || next->offset != offset,
+                "double free at offset %lld", (long long)offset);
+    bool join_next =
+        next != freeBlocks.end() && offset + size == next->offset;
+    bool join_prev = next != freeBlocks.begin() &&
+                     std::prev(next)->offset + std::prev(next)->size ==
+                         offset;
+    if (join_prev) {
+        std::prev(next)->size += size;
+        if (join_next) {
+            std::prev(next)->size += next->size;
+            freeBlocks.erase(next);
         }
+    } else if (join_next) {
+        next->offset = offset;
+        next->size += size;
+    } else {
+        freeBlocks.insert(next, FreeBlock{offset, size});
     }
     notify();
 }
@@ -166,10 +169,9 @@ void
 MemoryPool::releaseAll()
 {
     live.clear();
-    freeBlocks.clear();
-    freeBlocks.emplace(0, cap);
+    freeBlocks.assign(1, FreeBlock{0, cap});
     used = 0;
-    for (auto &[client, cu] : clients)
+    for (ClientUsage &cu : clients)
         cu.used = 0;
     notify();
 }
@@ -177,22 +179,24 @@ MemoryPool::releaseAll()
 Bytes
 MemoryPool::usedByClient(int client) const
 {
-    auto it = clients.find(client);
-    return it == clients.end() ? 0 : it->second.used;
+    return client >= 0 && std::size_t(client) < clients.size()
+               ? clients[std::size_t(client)].used
+               : 0;
 }
 
 Bytes
 MemoryPool::peakByClient(int client) const
 {
-    auto it = clients.find(client);
-    return it == clients.end() ? 0 : it->second.peak;
+    return client >= 0 && std::size_t(client) < clients.size()
+               ? clients[std::size_t(client)].peak
+               : 0;
 }
 
 std::size_t
 MemoryPool::activeClients() const
 {
     std::size_t n = 0;
-    for (const auto &[client, cu] : clients)
+    for (const ClientUsage &cu : clients)
         n += cu.used > 0 ? 1 : 0;
     return n;
 }
@@ -201,8 +205,8 @@ Bytes
 MemoryPool::largestFreeBlock() const
 {
     Bytes largest = 0;
-    for (const auto &[off, size] : freeBlocks)
-        largest = std::max(largest, size);
+    for (const FreeBlock &b : freeBlocks)
+        largest = std::max(largest, b.size);
     return largest;
 }
 
@@ -211,8 +215,8 @@ MemoryPool::layoutString() const
 {
     // Merge live and free blocks into one offset-ordered map.
     std::map<Bytes, std::pair<Bytes, std::string>> blocks;
-    for (const auto &[off, size] : freeBlocks)
-        blocks[off] = {size, "<free>"};
+    for (const FreeBlock &b : freeBlocks)
+        blocks[b.offset] = {b.size, "<free>"};
     for (const auto &[id, blk] : live)
         blocks[blk.offset] = {blk.size, blk.tag};
     std::string out = strFormat("%s: %s used of %s\n", poolName.c_str(),
@@ -230,22 +234,23 @@ MemoryPool::layoutString() const
 bool
 MemoryPool::checkInvariants() const
 {
-    // Free blocks are disjoint, sorted, non-adjacent and inside the arena.
+    // Free blocks are strictly offset-ordered, disjoint, non-adjacent
+    // and inside the arena.
     Bytes total_free = 0;
     Bytes prev_end = -1;
-    for (const auto &[off, size] : freeBlocks) {
-        if (size <= 0 || off < 0 || off + size > cap)
+    for (const FreeBlock &b : freeBlocks) {
+        if (b.size <= 0 || b.offset < 0 || b.offset + b.size > cap)
             return false;
-        if (prev_end >= 0 && off <= prev_end)
-            return false; // overlapping or uncoalesced adjacency
-        prev_end = off + size;
-        total_free += size;
+        if (prev_end >= 0 && b.offset <= prev_end)
+            return false; // out of order, overlapping or uncoalesced
+        prev_end = b.offset + b.size;
+        total_free += b.size;
     }
     Bytes total_live = 0;
     for (const auto &[id, blk] : live)
         total_live += blk.size;
     Bytes total_client = 0;
-    for (const auto &[client, cu] : clients)
+    for (const ClientUsage &cu : clients)
         total_client += cu.used;
     return total_free + total_live == cap && total_live == used &&
            total_client == used;

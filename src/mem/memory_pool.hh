@@ -6,9 +6,13 @@
  * force device-wide synchronization; vDNN therefore reserves the whole
  * physical GPU capacity up front and sub-allocates from a host-side pool
  * (NVIDIA cnmem, reference [37] of the paper). This class reproduces
- * that allocator: a fixed arena managed with a best-fit free list,
- * block splitting, and coalescing of adjacent free blocks. Offsets stand
- * in for device pointers; no memory is actually backed.
+ * that allocator: a fixed arena whose free blocks live in one
+ * offset-sorted contiguous vector. Allocation is a single best-fit
+ * pass (the smallest sufficient block, the lowest offset on ties) that
+ * carves large requests from the block's high end and the rest from
+ * its low end (see kLargeFraction); release finds its neighbours by
+ * binary search and coalesces with them. Offsets stand in for device
+ * pointers; no memory is actually backed.
  *
  * Out-of-memory is an *expected* outcome for some (network, policy,
  * algorithm) configurations — it is exactly what the paper's `*` marks
@@ -24,10 +28,10 @@
 #include "mem/usage_tracker.hh"
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 namespace vdnn::mem
 {
@@ -49,8 +53,6 @@ struct OomInfo
     Bytes totalFree = 0;
     Bytes largestFree = 0;
     std::string tag;
-    /** Arena map at the failure, for fragmentation diagnostics. */
-    std::string layout;
 };
 
 class MemoryPool
@@ -87,7 +89,8 @@ class MemoryPool
      * Best-fit allocation of @p size bytes (rounded up to kAlignment).
      * @param tag free-form label kept for diagnostics / leak reports
      * @param client tenant id charged for the block (multi-tenant
-     *        serving shares one pool among many jobs; 0 = sole tenant)
+     *        serving shares one pool among many jobs; 0 = sole tenant;
+     *        must not be negative)
      * @return std::nullopt when no free block fits (details in lastOom())
      */
     std::optional<Allocation> tryAllocate(Bytes size,
@@ -126,13 +129,21 @@ class MemoryPool
     /** Attach a tracker notified on every usage change (may be null). */
     void setTracker(UsageTracker *tracker);
 
-    /** Internal consistency check (tests): free + live covers the arena. */
+    /** Internal consistency check (tests): the free vector is strictly
+     *  offset-ordered, disjoint and non-adjacent, and free + live
+     *  covers the arena. */
     bool checkInvariants() const;
 
     /** Human-readable arena map (offset-ordered blocks with tags). */
     std::string layoutString() const;
 
   private:
+    struct FreeBlock
+    {
+        Bytes offset;
+        Bytes size;
+    };
+
     struct LiveBlock
     {
         Bytes offset;
@@ -155,10 +166,12 @@ class MemoryPool
     Bytes used = 0;
     Bytes peak = 0;
     std::int64_t nextId = 1;
-    /** offset -> size, ordered so coalescing can look at neighbours. */
-    std::map<Bytes, Bytes> freeBlocks;
+    /** Offset-sorted, disjoint and never adjacent (release coalesces):
+     *  a contiguous scan is far cheaper than walking tree nodes. */
+    std::vector<FreeBlock> freeBlocks;
     std::unordered_map<std::int64_t, LiveBlock> live;
-    std::unordered_map<int, ClientUsage> clients;
+    /** Indexed by client id (small dense tenant ids). */
+    std::vector<ClientUsage> clients;
     OomInfo oom;
     UsageTracker *usageTracker = nullptr;
 };

@@ -177,16 +177,28 @@ struct Job
     /** A co-tenant exited: re-plan at the next iteration boundary. */
     bool replanRequested = false;
     /**
-     * Blocked-stepper memo (the per-tenant wake precision of the
-     * serve engine): the live stepper returned Blocked on one of its
-     * own streams, and no completion has landed on this tenant's
-     * streams since. A stepper blocks only on its own device streams
-     * draining, and those drain only through the completion paths
-     * that fire the wake hook (which clears this), so until then a
-     * re-poll must return Blocked again — skip it. Only meaningful
-     * while a stepper is live; reset at every beginIteration.
+     * Blocked-stepper memo: the live stepper returned Blocked on one
+     * of its own streams, and no completion has landed on this
+     * tenant's streams since. A stepper blocks only on its own device
+     * streams draining, and those drain only through the completion
+     * paths that fire the wake hook (which clears this), so until
+     * then a re-poll must return Blocked again. Set only while
+     * resident with a live stepper; cleared by the wake hook, by a
+     * fresh pick under one-iteration packing, and on leaving the
+     * resident set. Buffer paging reads it to page blocked tenants
+     * first.
      */
     bool stepBlocked = false;
+    /**
+     * On its device's ready list: the next sweep offers this resident
+     * a step. A resident is ready exactly when its memo is clear; the
+     * spurious-wakeup test mode (Scheduler::setDebugForceWakeAll)
+     * also marks every resident ready at the start of each turn.
+     */
+    bool ready = false;
+    /** Entry sequence on its device's resident set: orders the ready
+     *  list exactly like the resident set. */
+    std::uint64_t runSeq = 0;
     /** Measured footprint from the tenant's first iteration; once
      *  set, admission math uses it instead of the analytic model. */
     std::optional<FootprintEstimate> measured;

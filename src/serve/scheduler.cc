@@ -152,11 +152,10 @@ Scheduler::onDeviceWake(int device, int client)
     ++statWakeups;
     // The completion landed on `client`'s stream, and a stepper
     // blocks only on its own streams: this is the one tenant whose
-    // blocked stepper could have been released. (Clearing a terminal
-    // or stepper-less tenant's memo is harmless — the memo is
-    // consulted only while a stepper is live.)
+    // blocked stepper could have been released, so it alone rejoins
+    // the ready list. (Only a resident's memo is ever set.)
     if (client >= 0 && std::size_t(client) < jobs.size())
-        jobs[std::size_t(client)]->stepBlocked = false;
+        clearBlocked(*jobs[std::size_t(client)]);
 }
 
 JobId
@@ -181,6 +180,7 @@ Scheduler::submit(JobSpec spec)
             core::AlgoPreference::MemoryOptimal);
     }
     jobs.push_back(std::move(job));
+    estimates.resize(jobs.size() * devs.size());
     ++numPending;
     if (nextPendingArrival == kTimeNone ||
         jobs.back()->spec.arrival < nextPendingArrival) {
@@ -243,22 +243,18 @@ Scheduler::estimateFor(const Job &job, DeviceCtx &d)
     // so they override every per-device analytic entry.
     if (job.measured)
         return *job.measured;
-    auto key = std::make_pair(job.id, d.estimateSlot);
-    auto it = estimates.find(key);
-    if (it == estimates.end()) {
+    std::optional<FootprintEstimate> &slot =
+        estimates[std::size_t(job.id) * devs.size() +
+                  std::size_t(d.estimateSlot)];
+    if (!slot) {
         // Budget for the planner's most conservative plan, derived
         // against the whole device (the reservation must hold however
         // crowded the pool is when the job finally runs).
-        it = estimates
-                 .emplace(key,
-                          estimatePlannerFootprint(
-                              *job.spec.network, d.cudnn,
-                              *job.spec.planner,
-                              core::PlannerContext::exclusive(
-                                  d.dev->spec())))
-                 .first;
+        slot = estimatePlannerFootprint(
+            *job.spec.network, d.cudnn, *job.spec.planner,
+            core::PlannerContext::exclusive(d.dev->spec()));
     }
-    return it->second;
+    return *slot;
 }
 
 double
@@ -372,8 +368,10 @@ Scheduler::enterRunning(Job &job, DeviceCtx &d)
     job.record.state = JobState::Running;
     stopWaiting(job);
     d.running.push_back(job.id);
+    job.runSeq = d.nextSeq++;
+    markReady(job); // its next iteration can begin
     ++residentJobs;
-    wake.add(d.id); // its next iteration can begin
+    wake.add(d.id);
     recordInflight();
 }
 
@@ -393,12 +391,47 @@ Scheduler::removeFromRunning(JobId id)
     VDNN_ASSERT(it != d.running.end(), "job %d not running", id);
     std::size_t idx = std::size_t(it - d.running.begin());
     d.running.erase(it);
+    leaveReady(job);
+    job.stepBlocked = false; // any stepper is gone with the residency
     --residentJobs;
     if (idx < d.rrCursor)
         --d.rrCursor;
     if (d.inFlight == id)
         d.inFlight = -1;
     recordInflight();
+}
+
+void
+Scheduler::markReady(Job &job)
+{
+    if (job.ready)
+        return;
+    job.ready = true;
+    auto &ready = devs[std::size_t(job.record.deviceId)]->ready;
+    ready.insert(std::lower_bound(ready.begin(), ready.end(), job.runSeq),
+                 {job.runSeq, job.id});
+}
+
+void
+Scheduler::leaveReady(Job &job)
+{
+    if (!job.ready)
+        return;
+    job.ready = false;
+    auto &ready = devs[std::size_t(job.record.deviceId)]->ready;
+    auto it = std::lower_bound(ready.begin(), ready.end(), job.runSeq);
+    VDNN_ASSERT(it != ready.end() && it->id == job.id,
+                "job %d missing from the ready list", job.id);
+    ready.erase(it);
+}
+
+void
+Scheduler::clearBlocked(Job &job)
+{
+    if (!job.stepBlocked)
+        return;
+    job.stepBlocked = false;
+    markReady(job);
 }
 
 void
@@ -573,7 +606,6 @@ Scheduler::preempt(Job &victim)
     victim.record.state = JobState::Evicted;
     victim.record.waitingSince = cluster.now(); // aging resumes
     ++victim.record.preemptions;
-    victim.stepBlocked = false; // evictToHost unwound any stepper
     logLifecycle(victim.id, "evict", before, d.id);
     if (ctrPreemptions)
         ctrPreemptions->add();
@@ -1012,7 +1044,7 @@ Scheduler::pickInFlight(DeviceCtx &d)
             }
         }
     }
-    job.stepBlocked = false;
+    clearBlocked(job);
     d.inFlight = job.id;
     return job;
 }
@@ -1033,17 +1065,19 @@ Scheduler::stepTenant(Job &job)
             }
         }
         st = &job.session->beginIteration();
-        job.stepBlocked = false;
     }
-    if (job.stepBlocked && !forceWakeAll) {
-        // No completion has landed on this tenant's streams since it
-        // blocked, so a re-poll must block again — skip the pure call.
+    if (!job.ready) {
+        // The in-flight tenant of a one-tenant-at-a-time device is
+        // still blocked: no completion has landed on its streams since
+        // it blocked, so a re-poll must block again — skip the pure
+        // call.
         ++statFruitlessPolls;
         return false;
     }
     if (st->step(/*blocking=*/false) ==
         core::IterationStepper::Status::Blocked) {
         job.stepBlocked = true;
+        leaveReady(job);
         ++statFruitlessPolls;
         return false;
     }
@@ -1079,16 +1113,24 @@ Scheduler::stepDevice(DeviceCtx &d)
         return stepTenant(pickInFlight(d));
     // Op-granularity packing: every resident tenant owns a resumable
     // IterationStepper over its compiled IterationProgram. One sweep
-    // offers each tenant a single step; a tenant blocked on a stream
-    // join (its offload or prefetch still in flight) is skipped rather
-    // than allowed to stall the host, so the next tenant's compute op
-    // dispatches under the blocked tenant's DMA.
+    // offers each ready tenant a single step, in entry order; a tenant
+    // blocked on a stream join (its offload or prefetch still in
+    // flight) leaves the ready list rather than stalling the host, so
+    // the next tenant's compute op dispatches under the blocked
+    // tenant's DMA, and it is not offered another step until its wake
+    // hook fires. The list changes under the sweep: a tenant woken
+    // above the cursor (a finishing iteration's teardown executes
+    // events) is stepped in this sweep, one woken below it or entering
+    // mid-sweep in the next — exactly the tenants a sweep over a
+    // snapshot of the resident set would have found unblocked.
     bool progress = false;
-    round = d.running;
-    for (JobId id : round) {
-        Job &job = *jobs[std::size_t(id)];
-        // Skip tenants finished or evicted earlier in this round.
-        if (job.record.state == JobState::Running && stepTenant(job))
+    const std::uint64_t sweep_end = d.nextSeq;
+    for (std::uint64_t cursor = 0;;) {
+        auto it = std::lower_bound(d.ready.begin(), d.ready.end(), cursor);
+        if (it == d.ready.end() || it->seq >= sweep_end)
+            break;
+        cursor = it->seq + 1;
+        if (stepTenant(*jobs[std::size_t(it->id)]))
             progress = true;
     }
     return progress;
@@ -1239,11 +1281,13 @@ Scheduler::runEngine()
     // The loop is event-driven. Each turn drains only the wake-set —
     // the devices whose state actually changed since they last made no
     // progress (a completion event executed on them, or a tenant was
-    // admitted / resumed / migrated in) — and within a device each
-    // tenant carries a blocked-stepper memo (Job::stepBlocked, cleared
-    // by the wake hook of the one tenant whose stream the completion
-    // landed on), so a thousand-tenant device re-polls one tenant per
-    // completion, not a thousand. The admission sweep reruns only when
+    // admitted / resumed / migrated in) — and within an op-packed
+    // device only the tenants on its ready list are offered a step. A
+    // tenant leaves the list when its step returns Blocked and rejoins
+    // it when the wake hook of a completion on its own stream clears
+    // its blocked-stepper memo (Job::stepBlocked), so a
+    // thousand-tenant device offers about one step per completion, not
+    // a thousand. The admission sweep reruns only when
     // `admissionDirty` says one of its inputs moved: an arrival, a
     // ledger or running-set change, a pending setup-OOM retry, or —
     // under priority ordering, whose admission order ages with time —
@@ -1317,12 +1361,15 @@ Scheduler::runEngine()
         }
 
         if (forceWakeAll) {
-            // Spurious-wakeup test mode: degenerate to the polling
-            // scan (the sweeps also bypass the per-tenant memo).
-            // Extra offers to blocked tenants are pure, so the
-            // equivalence goldens must still hold.
-            for (auto &d : devs)
+            // Spurious-wakeup test mode: every device is woken and
+            // every resident offered a step by the same sweep. Extra
+            // offers to blocked tenants are pure, so the equivalence
+            // goldens must still hold.
+            for (auto &d : devs) {
                 wake.add(d->id);
+                for (JobId id : d->running)
+                    markReady(*jobs[std::size_t(id)]);
+            }
         }
         // Ascending-id sweep over the live wake-set. A device woken
         // *above* the cursor mid-sweep (a teardown's stream drain
@@ -1342,8 +1389,8 @@ Scheduler::runEngine()
         if (!progress) {
             // Every woken tenant is blocked on in-flight device work
             // (or the set is empty); run the single next completion —
-            // its wake hook repopulates the set and clears exactly the
-            // blocked memo of the tenant whose stream drained.
+            // its wake hook repopulates the set and puts exactly the
+            // tenant whose stream drained back on its ready list.
             bool advanced = cluster.stepDevice();
             VDNN_ASSERT(advanced,
                         "all tenants blocked with an empty event queue");

@@ -62,11 +62,14 @@
  * executes exactly one completion event when no stepper progressed.
  * Every tenant advances through one per-tenant step routine; the
  * exclusive and one-iteration packings call it for the tenant they
- * pick, op-packed for every resident tenant. On a cluster a periodic
- * rebalance sweep migrates the smallest-footprint tenant off the
- * most-loaded device whenever the queue-depth imbalance reaches a
- * threshold (Session::migrate: suspend -> evict-to-host -> re-plan
- * and resume on the target).
+ * pick, op-packed for every tenant on the device's ready list: the
+ * residents whose stepper is not known to be blocked, in resident-set
+ * order. A tenant leaves the list when its step returns Blocked and
+ * rejoins it when a completion lands on one of its own streams. On a
+ * cluster a periodic rebalance sweep migrates the smallest-footprint
+ * tenant off the most-loaded device whenever the queue-depth
+ * imbalance reaches a threshold (Session::migrate: suspend ->
+ * evict-to-host -> re-plan and resume on the target).
  *
  * Make-room under priority ordering is all-or-nothing: the whole
  * victim set is chosen against the admission ledger first, and when
@@ -106,8 +109,8 @@
 #include "stats/time_weighted.hh"
 
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -230,12 +233,12 @@ class Scheduler
     const Job &job(JobId id) const { return *jobs.at(std::size_t(id)); }
 
     /**
-     * Test hook (spurious-wakeup safety): treat every device (and
-     * every tenant) as woken on every turn of the engine,
-     * degenerating the wake-list sweep back into the old full polling
-     * scan. A non-blocking step offered to a blocked or empty device
-     * is pure, so outputs must be byte-identical with this on — the
-     * equivalence suite pins it.
+     * Test hook (spurious-wakeup safety): at the start of every turn
+     * wake every device and mark every resident tenant ready, so the
+     * one sweep offers a step to every tenant, blocked or not. A
+     * non-blocking step offered to a blocked tenant or an empty
+     * device is pure, so outputs must be byte-identical with this on
+     * — the equivalence suite pins it.
      */
     void setDebugForceWakeAll(bool on) { forceWakeAll = on; }
 
@@ -250,14 +253,30 @@ class Scheduler
         dnn::CudnnSim cudnn;        ///< perf model for this device
         AdmissionController admission;
         mem::UsageTracker track;    ///< this device's pool usage
-        std::vector<JobId> running; ///< admitted here, submission order
+        std::vector<JobId> running; ///< admitted here, entry order
+        /**
+         * Residents the next sweep offers a step (Job::ready), sorted
+         * by Job::runSeq — the resident set's own order, since it is
+         * append-plus-erase. Usually a handful of tenants: those whose
+         * wait just ended.
+         */
+        struct ReadyEntry
+        {
+            std::uint64_t seq;
+            JobId id;
+            /** Ordered by entry sequence (std::lower_bound on a seq). */
+            bool operator<(std::uint64_t s) const { return seq < s; }
+        };
+        std::vector<ReadyEntry> ready;
+        /** Job::runSeq of the next tenant to enter `running`. */
+        std::uint64_t nextSeq = 0;
         std::size_t rrCursor = 0;
         /** Job whose iteration the engine has in flight (exclusive
          *  and one-iteration packing; -1 under op-packed, where every
          *  resident tenant may hold a live stepper). */
         JobId inFlight = -1;
         /** Lowest device id with an identical spec: same-spec devices
-         *  share one footprint-estimate cache entry per job. */
+         *  share one footprint-estimate slot per job. */
         int estimateSlot = 0;
         int jobsPlaced = 0;
         int migrationsIn = 0;
@@ -297,8 +316,16 @@ class Scheduler
     /** Does exclusive packing bar @p d from taking another tenant?
      *  (An exclusive device holds at most one resident.) */
     bool exclusivelyHeld(const DeviceCtx &d) const;
-    /** Drop @p id from its device's resident set, fixing cursors. */
+    /** Drop @p id from its device's resident set (and ready list),
+     *  fixing cursors. */
     void removeFromRunning(JobId id);
+    /** Put resident @p job on its device's ready list (no-op when it
+     *  is already there). */
+    void markReady(Job &job);
+    /** Take @p job off its device's ready list (no-op when absent). */
+    void leaveReady(Job &job);
+    /** Clear @p job's blocked memo: its wait may have ended. */
+    void clearBlocked(Job &job);
     /** One OOM backoff step: count the requeue and inflate the job's
      *  reservation. @return true when the job has now used up its
      *  requeues and must go Failed. */
@@ -372,11 +399,13 @@ class Scheduler
      *  grown back by a re-plan when a co-tenant left. */
     Job &pickInFlight(DeviceCtx &d);
     /** The per-tenant step routine: begin the iteration (stamping
-     *  first dispatch), honour the blocked memo, take one non-blocking
-     *  step, fold a finished iteration. @return progress. */
+     *  first dispatch), skip a tenant not on the ready list, take one
+     *  non-blocking step (a Blocked one leaves the ready list), fold a
+     *  finished iteration. @return progress. */
     bool stepTenant(Job &job);
-    /** One step offer to @p d: its in-flight tenant, or every resident
-     *  tenant under op-packed packing. @return progress. */
+    /** One step offer to @p d: its in-flight tenant, or under
+     *  op-packed packing each tenant on the ready list that entered
+     *  before the sweep began, in entry order. @return progress. */
     bool stepDevice(DeviceCtx &d);
     /** Periodic migration sweep off the most-loaded device. */
     void maybeRebalance();
@@ -384,7 +413,8 @@ class Scheduler
     /** The one serve loop: every policy at every device count. */
     void runEngine();
     /** Device wake hook body: push @p device onto the wake-set and
-     *  clear @p client's blocked-stepper memo. */
+     *  clear @p client's blocked-stepper memo, which puts it back on
+     *  the ready list. */
     void onDeviceWake(int device, int client);
     static void deviceWakeTrampoline(void *self, int device, int client);
 
@@ -395,8 +425,13 @@ class Scheduler
     std::vector<std::unique_ptr<DeviceCtx>> devs;
 
     std::vector<std::unique_ptr<Job>> jobs;
-    /** Footprint estimates are deterministic per (spec, device). */
-    std::map<std::pair<JobId, int>, FootprintEstimate> estimates;
+    /**
+     * Footprint estimates are deterministic per (spec, device): one
+     * lazily filled slot per job and device, at
+     * `id * deviceCount() + DeviceCtx::estimateSlot`. Sized by
+     * submit(), so references handed out while running stay valid.
+     */
+    std::vector<std::optional<FootprintEstimate>> estimates;
     JobQueue queue;                 ///< arrived, waiting for admission
     std::vector<JobId> evictedJobs; ///< preempted/stalled, awaiting resume
     /** Capacity freed since the last resume sweep. */
@@ -433,11 +468,10 @@ class Scheduler
     bool forceWakeAll = false;
 
     /**
-     * Per-call scratch, kept to spare the admission sweep and the
-     * packed step a heap allocation per queued job or per offer:
-     * the current job's estimate per device, the placement snapshot,
-     * make-room candidates and their eviction order, and the resident
-     * round a packed sweep offers steps to.
+     * Per-call scratch, kept to spare the admission sweep a heap
+     * allocation per queued job: the current job's estimate per
+     * device, the placement snapshot, and make-room candidates and
+     * their eviction order.
      */
     std::vector<const FootprintEstimate *> jobEst;
     std::vector<DeviceLoad> loads;
@@ -448,7 +482,6 @@ class Scheduler
     };
     std::vector<Candidate> candidates;
     std::vector<JobId> victims;
-    std::vector<JobId> round;
 
     std::vector<LifecycleEvent> lifecycleLog;
     stats::TimeWeighted inflight;

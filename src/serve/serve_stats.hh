@@ -161,10 +161,14 @@ struct ServeReport
 
     /**
      * Event-driven serve-loop accounting: device wake-hook firings
-     * (one per executed completion event), step offers that made no
-     * progress, and idle clock advances to the next pending arrival.
-     * Telemetry for the polling -> wake-list rework; never printed in
-     * the golden-pinned tables.
+     * (one per executed completion event), fruitless step offers, and
+     * idle clock advances to the next pending arrival. A fruitless
+     * offer is a step that returned Blocked, an offer to an in-flight
+     * tenant still known to be blocked (exclusive and one-iteration
+     * packing), or an offer to a woken device with no resident; under
+     * op-packed packing only tenants on the ready list are offered a
+     * step, so there it counts steps that returned Blocked. Never
+     * printed in the golden-pinned tables.
      */
     std::uint64_t loopWakeups = 0;
     std::uint64_t loopFruitlessPolls = 0;

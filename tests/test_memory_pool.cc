@@ -13,6 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <optional>
 #include <vector>
 
 using namespace vdnn;
@@ -164,6 +167,13 @@ TEST(MemoryPoolDeath, DoubleReleasePanics)
     EXPECT_DEATH(pool.release(a), "unknown allocation");
 }
 
+TEST(MemoryPoolDeath, NegativeClientPanics)
+{
+    // Per-client usage is indexed by tenant id.
+    MemoryPool pool(1_MiB);
+    EXPECT_DEATH(pool.tryAllocate(64_KiB, "t", -1), "negative client id");
+}
+
 TEST(MemoryPool, TrackerSeesEveryChange)
 {
     TimeNs fake_now = 0;
@@ -211,9 +221,7 @@ TEST_P(MemoryPoolPropertyTest, RandomWorkloadKeepsInvariants)
             pool.release(live[idx]);
             live.erase(live.begin() + std::ptrdiff_t(idx));
         }
-        if (step % 64 == 0) {
-            ASSERT_TRUE(pool.checkInvariants()) << "at step " << step;
-        }
+        ASSERT_TRUE(pool.checkInvariants()) << "at step " << step;
     }
     for (const auto &a : live)
         pool.release(a);
@@ -225,6 +233,145 @@ TEST_P(MemoryPoolPropertyTest, RandomWorkloadKeepsInvariants)
 INSTANTIATE_TEST_SUITE_P(Seeds, MemoryPoolPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u,
                                            34u));
+
+/**
+ * Differential test: the flat best-fit pool must place every block
+ * exactly where the two-tier std::map allocator it replaced did, and
+ * fail exactly the same requests. The reference below is that
+ * allocator, kept verbatim in spirit: small requests first take the
+ * tightest *small* free block, and only then fall back to best fit
+ * over every block; large requests carve from the high end.
+ */
+class TwoTierReferencePool
+{
+  public:
+    explicit TwoTierReferencePool(Bytes capacity)
+        : cap(capacity), large(capacity / MemoryPool::kLargeFraction)
+    {
+        free.emplace(0, cap);
+    }
+
+    std::optional<Bytes> allocate(Bytes size)
+    {
+        Bytes need = std::max<Bytes>(
+            (size + MemoryPool::kAlignment - 1) / MemoryPool::kAlignment *
+                MemoryPool::kAlignment,
+            MemoryPool::kAlignment);
+        auto best = free.end();
+        if (need < large) {
+            for (auto it = free.begin(); it != free.end(); ++it) {
+                if (it->second < need || it->second >= large)
+                    continue;
+                if (best == free.end() || it->second < best->second)
+                    best = it;
+            }
+        }
+        if (best == free.end()) {
+            for (auto it = free.begin(); it != free.end(); ++it) {
+                if (it->second < need)
+                    continue;
+                if (best == free.end() || it->second < best->second)
+                    best = it;
+            }
+        }
+        if (best == free.end())
+            return std::nullopt;
+        Bytes off = best->first;
+        Bytes bsize = best->second;
+        free.erase(best);
+        Bytes at;
+        if (need >= large) {
+            at = off + bsize - need;
+            if (bsize > need)
+                free.emplace(off, bsize - need);
+        } else {
+            at = off;
+            if (bsize > need)
+                free.emplace(off + need, bsize - need);
+        }
+        return at;
+    }
+
+    void release(Bytes offset, Bytes size)
+    {
+        auto ins = free.emplace(offset, size).first;
+        auto next = std::next(ins);
+        if (next != free.end() && ins->first + ins->second == next->first) {
+            ins->second += next->second;
+            free.erase(next);
+        }
+        if (ins != free.begin()) {
+            auto prev = std::prev(ins);
+            if (prev->first + prev->second == ins->first) {
+                prev->second += ins->second;
+                free.erase(ins);
+            }
+        }
+    }
+
+    std::size_t blocks() const { return free.size(); }
+
+  private:
+    Bytes cap;
+    Bytes large;
+    std::map<Bytes, Bytes> free;
+};
+
+class MemoryPoolDifferentialTest
+    : public ::testing::TestWithParam<std::uint64_t>
+{};
+
+TEST_P(MemoryPoolDifferentialTest, MatchesTwoTierBestFit)
+{
+    SplitMix64 rng(GetParam());
+    const Bytes capacity = 24_MiB;
+    MemoryPool pool(capacity);
+    TwoTierReferencePool ref(capacity);
+    const Bytes large = capacity / MemoryPool::kLargeFraction;
+    std::vector<Allocation> live;
+    int ooms = 0;
+    int large_allocs = 0;
+    for (int step = 0; step < 4000; ++step) {
+        bool do_alloc = live.empty() || rng.nextDouble() < 0.6;
+        if (do_alloc) {
+            // Sizes on both sides of the large threshold, a few right
+            // at it, so both carve directions and the old small-block
+            // tier all run.
+            double pick = rng.nextDouble();
+            Bytes size = pick < 0.7    ? rng.nextRange(1, large / 4)
+                         : pick < 0.8 ? rng.nextRange(large - 4 * kKiB,
+                                                      large + 4 * kKiB)
+                                       : rng.nextRange(large, 3 * large);
+            std::optional<Bytes> want = ref.allocate(size);
+            std::optional<Allocation> got =
+                pool.tryAllocate(size, "diff", int(step % 5));
+            ASSERT_EQ(want.has_value(), got.has_value())
+                << "OOM outcome differs at step " << step;
+            if (got) {
+                ASSERT_EQ(*want, got->offset) << "at step " << step;
+                large_allocs += got->size >= large;
+                live.push_back(*got);
+            } else {
+                ++ooms;
+            }
+        } else {
+            size_t idx =
+                size_t(rng.nextRange(0, std::int64_t(live.size()) - 1));
+            ref.release(live[idx].offset, live[idx].size);
+            pool.release(live[idx]);
+            live.erase(live.begin() + std::ptrdiff_t(idx));
+        }
+        ASSERT_TRUE(pool.checkInvariants()) << "at step " << step;
+        ASSERT_EQ(pool.freeBlockCount(), ref.blocks()) << "at step " << step;
+    }
+    // The mix must actually fragment the arena and fail requests.
+    EXPECT_GT(ooms, 0);
+    EXPECT_GT(large_allocs, 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemoryPoolDifferentialTest,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u,
+                                           8u));
 
 // --- PinnedHostAllocator ------------------------------------------------------
 

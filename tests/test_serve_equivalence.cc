@@ -15,7 +15,8 @@
  * shares the nextPendingArrival fast path, and (pinned later, before
  * the scheduler's policy table) Op-granularity priority churn with
  * buffer paging, op-packed overlap on two devices and priority
- * make-room on two devices.
+ * make-room on two devices, and (pinned before the per-device ready
+ * list) a dense single-device op-packed burst of 64 tenants.
  *
  * If any of these change, the wake-list loop made a different
  * decision than the polling loop did — a correctness bug, not a perf
@@ -408,6 +409,35 @@ runClusterPriority(bool forceWakeAll = false)
     return sched.run();
 }
 
+/** The dense-packed shape scaled to a test: 64 tenants of mixed batch
+ *  size pour onto one device in a 16 ms burst under op-granularity
+ *  packing with buffer paging, so dozens of residents hold live
+ *  steppers at once and most of them sit blocked on a DMA join at
+ *  any instant. An unpadded reservation (admissionSafety 1.0) lets
+ *  some setups and one iteration hit OOM, so both paging sites run
+ *  too: admission, and the in-flight OOM requeue, which pages
+ *  mid-sweep. */
+ServeReport
+runDensePacked(bool forceWakeAll = false)
+{
+    SchedulerConfig cfg;
+    cfg.policy = SchedPolicy::PackedOverlap;
+    cfg.bufferPaging = true;
+    cfg.admissionSafety = 1.0;
+    Scheduler sched(cfg);
+    for (int i = 0; i < 64; ++i) {
+        JobSpec spec;
+        spec.name = strFormat("dense-%02d", i);
+        spec.network = sharedNet(i % 2, i % 3 == 0 ? 128 : 64);
+        spec.planner = vdnnAll();
+        spec.arrival = TimeNs(i) * kNsPerMs / 4;
+        spec.iterations = i % 3 + 1;
+        sched.submit(std::move(spec));
+    }
+    sched.setDebugForceWakeAll(forceWakeAll);
+    return sched.run();
+}
+
 } // namespace
 
 // Golden values produced by the polling-loop build at PR 9's base
@@ -527,9 +557,9 @@ TEST(ServeEquivalence, SpuriousWakeupsClusterSrpt)
     expectClean(r);
 }
 
-// Single-device spurious wakeups: forceWakeAll additionally bypasses
-// the per-tenant blocked-stepper memo (Job::stepBlocked), so every
-// memoized skip becomes an explicit step offer to a blocked stepper.
+// Single-device spurious wakeups: forceWakeAll additionally marks
+// every resident ready each turn, so every tenant the ready list
+// would skip gets an explicit step offer to its blocked stepper.
 // Identical outputs prove the skip was pure — re-polling a tenant
 // whose streams saw no completion cannot change the trajectory.
 
@@ -715,5 +745,33 @@ TEST(ServeEquivalence, SpuriousWakeupsClusterPriority)
     EXPECT_EQ(r.makespan, 35784928102);
     EXPECT_EQ(foldJobs(r), 18092762474144792679ULL);
     EXPECT_EQ(foldLifecycle(r), 2756059447095145987ULL);
+    expectClean(r);
+}
+
+// Pinned before the per-device ready list replaced the op-packed
+// sweep over every resident: the ready list must offer steps in
+// exactly the old sweep order. The old sweep offered about 50 steps
+// per wakeup here; the ready list offers about one.
+
+TEST(ServeEquivalence, DensePackedGolden)
+{
+    ServeReport r = runDensePacked();
+    EXPECT_EQ(r.finishedCount(), 64);
+    EXPECT_EQ(r.makespan, 43004656435);
+    EXPECT_EQ(foldJobs(r), 4834064395909842176ULL);
+    EXPECT_EQ(foldLifecycle(r), 7271959945097451420ULL);
+    EXPECT_EQ(r.lifecycle.size(), 201u);
+    EXPECT_GT(countEvents(r, "page-out"), 0);
+    EXPECT_GT(countEvents(r, "requeue"), 0);
+    EXPECT_LE(double(r.loopFruitlessPolls), 1.5 * double(r.loopWakeups));
+    expectClean(r);
+}
+
+TEST(ServeEquivalence, SpuriousWakeupsDensePacked)
+{
+    ServeReport r = runDensePacked(/*forceWakeAll=*/true);
+    EXPECT_EQ(r.makespan, 43004656435);
+    EXPECT_EQ(foldJobs(r), 4834064395909842176ULL);
+    EXPECT_EQ(foldLifecycle(r), 7271959945097451420ULL);
     expectClean(r);
 }
