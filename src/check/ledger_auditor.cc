@@ -171,9 +171,6 @@ auditLedger(const ServeReport &report)
                        ? DeltaRule::Positive
                        : DeltaRule::Zero;
             next = ReplayState::Running;
-        } else if (what == "profile") {
-            legal = t.state == ReplayState::Running;
-            rule = DeltaRule::NonPos; // reservations shrink only
         } else if (what == "replan") {
             legal = t.state == ReplayState::Running;
             rule = DeltaRule::Zero;

@@ -14,7 +14,7 @@
  *                            Migrating -migrate-stall-> Evicted
  *     (live) -finish/fail-> done, -requeue-> Queued
  *     Queued -fail-> done  (admission gave up; ledger untouched)
- *     Running -profile/replan/page-out-> Running
+ *     Running -replan/page-out-> Running
  *
  * and proves:
  *  - every transition is legal for the tenant's replayed state

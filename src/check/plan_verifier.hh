@@ -21,7 +21,9 @@
  *    provable transient peak must fit the granted share
  *    (ShareExceeded; an error only when CheckConfig::enforceCapacity,
  *    a warning otherwise, because the runtime degrades gracefully on
- *    OOM).
+ *    OOM). Both terms count raw buffer bytes; the pool's 512 B
+ *    allocation rounding is not included, so a measured peak can
+ *    exceed the provable one by a few hundred bytes.
  *
  * verifyCompiledPlan() is the one body. The Executor runs it as its
  * gate on the program it will execute, against its pool's free bytes

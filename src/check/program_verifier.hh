@@ -51,6 +51,14 @@
  * the granted share). Prefetch issue is simulated with the real
  * findPrefetchLayer (Fig. 10) on the verifier's own PrefetchState, so
  * the abstract DMA schedule matches the runtime's deterministic one.
+ * Admission reserves the same peak computed with prefetching off
+ * (serve::estimateFootprint).
+ *
+ * The peak counts raw buffer bytes, while the pool rounds every
+ * allocation up to its 512 B alignment, so a measured peak can sit a
+ * few hundred bytes above it (256 B on OverFeat (64) vDNN_all (m)).
+ * Counting rounded bytes would move every admission reservation, so
+ * the peak stays raw.
  */
 
 #ifndef VDNN_CHECK_PROGRAM_VERIFIER_HH

@@ -96,7 +96,7 @@ Session::plannerContext() const
                                      rt->deviceId());
     }
     // Once the first iteration has been profiled, planners see the
-    // measured footprint/sparsity instead of their analytic models.
+    // measured sparsity instead of their analytic model.
     ctx.profile = profiledFp.valid ? &profiledFp : nullptr;
     return ctx;
 }

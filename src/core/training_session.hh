@@ -327,8 +327,7 @@ class Session
     /**
      * The measured first-iteration profile: footprint, timings, PCIe
      * traffic and per-buffer activation sparsity. valid after the
-     * first completed iteration; later re-plans (and, via the serve
-     * layer, admission reservations) consume it through
+     * first completed iteration; later re-plans consume it through
      * PlannerContext::profile.
      */
     const obs::ProfiledFootprint &profiledFootprint() const

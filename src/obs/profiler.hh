@@ -4,11 +4,12 @@
  * PCIe traffic, and activation sparsity.
  *
  * The Session fills a ProfiledFootprint when a tenant's first
- * iteration completes; the scheduler then feeds it back into the
- * AdmissionController (measured instead of analytic reservations) and
- * the PlannerContext (measured sparsity for the compressed-DMA
- * planner). Ids are plain ints (BufferId / layer topo index) so this
- * module depends on nothing above common+stats.
+ * iteration completes. It is an observation: admission reserves the
+ * statically proven footprint (serve/admission.hh) and never revises
+ * it, while re-plans feed the measured sparsity to the compressed-DMA
+ * planner through PlannerContext::profile. Ids are plain ints
+ * (BufferId / layer topo index) so this module depends on nothing
+ * above common+stats.
  */
 
 #ifndef VDNN_OBS_PROFILER_HH

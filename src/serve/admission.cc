@@ -1,7 +1,8 @@
 #include "serve/admission.hh"
 
+#include "check/program_verifier.hh"
 #include "common/logging.hh"
-#include "dnn/conv_algo.hh"
+#include "core/iteration_program.hh"
 #include "net/network_stats.hh"
 
 #include <algorithm>
@@ -9,24 +10,6 @@
 
 namespace vdnn::serve
 {
-
-namespace
-{
-
-/** Distinct buffers a layer touches as inputs (concat joins repeat). */
-std::vector<net::BufferId>
-inputBuffers(const net::Network &net, net::LayerId id)
-{
-    std::vector<net::BufferId> out;
-    for (net::LayerId in_id : net.node(id).inputs) {
-        net::BufferId b = net.producedBuffer(in_id);
-        if (std::find(out.begin(), out.end(), b) == out.end())
-            out.push_back(b);
-    }
-    return out;
-}
-
-} // namespace
 
 FootprintEstimate
 estimateFootprint(const net::Network &net, const dnn::CudnnSim &cudnn,
@@ -37,77 +20,22 @@ estimateFootprint(const net::Network &net, const dnn::CudnnSim &cudnn,
                     plan.algos.size() == net.numLayers(),
                 "plan does not match the network");
 
-    net::NetworkStats stats(net, cudnn);
+    // Prefetches are opportunistic (skipped or evicted whenever a
+    // mandatory allocation needs the space), so the working set to
+    // reserve is the program's peak with prefetching off.
+    core::ExecutorConfig cfg;
+    cfg.prefetchEnabled = false;
+    check::CheckResult r = check::verifyProgram(
+        net, plan, cfg, core::IterationProgram::compile(net, plan, cfg));
+    VDNN_ASSERT(r.ok(), "admission plan fails verification:\n%s",
+                r.report().c_str());
 
     FootprintEstimate est;
-
-    // Persistent state: the regions Executor::setup() allocates.
-    est.persistent = core::persistentFootprint(net, plan, stats).total();
-    if (plan.staticAllocation)
-        return est; // Baseline holds everything between iterations
-
-    // Managed buffers the plan does *not* offload stay resident from
-    // their forward definition to their last backward use; they are
-    // part of every layer's instantaneous residency.
-    Bytes resident = 0;
-    for (net::BufferId b = 0; b < net::BufferId(net.numBuffers()); ++b) {
-        const net::Buffer &buf = net.buffer(b);
-        if (!buf.classifier && !plan.offloads(b) &&
-            !buf.bwdUsers.empty()) {
-            resident += buf.bytes();
-        }
-    }
-
-    // Largest instantaneous working set over the managed layers. The
-    // forward set holds X, Y and workspace; the backward set holds the
-    // gradients dY/dX plus whichever of X/Y the layer's backward
-    // kernels read. Overlapped prefetches need no reservation: they
-    // are opportunistic (skipped or evicted whenever a mandatory
-    // allocation needs the space).
-    Bytes max_working = 0;
-    for (net::LayerId id : net.topoOrder()) {
-        const net::LayerNode &n = net.node(id);
-        if (n.classifier)
-            continue;
-        Bytes ws = n.spec.kind == dnn::LayerKind::Conv
-                       ? dnn::convWorkspaceBytes(
-                             plan.algos[std::size_t(id)], n.spec)
-                       : 0;
-        std::vector<net::BufferId> ins = inputBuffers(net, id);
-        Bytes x_bytes = 0;
-        for (net::BufferId b : ins)
-            x_bytes += net.buffer(b).bytes();
-        Bytes y_bytes =
-            n.spec.inPlace() ? 0 : net.buffer(n.yBuffer).bytes();
-
-        Bytes fwd = ws + x_bytes + y_bytes;
-
-        Bytes bwd = ws;
-        bwd += net.buffer(n.yBuffer).bytes(); // dY
-        for (net::BufferId b : ins) {
-            if (b != net.inputBuffer())
-                bwd += net.buffer(b).bytes(); // dX
-        }
-        if (n.spec.backwardNeedsX())
-            bwd += x_bytes;
-        if (n.spec.backwardNeedsY() && !n.spec.inPlace())
-            bwd += net.buffer(n.yBuffer).bytes();
-
-        max_working = std::max({max_working, fwd, bwd});
-    }
-
-    est.transient = resident + max_working;
+    est.persistent =
+        core::persistentFootprint(net, plan, net::NetworkStats(net, cudnn))
+            .total();
+    est.transient = r.peakTransientBytes;
     return est;
-}
-
-FootprintEstimate
-estimatePlannerFootprint(const net::Network &net,
-                         const dnn::CudnnSim &cudnn,
-                         core::Planner &planner,
-                         const core::PlannerContext &ctx)
-{
-    return estimateFootprint(net, cudnn,
-                             planner.admissionPlan(net, ctx));
 }
 
 AdmissionController::AdmissionController(Bytes capacity, double safety_,
@@ -193,7 +121,8 @@ Bytes
 AdmissionController::reservationFor(const FootprintEstimate &est,
                                     double scale) const
 {
-    return Bytes(std::ceil(double(est.total()) * safety * scale));
+    Reservation r = scaled(est, scale);
+    return r.persistent + r.transient;
 }
 
 bool
@@ -215,6 +144,8 @@ bool
 AdmissionController::feasible(const FootprintEstimate &est,
                               double scale) const
 {
+    // Alone on the device the arena is this job's own transient, in
+    // both packings.
     return reservationFor(est, scale) <= cap;
 }
 
@@ -261,22 +192,6 @@ AdmissionController::readmit(JobId id)
     Entry &e = entryIn(id, Where::Evicted, "readmit");
     --evicted;
     addResident(id, e.r);
-}
-
-Bytes
-AdmissionController::updateReservation(JobId id,
-                                       const FootprintEstimate &measured,
-                                       double scale)
-{
-    Reservation &r = entryIn(id, Where::Resident, "profile update").r;
-    Reservation m = scaled(measured, scale);
-    Bytes before = r.persistent + r.transient;
-    Bytes new_persistent = std::min(r.persistent, m.persistent);
-    persistentSum += new_persistent - r.persistent;
-    r.persistent = new_persistent;
-    r.transient = std::min(r.transient, m.transient);
-    arenaStale = true;
-    return before - (r.persistent + r.transient);
 }
 
 Bytes

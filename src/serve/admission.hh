@@ -6,10 +6,19 @@
  *
  *  - persistent bytes, held for the job's whole lifetime (weights,
  *    shared dW, the classifier block — and, for Baseline tenants, the
- *    entire network-wide allocation);
+ *    entire network-wide allocation): core::persistentFootprint, the
+ *    regions Executor::setup() allocates;
  *  - transient bytes, the per-iteration working set that is allocated
- *    at iteration start and fully released by iteration end (the
- *    executor's steady-state invariant guarantees this).
+ *    at iteration start and fully released by iteration end: the
+ *    ProgramVerifier's provable peak of the plan's compiled program
+ *    (check/program_verifier.hh) with prefetching off. Overlapped
+ *    prefetches are not reserved, because the Executor skips or
+ *    evicts them whenever a mandatory allocation needs the space.
+ *
+ * Both numbers are read off the plan statically, before the job ever
+ * runs, and a reservation is never revised afterwards: the first
+ * iteration's measured footprint (obs::ProfiledFootprint) is an
+ * observation, not an admission input.
  *
  * Because the scheduler interleaves tenants at *iteration*
  * granularity, at most one tenant's transient working set is live at
@@ -46,32 +55,27 @@ namespace vdnn::serve
 {
 
 /**
- * Analytically estimate the device footprint of training @p net under
- * a resolved MemoryPlan: static-allocation plans hold everything
- * persistently; directive plans keep the non-offloaded reused buffers
- * resident plus the largest per-layer working set.
+ * The device footprint of training @p net under the resolved @p plan:
+ * core::persistentFootprint plus the ProgramVerifier's provable
+ * transient peak of @p plan compiled with prefetching off (a
+ * static-allocation plan holds everything persistently, so its
+ * transient term is zero).
  */
 FootprintEstimate estimateFootprint(const net::Network &net,
                                     const dnn::CudnnSim &cudnn,
                                     const core::MemoryPlan &plan);
-
-/**
- * Estimate the footprint a planner must be budgeted for: its
- * admissionPlan() (the most memory-conservative plan it may settle
- * on — for DynamicPlanner the vDNN_all memory floor).
- */
-FootprintEstimate estimatePlannerFootprint(const net::Network &net,
-                                           const dnn::CudnnSim &cudnn,
-                                           core::Planner &planner,
-                                           const core::PlannerContext &ctx);
 
 class AdmissionController
 {
   public:
     /**
      * @param capacity shared device pool size
-     * @param safety   reservation inflation guarding estimate error
-     *                 and allocator fragmentation (e.g. 1.05 = +5%)
+     * @param safety   reservation inflation (e.g. 1.05 = +5%). The
+     *                 footprint itself is a provable bound, so this
+     *                 margin covers what it leaves out: co-tenants'
+     *                 opportunistic prefetches overshooting their
+     *                 reservations, and pool fragmentation (each
+     *                 allocation rounded up to the pool alignment).
      * @param overlap_transients packed-overlap mode: iterations of all
      *                 admitted tenants may be in flight
      *                 *simultaneously*, so the shared-transient-arena
@@ -90,7 +94,9 @@ class AdmissionController
     bool canAdmit(const FootprintEstimate &est, double scale = 1.0) const;
 
     /** Could it fit an *empty* device at all (else: reject outright)?
-     *  @p scale includes any OOM-backoff inflation the job accrued. */
+     *  @p scale includes any OOM-backoff inflation the job accrued.
+     *  Rounds exactly like canAdmit(), so a feasible job fits an
+     *  empty ledger. */
     bool feasible(const FootprintEstimate &est, double scale = 1.0) const;
 
     /** Record an admitted job's reservation. */
@@ -120,18 +126,6 @@ class AdmissionController
 
     /** Restore an evicted job's reservation (resume). */
     void readmit(JobId id);
-
-    /**
-     * Replace a resident job's reservation with one derived from a
-     * *measured* footprint (first-iteration profiling). Shrink-only:
-     * each component takes the min of the existing reservation and the
-     * safety-scaled measurement, so a tenant whose profile came in
-     * above the analytic estimate is never squeezed past what it was
-     * admitted with (the pool already holds its current allocation).
-     * @return bytes returned to the pool (>= 0).
-     */
-    Bytes updateReservation(JobId id, const FootprintEstimate &measured,
-                            double scale = 1.0);
 
     /** Safety-scaled reservation of a single job standing alone. */
     Bytes reservationFor(const FootprintEstimate &est,
@@ -183,7 +177,7 @@ class AdmissionController
 
     /** Transient arena the admitted set needs: max, or sum when
      *  packed overlap keeps several iterations in flight at once.
-     *  Cached; recomputed only after a reservation leaves or shrinks. */
+     *  Cached; recomputed only after a reservation leaves. */
     Bytes transientArena() const;
     /** Arena of two disjoint sets: sum or max, as above. */
     Bytes combineArena(Bytes a, Bytes b) const
@@ -197,6 +191,8 @@ class AdmissionController
     void addResident(JobId id, const Reservation &r);
     /** Take @p id off the resident set, into state @p to. */
     void dropResident(JobId id, Where to);
+    /** The one rounding rule: each component scaled by
+     *  safety * @p scale and rounded up. */
     Reservation scaled(const FootprintEstimate &est, double scale) const;
 
     bool fits(const Reservation &r) const;

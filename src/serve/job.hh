@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -152,12 +151,17 @@ struct JobRecord
     TimeNs serviceTime = 0;
 };
 
-/** Estimated (or measured) device-pool footprint of one job. */
+/**
+ * Device-pool footprint one job is admitted with (estimateFootprint in
+ * serve/admission.hh), fixed for the job's life.
+ */
 struct FootprintEstimate
 {
-    /** Resident for the whole job: weights, dW, classifier block. */
+    /** Resident for the whole job: weights, dW, classifier block
+     *  (core::persistentFootprint). */
     Bytes persistent = 0;
-    /** Peak per-iteration working set (released between iterations). */
+    /** Peak per-iteration working set (released between iterations):
+     *  the ProgramVerifier's provable peak with prefetching off. */
     Bytes transient = 0;
 
     Bytes total() const { return persistent + transient; }
@@ -199,9 +203,6 @@ struct Job
     /** Entry sequence on its device's resident set: orders the ready
      *  list exactly like the resident set. */
     std::uint64_t runSeq = 0;
-    /** Measured footprint from the tenant's first iteration; once
-     *  set, admission math uses it instead of the analytic model. */
-    std::optional<FootprintEstimate> measured;
 
     TimeNs queueingDelay() const
     {

@@ -120,7 +120,6 @@ Scheduler::Scheduler(SchedulerConfig config)
         ctrAdmissions = &m->counter("sched.admissions");
         ctrPreemptions = &m->counter("sched.preemptions");
         ctrMigrations = &m->counter("sched.migrations");
-        ctrProfiles = &m->counter("sched.profiled_updates");
         ctrPageOuts = &m->counter("sched.page_outs");
         jctAcc = &m->accumulator("sched.jct_ms");
         preemptLatAcc = &m->accumulator("sched.preemption_latency_ms");
@@ -239,21 +238,27 @@ Scheduler::stopWaiting(Job &job)
 const FootprintEstimate &
 Scheduler::estimateFor(const Job &job, DeviceCtx &d)
 {
-    // Measured footprints are bytes, not times — device-independent,
-    // so they override every per-device analytic entry.
-    if (job.measured)
-        return *job.measured;
     std::optional<FootprintEstimate> &slot =
         estimates[std::size_t(job.id) * devs.size() +
                   std::size_t(d.estimateSlot)];
-    if (!slot) {
-        // Budget for the planner's most conservative plan, derived
-        // against the whole device (the reservation must hold however
-        // crowded the pool is when the job finally runs).
-        slot = estimatePlannerFootprint(
-            *job.spec.network, d.cudnn, *job.spec.planner,
-            core::PlannerContext::exclusive(d.dev->spec()));
-    }
+    if (slot)
+        return *slot;
+    // Budget for the planner's most conservative plan, derived against
+    // the whole device (the reservation must hold however crowded the
+    // pool is when the job finally runs).
+    const net::Network &net = *job.spec.network;
+    core::MemoryPlan plan = job.spec.planner->admissionPlan(
+        net, core::PlannerContext::exclusive(d.dev->spec()));
+    // Jobs of one network and planner share the compile + verify.
+    FootprintKey key{d.estimateSlot, &net, plan.staticAllocation, {},
+                     plan.algos};
+    key.actions.reserve(plan.buffers.size());
+    for (const core::BufferDirective &b : plan.buffers)
+        key.actions.push_back(b.action);
+    auto [it, fresh] = footprints.try_emplace(std::move(key));
+    if (fresh)
+        it->second = estimateFootprint(net, d.cudnn, plan);
+    slot = it->second;
     return *slot;
 }
 
@@ -291,8 +296,9 @@ Scheduler::tryAdmit(Job &job, const FootprintEstimate &est, DeviceCtx &d)
     job.session = std::make_unique<core::Session>(*job.spec.network,
                                                   scfg, d.share(job.id));
     if (!job.session->setup()) {
-        // The estimate said fit; the allocator disagreed
-        // (fragmentation or estimate error).
+        // The ledger said fit; the allocator disagreed (pool
+        // fragmentation or co-tenants' prefetches above their
+        // reservations).
         job.record.failReason = job.session->failReason();
         job.session.reset();
         return false;
@@ -825,35 +831,6 @@ Scheduler::chargeIteration(Job &job, const core::IterationResult &r)
     job.record.serviceTime += r.makespan();
     if (iterHist)
         iterHist->add(double(r.makespan()) / 1e6);
-    if (job.record.itersDone == 1)
-        adoptProfile(job);
-}
-
-void
-Scheduler::adoptProfile(Job &job)
-{
-    // First-iteration profile: replace the analytic reservation with
-    // the measured footprint (shrink-only; see
-    // AdmissionController::updateReservation). From here on every
-    // admission decision for this job — readmit after eviction,
-    // migration-target fit — runs on measured bytes.
-    const obs::ProfiledFootprint &fp = job.session->profiledFootprint();
-    if (!fp.valid)
-        return;
-    job.measured = FootprintEstimate{fp.persistent, fp.transientPeak};
-    DeviceCtx &d = *devs[std::size_t(job.record.deviceId)];
-    Bytes before = reservedBytesTotal();
-    Bytes freed = d.admission.updateReservation(job.id, *job.measured,
-                                                job.reserveScale);
-    if (ctrProfiles)
-        ctrProfiles->add();
-    logLifecycle(job.id, "profile", before, d.id);
-    // Returned bytes may readmit a parked tenant right away — or let
-    // a queued one through admission.
-    if (freed > 0) {
-        resumePending = true;
-        admissionDirty = true;
-    }
 }
 
 // --- admission ---------------------------------------------------------------

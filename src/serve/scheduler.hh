@@ -108,7 +108,9 @@
 #include "serve/wake_set.hh"
 #include "stats/time_weighted.hh"
 
+#include <compare>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -170,7 +172,8 @@ struct SchedulerConfig
     TimeNs rebalancePeriod = 0;
     /** Queue-depth gap (most vs least loaded) triggering migration. */
     int rebalanceThreshold = 2;
-    /** Reservation inflation guarding estimate error/fragmentation. */
+    /** Reservation inflation guarding co-tenant prefetch overshoot
+     *  and pool fragmentation (AdmissionController's safety). */
     double admissionSafety = 1.05;
     /** Reservation growth per OOM requeue of a job. */
     double oomBackoffScale = 1.25;
@@ -292,6 +295,8 @@ class Scheduler
     };
 
     void collectArrivals();
+    /** @p job's admission footprint on @p d: its planner's
+     *  admissionPlan() under estimateFootprint(), memoized. */
     const FootprintEstimate &estimateFor(const Job &job, DeviceCtx &d);
     bool tryAdmit(Job &job, const FootprintEstimate &est, DeviceCtx &d);
     void finishJob(Job &job, JobState final_state,
@@ -300,9 +305,6 @@ class Scheduler
     void recordInflight();
     /** Fold one completed (ok) iteration into the job's record. */
     void chargeIteration(Job &job, const core::IterationResult &r);
-    /** Adopt the session's first-iteration profile: shrink the
-     *  admission reservation to the measured footprint. */
-    void adoptProfile(Job &job);
     /** Reservation bytes summed over every device's ledger. */
     Bytes reservedBytesTotal() const;
     /** Effective priority: static priority plus queue-wait aging
@@ -432,6 +434,20 @@ class Scheduler
      * submit(), so references handed out while running stay valid.
      */
     std::vector<std::optional<FootprintEstimate>> estimates;
+    /** What estimateFootprint() reads: the estimate slot, the network
+     *  and the plan's device-byte facts. */
+    struct FootprintKey
+    {
+        int slot;
+        const net::Network *net;
+        bool staticAllocation;
+        std::vector<core::BufferDirective::Action> actions;
+        net::AlgoAssignment algos;
+        auto operator<=>(const FootprintKey &) const = default;
+    };
+    /** Footprints by key, shared by every job whose admission plan
+     *  has the same device-byte facts. */
+    std::map<FootprintKey, FootprintEstimate> footprints;
     JobQueue queue;                 ///< arrived, waiting for admission
     std::vector<JobId> evictedJobs; ///< preempted/stalled, awaiting resume
     /** Capacity freed since the last resume sweep. */
@@ -492,7 +508,6 @@ class Scheduler
     obs::Counter *ctrAdmissions = nullptr;
     obs::Counter *ctrPreemptions = nullptr;
     obs::Counter *ctrMigrations = nullptr;
-    obs::Counter *ctrProfiles = nullptr;
     obs::Counter *ctrPageOuts = nullptr;
     stats::Accumulator *jctAcc = nullptr;
     stats::Accumulator *preemptLatAcc = nullptr;

@@ -157,11 +157,16 @@ TEST(CheckCleanPass, EveryPlannerByEveryNetwork)
                     EXPECT_TRUE(r.ok()) << what << "\n" << r.report();
                     EXPECT_GT(r.provablePeakBytes, 0) << what;
                     EXPECT_GT(r.persistentBytes, 0) << what;
-                    EXPECT_EQ(
-                        serve::estimateFootprint(*nc.net, cudnn, plan)
-                            .persistent,
-                        r.persistentBytes)
-                        << what;
+                    // Admission reserves this program's numbers: the
+                    // same persistent bytes, and the transient peak of
+                    // the default config with prefetching off.
+                    serve::FootprintEstimate est =
+                        serve::estimateFootprint(*nc.net, cudnn, plan);
+                    EXPECT_EQ(est.persistent, r.persistentBytes) << what;
+                    if (sync_boundary && !prefetch) {
+                        EXPECT_EQ(est.transient, r.peakTransientBytes)
+                            << what;
+                    }
 
                     gpu::Runtime rt(gpu::titanXMaxwell());
                     MemoryManager mm(rt);

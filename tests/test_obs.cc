@@ -2,7 +2,7 @@
  * @file
  * Tests for the telemetry subsystem (src/obs/): the Chrome trace-event
  * recorder, the metrics registry, the first-iteration profiler, and
- * the profiled-footprint feedback into admission control.
+ * the bound it measures for the admission footprint.
  *
  * The golden-count tests pin the instrumentation contract: a
  * deterministic run must emit exactly as many kernel / iteration /
@@ -16,6 +16,7 @@
 #include "obs/trace.hh"
 
 #include "common/units.hh"
+#include "core/dynamic_policy.hh"
 #include "core/planner.hh"
 #include "core/training_session.hh"
 #include "net/builders.hh"
@@ -28,6 +29,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 using namespace vdnn;
 using namespace vdnn::literals;
@@ -233,67 +235,73 @@ TEST(Profiler, MeasuredSparsityFeedsCompressedPlanner)
     EXPECT_TRUE(shrunk);
 }
 
-// --- profiled footprint -> admission -----------------------------------------
+// --- admission footprint vs the profiled first iteration --------------------
 
-TEST(Admission, UpdateReservationIsShrinkOnly)
+TEST(Admission, FootprintBoundsTheMeasuredFirstIteration)
 {
-    serve::AdmissionController ac(10_GiB, /*safety=*/1.0);
-    serve::FootprintEstimate analytic;
-    analytic.persistent = 4_GiB;
-    analytic.transient = 2_GiB;
-    ac.admit(0, analytic);
-    EXPECT_EQ(ac.reservedBytes(), 6_GiB);
-
-    // A measured footprint below the analytic estimate shrinks the
-    // reservation and returns the difference to the pool.
-    serve::FootprintEstimate measured;
-    measured.persistent = 3_GiB;
-    measured.transient = 1_GiB;
-    EXPECT_EQ(ac.updateReservation(0, measured), 2_GiB);
-    EXPECT_EQ(ac.reservedBytes(), 4_GiB);
-
-    // A measurement above the current reservation never grows it.
-    serve::FootprintEstimate above;
-    above.persistent = 8_GiB;
-    above.transient = 8_GiB;
-    EXPECT_EQ(ac.updateReservation(0, above), 0);
-    EXPECT_EQ(ac.reservedBytes(), 4_GiB);
-
-    // The shrunken reservation survives the evict/readmit round trip.
-    ac.evict(0);
-    EXPECT_EQ(ac.reservedBytes(), 0);
-    ac.readmit(0);
-    EXPECT_EQ(ac.reservedBytes(), 4_GiB);
-    ac.release(0);
-    EXPECT_EQ(ac.reservedBytes(), 0);
+    // Admission reserves the plan's static footprint and never revises
+    // it: one exclusive iteration must measure at least that much, per
+    // component, on every paper network and planner.
+    gpu::GpuSpec titan = gpu::titanXMaxwell();
+    dnn::CudnnSim cudnn(titan);
+    std::vector<std::unique_ptr<net::Network>> nets;
+    nets.push_back(net::buildAlexNet(128));
+    nets.push_back(net::buildOverFeat(64));
+    nets.push_back(net::buildVgg16(64));
+    nets.push_back(net::buildGoogLeNet(64));
+    using core::AlgoPreference;
+    std::vector<std::shared_ptr<core::Planner>> planners = {
+        std::make_shared<core::BaselinePlanner>(
+            AlgoPreference::MemoryOptimal),
+        std::make_shared<core::OffloadAllPlanner>(
+            AlgoPreference::MemoryOptimal),
+        std::make_shared<core::OffloadAllPlanner>(
+            AlgoPreference::PerformanceOptimal),
+        std::make_shared<core::OffloadConvPlanner>(
+            AlgoPreference::MemoryOptimal),
+        std::make_shared<core::CompressedOffloadPlanner>(
+            AlgoPreference::MemoryOptimal),
+        std::make_shared<core::DynamicPlanner>(),
+    };
+    for (const auto &network : nets) {
+        for (const auto &planner : planners) {
+            std::string what = network->name() + " x " + planner->name();
+            core::SessionConfig cfg;
+            cfg.planner = planner;
+            cfg.gpu = titan;
+            core::Session session(*network, cfg);
+            ASSERT_TRUE(session.setup()) << what;
+            ASSERT_TRUE(session.runIteration().ok) << what;
+            const obs::ProfiledFootprint &fp = session.profiledFootprint();
+            ASSERT_TRUE(fp.valid) << what;
+            serve::FootprintEstimate est =
+                serve::estimateFootprint(*network, cudnn, session.plan());
+            EXPECT_GE(fp.persistent, est.persistent) << what;
+            EXPECT_GE(fp.transientPeak, est.transient) << what;
+            session.teardown();
+        }
+    }
 }
 
-TEST(Scheduler, AdoptsProfiledFootprintAfterFirstIteration)
+TEST(Admission, FootprintPinsOnAlexNet)
 {
-    serve::SchedulerConfig cfg;
-    serve::Scheduler sched(cfg);
-    serve::JobSpec spec;
-    spec.network = net::buildAlexNet(128);
-    spec.iterations = 3;
-    serve::JobId id = sched.submit(std::move(spec));
-    serve::ServeReport rep = sched.run();
-
-    ASSERT_EQ(rep.finishedCount(), 1);
-    // The measured footprint was adopted...
-    ASSERT_TRUE(sched.job(id).measured.has_value());
-    EXPECT_GT(sched.job(id).measured->persistent, 0);
-    // ...and the audit log shows the profile event shrinking (or at
-    // worst keeping) the reservation right after iteration 1.
-    bool saw_profile = false;
-    for (const serve::LifecycleEvent &ev : rep.lifecycle) {
-        if (std::string(ev.what) != "profile")
-            continue;
-        saw_profile = true;
-        EXPECT_EQ(ev.job, id);
-        EXPECT_LE(ev.reservedAfter, ev.reservedBefore);
-    }
-    EXPECT_TRUE(saw_profile);
-    EXPECT_EQ(rep.reservedBytesAtEnd, 0);
+    // Pinned so that a change to the verifier's peak or to the
+    // persistent formula cannot move admission reservations unnoticed.
+    auto alex = net::buildAlexNet(128);
+    core::PlannerContext ctx =
+        core::PlannerContext::exclusive(gpu::titanXMaxwell());
+    dnn::CudnnSim cudnn(ctx.gpu);
+    serve::FootprintEstimate all = serve::estimateFootprint(
+        *alex, cudnn,
+        core::OffloadAllPlanner(core::AlgoPreference::MemoryOptimal)
+            .plan(*alex, ctx));
+    EXPECT_EQ(all.persistent, 408367264);
+    EXPECT_EQ(all.transient, 396492800);
+    serve::FootprintEstimate conv = serve::estimateFootprint(
+        *alex, cudnn,
+        core::OffloadConvPlanner(core::AlgoPreference::MemoryOptimal)
+            .plan(*alex, ctx));
+    EXPECT_EQ(conv.transient, 484900864);
 }
 
 // --- end-to-end instrumentation ----------------------------------------------
@@ -332,16 +340,14 @@ TEST(Telemetry, GoldenEventCountsOnSingleTenantRun)
     ASSERT_EQ(iter_starts.size(), 2u);
     EXPECT_LT(iter_starts[0], iter_starts[1]);
     EXPECT_DOUBLE_EQ(metrics.counter("exec.iterations").value(), 2.0);
-    // Scheduler decisions: admit, profile, finish — on tenant lane id.
-    EXPECT_GE(countEvents(trace, 'i', "sched"), 3);
+    // Scheduler decisions: admit, finish — on tenant lane id.
+    EXPECT_EQ(countEvents(trace, 'i', "sched"), 2);
     for (const obs::TraceEvent &e : trace.events()) {
         if (std::string(e.cat) == "sched") {
             EXPECT_EQ(e.tid, id);
         }
     }
     EXPECT_DOUBLE_EQ(metrics.counter("sched.admissions").value(), 1.0);
-    EXPECT_DOUBLE_EQ(metrics.counter("sched.profiled_updates").value(),
-                     1.0);
 }
 
 TEST(Telemetry, PreemptionFlowConnectsVictimAndBeneficiary)

@@ -170,6 +170,23 @@ TEST(Admission, BackoffInflationCanMakeJobInfeasible)
     EXPECT_FALSE(ac.feasible(est, /*scale=*/1.5));
 }
 
+TEST(Admission, FeasibleMeansFitsAnEmptyLedger)
+{
+    // One rounding rule: each component is scaled and rounded up, so
+    // {8, 8} at +5% reserves 9 + 9 = 18 B. A 17 B device can never
+    // hold it, so the job must be rejected, not left queued forever.
+    FootprintEstimate est;
+    est.persistent = 8;
+    est.transient = 8;
+    AdmissionController tight(17, 1.05);
+    EXPECT_EQ(tight.reservationFor(est), 18);
+    EXPECT_FALSE(tight.canAdmit(est));
+    EXPECT_FALSE(tight.feasible(est));
+    AdmissionController roomy(18, 1.05);
+    EXPECT_TRUE(roomy.canAdmit(est));
+    EXPECT_TRUE(roomy.feasible(est));
+}
+
 TEST(Admission, FootprintEstimateShape)
 {
     dnn::CudnnSim cudnn(gpu::titanXMaxwell());
@@ -211,10 +228,10 @@ TEST(Admission, DynamicBudgetedAtTheMemoryFloor)
 
     core::OffloadAllPlanner all_m(core::AlgoPreference::MemoryOptimal);
     FootprintEstimate floor =
-        estimatePlannerFootprint(*vgg, cudnn, all_m, ctx);
+        estimateFootprint(*vgg, cudnn, all_m.admissionPlan(*vgg, ctx));
     core::DynamicPlanner dyn;
     FootprintEstimate budget =
-        estimatePlannerFootprint(*vgg, cudnn, dyn, ctx);
+        estimateFootprint(*vgg, cudnn, dyn.admissionPlan(*vgg, ctx));
     EXPECT_EQ(budget.persistent, floor.persistent);
     EXPECT_EQ(budget.transient, floor.transient);
 }
