@@ -98,7 +98,7 @@ struct JobTrail
     int device = -1; ///< device while Running
     int evicts = 0;
     int replans = 0;
-    int migrates = 0; ///< successful "migrate" events
+    int migrateOuts = 0; ///< "migrate-out" events
     int pageOuts = 0; ///< buffer-granularity "page-out" events
 };
 
@@ -186,11 +186,11 @@ auditLedger(const ServeReport &report)
             legal = t.state == ReplayState::Running;
             next = ReplayState::Migrating;
             rule = DeltaRule::Negative;
+            ++t.migrateOuts;
         } else if (what == "migrate") {
             legal = t.state == ReplayState::Migrating;
             next = ReplayState::Running;
             rule = DeltaRule::Positive;
-            ++t.migrates;
         } else if (what == "migrate-stall") {
             legal = t.state == ReplayState::Migrating;
             next = ReplayState::Evicted;
@@ -306,14 +306,13 @@ auditLedger(const ServeReport &report)
                               "has %d replan events",
                               j.id, j.replans, t.replans));
         }
-        // A stalled migration that still rehomed the tenant counts in
-        // JobOutcome::migrations, so the log's successful "migrate"
-        // events are only a lower bound.
-        if (j.migrations < t.migrates) {
+        // Every migration re-homes the tenant, a stalled one too (the
+        // scheduler sizes the staging on both devices first).
+        if (j.migrations != t.migrateOuts) {
             out.add(DiagCode::OutcomeMismatch, Severity::Error,
                     strFormat("job %d reports %d migrations but the "
-                              "log has %d completed migrate events",
-                              j.id, j.migrations, t.migrates));
+                              "log has %d migrate-out events",
+                              j.id, j.migrations, t.migrateOuts));
         }
     }
     return out;

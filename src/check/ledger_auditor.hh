@@ -30,8 +30,8 @@
  *    reserved/evicted ledgers — aggregate and per device — balance to
  *    zero (LedgerNonZero);
  *  - the JobOutcome counters agree with the event log: replans,
- *    preemptions and page-outs exactly, migrations at least the
- *    successful "migrate" count (OutcomeMismatch).
+ *    preemptions, page-outs and migrations (one per migrate-out)
+ *    exactly (OutcomeMismatch).
  *
  * Header-only dependency on serve/serve_stats.hh: the auditor reads
  * report fields, so vdnn_check needs no link against vdnn_serve.

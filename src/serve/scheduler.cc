@@ -580,7 +580,7 @@ Scheduler::parkInFlight(DeviceCtx &d, Job &victim, Job &challenger)
         ctrPreemptions->add();
 }
 
-bool
+void
 Scheduler::preempt(Job &victim)
 {
     VDNN_ASSERT(victim.record.state == JobState::Running ||
@@ -592,19 +592,12 @@ Scheduler::preempt(Job &victim)
     // An op-granularity dispatch preemption may already have parked
     // this victim resident (Suspended); eviction then just skips the
     // suspend step and stages the frozen state out.
-    const bool was_parked =
-        victim.record.state == JobState::Suspended;
-    if (!was_parked)
+    if (victim.record.state == JobState::Running)
         setParked(victim, true);
-
-    if (!victim.session->evictToHost()) {
-        // Pinned host memory cannot stage the state; undo the park
-        // (unless the victim was parked before this call — then it
-        // stays parked, exactly as it was).
-        if (!was_parked)
-            setParked(victim, false);
-        return false;
-    }
+    VDNN_ASSERT(victim.session->evictToHost(),
+                "job %d: pinned host refused the staging makeRoomFor's "
+                "dry run sized",
+                victim.id);
     d.admission.evict(victim.id);
     removeFromRunning(victim.id);
     admissionDirty = true;
@@ -620,11 +613,9 @@ Scheduler::preempt(Job &victim)
             d.id, victim.id, "sched", "preempt", cluster.now());
     }
     // Schedule a resume sweep: if the beneficiary then fails
-    // admission (setup OOM, host exhaustion partway through
-    // makeRoomFor), the freed capacity must not strand the victim
-    // until an unrelated job finishes.
+    // admission (setup OOM), the freed capacity must not strand the
+    // victim until an unrelated job finishes.
     resumePending = true;
-    return true;
 }
 
 int
@@ -691,9 +682,18 @@ Scheduler::makeRoomFor(Job &job)
         *jobEst[std::size_t(best->id)], job.reserveScale, victims);
     if (need < 0)
         return -1;
+    // ... and on the pinned-host share, where each eviction stages the
+    // victim's persistent state (Session::evictToHost). Conservative:
+    // it does not credit the host copies an earlier victim's cancelled
+    // iteration frees.
+    Bytes staged = 0;
+    for (int k = 0; k < need; ++k)
+        staged += jobs[std::size_t(victims[std::size_t(k)])]
+                      ->session->persistentBytes();
+    if (!best->hostCanStage(staged))
+        return -1;
     for (int k = 0; k < need; ++k) {
-        if (!preempt(*jobs[std::size_t(victims[std::size_t(k)])]))
-            return -1; // pinned host memory cannot stage the victim
+        preempt(*jobs[std::size_t(victims[std::size_t(k)])]);
         ++job.record.victimsPreempted;
     }
     return best->id;
@@ -1152,14 +1152,18 @@ Scheduler::maybeRebalance()
     }
     if (!cand)
         return;
+    // The staged state is allocated on the source's pinned-host share
+    // (evictToHost), then on the target's (Session::migrate).
+    Bytes staged = cand->session->persistentBytes();
     if (!dst->admission.canAdmit(estimateFor(*cand, *dst),
-                                 cand->reserveScale)) {
+                                 cand->reserveScale) ||
+        !src->hostCanStage(staged) || !dst->hostCanStage(staged)) {
         return;
     }
     migrateJob(*cand, *src, *dst);
 }
 
-bool
+void
 Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
 {
     VDNN_ASSERT(job.record.state == JobState::Running,
@@ -1167,10 +1171,10 @@ Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
                 jobStateName(job.record.state));
     Bytes before = reservedBytesTotal();
     job.session->suspend();
-    if (!job.session->evictToHost()) {
-        job.session->resume();
-        return false; // source host share full; stay put
-    }
+    VDNN_ASSERT(job.session->evictToHost(),
+                "job %d: source host share refused the staging "
+                "maybeRebalance's dry run sized",
+                job.id);
     // Hand the reservation over: off the source ledger entirely
     // (release drops a resident reservation directly; the evicted
     // ledger is for tenants that will resume on the *same* device),
@@ -1198,37 +1202,28 @@ Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
     const FootprintEstimate &est = estimateFor(job, dst);
     dst.admission.admit(job.id, est, job.reserveScale);
     bool ok = job.session->migrate(dst.share(job.id));
-    bool rehomed = job.session->deviceId() == dst.id;
-    if (rehomed) {
-        job.record.offloadedBytesPrior += src_offloaded;
-        job.record.peakPoolBytes =
-            std::max(job.record.peakPoolBytes, src_peak);
-        job.record.deviceId = dst.id;
-        job.record.placements.push_back(dst.id);
-        ++job.record.migrations;
-        ++dst.migrationsIn;
-        ++dst.jobsPlaced;
-    }
+    VDNN_ASSERT(job.session->deviceId() == dst.id,
+                "job %d: target host share refused the staging "
+                "maybeRebalance's dry run sized",
+                job.id);
+    job.record.offloadedBytesPrior += src_offloaded;
+    job.record.peakPoolBytes = std::max(job.record.peakPoolBytes, src_peak);
+    job.record.deviceId = dst.id;
+    job.record.placements.push_back(dst.id);
+    ++job.record.migrations;
+    ++dst.migrationsIn;
+    ++dst.jobsPlaced;
     if (ok) {
         enterRunning(job, dst);
     } else {
-        // The tenant is parked Evicted — on the target when the
-        // re-plan/rebuild failed there, still on the source when its
-        // pinned-host share refused the staged state. Either way the
-        // resume sweep retries on the device it is homed on.
-        if (rehomed) {
-            dst.admission.evict(job.id);
-        } else {
-            dst.admission.release(job.id);
-            src.admission.admit(job.id, estimateFor(job, src),
-                                job.reserveScale);
-            src.admission.evict(job.id);
-        }
+        // The re-plan or the persistent-state rebuild failed on the
+        // target: the tenant waits there Evicted, and the resume sweep
+        // retries.
+        dst.admission.evict(job.id);
         evictedJobs.push_back(job.id);
         resumePending = true;
     }
-    logLifecycle(job.id, ok ? "migrate" : "migrate-stall", before,
-                 job.record.deviceId);
+    logLifecycle(job.id, ok ? "migrate" : "migrate-stall", before, dst.id);
     if (ok && ctrMigrations)
         ctrMigrations->add();
     if (cfg.telemetry.tracing()) {
@@ -1237,12 +1232,10 @@ Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
                                                job.spec.name);
         }
         if (flow) {
-            cfg.telemetry.trace->flowEnd(flow, job.record.deviceId,
-                                         job.id, "sched", "migrate",
-                                         cluster.now());
+            cfg.telemetry.trace->flowEnd(flow, dst.id, job.id, "sched",
+                                         "migrate", cluster.now());
         }
     }
-    return ok;
 }
 
 void

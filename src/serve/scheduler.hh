@@ -73,10 +73,12 @@
  *
  * Make-room under priority ordering is all-or-nothing: the whole
  * victim set is chosen against the admission ledger first, and when
- * evicting every eligible victim still would not free enough bytes
- * nobody is evicted. A partial eviction would
+ * evicting every eligible victim still would not free enough bytes,
+ * or the device's pinned-host share cannot stage their persistent
+ * state, nobody is evicted (or even parked). A partial eviction would
  * only be undone by the next resume sweep and repeated on the next
- * admission rescan.
+ * admission rescan. The rebalance sweep sizes a migration's staging
+ * on both devices' host shares the same way before it starts.
  *
  * Under memory pressure the scheduler pages *buffers* before it
  * evicts *tenants* (Salus-style): when SchedulerConfig::bufferPaging
@@ -292,6 +294,12 @@ class Scheduler
         {
             return {dev, pool, host, client};
         }
+        /** Can this device's pinned-host share stage @p bytes more
+         *  (the dry run before an eviction or a migration)? */
+        bool hostCanStage(Bytes bytes) const
+        {
+            return host->usedBytes() + bytes <= host->capacity();
+        }
     };
 
     void collectArrivals();
@@ -351,9 +359,10 @@ class Scheduler
 
     // --- lifecycle state machine (priority ordering) ----------------------
     /** Suspend + evict one tenant, moving its reservation to the
-     *  evicted ledger. False when pinned host memory is exhausted.
-     *  Accepts a victim already parked resident by parkInFlight(). */
-    bool preempt(Job &victim);
+     *  evicted ledger. Cannot fail: makeRoomFor() sized its pinned-host
+     *  staging first. Accepts a victim already parked resident by
+     *  parkInFlight(). */
+    void preempt(Job &victim);
     /** Suspend (@p parked) or resume a resident tenant in place,
      *  logging the lifecycle transition; the ledger does not move. */
     void setParked(Job &job, bool parked);
@@ -374,8 +383,9 @@ class Scheduler
      * an iteration in flight count only at Op granularity); a dry run
      * against that device's ledger then sizes the victim set —
      * lowest effective priority first, latest arrival first within a
-     * level — that lets the job fit. @return the device now holding
-     * room, or -1 with nobody evicted.
+     * level — that lets the job fit, and checks that the device's
+     * pinned-host share can stage every victim's persistent state.
+     * @return the device now holding room, or -1 with nobody evicted.
      */
     int makeRoomFor(Job &job);
     /** Resume evicted tenants that fit again, onto the device each is
@@ -409,9 +419,15 @@ class Scheduler
      *  op-packed packing each tenant on the ready list that entered
      *  before the sweep began, in entry order. @return progress. */
     bool stepDevice(DeviceCtx &d);
-    /** Periodic migration sweep off the most-loaded device. */
+    /** Periodic migration sweep off the most-loaded device: migrates
+     *  its smallest idle tenant when the target's ledger admits it and
+     *  both pinned-host shares can stage its persistent state. */
     void maybeRebalance();
-    bool migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst);
+    /** Evict @p job from @p src and resume it on @p dst. The staging
+     *  cannot fail (maybeRebalance sized it); a failed re-plan or
+     *  rebuild on @p dst leaves the job Evicted there, logged as
+     *  "migrate-stall", for the resume sweep to retry. */
+    void migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst);
     /** The one serve loop: every policy at every device count. */
     void runEngine();
     /** Device wake hook body: push @p device onto the wake-set and

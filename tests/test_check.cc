@@ -739,6 +739,31 @@ TEST(CheckLedgerAudit, MigrationTrailPasses)
     EXPECT_TRUE(r.ok()) << r.report();
 }
 
+TEST(CheckLedgerAudit, StalledMigrationStillCountsAsAMigration)
+{
+    // A stall re-plans on the target and fails there: the tenant is
+    // homed on the target all the same, so it counts as a migration.
+    serve::ServeReport rep;
+    rep.lifecycle = {
+        event(10, 0, "admit", 0, 0, 100),
+        event(20, 0, "migrate-out", 0, 100, 0),
+        event(21, 0, "migrate-stall", 1, 0, 0),
+        event(25, 0, "resume", 1, 0, 120),
+        event(30, 0, "finish", 1, 120, 0),
+    };
+    serve::JobOutcome job;
+    job.id = 0;
+    job.state = serve::JobState::Finished;
+    job.migrations = 1;
+    rep.jobs.push_back(job);
+    CheckResult r = check::auditLedger(rep);
+    EXPECT_TRUE(r.ok()) << r.report();
+
+    rep.jobs[0].migrations = 0;
+    r = check::auditLedger(rep);
+    EXPECT_TRUE(hasCode(r, DiagCode::OutcomeMismatch)) << r.report();
+}
+
 // --- diagnostics rendering ---------------------------------------------------
 
 TEST(CheckDiagnostics, RenderingAndCounts)

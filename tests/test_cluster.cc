@@ -8,6 +8,7 @@
 
 #include "gpu/cluster.hh"
 
+#include "check/ledger_auditor.hh"
 #include "common/units.hh"
 #include "core/dynamic_policy.hh"
 #include "core/planner.hh"
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 using namespace vdnn;
 using namespace vdnn::core;
@@ -433,6 +435,38 @@ TEST(ClusterScheduler, RebalanceMigratesOffTheLoadedDevice)
     }
     EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
     EXPECT_EQ(sched.devicePoolOn(1).usedBytes(), 0);
+}
+
+TEST(ClusterScheduler, RebalanceSkipsAMigrationTheHostCannotStage)
+{
+    // The rebalance sweep of RebalanceMigratesOffTheLoadedDevice, but
+    // the idle target's pinned-host share (1 KiB) cannot take any
+    // tenant's staged state: the sweep must not start a migration it
+    // cannot finish, so every tenant stays on device 0.
+    SchedulerConfig cfg =
+        clusterConfig(2, std::make_shared<BestFitPlacement>());
+    cfg.devices[1].hostCapacity = 1_KiB;
+    cfg.rebalancePeriod = 2_ms;
+    cfg.rebalanceThreshold = 2;
+    Scheduler sched(cfg);
+    auto network = tinyNet();
+    for (int i = 0; i < 6; ++i)
+        sched.submit(makeJob(network, vdnnAll(), 0, 6));
+    ServeReport rep = sched.run();
+
+    EXPECT_EQ(rep.finishedCount(), 6);
+    for (const LifecycleEvent &ev : rep.lifecycle) {
+        EXPECT_NE(std::string(ev.what), "migrate-out");
+        EXPECT_NE(std::string(ev.what), "migrate-stall");
+    }
+    for (const JobOutcome &j : rep.jobs) {
+        EXPECT_EQ(j.migrations, 0);
+        EXPECT_EQ(j.device, 0);
+    }
+    EXPECT_EQ(rep.reservedBytesAtEnd, 0);
+    EXPECT_EQ(rep.evictedLedgerAtEnd, 0);
+    check::CheckResult audit = check::auditLedger(rep);
+    EXPECT_TRUE(audit.ok()) << audit.report();
 }
 
 TEST(ClusterScheduler, HeterogeneousDevicesPlaceByCapacity)

@@ -33,6 +33,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -470,4 +471,102 @@ TEST(AllOrNothingMakeRoom, InsufficientVictimSetEvictsNobody)
     EXPECT_GE(r.jobs[std::size_t(mid_id)].admitTime,
               r.jobs[std::size_t(hog_id)].finishTime);
     expectClean(r);
+}
+
+// --- make-room sizes the pinned-host staging ---------------------------------
+
+namespace
+{
+
+/** Is any suspend/resume/evict event logged before @p t? */
+bool
+lifecycleMovedBefore(const ServeReport &r, TimeNs t)
+{
+    for (const LifecycleEvent &ev : r.lifecycle) {
+        std::string what = ev.what;
+        if (ev.when < t &&
+            (what == "suspend" || what == "resume" || what == "evict"))
+            return true;
+    }
+    return false;
+}
+
+/**
+ * Baseline VGG-16 tenants on one Titan X whose pinned-host share is
+ * @p host: low-priority residents of batch @p low_batch (arriving 1 ms
+ * apart), then a priority-10 arrival of batch @p hi_batch that fits
+ * only once every resident is gone.
+ */
+ServeReport
+runStagingBound(Bytes host, int lows, std::int64_t low_batch,
+                std::int64_t hi_batch)
+{
+    SchedulerConfig cfg;
+    cfg.policy = SchedPolicy::PreemptivePriority;
+    cfg.devices.front().hostCapacity = host;
+    Scheduler sched(cfg);
+    auto baseline = std::make_shared<core::BaselinePlanner>(
+        core::AlgoPreference::MemoryOptimal);
+    std::shared_ptr<const net::Network> low_net =
+        net::buildVgg16(low_batch);
+    for (int i = 0; i < lows; ++i) {
+        JobSpec low;
+        low.name = strFormat("low-%d", i);
+        low.network = low_net;
+        low.planner = baseline;
+        low.arrival = TimeNs(i) * kNsPerMs;
+        low.iterations = 2;
+        sched.submit(std::move(low));
+    }
+    JobSpec hi;
+    hi.name = "hi";
+    hi.network = net::buildVgg16(hi_batch);
+    hi.planner = baseline;
+    hi.priority = 10;
+    hi.arrival = TimeNs(lows) * kNsPerMs;
+    hi.iterations = 1;
+    sched.submit(std::move(hi));
+    return sched.run();
+}
+
+} // namespace
+
+TEST(Preemption, MakeRoomRefusedByHostStagingTouchesNobody)
+{
+    {
+        SCOPED_TRACE("the host cannot stage the only victim");
+        // VGG-16 (64) Baseline reserves 7.2 GB of the 12.9 GB pool, so
+        // the arrival needs the resident gone; 1 KiB of pinned host
+        // cannot stage its 6.9 GB of persistent state.
+        ServeReport r = runStagingBound(1_KiB, 1, 64, 64);
+        const JobOutcome &low = r.jobs[0];
+        const JobOutcome &hi = r.jobs[1];
+        EXPECT_EQ(r.finishedCount(), 2);
+        EXPECT_EQ(countEvents(r, "suspend"), 0);
+        EXPECT_EQ(countEvents(r, "resume"), 0);
+        EXPECT_EQ(countEvents(r, "evict"), 0);
+        EXPECT_EQ(low.preemptions, 0);
+        EXPECT_EQ(hi.victimsPreempted, 0);
+        EXPECT_GE(hi.admitTime, low.finishTime);
+        expectClean(r);
+    }
+    {
+        SCOPED_TRACE("the host stages the first of two victims only");
+        // Two VGG-16 (32) residents (3.9 GB persistent each) must both
+        // go for a VGG-16 (96) arrival (10.3 GB reserved); 5 GiB of
+        // pinned host stages one of them, not both. Make-room waits
+        // until one finishes and then needs, and stages, one victim.
+        ServeReport r = runStagingBound(5_GiB, 2, 32, 96);
+        ASSERT_LE(r.jobs[0].persistentBytes, 5_GiB);
+        ASSERT_GT(r.jobs[0].persistentBytes + r.jobs[1].persistentBytes,
+                  5_GiB);
+        EXPECT_EQ(r.finishedCount(), 3);
+        TimeNs first_done =
+            std::min(r.jobs[0].finishTime, r.jobs[1].finishTime);
+        EXPECT_FALSE(lifecycleMovedBefore(r, first_done));
+        EXPECT_EQ(r.jobs[0].preemptions + r.jobs[1].preemptions, 1);
+        EXPECT_EQ(r.jobs[2].victimsPreempted, 1);
+        EXPECT_GE(r.jobs[2].admitTime, first_done);
+        expectClean(r);
+    }
 }
