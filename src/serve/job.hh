@@ -165,6 +165,7 @@ struct FootprintEstimate
     Bytes transient = 0;
 
     Bytes total() const { return persistent + transient; }
+    bool operator==(const FootprintEstimate &) const = default;
 };
 
 /** A job owned by the scheduler. */

@@ -70,6 +70,12 @@ class PlacementPolicy
      * device, in device order. @return the chosen entry's device id —
      * it must have fits == true — or -1 to defer the job (nothing
      * fits now).
+     *
+     * The Scheduler calls place() only when at least one entry fits:
+     * with none, -1 is the only legal answer, so it answers -1 itself.
+     * A stateful policy therefore sees only the calls where it has a
+     * choice, and a queued job whose demand the admission sweep has
+     * already refused in that pass is not offered again.
      */
     virtual int place(const std::vector<DeviceLoad> &loads) = 0;
 };

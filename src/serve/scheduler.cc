@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
 
 namespace vdnn::serve
 {
@@ -374,6 +375,9 @@ Scheduler::enterRunning(Job &job, DeviceCtx &d)
     job.record.state = JobState::Running;
     stopWaiting(job);
     d.running.push_back(job.id);
+    // The only way a Running resident can come to outrank the
+    // top-ranked in-flight tenant: topChallengerOn must rescan.
+    d.unchallenged = -1;
     job.runSeq = d.nextSeq++;
     markReady(job); // its next iteration can begin
     ++residentJobs;
@@ -544,7 +548,10 @@ Scheduler::topChallengerOn(DeviceCtx &d, const Job &inflight)
     // Strictly higher effective priority only: at equal priority the
     // in-flight tenant keeps the device (no same-level thrash), and
     // parked (Suspended) residents cannot challenge — they wait until
-    // they are top again.
+    // they are top again. Resident priorities do not age, so a tenant
+    // found unchallenged stays so until another tenant enters.
+    if (d.unchallenged == inflight.id)
+        return nullptr;
     TimeNs now = cluster.now();
     double bar = effectivePriority(inflight, now);
     Job *top = nullptr;
@@ -560,6 +567,8 @@ Scheduler::topChallengerOn(DeviceCtx &d, const Job &inflight)
             top_eff = eff;
         }
     }
+    if (!top)
+        d.unchallenged = inflight.id;
     return top;
 }
 
@@ -619,19 +628,18 @@ Scheduler::preempt(Job &victim)
 }
 
 int
-Scheduler::makeRoomFor(Job &job)
+Scheduler::makeRoomFor(Job &job, double bar)
 {
     // One victim scan: the candidates of the feasible device holding
     // the most reserved bytes below the job's effective priority —
     // where eviction has the best odds of clearing enough space.
     TimeNs now = cluster.now();
-    double bar = effectivePriority(job, now);
     DeviceCtx *best = nullptr;
     Bytes best_bytes = 0;
     candidates.clear();
     for (auto &dp : devs) {
         DeviceCtx &d = *dp;
-        if (!d.admission.feasible(*jobEst[std::size_t(d.id)],
+        if (!d.admission.feasible(jobEst[std::size_t(d.id)],
                                   job.reserveScale)) {
             continue;
         }
@@ -679,7 +687,7 @@ Scheduler::makeRoomFor(Job &job)
     // Dry run on the ledger: size the whole victim set before anyone
     // is evicted, so an insufficient set costs nothing.
     int need = best->admission.evictionsToFit(
-        *jobEst[std::size_t(best->id)], job.reserveScale, victims);
+        jobEst[std::size_t(best->id)], job.reserveScale, victims);
     if (need < 0)
         return -1;
     // ... and on the pinned-host share, where each eviction stages the
@@ -839,17 +847,20 @@ int
 Scheduler::choosePlacement(const Job &job)
 {
     loads.clear();
+    bool any_fits = false;
     for (auto &d : devs) {
-        DeviceLoad l;
-        l.device = d->id;
-        l.capacity = d->admission.capacity();
-        l.reserved = d->admission.reservedBytes();
-        l.runningJobs = int(d->running.size());
-        l.fits = !exclusivelyHeld(*d) &&
-                 d->admission.canAdmit(*jobEst[std::size_t(d->id)],
-                                       job.reserveScale);
-        loads.push_back(l);
+        bool fits = !exclusivelyHeld(*d) &&
+                    d->admission.canAdmit(jobEst[std::size_t(d->id)],
+                                          job.reserveScale);
+        any_fits |= fits;
+        loads.push_back({d->id, d->admission.capacity(),
+                         d->admission.reservedBytes(),
+                         int(d->running.size()), fits});
     }
+    // A policy may only pick a fitting device: with none, it has no
+    // choice to make (and a stateful one no call to observe).
+    if (!any_fits)
+        return -1;
     int pick = cfg.placement->place(loads);
     VDNN_ASSERT(pick == -1 ||
                     (pick >= 0 && pick < deviceCount() &&
@@ -866,13 +877,21 @@ Scheduler::admitQueued()
     // the queue stays FIFO within a priority level. Aging lifts a
     // long-waiting job's effective priority, so a starved arrival
     // eventually sorts ahead of younger, nominally hotter ones.
-    if (preset.ordering == Ordering::Priority) {
+    const bool ranked = preset.ordering == Ordering::Priority;
+    if (ranked) {
         TimeNs now = cluster.now();
-        queue.stableSort([this, now](JobId a, JobId b) {
-            return effectivePriority(*jobs[std::size_t(a)], now) >
-                   effectivePriority(*jobs[std::size_t(b)], now);
+        rankEff.resize(jobs.size());
+        for (std::size_t k = 0; k < queue.size(); ++k)
+            rankEff[std::size_t(queue.at(k))] =
+                effectivePriority(*jobs[std::size_t(queue.at(k))], now);
+        queue.stableSort([this](JobId a, JobId b) {
+            return rankEff[std::size_t(a)] > rankEff[std::size_t(b)];
         });
     }
+    // `refused` holds this pass's last refused demand (effective
+    // priority, reserveScale, estimates) while `memo` is set; anything
+    // that could change an answer clears it.
+    bool memo = false;
     std::size_t i = 0;
     while (i < queue.size()) {
         Job &job = *jobs[std::size_t(queue.at(i))];
@@ -884,9 +903,9 @@ Scheduler::admitQueued()
         bool feasible_somewhere = false;
         Bytes largest_cap = 0;
         for (auto &d : devs) {
-            jobEst.push_back(&estimateFor(job, *d));
+            jobEst.push_back(estimateFor(job, *d));
             feasible_somewhere |=
-                d->admission.feasible(*jobEst.back(), job.reserveScale);
+                d->admission.feasible(jobEst.back(), job.reserveScale);
             largest_cap = std::max(largest_cap, d->admission.capacity());
         }
         if (!feasible_somewhere) {
@@ -900,11 +919,27 @@ Scheduler::admitQueued()
                 formatBytes(largest_cap).c_str());
             continue;
         }
+        // The make-room bar, read at the visit: an eviction earlier in
+        // the pass waited out its staging DMA, which moved the clock.
+        const double eff = ranked ? effectivePriority(job, cluster.now())
+                                  : 0.0;
+        // Placement and make-room are functions of (bar, scale,
+        // estimates) and of ledger, resident and pinned-host state that
+        // no refusal moves: an equal demand is refused again.
+        if (memo && refused == std::tie(eff, job.reserveScale, jobEst)) {
+            ++i;
+            continue;
+        }
         int target = choosePlacement(job);
         // No device fits outright: under priority ordering evict
         // below-priority tenants, all or none.
-        if (target < 0 && preset.ordering == Ordering::Priority)
-            target = makeRoomFor(job);
+        if (target < 0 && ranked) {
+            target = makeRoomFor(job, eff);
+            if (target < 0) {
+                memo = true;
+                refused = std::tie(eff, job.reserveScale, jobEst);
+            }
+        }
         if (target < 0) {
             // Nothing fits right now. Exclusive packing keeps strict
             // arrival order (no later job may jump a blocked head);
@@ -914,8 +949,11 @@ Scheduler::admitQueued()
             ++i;
             continue;
         }
+        // An admission, a paging or a backoff follows (and make-room
+        // may have evicted): the state the memo described is gone.
+        memo = false;
         DeviceCtx &d = *devs[std::size_t(target)];
-        const FootprintEstimate &est = *jobEst[std::size_t(target)];
+        const FootprintEstimate &est = jobEst[std::size_t(target)];
         // No progress despite a fitting reservation: page co-tenants'
         // cold buffers before inflating this job's reservation (and,
         // under priority ordering, before tenants get evicted).
@@ -959,15 +997,10 @@ Scheduler::pickNextOn(DeviceCtx &d)
     // reset-to-zero would.
     const bool ranked = preset.ordering == Ordering::Priority;
     TimeNs now = cluster.now();
-    double top = 0.0;
-    if (ranked) {
-        top = effectivePriority(*jobs[std::size_t(d.running.front())],
-                                now);
-        for (JobId id : d.running) {
-            top = std::max(
-                top, effectivePriority(*jobs[std::size_t(id)], now));
-        }
-    }
+    double top = -std::numeric_limits<double>::infinity();
+    for (std::size_t k = 0; ranked && k < d.running.size(); ++k)
+        top = std::max(top, effectivePriority(
+                                *jobs[std::size_t(d.running[k])], now));
     for (std::size_t k = 0;; ++k) {
         VDNN_ASSERT(k < d.running.size(), "no top-level tenant");
         std::size_t idx = (d.rrCursor + k) % d.running.size();
@@ -1356,16 +1389,32 @@ Scheduler::runEngine()
             else
                 wake.remove(id);
         }
-        if (!progress) {
-            // Every woken tenant is blocked on in-flight device work
-            // (or the set is empty); run the single next completion —
-            // its wake hook repopulates the set and puts exactly the
-            // tenant whose stream drained back on its ready list.
-            bool advanced = cluster.stepDevice();
-            VDNN_ASSERT(advanced,
-                        "all tenants blocked with an empty event queue");
+        // Every woken tenant is blocked on in-flight device work (or
+        // the set is empty): run the single next completion — its wake
+        // hook repopulates the set and puts exactly the tenant whose
+        // stream drained back on its ready list.
+        if (!progress && !cluster.stepDevice()) {
+            panic("all tenants blocked with an empty event queue\n%s",
+                  stateDump().c_str());
         }
     }
+}
+
+std::string
+Scheduler::stateDump() const
+{
+    std::string out = strFormat("queued %zu, evicted %zu", queue.size(),
+                                evictedJobs.size());
+    for (const auto &d : devs) {
+        out += strFormat("\ndevice %d: in flight %d, ready %zu, residents",
+                         d->id, d->inFlight, d->ready.size());
+        for (JobId id : d->running) {
+            const Job &j = *jobs[std::size_t(id)];
+            out += strFormat(" %d:%s%s", id, jobStateName(j.record.state),
+                             j.stepBlocked ? ":blocked" : "");
+        }
+    }
+    return out;
 }
 
 ServeReport

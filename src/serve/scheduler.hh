@@ -71,6 +71,16 @@
  * imbalance reaches a threshold (Session::migrate: suspend ->
  * evict-to-host -> re-plan and resume on the target).
  *
+ * Priority ordering asks each distinct question once. An admission
+ * pass reads every queued job's effective priority once for its sort
+ * and decides each distinct refused demand once: a later job with the
+ * same effective priority, reservation scale and per-device estimates
+ * is refused on the spot, until an admission, eviction, paging or
+ * backoff moves the state those answers read. The Op-granularity
+ * challenger scan runs once per in-flight pick and again only after a
+ * tenant enters the device, the only event that can change its answer
+ * (resident priorities do not age).
+ *
  * Make-room under priority ordering is all-or-nothing: the whole
  * victim set is chosen against the admission ledger first, and when
  * evicting every eligible victim still would not free enough bytes,
@@ -116,6 +126,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -280,6 +291,9 @@ class Scheduler
          *  and one-iteration packing; -1 under op-packed, where every
          *  resident tenant may hold a live stepper). */
         JobId inFlight = -1;
+        /** In-flight job topChallengerOn last found unchallenged (-1:
+         *  none); enterRunning clears it. */
+        JobId unchallenged = -1;
         /** Lowest device id with an identical spec: same-spec devices
          *  share one footprint-estimate slot per job. */
         int estimateSlot = 0;
@@ -346,12 +360,18 @@ class Scheduler
     ServeReport buildReport();
 
     // --- admission -------------------------------------------------------
-    /** The admission sweep, at every device count: priority sort,
-     *  rejection when no device could ever hold the job, placement
-     *  via the PlacementPolicy, make-room, backfill. */
+    /** The admission sweep, at every device count: priority sort
+     *  (each queued job's effective priority read once for it),
+     *  rejection when no device could ever hold the job, placement via
+     *  the PlacementPolicy, make-room, backfill. A demand equal to the
+     *  pass's last refused one — same effective priority at the visit,
+     *  reserveScale and per-device estimates, with no admission,
+     *  paging, eviction or backoff since — is refused without asking
+     *  again. */
     void admitQueued();
     /** Snapshot per-device loads and ask the placement policy
-     *  (estimates from `jobEst`). */
+     *  (estimates from `jobEst`); -1 without asking it when no device
+     *  fits. */
     int choosePlacement(const Job &job);
     /** Inflate a setup-OOM'd job's reservation; true when it went
      *  terminal (Failed) and was taken from the queue. */
@@ -368,7 +388,10 @@ class Scheduler
     void setParked(Job &job, bool parked);
     /** Highest effective-priority *Running* co-tenant of @p d with
      *  strictly higher priority than the in-flight tenant, or
-     *  nullptr. Parked (Suspended) residents never challenge. */
+     *  nullptr. Parked (Suspended) residents never challenge. A null
+     *  answer is kept (DeviceCtx::unchallenged) until a tenant enters
+     *  @p d: resident priorities do not age, and the in-flight tenant
+     *  was top-ranked when picked. */
     Job *topChallengerOn(DeviceCtx &d, const Job &inflight);
     /** Op-granularity dispatch preemption: freeze the in-flight
      *  tenant's stepper at its current op boundary and leave it
@@ -377,17 +400,20 @@ class Scheduler
      *  attribution that feeds preemption-latency sampling. */
     void parkInFlight(DeviceCtx &d, Job &victim, Job &challenger);
     /**
-     * All-or-nothing make-room for @p job (estimates from `jobEst`).
-     * One victim scan picks the feasible device holding the most
-     * reserved bytes below the job's effective priority (tenants with
-     * an iteration in flight count only at Op granularity); a dry run
-     * against that device's ledger then sizes the victim set —
-     * lowest effective priority first, latest arrival first within a
-     * level — that lets the job fit, and checks that the device's
-     * pinned-host share can stage every victim's persistent state.
+     * All-or-nothing make-room for @p job (estimates from `jobEst`),
+     * whose effective priority is @p bar. Until it evicts, it reads
+     * only @p bar, the job's reserveScale and estimates, and ledger,
+     * resident and pinned-host state. One victim scan picks the
+     * feasible device holding the most reserved bytes below @p bar
+     * (tenants with an iteration in flight count only at Op
+     * granularity); a dry run against that device's ledger then sizes
+     * the victim set — lowest effective priority first, latest arrival
+     * first within a level — that lets the job fit, and checks that
+     * the device's pinned-host share can stage every victim's
+     * persistent state.
      * @return the device now holding room, or -1 with nobody evicted.
      */
-    int makeRoomFor(Job &job);
+    int makeRoomFor(Job &job, double bar);
     /** Resume evicted tenants that fit again, onto the device each is
      *  homed on — best effective priority first under priority
      *  ordering, earliest arrival otherwise. */
@@ -430,6 +456,9 @@ class Scheduler
     void migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst);
     /** The one serve loop: every policy at every device count. */
     void runEngine();
+    /** Queue and evicted counts, and per device the in-flight job, the
+     *  ready-list size and each resident's state and blocked memo. */
+    std::string stateDump() const;
     /** Device wake hook body: push @p device onto the wake-set and
      *  clear @p client's blocked-stepper memo, which puts it back on
      *  the ready list. */
@@ -501,11 +530,15 @@ class Scheduler
 
     /**
      * Per-call scratch, kept to spare the admission sweep a heap
-     * allocation per queued job: the current job's estimate per
-     * device, the placement snapshot, and make-room candidates and
-     * their eviction order.
+     * allocation per queued job: effective priorities by job id for
+     * the priority sort, the current job's estimate per device, the
+     * pass's last refused demand, the placement snapshot, and
+     * make-room candidates and their eviction order.
      */
-    std::vector<const FootprintEstimate *> jobEst;
+    std::vector<double> rankEff;
+    std::vector<FootprintEstimate> jobEst;
+    /** (effective priority, reserveScale, per-device estimates). */
+    std::tuple<double, double, std::vector<FootprintEstimate>> refused;
     std::vector<DeviceLoad> loads;
     struct Candidate
     {

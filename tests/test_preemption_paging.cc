@@ -570,3 +570,144 @@ TEST(Preemption, MakeRoomRefusedByHostStagingTouchesNobody)
         expectClean(r);
     }
 }
+
+// --- one make-room dry run per distinct demand -------------------------------
+
+namespace
+{
+
+/**
+ * A priority-10 Baseline VGG-16 (64) hog holds 7.2 GB of the 12.9 GB
+ * pool and a priority-0 vDNN_all AlexNet (64) tenant 0.6 GB.
+ * At 1 ms a small priority-10 vDNN_all AlexNet (64) arrives, which
+ * fits the free bytes outright; with @p with_big a priority-10
+ * Baseline VGG-16 (64) arrives with it and queues ahead of it. The big
+ * one fits only once the hog leaves: the hog is not below it, and
+ * evicting the low tenant frees too little.
+ */
+ServeReport
+runRefusedAheadOfSmall(bool with_big)
+{
+    SchedulerConfig cfg;
+    cfg.policy = SchedPolicy::PreemptivePriority;
+    Scheduler sched(cfg);
+    std::shared_ptr<const net::Network> vgg = net::buildVgg16(64);
+    std::shared_ptr<const net::Network> alex = net::buildAlexNet(64);
+    auto baseline = std::make_shared<core::BaselinePlanner>(
+        core::AlgoPreference::MemoryOptimal);
+    auto submit = [&](const char *name,
+                      std::shared_ptr<const net::Network> network,
+                      std::shared_ptr<core::Planner> planner, int priority,
+                      TimeNs arrival, int iterations) {
+        JobSpec spec;
+        spec.name = name;
+        spec.network = std::move(network);
+        spec.planner = std::move(planner);
+        spec.priority = priority;
+        spec.arrival = arrival;
+        spec.iterations = iterations;
+        sched.submit(std::move(spec));
+    };
+    submit("hog", vgg, baseline, 10, 0, 2);
+    submit("low", alex, vdnnAll(), 0, 0, 4);
+    if (with_big)
+        submit("big", vgg, baseline, 10, kNsPerMs, 1);
+    submit("small", alex, vdnnAll(), 10, kNsPerMs, 1);
+    return sched.run();
+}
+
+} // namespace
+
+TEST(AdmissionPass, RefusedDemandLeavesASmallerEqualPriorityOneAdmissible)
+{
+    // The pass refuses the big demand and keeps that refusal, but it
+    // must still ask about the small one right after it: an equal
+    // priority is not an equal demand.
+    ServeReport alone = runRefusedAheadOfSmall(false);
+    ServeReport r = runRefusedAheadOfSmall(true);
+    const JobOutcome &hog = r.jobs[0];
+    const JobOutcome &big = r.jobs[2];
+    const JobOutcome &small = r.jobs[3];
+    ASSERT_EQ(big.name, "big");
+    EXPECT_EQ(r.finishedCount(), 4);
+    EXPECT_EQ(countEvents(r, "evict"), 0);
+    EXPECT_EQ(r.jobs[1].preemptions, 0);
+    EXPECT_EQ(big.victimsPreempted, 0);
+    EXPECT_GE(big.admitTime, hog.finishTime);
+    // Admitted by the same pass as without the big arrival: at the
+    // first engine turn after its arrival, long before the hog leaves.
+    EXPECT_EQ(small.admitTime, alone.jobs[2].admitTime);
+    EXPECT_LT(small.admitTime, hog.finishTime);
+    expectClean(r);
+    expectClean(alone);
+}
+
+TEST(AdmissionPass, EvictionInThePassReopensARefusedDemand)
+{
+    // Baseline tenants (their reservations are all persistent bytes)
+    // on two Titan X, placed round-robin. Device 0: a priority-10
+    // VGG-16 (64) hog (7.2 GB) and priority-0 VGG-16 (32) and
+    // AlexNet (128) tenants (5.3 GB). Device 1: a priority-10 VGG-16
+    // (32) (4.1 GB) and two priority-0 VGG-16 (16) tenants (5.2 GB).
+    // At 1 ms three priority-10 jobs arrive: `first` and `twin`, equal
+    // VGG-16 (64) demands, with a VGG-16 (32) `middle` queued between
+    // them; none fits outright. Make-room scans the device with the
+    // most reserved bytes below the bar, device 0, where no eviction
+    // can fit `first`: refused. `middle` evicts there, which leaves
+    // device 1 the richer one, so make-room for `twin` evicts on
+    // device 1 and fits it in the same pass. The refusal of `first`
+    // must not outlive the eviction that moved the state.
+    SchedulerConfig cfg;
+    cfg.policy = SchedPolicy::PreemptivePriority;
+    cfg.devices = {gpu::titanXMaxwell(), gpu::titanXMaxwell()};
+    cfg.placement = std::make_shared<RoundRobinPlacement>();
+    Scheduler sched(cfg);
+    auto baseline = std::make_shared<core::BaselinePlanner>(
+        core::AlgoPreference::MemoryOptimal);
+    auto submit = [&](const char *name,
+                      std::shared_ptr<const net::Network> network,
+                      int priority, TimeNs arrival) {
+        JobSpec spec;
+        spec.name = name;
+        spec.network = std::move(network);
+        spec.planner = baseline;
+        spec.priority = priority;
+        spec.arrival = arrival;
+        spec.iterations = 1;
+        return sched.submit(std::move(spec));
+    };
+    std::shared_ptr<const net::Network> vgg16 = net::buildVgg16(16);
+    std::shared_ptr<const net::Network> vgg32 = net::buildVgg16(32);
+    std::shared_ptr<const net::Network> vgg64 = net::buildVgg16(64);
+    submit("hog-0", vgg64, 10, 0);
+    submit("hog-1", vgg32, 10, 0);
+    // Admitted in this order, alternating devices.
+    JobId low_0a = submit("low-0a", vgg32, 0, 0);
+    JobId low_1a = submit("low-1a", vgg16, 0, 0);
+    JobId low_0b = submit("low-0b", net::buildAlexNet(128), 0, 0);
+    JobId low_1b = submit("low-1b", vgg16, 0, 0);
+    JobId first = submit("first", vgg64, 10, kNsPerMs);
+    JobId middle = submit("middle", vgg32, 10, kNsPerMs);
+    JobId twin = submit("twin", vgg64, 10, kNsPerMs);
+
+    ServeReport r = sched.run();
+    auto job = [&](JobId id) -> const JobOutcome & {
+        return r.jobs[std::size_t(id)];
+    };
+    EXPECT_EQ(r.finishedCount(), 9);
+    ASSERT_EQ(job(low_0a).placements.front(), 0);
+    ASSERT_EQ(job(low_0b).placements.front(), 0);
+    ASSERT_EQ(job(low_1a).placements.front(), 1);
+    ASSERT_EQ(job(low_1b).placements.front(), 1);
+    EXPECT_GE(job(middle).victimsPreempted, 1);
+    EXPECT_EQ(job(middle).placements.front(), 0);
+    EXPECT_EQ(job(twin).victimsPreempted, 2);
+    EXPECT_EQ(job(twin).placements.front(), 1);
+    // The pass at the arrival admitted both (the next one runs when
+    // a hog's iteration ends), while `first` waited.
+    TimeNs next_pass = std::min(job(0).finishTime, job(1).finishTime);
+    EXPECT_LT(job(middle).admitTime, next_pass);
+    EXPECT_LT(job(twin).admitTime, next_pass);
+    EXPECT_GE(job(first).admitTime, next_pass);
+    expectClean(r);
+}
