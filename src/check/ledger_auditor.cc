@@ -99,7 +99,6 @@ struct JobTrail
     int evicts = 0;
     int replans = 0;
     int migrateOuts = 0; ///< "migrate-out" events
-    int pageOuts = 0; ///< buffer-granularity "page-out" events
 };
 
 } // namespace
@@ -175,13 +174,6 @@ auditLedger(const ServeReport &report)
             legal = t.state == ReplayState::Running;
             rule = DeltaRule::Zero;
             ++t.replans;
-        } else if (what == "page-out") {
-            // Buffer-granularity eviction pages pool bytes, never
-            // reservations: only a resident tenant has device copies
-            // to drop, and the ledger must not move.
-            legal = t.state == ReplayState::Running;
-            rule = DeltaRule::Zero;
-            ++t.pageOuts;
         } else if (what == "migrate-out") {
             legal = t.state == ReplayState::Running;
             next = ReplayState::Migrating;
@@ -293,12 +285,6 @@ auditLedger(const ServeReport &report)
                     strFormat("job %d reports %d preemptions but the "
                               "log has %d evict events",
                               j.id, j.preemptions, t.evicts));
-        }
-        if (j.pageOuts != t.pageOuts) {
-            out.add(DiagCode::OutcomeMismatch, Severity::Error,
-                    strFormat("job %d reports %d page-outs but the "
-                              "log has %d page-out events",
-                              j.id, j.pageOuts, t.pageOuts));
         }
         if (j.replans != t.replans) {
             out.add(DiagCode::OutcomeMismatch, Severity::Error,

@@ -14,12 +14,12 @@
  *                            Migrating -migrate-stall-> Evicted
  *     (live) -finish/fail-> done, -requeue-> Queued
  *     Queued -fail-> done  (admission gave up; ledger untouched)
- *     Running -replan/page-out-> Running
+ *     Running -replan-> Running
  *
  * and proves:
- *  - every transition is legal for the tenant's replayed state
- *    (BadTransition), and no tenant is admitted or resumed while it is
- *    already Running somewhere (DoubleResidency);
+ *  - every transition is legal for the tenant's replayed state, and
+ *    of a known kind (BadTransition), and no tenant is admitted or
+ *    resumed while it is already Running somewhere (DoubleResidency);
  *  - the reserved-bytes ledger chains: each event's reservedBefore
  *    equals the previous event's reservedAfter, starting from zero
  *    (LedgerChain);
@@ -30,8 +30,8 @@
  *    reserved/evicted ledgers — aggregate and per device — balance to
  *    zero (LedgerNonZero);
  *  - the JobOutcome counters agree with the event log: replans,
- *    preemptions, page-outs and migrations (one per migrate-out)
- *    exactly (OutcomeMismatch).
+ *    preemptions and migrations (one per migrate-out) exactly
+ *    (OutcomeMismatch).
  *
  * Header-only dependency on serve/serve_stats.hh: the auditor reads
  * report fields, so vdnn_check needs no link against vdnn_serve.

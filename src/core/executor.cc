@@ -347,32 +347,6 @@ Executor::evictUnconsumedPrefetches(Bytes need, net::LayerId curr)
     return evicted_any;
 }
 
-Bytes
-Executor::pageOutCold(Bytes need)
-{
-    // The same cold set as evictUnconsumedPrefetches, but driven by a
-    // byte budget on behalf of a *co-tenant* rather than by one of
-    // this tenant's own allocations, and anchored at the live
-    // stepper's cursor.
-    if (!stepper)
-        return 0;
-    net::LayerId curr = stepper->groupLayer;
-    if (curr < 0)
-        return 0; // cursor not inside a layer group yet
-    int curr_topo = net.node(curr).topoIndex;
-    Bytes freed = 0;
-    for (net::BufferId b = 0; b < net::BufferId(net.numBuffers()); ++b) {
-        if (freed >= need)
-            break;
-        if (!coldPrefetch(b, curr_topo))
-            continue;
-        freed += bufferPlan[std::size_t(b)].bytes;
-        mm.evictToHost(net, b);
-        prefetchState->prefetched[std::size_t(b)] = false;
-    }
-    return freed;
-}
-
 bool
 Executor::ensureResident(net::BufferId b, net::LayerId curr,
                          IterationResult &result)

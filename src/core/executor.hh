@@ -355,19 +355,6 @@ class Executor
     void dmaState(Bytes bytes, gpu::CopyDir dir, const std::string &tag);
 
     /**
-     * Buffer-granularity paging under external (serve-layer) memory
-     * pressure: drop up to @p need bytes of this tenant's *cold*
-     * device copies — buffers an opportunistic prefetch brought back
-     * whose first backward use is still ahead of the live stepper's
-     * cursor and whose pinned-host copy is still valid, so releasing
-     * the device copy costs no DMA and ensureResident() re-fetches
-     * them on demand. Between iterations nothing is prefetched, so
-     * there is nothing cold and the call returns 0.
-     * @return bytes freed.
-     */
-    Bytes pageOutCold(Bytes need);
-
-    /**
      * Swap the execution plan in place at an iteration boundary
      * (mid-run re-planning). Requires no iteration in flight and a
      * plan of the same allocation style (the persistent set — weights,
@@ -423,7 +410,7 @@ class Executor
     bool evictUnconsumedPrefetches(Bytes need, net::LayerId curr);
     /** Is @p b a cold prefetch at layer @p curr_topo: prefetched,
      *  device-resident with a valid host copy, first backward use
-     *  still ahead? The one candidate rule of both eviction paths. */
+     *  still ahead? evictUnconsumedPrefetches' candidate rule. */
     bool coldPrefetch(net::BufferId b, int curr_topo) const;
     bool allocGradient(net::BufferId b);
     void releaseGradient(net::BufferId b);

@@ -424,14 +424,6 @@ Session::replan()
     return true;
 }
 
-Bytes
-Session::pageOut(Bytes need)
-{
-    VDNN_ASSERT(lifecycle == SessionState::Active,
-                "pageOut() on a %s session", sessionStateName(lifecycle));
-    return ex ? ex->pageOutCold(need) : 0;
-}
-
 void
 Session::teardown()
 {

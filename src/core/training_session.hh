@@ -286,17 +286,6 @@ class Session
      */
     bool migrate(SharedGpu target);
 
-    /**
-     * Buffer-granularity paging (Salus-style "evict buffers before
-     * tenants"): release up to @p need bytes of cold, host-backed
-     * device copies via Executor::pageOutCold. Legal only while
-     * Active; a parked (Blocked) stepper is fine — the candidate set
-     * excludes every buffer the current or an already-running layer
-     * touches, and the pages come back through the on-demand fetch
-     * path. @return bytes freed (0 at an iteration boundary).
-     */
-    Bytes pageOut(Bytes need);
-
     SessionState state() const { return lifecycle; }
 
     /** Bytes staged in pinned host memory while Evicted (else 0). */

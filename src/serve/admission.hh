@@ -34,6 +34,14 @@
  * tiny next to Baseline's network-wide allocation, so far more
  * tenants pack onto the same 12 GB device.
  *
+ * One exception is not reserved: Op-granularity preemption
+ * (PreemptGranularity::Op) parks the in-flight victim resident,
+ * mid-iteration, with its partial iteration's transients still
+ * allocated, while the challenger runs its own. Two transient working
+ * sets are then live at once. On the repository benchmark's
+ * priority-churn workload at admissionSafety 1.05 (seeds 1–6), 2,012
+ * of 2,068 in-flight OOMs happened with such a parked co-resident.
+ *
  * Reservations are bookkept against pool capacity rather than live
  * usage so admission is stable while the active tenant's usage
  * fluctuates within its reservation.

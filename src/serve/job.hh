@@ -110,9 +110,6 @@ struct JobRecord
     int replans = 0;
     /** Cross-device rebalance migrations. */
     int migrations = 0;
-    /** Times this tenant's cold buffers were paged out to make room
-     *  for a co-tenant (Salus-style buffer-granularity eviction). */
-    int pageOuts = 0;
     /** Tenants this job preempted (evicted) to get admitted. Jobs
      *  with a nonzero count contribute a preemption-latency sample
      *  (arrival to first dispatch) to the report. */
@@ -182,23 +179,15 @@ struct Job
     /** A co-tenant exited: re-plan at the next iteration boundary. */
     bool replanRequested = false;
     /**
-     * Blocked-stepper memo: the live stepper returned Blocked on one
-     * of its own streams, and no completion has landed on this
-     * tenant's streams since. A stepper blocks only on its own device
-     * streams draining, and those drain only through the completion
-     * paths that fire the wake hook (which clears this), so until
-     * then a re-poll must return Blocked again. Set only while
-     * resident with a live stepper; cleared by the wake hook, by a
-     * fresh pick under one-iteration packing, and on leaving the
-     * resident set. Buffer paging reads it to page blocked tenants
-     * first.
-     */
-    bool stepBlocked = false;
-    /**
      * On its device's ready list: the next sweep offers this resident
-     * a step. A resident is ready exactly when its memo is clear; the
-     * spurious-wakeup test mode (Scheduler::setDebugForceWakeAll)
-     * also marks every resident ready at the start of each turn.
+     * a step. A resident leaves the list when its live stepper returns
+     * Blocked on one of its own streams, and rejoins it when a
+     * completion lands on one of those streams (the wake hook), on a
+     * fresh pick under one-iteration packing, or on entering the
+     * resident set. Until then a re-poll must return Blocked again, so
+     * for a resident `!ready` means blocked; only the spurious-wakeup
+     * test mode (Scheduler::setDebugForceWakeAll) adds members without
+     * a wake, marking every resident ready at the start of each turn.
      */
     bool ready = false;
     /** Entry sequence on its device's resident set: orders the ready

@@ -37,6 +37,11 @@ struct PolicyPreset
 namespace
 {
 
+/** Reservation growth per OOM requeue of a job. */
+constexpr double kOomBackoffScale = 1.25;
+/** OOM requeues before a job is marked Failed. */
+constexpr int kMaxOomRequeues = 3;
+
 /** The five presets, in SchedPolicy order: the only place a
  *  SchedPolicy value is read. */
 constexpr PolicyPreset kPresets[] = {
@@ -121,7 +126,6 @@ Scheduler::Scheduler(SchedulerConfig config)
         ctrAdmissions = &m->counter("sched.admissions");
         ctrPreemptions = &m->counter("sched.preemptions");
         ctrMigrations = &m->counter("sched.migrations");
-        ctrPageOuts = &m->counter("sched.page_outs");
         jctAcc = &m->accumulator("sched.jct_ms");
         preemptLatAcc = &m->accumulator("sched.preemption_latency_ms");
         iterHist = &m->histogram("sched.iteration_ms", 0.0, 2000.0, 100);
@@ -153,9 +157,13 @@ Scheduler::onDeviceWake(int device, int client)
     // The completion landed on `client`'s stream, and a stepper
     // blocks only on its own streams: this is the one tenant whose
     // blocked stepper could have been released, so it alone rejoins
-    // the ready list. (Only a resident's memo is ever set.)
-    if (client >= 0 && std::size_t(client) < jobs.size())
-        clearBlocked(*jobs[std::size_t(client)]);
+    // the ready list — if it is resident.
+    if (client < 0 || std::size_t(client) >= jobs.size())
+        return;
+    Job &job = *jobs[std::size_t(client)];
+    if (job.record.state == JobState::Running ||
+        job.record.state == JobState::Suspended)
+        markReady(job);
 }
 
 JobId
@@ -345,14 +353,15 @@ Scheduler::backoffAfterSetupOom(Job &job, std::size_t queue_index)
     // run every turn, exactly as the polling loop did: keep the
     // admission rescan dirty until the job admits or goes terminal.
     admissionDirty = true;
-    if (stepOomBackoff(job)) {
+    std::string give_up = stepOomBackoff(job, "setup OOM");
+    if (!give_up.empty()) {
         std::string why = job.record.failReason;
         queue.take(queue_index);
         job.record.state = JobState::Failed;
         ++numTerminal;
         job.record.finishTime = cluster.now();
         job.record.failReason =
-            "admission gave up after repeated setup OOM: " + why;
+            "admission gave up after " + give_up + ": " + why;
         // Queued jobs hold no reservation: the ledger does not move.
         logLifecycle(job.id, "fail", reservedBytesTotal(),
                      job.record.deviceId);
@@ -361,12 +370,21 @@ Scheduler::backoffAfterSetupOom(Job &job, std::size_t queue_index)
     return false;
 }
 
-bool
-Scheduler::stepOomBackoff(Job &job)
+std::string
+Scheduler::stepOomBackoff(Job &job, const char *oom)
 {
     ++job.record.oomRequeues;
-    job.reserveScale *= cfg.oomBackoffScale;
-    return job.record.oomRequeues > cfg.maxOomRequeues;
+    job.reserveScale *= kOomBackoffScale;
+    if (job.record.oomRequeues > kMaxOomRequeues)
+        return std::string("repeated ") + oom;
+    // An inflated reservation no device can hold would only be
+    // rejected from the queue, without the lifecycle event a job the
+    // ledger already saw needs: give up here instead.
+    for (auto &d : devs) {
+        if (d->admission.feasible(estimateFor(job, *d), job.reserveScale))
+            return "";
+    }
+    return std::string(oom) + " (the inflated reservation fits no device)";
 }
 
 void
@@ -402,7 +420,6 @@ Scheduler::removeFromRunning(JobId id)
     std::size_t idx = std::size_t(it - d.running.begin());
     d.running.erase(it);
     leaveReady(job);
-    job.stepBlocked = false; // any stepper is gone with the residency
     --residentJobs;
     if (idx < d.rrCursor)
         --d.rrCursor;
@@ -433,15 +450,6 @@ Scheduler::leaveReady(Job &job)
     VDNN_ASSERT(it != ready.end() && it->id == job.id,
                 "job %d missing from the ready list", job.id);
     ready.erase(it);
-}
-
-void
-Scheduler::clearBlocked(Job &job)
-{
-    if (!job.stepBlocked)
-        return;
-    job.stepBlocked = false;
-    markReady(job);
 }
 
 void
@@ -501,21 +509,11 @@ Scheduler::finishJob(Job &job, JobState final_state,
 void
 Scheduler::evictForRequeue(Job &job)
 {
-    const bool give_up = stepOomBackoff(job);
-    // Buffers before tenants, in-flight flavor: the aborted iteration
-    // is already unwound, but paging co-tenants' cold prefetched-ahead
-    // copies now means the re-admitted attempt runs against a pool
-    // with real headroom instead of OOMing the same way again.
-    if (cfg.bufferPaging && job.record.deviceId >= 0) {
-        DeviceCtx &d = *devs[std::size_t(job.record.deviceId)];
-        pageVictimBuffers(
-            d, d.admission.reservationFor(estimateFor(job, d),
-                                          job.reserveScale));
-    }
+    std::string give_up = stepOomBackoff(job, "iteration OOM");
     std::string why = job.session->failReason();
-    if (give_up) {
+    if (!give_up.empty()) {
         finishJob(job, JobState::Failed,
-                  "gave up after repeated iteration OOM: " + why);
+                  "gave up after " + give_up + ": " + why);
         return;
     }
     finishJob(job, JobState::Queued, why);
@@ -705,44 +703,6 @@ Scheduler::makeRoomFor(Job &job, double bar)
         ++job.record.victimsPreempted;
     }
     return best->id;
-}
-
-// --- buffer-granularity paging (Salus-style) ---------------------------------
-
-Bytes
-Scheduler::pageVictimBuffers(DeviceCtx &d, Bytes need)
-{
-    // Buffers before tenants: resident tenants drop their coldest
-    // host-backed device copies (already-consumed prefetches the
-    // backward pass will want again later) so an arrival whose
-    // reservation fit on the ledger can actually set up, instead of
-    // inflating its reservation or evicting a whole co-tenant.
-    // Blocked tenants first: they are waiting on DMA joins anyway, so
-    // the re-fetch hides behind the stall they were already serving.
-    Bytes freed = 0;
-    for (int pass = 0; pass < 2 && freed < need; ++pass) {
-        for (JobId id : d.running) {
-            if (freed >= need)
-                break;
-            Job &vic = *jobs[std::size_t(id)];
-            if (vic.record.state != JobState::Running)
-                continue;
-            if ((pass == 0) != vic.stepBlocked)
-                continue;
-            Bytes before = reservedBytesTotal();
-            Bytes got = vic.session->pageOut(need - freed);
-            if (got <= 0)
-                continue;
-            freed += got;
-            ++vic.record.pageOuts;
-            if (ctrPageOuts)
-                ctrPageOuts->add();
-            // Ledger-neutral by construction: paging moves pool bytes,
-            // not reservations (the auditor checks the zero delta).
-            logLifecycle(vic.id, "page-out", before, d.id);
-        }
-    }
-    return freed;
 }
 
 void
@@ -949,19 +909,11 @@ Scheduler::admitQueued()
             ++i;
             continue;
         }
-        // An admission, a paging or a backoff follows (and make-room
-        // may have evicted): the state the memo described is gone.
+        // An admission or a backoff follows (and make-room may have
+        // evicted): the state the memo described is gone.
         memo = false;
-        DeviceCtx &d = *devs[std::size_t(target)];
-        const FootprintEstimate &est = jobEst[std::size_t(target)];
-        // No progress despite a fitting reservation: page co-tenants'
-        // cold buffers before inflating this job's reservation (and,
-        // under priority ordering, before tenants get evicted).
-        if (tryAdmit(job, est, d) ||
-            (cfg.bufferPaging &&
-             pageVictimBuffers(d, d.admission.reservationFor(
-                                      est, job.reserveScale)) > 0 &&
-             tryAdmit(job, est, d))) {
+        if (tryAdmit(job, jobEst[std::size_t(target)],
+                     *devs[std::size_t(target)])) {
             queue.take(i);
             continue;
         }
@@ -1054,7 +1006,7 @@ Scheduler::pickInFlight(DeviceCtx &d)
             }
         }
     }
-    clearBlocked(job);
+    markReady(job);
     d.inFlight = job.id;
     return job;
 }
@@ -1086,7 +1038,6 @@ Scheduler::stepTenant(Job &job)
     }
     if (st->step(/*blocking=*/false) ==
         core::IterationStepper::Status::Blocked) {
-        job.stepBlocked = true;
         leaveReady(job);
         ++statFruitlessPolls;
         return false;
@@ -1287,10 +1238,9 @@ Scheduler::runEngine()
     // admitted / resumed / migrated in) — and within an op-packed
     // device only the tenants on its ready list are offered a step. A
     // tenant leaves the list when its step returns Blocked and rejoins
-    // it when the wake hook of a completion on its own stream clears
-    // its blocked-stepper memo (Job::stepBlocked), so a
-    // thousand-tenant device offers about one step per completion, not
-    // a thousand. The admission sweep reruns only when
+    // it when the wake hook of a completion on its own stream puts it
+    // back, so a thousand-tenant device offers about one step per
+    // completion, not a thousand. The admission sweep reruns only when
     // `admissionDirty` says one of its inputs moved: an arrival, a
     // ledger or running-set change, a pending setup-OOM retry, or —
     // under priority ordering, whose admission order ages with time —
@@ -1411,7 +1361,7 @@ Scheduler::stateDump() const
         for (JobId id : d->running) {
             const Job &j = *jobs[std::size_t(id)];
             out += strFormat(" %d:%s%s", id, jobStateName(j.record.state),
-                             j.stepBlocked ? ":blocked" : "");
+                             j.ready ? "" : ":blocked");
         }
     }
     return out;
@@ -1501,7 +1451,6 @@ Scheduler::buildReport()
         out.oomRequeues = rec.oomRequeues;
         out.preemptions = rec.preemptions;
         out.replans = rec.replans;
-        out.pageOuts = rec.pageOuts;
         out.victimsPreempted = rec.victimsPreempted;
         out.migrations = rec.migrations;
         out.device = rec.deviceId;

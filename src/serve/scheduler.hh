@@ -75,8 +75,8 @@
  * pass reads every queued job's effective priority once for its sort
  * and decides each distinct refused demand once: a later job with the
  * same effective priority, reservation scale and per-device estimates
- * is refused on the spot, until an admission, eviction, paging or
- * backoff moves the state those answers read. The Op-granularity
+ * is refused on the spot, until an admission, eviction or backoff
+ * moves the state those answers read. The Op-granularity
  * challenger scan runs once per in-flight pick and again only after a
  * tenant enters the device, the only event that can change its answer
  * (resident priorities do not age).
@@ -90,17 +90,13 @@
  * admission rescan. The rebalance sweep sizes a migration's staging
  * on both devices' host shares the same way before it starts.
  *
- * Under memory pressure the scheduler pages *buffers* before it
- * evicts *tenants* (Salus-style): when SchedulerConfig::bufferPaging
- * is on and a fitting reservation still fails setup, resident
- * tenants — blocked ones first — drop their coldest host-backed
- * device copies (Session::pageOut) before the OOM backoff inflates
- * reservations or a whole tenant is evicted.
- *
- * In-flight OOM (overcommit or pool fragmentation despite the
- * reservation) aborts only that iteration: the job is torn down,
- * its reservation inflated, and it is requeued for readmission —
- * after a bounded number of attempts it is marked Failed.
+ * A setup OOM despite a fitting reservation (pool fragmentation or
+ * co-tenant overshoot) leaves the job queued with its reservation
+ * inflated; an in-flight OOM aborts only that iteration: the job is
+ * torn down, its reservation inflated, and it is requeued for
+ * readmission. Either backoff marks the job Failed after a bounded
+ * number of attempts, or as soon as the inflated reservation fits
+ * no device.
  */
 
 #ifndef VDNN_SERVE_SCHEDULER_HH
@@ -157,9 +153,11 @@ enum class PreemptGranularity : std::uint8_t
      */
     Iteration,
     /**
-     * A victim's live stepper is parked at its next Sync/Barrier
-     * boundary and the partial iteration unwound (it re-runs after
-     * resume), so the preemptor dispatches its first kernel within
+     * The in-flight victim's live stepper is frozen at its current op
+     * boundary and parked resident (no DMA, ledger untouched); it
+     * continues in place when it is next picked. Only a later
+     * eviction unwinds the partial iteration, which then re-runs
+     * after resume. The preemptor dispatches its first kernel within
      * simulated microseconds instead of a full victim iteration.
      */
     Op,
@@ -188,26 +186,13 @@ struct SchedulerConfig
     /** Reservation inflation guarding co-tenant prefetch overshoot
      *  and pool fragmentation (AdmissionController's safety). */
     double admissionSafety = 1.05;
-    /** Reservation growth per OOM requeue of a job. */
-    double oomBackoffScale = 1.25;
-    /** OOM requeues before a job is marked Failed. */
-    int maxOomRequeues = 3;
     /**
      * Preemption granularity (PreemptivePriority only). Op enables
      * microsecond mid-iteration preemption (see the enum).
      */
     PreemptGranularity preemptGranularity = PreemptGranularity::Iteration;
-    /**
-     * Salus-style no-progress handling: buffers are evicted before
-     * tenants. When a fitting reservation still fails setup (pool
-     * fragmentation / co-tenant overshoot), page resident tenants'
-     * coldest host-backed device copies (Session::pageOut, blocked
-     * tenants first) and retry before the OOM backoff inflates the
-     * reservation. When an admitted tenant's *iteration* aborts with
-     * OOM, page co-tenants the same way before it requeues, so the
-     * re-admitted attempt runs against real headroom instead of
-     * OOMing identically. Off by default (legacy behavior).
-     */
+    /** Ignored: the scheduler no longer pages buffers. Kept only
+     *  because the repository benchmark still sets it. */
     bool bufferPaging = false;
     /** Retain pool-usage and jobs-in-flight timelines in the report. */
     bool keepTimeline = false;
@@ -348,12 +333,12 @@ class Scheduler
     void markReady(Job &job);
     /** Take @p job off its device's ready list (no-op when absent). */
     void leaveReady(Job &job);
-    /** Clear @p job's blocked memo: its wait may have ended. */
-    void clearBlocked(Job &job);
-    /** One OOM backoff step: count the requeue and inflate the job's
-     *  reservation. @return true when the job has now used up its
-     *  requeues and must go Failed. */
-    bool stepOomBackoff(Job &job);
+    /** One OOM backoff step after an @p oom ("setup OOM" or
+     *  "iteration OOM"): count the requeue and inflate the job's
+     *  reservation. @return empty to retry, else why the job must go
+     *  Failed: it has used up its requeues, or its inflated
+     *  reservation fits no device. */
+    std::string stepOomBackoff(Job &job, const char *oom);
     /** Append a lifecycle transition to the audit log. */
     void logLifecycle(JobId id, const char *what, Bytes reserved_before,
                       int device);
@@ -366,8 +351,7 @@ class Scheduler
      *  the PlacementPolicy, make-room, backfill. A demand equal to the
      *  pass's last refused one — same effective priority at the visit,
      *  reserveScale and per-device estimates, with no admission,
-     *  paging, eviction or backoff since — is refused without asking
-     *  again. */
+     *  eviction or backoff since — is refused without asking again. */
     void admitQueued();
     /** Snapshot per-device loads and ask the placement policy
      *  (estimates from `jobEst`); -1 without asking it when no device
@@ -421,11 +405,6 @@ class Scheduler
     /** Readmit one evicted tenant onto @p d; false if it stays parked. */
     bool tryResumeOn(Job &job, DeviceCtx &d);
 
-    // --- buffer-granularity paging (Salus-style) -------------------------
-    /** Page up to @p need bytes of cold device copies off @p d's
-     *  resident tenants (blocked tenants first). @return bytes freed. */
-    Bytes pageVictimBuffers(DeviceCtx &d, Bytes need);
-
     // --- the unified event-driven engine ---------------------------------
     /** The ordering axis within a device: fewest remaining iterations
      *  under SRPT, else round-robin within the top effective-priority
@@ -457,11 +436,12 @@ class Scheduler
     /** The one serve loop: every policy at every device count. */
     void runEngine();
     /** Queue and evicted counts, and per device the in-flight job, the
-     *  ready-list size and each resident's state and blocked memo. */
+     *  ready-list size and each resident's state, marked blocked when
+     *  it is off the ready list. */
     std::string stateDump() const;
-    /** Device wake hook body: push @p device onto the wake-set and
-     *  clear @p client's blocked-stepper memo, which puts it back on
-     *  the ready list. */
+    /** Device wake hook body: push @p device onto the wake-set and put
+     *  @p client back on its device's ready list when it is resident
+     *  (Running or Suspended). */
     void onDeviceWake(int device, int client);
     static void deviceWakeTrampoline(void *self, int device, int client);
 
@@ -557,7 +537,6 @@ class Scheduler
     obs::Counter *ctrAdmissions = nullptr;
     obs::Counter *ctrPreemptions = nullptr;
     obs::Counter *ctrMigrations = nullptr;
-    obs::Counter *ctrPageOuts = nullptr;
     stats::Accumulator *jctAcc = nullptr;
     stats::Accumulator *preemptLatAcc = nullptr;
     stats::Histogram *iterHist = nullptr;

@@ -164,15 +164,6 @@ ServeReport::p95PreemptionLatency() const
     return nearestRank(preemptionLatencies(), 0.95);
 }
 
-int
-ServeReport::totalPageOuts() const
-{
-    int n = 0;
-    for (const JobOutcome &j : jobs)
-        n += j.pageOuts;
-    return n;
-}
-
 TimeNs
 ServeReport::meanJctAtPriority(int priority) const
 {

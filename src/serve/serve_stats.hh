@@ -41,8 +41,8 @@ struct JobOutcome
     int oomRequeues = 0;
     int preemptions = 0;
     int replans = 0;
-    /** Times this tenant's cold buffers were paged out for a
-     *  co-tenant (buffer-granularity eviction). */
+    /** Always 0: the scheduler no longer pages buffers. Kept only
+     *  because the repository benchmark still reads it. */
     int pageOuts = 0;
     /** Tenants this job evicted to get admitted. */
     int victimsPreempted = 0;
@@ -96,8 +96,8 @@ struct LifecycleEvent
     TimeNs when = 0;
     JobId job = -1;
     /** "admit" / "suspend" / "evict" / "replan" / "resume" /
-     *  "migrate" / "migrate-out" / "migrate-stall" / "page-out" /
-     *  "finish" / "requeue" / "fail". */
+     *  "migrate" / "migrate-out" / "migrate-stall" / "finish" /
+     *  "requeue" / "fail". */
     const char *what = "";
     /** Device the transition happened on (migrate: the target). */
     int device = -1;
@@ -213,8 +213,6 @@ struct ServeReport
     TimeNs meanPreemptionLatency() const;
     /** p95 (nearest-rank) preemption latency (0 when none). */
     TimeNs p95PreemptionLatency() const;
-    /** Buffer-granularity page-outs summed over all tenants. */
-    int totalPageOuts() const;
 
     /** Per-job ASCII table (gains a placement column on a cluster). */
     stats::Table jobTable() const;

@@ -675,6 +675,21 @@ TEST(CheckLedgerAudit, IllegalTransitionRejected)
     EXPECT_TRUE(hasCode(r, DiagCode::BadTransition)) << r.report();
 }
 
+TEST(CheckLedgerAudit, UnknownEventKindRejected)
+{
+    // A kind the state machine does not know (here the retired
+    // "page-out") is a BadTransition, not a silent no-op.
+    serve::ServeReport rep = goldenReport();
+    rep.lifecycle.insert(rep.lifecycle.begin() + 1,
+                         event(15, 0, "page-out", 0, 100, 100));
+    CheckResult r = check::auditLedger(rep);
+    EXPECT_FALSE(r.ok());
+    EXPECT_TRUE(hasCode(r, DiagCode::BadTransition)) << r.report();
+    EXPECT_NE(r.report().find("unknown lifecycle event 'page-out'"),
+              std::string::npos)
+        << r.report();
+}
+
 TEST(CheckLedgerAudit, WrongDeltaSignRejected)
 {
     serve::ServeReport rep = goldenReport();

@@ -1,26 +1,16 @@
 /**
  * @file
- * Op-granularity preemption and Salus-style buffer paging.
+ * Op-granularity preemption, all-or-nothing make-room and the
+ * admission pass's refused-demand memo.
  *
- * PR 10's unified serve engine adds two responsiveness levers on top
- * of the golden-pinned iteration-granularity behavior:
- *
- *  - PreemptGranularity::Op lets a high-priority arrival take the
- *    device *mid-iteration*: the in-flight victim parks resident
- *    (stepper frozen at its current op boundary, no DMA) and later
- *    continues in place, cutting the arrival's first-dispatch latency
- *    from the victim's remaining iteration (~seconds) to the next
- *    event boundary (~microseconds);
- *
- *  - SchedulerConfig::bufferPaging frees resident tenants' cold
- *    prefetched-ahead device copies (Session::pageOut) when a fitting
- *    reservation still fails setup, so buffers are evicted before
- *    whole tenants.
- *
- * Both leave the admission ledger untouched in ways the extended
- * LedgerAuditor must be able to prove ("page-out" is a Zero-delta
- * Running->Running event; a parked victim replays the Zero-delta
- * suspend->resume chain).
+ * PreemptGranularity::Op lets a high-priority arrival take the device
+ * *mid-iteration*: the in-flight victim parks resident (stepper frozen
+ * at its current op boundary, no DMA) and later continues in place,
+ * cutting the arrival's first-dispatch latency from the victim's
+ * remaining iteration (~seconds) to the next event boundary
+ * (~microseconds). The park leaves the admission ledger untouched in a
+ * way the LedgerAuditor must be able to prove: a parked victim replays
+ * the Zero-delta suspend->resume chain.
  */
 
 #include "serve/scheduler.hh"
@@ -28,7 +18,6 @@
 #include "check/ledger_auditor.hh"
 #include "common/units.hh"
 #include "core/planner.hh"
-#include "core/training_session.hh"
 #include "net/builders.hh"
 
 #include <gtest/gtest.h>
@@ -185,172 +174,6 @@ TEST(OpPreemption, ReportedPreemptionLatencyTracksGranularity)
               firstDispatchLatency(op, 4));
     EXPECT_GE(firstDispatchLatency(iter, 4),
               10 * kNsPerMs + 10 * op.p95PreemptionLatency());
-}
-
-// --- buffer paging: Session::pageOut core path -------------------------------
-
-TEST(BufferPaging, PageOutFreesColdCopiesMidIterationAndIterationCompletes)
-{
-    // Drive a vDNN_all VGG-16 session one op at a time and, after
-    // every boundary, ask it to page cold device copies out. During
-    // the backward pass the prefetcher runs ahead of the compute
-    // stream, so there are windows where a prefetched feature map's
-    // first backward use is still layers away — exactly the copies
-    // pageOut may drop (the host copy stays valid; the buffer is
-    // re-fetched on demand). The iteration must still complete.
-    auto network = net::buildVgg16(64);
-    core::SessionConfig cfg;
-    cfg.planner = std::make_shared<core::OffloadAllPlanner>(
-        core::AlgoPreference::MemoryOptimal);
-    core::Session session(*network, cfg);
-    ASSERT_TRUE(session.setup());
-
-    // No stepper live: nothing is pageable between iterations.
-    EXPECT_EQ(session.pageOut(1_GiB), 0);
-
-    core::IterationStepper &st = session.beginIteration();
-    Bytes freed = 0;
-    int windows = 0;
-    while (!st.finished()) {
-        st.step(/*blocking=*/true);
-        if (st.finished())
-            break;
-        Bytes got = session.pageOut(64_MiB);
-        freed += got;
-        windows += got > 0;
-    }
-    core::IterationResult r = session.completeIteration();
-    EXPECT_TRUE(r.ok) << r.failReason;
-
-    // The probe found real cold copies to drop...
-    EXPECT_GT(freed, 0);
-    EXPECT_GT(windows, 0);
-
-    // ...and a second, unprobed iteration still runs to completion on
-    // the re-fetched state.
-    core::IterationStepper &st2 = session.beginIteration();
-    while (!st2.finished())
-        st2.step(/*blocking=*/true);
-    EXPECT_TRUE(session.completeIteration().ok);
-    session.teardown();
-}
-
-// --- buffer paging: scheduler path under PackedOverlap -----------------------
-
-namespace
-{
-
-/**
- * A planner whose admission estimate is the honest vDNN_all floor but
- * whose execution plan keeps three of every four offloadable buffers
- * resident: the tenant overshoots its reservation at run time
- * (squeezing the co-tenant's iterations into OOM aborts) while the
- * still-offloaded quarter keeps its prefetcher staging cold pageable
- * copies. The complement of test_serve's UnderestimatingPlanner,
- * which keeps nothing offloaded and is therefore unpageable.
- */
-class OvershootingPlanner : public core::Planner
-{
-  public:
-    std::string name() const override { return "overshooter"; }
-
-    core::MemoryPlan plan(const net::Network &net,
-                          const core::PlannerContext &ctx) override
-    {
-        core::MemoryPlan p =
-            core::OffloadAllPlanner(core::AlgoPreference::MemoryOptimal)
-                .plan(net, ctx);
-        int k = 0;
-        for (core::BufferDirective &d : p.buffers)
-            if (d.offloaded() && (k++ % 4 != 0))
-                d = core::BufferDirective{}; // keep resident
-        return p;
-    }
-
-    core::MemoryPlan admissionPlan(const net::Network &net,
-                                   const core::PlannerContext &ctx) override
-    {
-        return core::OffloadAllPlanner(
-                   core::AlgoPreference::MemoryOptimal)
-            .plan(net, ctx);
-    }
-};
-
-ServeReport
-runPagingScenario(Bytes capacity)
-{
-    SchedulerConfig cfg;
-    cfg.policy = SchedPolicy::PackedOverlap;
-    cfg.bufferPaging = true;
-    cfg.admissionSafety = 1.0;
-    // The victim of the overshoot keeps retrying at its original
-    // reservation: every abort exercises the paging path instead of
-    // inflating its way past the squeeze or failing out.
-    cfg.oomBackoffScale = 1.0;
-    cfg.maxOomRequeues = 1000;
-    cfg.devices[0].dramCapacity = capacity;
-    Scheduler sched(cfg);
-
-    JobSpec hog;
-    hog.name = "overshooter";
-    hog.network = net::buildVgg16(64);
-    hog.planner = std::make_shared<OvershootingPlanner>();
-    hog.iterations = 2;
-    sched.submit(std::move(hog));
-
-    // Arrives mid-backward-pass of the overshooter's first iteration
-    // (VGG-16 (64) runs ~3.2 s per iteration), while the
-    // overshooter's prefetcher is staging ahead.
-    JobSpec probe;
-    probe.name = "newcomer";
-    probe.network = net::buildVgg16(64);
-    probe.planner = vdnnAll();
-    probe.arrival = 1800 * kNsPerMs;
-    probe.iterations = 2;
-    sched.submit(std::move(probe));
-    return sched.run();
-}
-
-} // namespace
-
-TEST(BufferPaging, SchedulerPagesBuffersBeforeTenantsAndAuditReplays)
-{
-    // The overshooter's run-time footprint exceeds its reservation by
-    // most of its feature maps, so at tight pool capacities the
-    // ledger-approved newcomer's packed iterations abort with OOM —
-    // and each abort must page the overshooter's cold copies so the
-    // retry runs against real headroom. The exact capacity where the
-    // squeeze bites depends on the memory model, so sweep and verify
-    // the first capacity that triggers paging end to end.
-    bool paged = false;
-    for (Bytes cap : {Bytes(6.5 * double(1_GiB)), 6_GiB,
-                      Bytes(7.5 * double(1_GiB)), 7_GiB, 8_GiB}) {
-        ServeReport r = runPagingScenario(cap);
-        if (r.totalPageOuts() == 0)
-            continue;
-        paged = true;
-
-        // The page-out events are in the lifecycle trail and the
-        // extended auditor replays them (Zero-delta Running->Running,
-        // outcome counters matching the log).
-        int events = 0;
-        for (const LifecycleEvent &ev : r.lifecycle)
-            if (ev.what && std::string(ev.what) == "page-out")
-                ++events;
-        EXPECT_GT(events, 0);
-        expectClean(r);
-
-        // Paging is buffers-before-tenants: the overshooter donated
-        // buffers instead of being evicted, and both tenants finish.
-        EXPECT_EQ(r.finishedCount(), 2);
-        EXPECT_EQ(r.jobs[0].pageOuts, events);
-        EXPECT_EQ(r.jobs[0].preemptions, 0);
-        EXPECT_EQ(r.jobs[1].preemptions, 0);
-        EXPECT_GE(r.jobs[1].oomRequeues, 1);
-        break;
-    }
-    ASSERT_TRUE(paged)
-        << "no capacity in the sweep triggered the paging path";
 }
 
 // --- all-or-nothing make-room ------------------------------------------------

@@ -579,25 +579,27 @@ TEST(Scheduler, InFlightOomRequeuesBoundedThenFails)
     // A lone tenant whose true working set can never fit the device:
     // every admission ends in an in-flight OOM abort. The scheduler
     // must evict it, inflate its reservation, requeue it at the head,
-    // and give up with Failed after maxOomRequeues attempts — not
-    // wedge the queue or loop forever.
+    // and give up with Failed after its three requeues (the fourth
+    // OOM) — not wedge the queue or loop forever. GoogLeNet (512)'s
+    // vDNN_all reservation stays feasible through three 1.25x
+    // backoff steps, so the bound is what ends it.
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::RoundRobin;
-    cfg.oomBackoffScale = 1.0; // stays feasible: exercises the bound
-    cfg.maxOomRequeues = 2;
     Scheduler sched(cfg);
     JobSpec spec;
-    spec.network = net::buildVgg16(256);
+    spec.network = net::buildGoogLeNet(512);
     spec.planner = std::make_shared<UnderestimatingPlanner>();
     spec.iterations = 1;
     sched.submit(std::move(spec));
     ServeReport rep = sched.run();
     ASSERT_EQ(rep.jobs.size(), 1u);
     EXPECT_EQ(rep.jobs[0].state, JobState::Failed);
-    EXPECT_EQ(rep.jobs[0].oomRequeues, cfg.maxOomRequeues + 1);
+    EXPECT_EQ(rep.jobs[0].oomRequeues, 4);
     EXPECT_NE(rep.jobs[0].failReason.find("repeated iteration OOM"),
               std::string::npos);
     EXPECT_EQ(rep.failedCount(), 1);
+    check::CheckResult audit = check::auditLedger(rep);
+    EXPECT_TRUE(audit.ok()) << audit.report();
     // The abort path released everything it took.
     EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
     EXPECT_EQ(sched.admissionStateOn(0).admittedCount(), 0);
@@ -636,14 +638,13 @@ TEST(Scheduler, SetupOomGiveUpAfterRequeueAuditsClean)
 {
     // Requeued after an in-flight OOM, then given up on by admission
     // after repeated setup OOM: the job must leave a "fail" event, or
-    // the auditor finds it lost in the queue.
+    // the auditor finds it lost in the queue. GoogLeNet (512) stays
+    // feasible through every backoff step, as above.
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::RoundRobin;
-    cfg.oomBackoffScale = 1.0; // stays feasible: exercises the bound
-    cfg.maxOomRequeues = 2;
     Scheduler sched(cfg);
     JobSpec spec;
-    spec.network = net::buildVgg16(256);
+    spec.network = net::buildGoogLeNet(512);
     spec.planner = std::make_shared<SetupOomAfterRequeuePlanner>();
     spec.iterations = 1;
     sched.submit(std::move(spec));
@@ -651,7 +652,7 @@ TEST(Scheduler, SetupOomGiveUpAfterRequeueAuditsClean)
 
     ASSERT_EQ(rep.jobs.size(), 1u);
     EXPECT_EQ(rep.jobs[0].state, JobState::Failed);
-    EXPECT_EQ(rep.jobs[0].oomRequeues, cfg.maxOomRequeues + 1);
+    EXPECT_EQ(rep.jobs[0].oomRequeues, 4);
     EXPECT_NE(rep.jobs[0].failReason.find("repeated setup OOM"),
               std::string::npos);
     ASSERT_FALSE(rep.lifecycle.empty());
@@ -659,6 +660,37 @@ TEST(Scheduler, SetupOomGiveUpAfterRequeueAuditsClean)
     check::CheckResult audit = check::auditLedger(rep);
     EXPECT_TRUE(audit.ok()) << audit.report();
     EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
+}
+
+TEST(Scheduler, OomBackoffPastEveryDeviceFailsWithEventAndAuditsClean)
+{
+    // VGG-16 (256)'s vDNN_all reservation fits the device once but not
+    // after one 1.25x backoff step. The requeued job must not be
+    // rejected from the queue without a lifecycle event (its last
+    // event would be "requeue", and the auditor would find it lost):
+    // the backoff gives up on it with Failed and a "fail" event.
+    SchedulerConfig cfg;
+    cfg.policy = SchedPolicy::RoundRobin;
+    Scheduler sched(cfg);
+    JobSpec spec;
+    spec.network = net::buildVgg16(256);
+    spec.planner = std::make_shared<UnderestimatingPlanner>();
+    spec.iterations = 1;
+    sched.submit(std::move(spec));
+    ServeReport rep = sched.run();
+
+    ASSERT_EQ(rep.jobs.size(), 1u);
+    EXPECT_EQ(rep.jobs[0].state, JobState::Failed);
+    EXPECT_EQ(rep.jobs[0].oomRequeues, 1);
+    EXPECT_NE(rep.jobs[0].failReason.find("fits no device"),
+              std::string::npos)
+        << rep.jobs[0].failReason;
+    ASSERT_FALSE(rep.lifecycle.empty());
+    EXPECT_STREQ(rep.lifecycle.back().what, "fail");
+    check::CheckResult audit = check::auditLedger(rep);
+    EXPECT_TRUE(audit.ok()) << audit.report();
+    EXPECT_EQ(sched.devicePoolOn(0).usedBytes(), 0);
+    EXPECT_EQ(sched.admissionStateOn(0).admittedCount(), 0);
 }
 
 TEST(Scheduler, InFlightOomRequeueRecoversWhenCoTenantLeaves)

@@ -13,8 +13,8 @@
  * path (clock advances to the next arrival), SRPT packing, the
  * single-device preemptive-priority state machine whose idle path
  * shares the nextPendingArrival fast path, and (pinned later, before
- * the scheduler's policy table) Op-granularity priority churn with
- * buffer paging, op-packed overlap on two devices and priority
+ * the scheduler's policy table) Op-granularity priority churn,
+ * op-packed overlap on two devices and priority
  * make-room on two devices, and (pinned before the per-device ready
  * list) a dense single-device op-packed burst of 64 tenants.
  *
@@ -314,22 +314,20 @@ runPreemption()
 // --- preset rows no golden above runs -----------------------------------------
 //
 // Pinned before the scheduler resolved each SchedPolicy preset to an
-// ordering and a packing axis: Op-granularity preemption with buffer
-// paging, op-packed overlap on a cluster, and priority make-room on a
-// cluster.
+// ordering and a packing axis: Op-granularity preemption, op-packed
+// overlap on a cluster, and priority make-room on a cluster.
 
 /** A scaled-down priority-churn mix: a resident field of aging
  *  low-priority OverFeat tenants, then a stream of high-priority
- *  AlexNet arrivals that park (Op granularity) and evict them, with
- *  buffer paging on. An unpadded reservation lets one iteration OOM
- *  in flight, so the requeue backoff runs too. */
+ *  AlexNet arrivals that park (Op granularity) and evict them. An
+ *  unpadded reservation lets one iteration OOM in flight, so the
+ *  requeue backoff runs too. */
 ServeReport
 runPriorityChurn(bool forceWakeAll = false)
 {
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::PreemptivePriority;
     cfg.preemptGranularity = PreemptGranularity::Op;
-    cfg.bufferPaging = true;
     cfg.admissionSafety = 1.0;
     Scheduler sched(cfg);
     for (int i = 0; i < 12; ++i) {
@@ -422,18 +420,16 @@ runClusterPriority(bool forceWakeAll = false)
 
 /** The dense-packed shape scaled to a test: 64 tenants of mixed batch
  *  size pour onto one device in a 16 ms burst under op-granularity
- *  packing with buffer paging, so dozens of residents hold live
- *  steppers at once and most of them sit blocked on a DMA join at
- *  any instant. An unpadded reservation (admissionSafety 1.0) lets
- *  some setups and one iteration hit OOM, so both paging sites run
- *  too: admission, and the in-flight OOM requeue, which pages
- *  mid-sweep. */
+ *  packing, so dozens of residents hold live steppers at once and
+ *  most of them sit blocked on a DMA join at any instant. An unpadded
+ *  reservation (admissionSafety 1.0) lets some setups and one
+ *  iteration hit OOM, so both backoff paths run too: the setup-OOM
+ *  retry, and the in-flight OOM requeue mid-sweep. */
 ServeReport
 runDensePacked(bool forceWakeAll = false)
 {
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::PackedOverlap;
-    cfg.bufferPaging = true;
     cfg.admissionSafety = 1.0;
     Scheduler sched(cfg);
     for (int i = 0; i < 64; ++i) {
@@ -763,16 +759,19 @@ TEST(ServeEquivalence, SpuriousWakeupsClusterPriority)
 // sweep over every resident: the ready list must offer steps in
 // exactly the old sweep order. The old sweep offered about 50 steps
 // per wakeup here; the ready list offers about one.
+//
+// Re-pinned on purpose when buffer paging was deleted: this mix paged
+// co-tenants at both paging sites. The new values equal the old
+// engine's output for this workload with paging switched off.
 
 TEST(ServeEquivalence, DensePackedGolden)
 {
     ServeReport r = runDensePacked();
     EXPECT_EQ(r.finishedCount(), 64);
-    EXPECT_EQ(r.makespan, 43004656435);
-    EXPECT_EQ(foldJobs(r), 4834064395909842176ULL);
-    EXPECT_EQ(foldLifecycle(r), 9060576292430860542ULL);
-    EXPECT_EQ(r.lifecycle.size(), 137u);
-    EXPECT_GT(countEvents(r, "page-out"), 0);
+    EXPECT_EQ(r.makespan, 42992793322);
+    EXPECT_EQ(foldJobs(r), 1168355420865454967ULL);
+    EXPECT_EQ(foldLifecycle(r), 827495140237177941ULL);
+    EXPECT_EQ(r.lifecycle.size(), 130u);
     EXPECT_GT(countEvents(r, "requeue"), 0);
     EXPECT_LE(double(r.loopFruitlessPolls), 1.5 * double(r.loopWakeups));
     expectClean(r);
@@ -781,8 +780,8 @@ TEST(ServeEquivalence, DensePackedGolden)
 TEST(ServeEquivalence, SpuriousWakeupsDensePacked)
 {
     ServeReport r = runDensePacked(/*forceWakeAll=*/true);
-    EXPECT_EQ(r.makespan, 43004656435);
-    EXPECT_EQ(foldJobs(r), 4834064395909842176ULL);
-    EXPECT_EQ(foldLifecycle(r), 9060576292430860542ULL);
+    EXPECT_EQ(r.makespan, 42992793322);
+    EXPECT_EQ(foldJobs(r), 1168355420865454967ULL);
+    EXPECT_EQ(foldLifecycle(r), 827495140237177941ULL);
     expectClean(r);
 }
