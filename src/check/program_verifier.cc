@@ -95,6 +95,8 @@ struct Interp
     std::vector<net::BufferId> pendingPrefetches;
     std::vector<net::BufferId> deferredJoins; // async-release ablation
     core::PrefetchState pf;
+    /** findPrefetchLayer's result (reused scratch). */
+    core::PrefetchCandidate prefetchHit;
     // Plan coverage, per buffer: Offload ops naming it, the layer of
     // the last one, and the layer whose Release drained its refcount.
     std::vector<int> offloadOps;
@@ -478,9 +480,9 @@ struct Interp
         // The runtime consults the same deterministic Fig. 10 search on
         // the same per-buffer state, so the abstract DMA schedule
         // matches the concrete one exactly.
-        core::PrefetchCandidate cand = core::findPrefetchLayer(
-            net, id, pf, cfg.prefetchWindowBounded, &plan);
-        for (net::BufferId b : cand.buffers) {
+        core::findPrefetchLayer(net, id, pf, prefetchHit,
+                                cfg.prefetchWindowBounded, &plan);
+        for (net::BufferId b : prefetchHit.buffers) {
             if (state(b) != AbsResidency::Host)
                 continue; // already fetched on demand earlier
             setState(b, AbsResidency::FetchInFlight);

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
 namespace vdnn
 {
@@ -15,15 +14,23 @@ bool quietFlag = false;
 std::string
 vstrFormat(const char *fmt, va_list args)
 {
+    // Format straight into the string's inline buffer; only output
+    // that does not fit is formatted a second time, at its exact size.
+    std::string out;
+    out.resize(out.capacity());
     va_list args_copy;
     va_copy(args_copy, args);
-    int needed = std::vsnprintf(nullptr, 0, fmt, args_copy);
+    int needed = std::vsnprintf(out.data(), out.size() + 1, fmt, args_copy);
     va_end(args_copy);
     if (needed < 0)
         return std::string(fmt);
-    std::vector<char> buf(size_t(needed) + 1);
-    std::vsnprintf(buf.data(), buf.size(), fmt, args);
-    return std::string(buf.data(), size_t(needed));
+    if (std::size_t(needed) > out.size()) {
+        out.resize(std::size_t(needed));
+        std::vsnprintf(out.data(), out.size() + 1, fmt, args);
+    } else {
+        out.resize(std::size_t(needed));
+    }
+    return out;
 }
 
 std::string

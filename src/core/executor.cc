@@ -15,7 +15,8 @@ Executor::Executor(const net::Network &net_, const dnn::CudnnSim &cudnn_,
                    const MemoryPlan &plan, ExecutorConfig config)
     : net(net_), cudnn(cudnn_), rt(runtime), mm(mm_), execPlan(plan),
       cfg(config), stats(net_, cudnn_),
-      prog(IterationProgram::compile(net_, plan, config))
+      prog(IterationProgram::compile(net_, plan, config)),
+      prefetchState(net_.numBuffers())
 {
     VDNN_ASSERT(net.finalized(), "network must be finalized");
     VDNN_ASSERT(execPlan.feasible, "cannot execute an infeasible plan");
@@ -49,43 +50,46 @@ Executor::rebuildDispatchPlan()
     const std::size_t n_bufs = net.numBuffers();
 
     // Per layer: kernel descriptors with their cost-model results and
-    // names resolved once, instead of per launch.
+    // labels resolved once, instead of per launch. Labels view the
+    // layer names, which the network keeps alive.
     launchPlan.assign(n_layers, {});
     for (net::LayerId id = 0; id < net::LayerId(n_layers); ++id) {
         const net::LayerNode &n = net.node(id);
         const auto &spec = n.spec;
         ExecLaunchPlan &lp = launchPlan[std::size_t(id)];
         lp.classifier = n.classifier;
-        auto fill = [](gpu::KernelDesc &k, std::string name,
+        auto fill = [](gpu::KernelDesc &k, Label name,
                        const dnn::OpCost &cost) {
-            k.name = std::move(name);
+            k.name = name;
             k.duration = cost.time;
             k.flops = cost.flops;
             k.dramBytes = cost.dramBytes;
         };
         if (spec.kind == LayerKind::Conv) {
             dnn::ConvAlgo algo = execPlan.algos[std::size_t(id)];
-            fill(lp.fwd, "fwd:" + spec.name,
+            fill(lp.fwd, Label::named("fwd:", spec.name),
                  cudnn.perf().convForward(spec, algo));
-            fill(lp.bwdFilter, "bwdF:" + spec.name,
+            fill(lp.bwdFilter, Label::named("bwdF:", spec.name),
                  cudnn.perf().convBackwardFilter(spec, algo));
             // Data gradients are skipped for layers fed by the network
             // input: nobody consumes the input image gradient.
             lp.hasBwdData = n.xBuffer != net.inputBuffer();
             if (lp.hasBwdData) {
-                fill(lp.bwdData, "bwdD:" + spec.name,
+                fill(lp.bwdData, Label::named("bwdD:", spec.name),
                      cudnn.perf().convBackwardData(spec, algo));
             }
         } else {
-            fill(lp.fwd, "fwd:" + spec.name, cudnn.perf().forward(spec));
-            fill(lp.bwdFilter, "bwd:" + spec.name,
+            fill(lp.fwd, Label::named("fwd:", spec.name),
+                 cudnn.perf().forward(spec));
+            fill(lp.bwdFilter, Label::named("bwd:", spec.name),
                  cudnn.perf().backward(spec));
         }
-        lp.wsTag = "ws:" + spec.name;
+        lp.wsTag = Label::named("ws:", spec.name);
         lp.wsManaged = !n.classifier;
     }
 
-    // Per buffer: sizes, compressed DMA byte counts and tag strings.
+    // Per buffer: sizes and compressed DMA byte counts. Buffer labels
+    // ("offload:<id>", ...) are built free at the op itself.
     bufferPlan.assign(n_bufs, {});
     initialReaders.assign(n_bufs, 0);
     for (net::BufferId b = 0; b < net::BufferId(n_bufs); ++b) {
@@ -95,10 +99,6 @@ Executor::rebuildDispatchPlan()
         bp.dmaBytes = execPlan.dmaBytes(b, bp.bytes);
         bp.fwdReleasable = buf.bwdUsers.empty() && !buf.classifier;
         bp.classifier = buf.classifier;
-        bp.offloadTag = strFormat("offload:%d", b);
-        bp.prefetchTag = strFormat("prefetch:%d", b);
-        bp.fetchTag = strFormat("fetch:%d", b);
-        bp.gradTag = strFormat("grad:%d", b);
         initialReaders[std::size_t(b)] = buf.refCount;
     }
 }
@@ -132,8 +132,7 @@ Executor::verifyGate(const char *when)
 // --- setup -------------------------------------------------------------------
 
 bool
-Executor::allocPersistent(Bytes bytes, const std::string &tag,
-                          bool managed)
+Executor::allocPersistent(Bytes bytes, Label tag, bool managed)
 {
     if (bytes <= 0)
         return true;
@@ -157,7 +156,8 @@ Executor::setup()
         const net::LayerNode &n = net.node(id);
         Bytes w = n.spec.weightBytes();
         if (w > 0)
-            ok = ok && allocPersistent(w, "W:" + n.spec.name, !n.classifier);
+            ok = ok && allocPersistent(w, Label::named("W:", n.spec.name),
+                                       !n.classifier);
     }
     for (const PersistentRegion &r : fp.dw)
         ok = ok && allocPersistent(r.bytes, r.tag, r.managed);
@@ -208,9 +208,9 @@ void
 Executor::teardown()
 {
     VDNN_ASSERT(setupDone, "teardown() without setup()");
-    VDNN_ASSERT(!stepper || stepper->finished(),
+    VDNN_ASSERT(!stepperLive || stepper->finished(),
                 "teardown() with an iteration in flight");
-    stepper.reset();
+    stepperLive = false;
     teardownPartial();
     setupDone = false;
     persistentTotal = 0;
@@ -219,7 +219,7 @@ Executor::teardown()
 void
 Executor::cancelIteration()
 {
-    if (!stepper)
+    if (!stepperLive)
         return;
     if (!stepper->finished()) {
         stepper->cancel();
@@ -229,11 +229,11 @@ Executor::cancelIteration()
                                           rt.now());
         }
     }
-    stepper.reset();
+    stepperLive = false;
 }
 
 void
-Executor::dmaState(Bytes bytes, CopyDir dir, const std::string &tag)
+Executor::dmaState(Bytes bytes, CopyDir dir, Label tag)
 {
     VDNN_ASSERT(bytes > 0, "state DMA of zero bytes");
     rt.memcpyAsync(streamMemory, bytes, dir, tag);
@@ -244,7 +244,7 @@ void
 Executor::adoptPlan(const MemoryPlan &plan)
 {
     VDNN_ASSERT(setupDone, "adoptPlan() before setup()");
-    VDNN_ASSERT(!stepper, "adoptPlan() with an iteration in flight");
+    VDNN_ASSERT(!stepperLive, "adoptPlan() with an iteration in flight");
     VDNN_ASSERT(plan.feasible, "cannot adopt an infeasible plan");
     VDNN_ASSERT(plan.staticAllocation == execPlan.staticAllocation,
                 "adoptPlan() cannot change the allocation style");
@@ -291,7 +291,7 @@ Executor::allocGradient(net::BufferId b)
     std::optional<TaggedAlloc> &g = gradients[std::size_t(b)];
     if (g)
         return true;
-    auto a = mm.allocDevice(bp.bytes, bp.gradTag, true);
+    auto a = mm.allocDevice(bp.bytes, Label::indexed("grad:", b), true);
     if (!a)
         return false;
     g = TaggedAlloc{*a, true};
@@ -319,7 +319,7 @@ Executor::coldPrefetch(net::BufferId b, int curr_topo) const
     // redundant with a still-valid pinned host copy, and its first
     // backward use still ahead of layer `curr_topo`: dropping the
     // device copy is free, and ensureResident() re-fetches it later.
-    if (!prefetchState || !prefetchState->prefetched[std::size_t(b)])
+    if (!prefetchState.prefetched[std::size_t(b)])
         return false;
     if (mm.residence(b) != Residence::Device || !mm.hostCopyValid(b))
         return false;
@@ -341,7 +341,7 @@ Executor::evictUnconsumedPrefetches(Bytes need, net::LayerId curr)
         if (!coldPrefetch(b, curr_topo))
             continue;
         mm.evictToHost(net, b);
-        prefetchState->prefetched[std::size_t(b)] = false;
+        prefetchState.prefetched[std::size_t(b)] = false;
         evicted_any = true;
     }
     return evicted_any;
@@ -368,14 +368,13 @@ Executor::ensureResident(net::BufferId b, net::LayerId curr,
         }
         TimeNs t0 = rt.now();
         rt.memcpyAsync(streamMemory, bp.dmaBytes, CopyDir::HostToDevice,
-                       bp.fetchTag);
+                       Label::indexed("fetch:", b));
         rt.synchronize(streamMemory);
         mm.finishPrefetch(b);
         result.transferStallTime += rt.now() - t0;
         result.pcieBytes += bp.dmaBytes;
         ++result.onDemandFetches;
-        if (prefetchState)
-            prefetchState->prefetched[std::size_t(b)] = true;
+        prefetchState.prefetched[std::size_t(b)] = true;
         return true;
       }
       case Residence::Prefetching:
@@ -440,6 +439,23 @@ Executor::abortIteration(IterationResult &result, const std::string &why,
 IterationStepper::IterationStepper(Executor &executor) : ex(executor) {}
 
 void
+IterationStepper::rewind()
+{
+    pcIndex = 0;
+    st = Status::Running;
+    blockedOn = -1;
+    syncPhase = 0;
+    tComputeDone = 0;
+    groupLayer = -2;
+    groupBackward = false;
+    tLayerStart = 0;
+    ws.reset();
+    offloading.clear();
+    prefetching.clear();
+    res = IterationResult{};
+}
+
+void
 IterationStepper::cancel()
 {
     VDNN_ASSERT(!finished(), "cancel() on a finished iteration");
@@ -479,7 +495,7 @@ IterationStepper::opBeginIteration()
     ex.liveGradients = 0;
     ex.deferredReleases.clear();
     ex.remainingReaders = ex.initialReaders;
-    ex.prefetchState.emplace(ex.net.numBuffers());
+    ex.prefetchState.reset();
 
     res.start = ex.rt.now();
 
@@ -564,9 +580,10 @@ IterationStepper::opFwdOffload(const IterOp &op)
         }
         const ExecBufferPlan &bp = ex.bufferPlan[std::size_t(b)];
         ex.rt.memcpyAsync(ex.streamMemory, bp.dmaBytes,
-                          CopyDir::DeviceToHost, bp.offloadTag);
+                          CopyDir::DeviceToHost,
+                          Label::indexed("offload:", b));
         offloading.push_back(b);
-        ex.prefetchState->offloaded[std::size_t(b)] = true;
+        ex.prefetchState.offloaded[std::size_t(b)] = true;
         ++res.offloads;
         res.offloadedBytes += bp.bytes;
         res.pcieBytes += bp.dmaBytes;
@@ -758,21 +775,22 @@ IterationStepper::opBwdPrefetch(net::LayerId id)
     // is at its tightest around the first conv groups' backward pass),
     // it falls back to a later on-demand fetch instead of failing the
     // iteration.
-    PrefetchCandidate cand =
-        findPrefetchLayer(ex.net, id, *ex.prefetchState,
-                          ex.cfg.prefetchWindowBounded, &ex.execPlan);
+    PrefetchCandidate &cand = ex.prefetchHit;
+    findPrefetchLayer(ex.net, id, ex.prefetchState, cand,
+                      ex.cfg.prefetchWindowBounded, &ex.execPlan);
     for (net::BufferId b : cand.buffers) {
         if (ex.mm.residence(b) != Residence::Host) {
             continue; // already fetched on demand earlier
         }
         if (!ex.mm.beginPrefetch(ex.net, b)) {
             // No room yet; fall back to a later on-demand fetch.
-            ex.prefetchState->prefetched[std::size_t(b)] = false;
+            ex.prefetchState.prefetched[std::size_t(b)] = false;
             continue;
         }
         const ExecBufferPlan &bp = ex.bufferPlan[std::size_t(b)];
         ex.rt.memcpyAsync(ex.streamMemory, bp.dmaBytes,
-                          CopyDir::HostToDevice, bp.prefetchTag);
+                          CopyDir::HostToDevice,
+                          Label::indexed("prefetch:", b));
         prefetching.push_back(b);
         ++res.prefetches;
         res.pcieBytes += bp.dmaBytes;
@@ -927,19 +945,22 @@ IterationStepper &
 Executor::beginIteration()
 {
     VDNN_ASSERT(setupDone, "beginIteration() before setup()");
-    VDNN_ASSERT(!stepper, "previous iteration not collected with "
-                          "finishIteration()");
-    stepper.reset(new IterationStepper(*this));
+    VDNN_ASSERT(!stepperLive, "previous iteration not collected with "
+                              "finishIteration()");
+    if (!stepper)
+        stepper.reset(new IterationStepper(*this));
+    stepper->rewind();
+    stepperLive = true;
     return *stepper;
 }
 
 IterationResult
 Executor::finishIteration()
 {
-    VDNN_ASSERT(stepper && stepper->finished(),
+    VDNN_ASSERT(stepperLive && stepper->finished(),
                 "finishIteration() without a finished iteration");
     IterationResult r = std::move(stepper->res);
-    stepper.reset();
+    stepperLive = false;
     if (r.ok) {
         if (ctrIters) {
             ctrIters->add();

@@ -172,14 +172,18 @@ struct TaggedAlloc
  * Pre-resolved dispatch tables (the flat-dispatch layer). The
  * IterationProgram's ops carry the buffers each op touches; these
  * tables cache, per layer and per buffer, the device-side details —
- * kernel descriptors with their costs resolved, DMA tags and
- * compressed byte counts — so the stepper's per-op work is a table
- * walk, not cost-model calls plus string formatting. Rebuilt by
- * Executor::rebuildDispatchPlan() at construction and adoptPlan().
+ * kernel descriptors with their costs resolved, kernel and workspace
+ * labels, compressed byte counts — so the stepper's per-op work is a
+ * table walk, not cost-model calls. Labels (common/label.hh) are
+ * views of the network's layer names or a prefix plus a buffer id,
+ * so neither building these tables' labels nor handing them to the
+ * pool and the device formats a string; the per-op path allocates
+ * nothing. Rebuilt by Executor::rebuildDispatchPlan() at construction
+ * and adoptPlan().
  */
 struct ExecLaunchPlan
 {
-    /** Forward kernel, cost and name resolved against the plan algo. */
+    /** Forward kernel, cost and label resolved against the plan algo. */
     gpu::KernelDesc fwd;
     /** Backward filter-gradient kernel (the only one for non-conv). */
     gpu::KernelDesc bwdFilter;
@@ -187,12 +191,11 @@ struct ExecLaunchPlan
     gpu::KernelDesc bwdData;
     bool hasBwdData = false;
     /**
-     * Pool tag and managed flag of the layer's conv workspace. Its size
-     * is the op operand IterOp::wsBytes, which the ProgramVerifier
-     * charges; tag and flag are device-side details, split off like
-     * ExecBufferPlan's tags so the stepper formats no strings.
+     * Pool label ("ws:<layer>") and managed flag of the layer's conv
+     * workspace. Its size is the op operand IterOp::wsBytes, which the
+     * ProgramVerifier charges; label and flag are device-side details.
      */
-    std::string wsTag;
+    Label wsTag;
     bool wsManaged = false;
     bool classifier = false;
 };
@@ -206,10 +209,6 @@ struct ExecBufferPlan
     bool fwdReleasable = false;
     /** Lives in the static classifier region (no managed gradient). */
     bool classifier = false;
-    std::string offloadTag;
-    std::string prefetchTag;
-    std::string fetchTag;
-    std::string gradTag;
 };
 
 class Executor;
@@ -261,6 +260,10 @@ class IterationStepper
     explicit IterationStepper(Executor &executor);
 
     Status blocked(gpu::StreamId stream);
+
+    /** Rewind to the top of a new iteration. The stepper outlives its
+     *  iterations, so its vectors keep their storage. */
+    void rewind();
 
     /** Unwind a partially executed iteration (tenant eviction). */
     void cancel();
@@ -332,7 +335,10 @@ class Executor
     IterationStepper &beginIteration();
 
     /** The live stepper, or nullptr between iterations. */
-    IterationStepper *activeStepper() { return stepper.get(); }
+    IterationStepper *activeStepper()
+    {
+        return stepperLive ? stepper.get() : nullptr;
+    }
 
     /** Collect a finished stepper's result and retire it. */
     IterationResult finishIteration();
@@ -352,7 +358,7 @@ class Executor
      * session lifecycle to evict the persistent state to pinned host
      * memory (D2H) and restore it on resume (H2D).
      */
-    void dmaState(Bytes bytes, gpu::CopyDir dir, const std::string &tag);
+    void dmaState(Bytes bytes, gpu::CopyDir dir, Label tag);
 
     /**
      * Swap the execution plan in place at an iteration boundary
@@ -389,8 +395,7 @@ class Executor
     void verifyGate(const char *when);
 
     // --- setup helpers ------------------------------------------------------
-    bool allocPersistent(Bytes bytes, const std::string &tag,
-                         bool managed);
+    bool allocPersistent(Bytes bytes, Label tag, bool managed);
     void teardownPartial();
 
     // --- kernel launch helpers -----------------------------------------------
@@ -460,9 +465,14 @@ class Executor
     std::vector<std::pair<net::BufferId, gpu::CudaEventId>>
         deferredReleases;
     std::vector<int> remainingReaders; // forward refcounts, per buffer
-    std::optional<PrefetchState> prefetchState;
+    PrefetchState prefetchState;
+    /** findPrefetchLayer's result (reused scratch). */
+    PrefetchCandidate prefetchHit;
 
+    /** Kept across iterations; live between beginIteration() and
+     *  finishIteration() / cancelIteration(). */
     std::unique_ptr<IterationStepper> stepper;
+    bool stepperLive = false;
 
     /** Registry slots cached at construction (null = telemetry off). */
     obs::Counter *ctrIters = nullptr;

@@ -55,8 +55,7 @@ MemoryManager::stateFor(net::BufferId buffer)
 }
 
 std::optional<mem::Allocation>
-MemoryManager::allocDevice(Bytes bytes, const std::string &tag,
-                           bool managed)
+MemoryManager::allocDevice(Bytes bytes, Label tag, bool managed)
 {
     auto a = gpuPool->tryAllocate(bytes, tag, client);
     if (a) {
@@ -92,8 +91,8 @@ MemoryManager::allocBuffer(const net::Network &net, net::BufferId buffer)
                 "buffer %d is already materialized (state %d)", buffer,
                 int(st.residence));
     const net::Buffer &b = net.buffer(buffer);
-    auto a = allocDevice(b.bytes(),
-                         strFormat("fmap:%d", buffer), !b.classifier);
+    auto a = allocDevice(b.bytes(), Label::indexed("fmap:", buffer),
+                         !b.classifier);
     if (!a)
         return false;
     st.device = *a;
@@ -110,7 +109,7 @@ MemoryManager::beginOffload(const net::Network &net, net::BufferId buffer)
     const net::Buffer &b = net.buffer(buffer);
     // Pinned host staging region, allocated with cudaMallocHost().
     auto h = hostAlloc->tryAllocate(b.bytes(),
-                                    strFormat("offload:%d", buffer));
+                                    Label::indexed("offload:", buffer));
     if (!h)
         return false;
     st.host = *h;
@@ -140,7 +139,7 @@ MemoryManager::beginPrefetch(const net::Network &net, net::BufferId buffer)
                 "prefetch of buffer %d in state %d", buffer,
                 int(st.residence));
     const net::Buffer &b = net.buffer(buffer);
-    auto a = allocDevice(b.bytes(), strFormat("prefetch:%d", buffer),
+    auto a = allocDevice(b.bytes(), Label::indexed("prefetch:", buffer),
                          !b.classifier);
     if (!a)
         return false;

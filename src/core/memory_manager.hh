@@ -69,7 +69,7 @@ class MemoryManager
      * @return nullopt on pool exhaustion (trainability failure)
      */
     std::optional<mem::Allocation>
-    allocDevice(Bytes bytes, const std::string &tag, bool managed);
+    allocDevice(Bytes bytes, Label tag, bool managed);
 
     void releaseDevice(const mem::Allocation &alloc, bool managed);
 

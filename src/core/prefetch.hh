@@ -38,9 +38,17 @@ struct PrefetchState
     explicit PrefetchState(std::size_t num_buffers)
         : offloaded(num_buffers, false), prefetched(num_buffers, false)
     {}
+
+    /** Clear every flag (a new iteration); keeps the storage. */
+    void
+    reset()
+    {
+        offloaded.assign(offloaded.size(), false);
+        prefetched.assign(prefetched.size(), false);
+    }
 };
 
-/** Result of one search. */
+/** Result of one search; callers keep one and reuse its storage. */
 struct PrefetchCandidate
 {
     net::LayerId layer = net::kInputLayer; ///< -1: nothing to prefetch
@@ -51,12 +59,15 @@ struct PrefetchCandidate
 };
 
 /**
- * Figure 10's findPrefetchLayer.
+ * Figure 10's findPrefetchLayer. Allocates nothing once @p out's
+ * buffer vector has grown to the widest hit layer.
  *
  * @param net        the network
  * @param curr_layer the layer whose backward pass is about to start
  * @param state      per-buffer offload/prefetch flags; hit buffers are
  *                   marked prefetched
+ * @param out        receives the hit layer and its buffers (found()
+ *                   is false when the search fails)
  * @param bounded    search window bounded by the next CONV layer
  *                   (false = unbounded search, for the ablation study)
  * @param plan       optional plan whose per-buffer prefetch-priority
@@ -65,11 +76,10 @@ struct PrefetchCandidate
  *                   negative priority are never prefetched (they fall
  *                   back to an on-demand fetch)
  */
-PrefetchCandidate findPrefetchLayer(const net::Network &net,
-                                    net::LayerId curr_layer,
-                                    PrefetchState &state,
-                                    bool bounded = true,
-                                    const MemoryPlan *plan = nullptr);
+void findPrefetchLayer(const net::Network &net, net::LayerId curr_layer,
+                       PrefetchState &state, PrefetchCandidate &out,
+                       bool bounded = true,
+                       const MemoryPlan *plan = nullptr);
 
 } // namespace vdnn::core
 

@@ -278,8 +278,8 @@ Session::evictToHost()
     VDNN_ASSERT(ex, "evicting a session with no executor");
 
     Bytes persist = ex->persistentBytes();
-    auto stage = mm->host().tryAllocate(
-        persist, strFormat("evict:%s", net.name().c_str()));
+    auto stage =
+        mm->host().tryAllocate(persist, Label::named("evict:", net.name()));
     if (!stage)
         return false; // pinned host exhausted; stay Suspended
 
@@ -296,7 +296,7 @@ Session::evictToHost()
     // whole device share.
     evictStage = *stage;
     ex->dmaState(persist, gpu::CopyDir::DeviceToHost,
-                 strFormat("evict:%s", net.name().c_str()));
+                 Label::named("evict:", net.name()));
     ex->teardown();
     lifecycle = SessionState::Evicted;
     ++evicts;
@@ -344,7 +344,7 @@ Session::resume()
 
     // Restore the staged state over PCIe and drop the staging buffer.
     ex->dmaState(staged, gpu::CopyDir::HostToDevice,
-                 strFormat("restore:%s", net.name().c_str()));
+                 Label::named("restore:", net.name()));
     mm->host().release(evictStage);
     evictStage = {};
     failed = false;
@@ -369,8 +369,7 @@ Session::migrate(SharedGpu target)
         // the source. The shares partition one physical host DRAM, so
         // the hand-off itself moves no data.
         auto stage = target.host->tryAllocate(
-            evictStage.size,
-            strFormat("migrate:%s", net.name().c_str()));
+            evictStage.size, Label::named("migrate:", net.name()));
         if (!stage)
             return false; // target host share exhausted; stay put
 

@@ -99,14 +99,13 @@ Device::launchKernel(StreamId stream, KernelDesc desc)
         desc.duration = 1;
     Command c;
     c.type = Command::Type::Kernel;
-    c.kernel = std::move(desc);
-    streams[size_t(stream)].queue.push_back(std::move(c));
+    c.kernel = desc;
+    streams[size_t(stream)].queue.push_back(c);
     tryDispatch(stream);
 }
 
 void
-Device::memcpyAsync(StreamId stream, Bytes bytes, CopyDir dir,
-                    const std::string &tag)
+Device::memcpyAsync(StreamId stream, Bytes bytes, CopyDir dir, Label tag)
 {
     VDNN_ASSERT(stream >= 0 && size_t(stream) < streams.size(),
                 "bad stream id %d", stream);
@@ -116,7 +115,7 @@ Device::memcpyAsync(StreamId stream, Bytes bytes, CopyDir dir,
     c.bytes = bytes;
     c.dir = dir;
     c.tag = tag;
-    streams[size_t(stream)].queue.push_back(std::move(c));
+    streams[size_t(stream)].queue.push_back(c);
     tryDispatch(stream);
 }
 
@@ -128,7 +127,7 @@ Device::recordEvent(StreamId stream, CudaEventId event)
     Command c;
     c.type = Command::Type::EventRecord;
     c.event = event;
-    streams[size_t(stream)].queue.push_back(std::move(c));
+    streams[size_t(stream)].queue.push_back(c);
     tryDispatch(stream);
 }
 
@@ -140,7 +139,7 @@ Device::streamWaitEvent(StreamId stream, CudaEventId event)
     Command c;
     c.type = Command::Type::EventWait;
     c.event = event;
-    streams[size_t(stream)].queue.push_back(std::move(c));
+    streams[size_t(stream)].queue.push_back(c);
     tryDispatch(stream);
 }
 
@@ -316,7 +315,8 @@ Device::computeFinish()
                          kernelDramUtil(compute.desc));
     computeBusy += now - compute.start;
     if (keepLog) {
-        kLog.push_back(KernelRecord{compute.desc.name, compute.start, now,
+        kLog.push_back(KernelRecord{compute.desc.name.str(), compute.start,
+                                    now,
                                     compute.desc.flops,
                                     compute.desc.dramBytes,
                                     streams[size_t(sid)].client});
@@ -325,7 +325,7 @@ Device::computeFinish()
         ctrKernels->add();
     if (tele.tracing()) {
         tele.trace->complete(devId, streams[size_t(sid)].client, "kernel",
-                             compute.desc.name, compute.start, now);
+                             compute.desc.name.str(), compute.start, now);
     }
     compute.busy = false;
     compute.stream = -1;
@@ -366,8 +366,8 @@ Device::copyTryStart(CopyDir dir)
     // one stream is waiting).
     std::size_t pick = 0;
     if (e.waitQueue.size() > 1) {
-        std::vector<int> owners;
-        owners.reserve(e.waitQueue.size());
+        std::vector<int> &owners = grantOwners;
+        owners.clear();
         for (StreamId s : e.waitQueue)
             owners.push_back(streams[size_t(s)].client);
         pick = arbiterFor(dir).pick(owners);
@@ -422,7 +422,7 @@ Device::copyFinish(CopyDir dir)
         copyBusyH2D += now - e.start;
     }
     if (keepLog) {
-        cLog.push_back(CopyRecord{e.cmd.tag, e.start, now, e.cmd.bytes,
+        cLog.push_back(CopyRecord{e.cmd.tag.str(), e.start, now, e.cmd.bytes,
                                   dir, client});
     }
     if (dir == CopyDir::DeviceToHost ? ctrDmaD2H != nullptr
@@ -435,7 +435,7 @@ Device::copyFinish(CopyDir dir)
             devId, client, "dma",
             e.cmd.tag.empty()
                 ? (dir == CopyDir::DeviceToHost ? "d2h" : "h2d")
-                : e.cmd.tag,
+                : e.cmd.tag.str(),
             e.start, now,
             "{\"bytes\":" + std::to_string(e.cmd.bytes) + ",\"dir\":\"" +
                 (dir == CopyDir::DeviceToHost ? "d2h" : "h2d") + "\"}");

@@ -26,11 +26,19 @@
  * A simple DRAM contention model stretches kernels whose bandwidth
  * demand cannot be met while a DMA copy is stealing PCIe-rate bandwidth
  * (the paper bounds this interference at 16/336 = 4.7%, Section V-B).
+ *
+ * The per-command path allocates nothing: kernel names and copy tags
+ * are Labels (common/label.hh), formatted only into the kernel/copy
+ * logs and trace spans; each stream's queue is a reused ring
+ * (common/fifo.hh); and the copy-engine grant builds its candidate
+ * list in member scratch.
  */
 
 #ifndef VDNN_GPU_DEVICE_HH
 #define VDNN_GPU_DEVICE_HH
 
+#include "common/fifo.hh"
+#include "common/label.hh"
 #include "common/types.hh"
 #include "gpu/gpu_spec.hh"
 #include "gpu/power_model.hh"
@@ -40,7 +48,6 @@
 #include "sim/event_queue.hh"
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
 #include <string>
@@ -59,7 +66,8 @@ enum class CopyDir : std::uint8_t { HostToDevice, DeviceToHost };
 /** Description of a kernel launch (latency precomputed by the caller). */
 struct KernelDesc
 {
-    std::string name;
+    /** Label; a named one's name must outlive the kernel's run. */
+    Label name;
     /** Execution time with exclusive use of the device. */
     TimeNs duration = 1;
     /** Total floating point work, for power accounting. */
@@ -71,6 +79,7 @@ struct KernelDesc
 /** Completed-kernel record (enable via setKernelLog()). */
 struct KernelRecord
 {
+    /** The kernel's label, formatted at completion. */
     std::string name;
     TimeNs start = 0;
     TimeNs end = 0;
@@ -87,6 +96,7 @@ struct KernelRecord
 /** Completed-copy record. */
 struct CopyRecord
 {
+    /** The copy's label, formatted at completion. */
     std::string tag;
     TimeNs start = 0;
     TimeNs end = 0;
@@ -141,9 +151,12 @@ class Device
     /** Enqueue a kernel on @p stream. */
     void launchKernel(StreamId stream, KernelDesc desc);
 
-    /** Enqueue an async DMA of @p bytes on @p stream. */
+    /**
+     * Enqueue an async DMA of @p bytes on @p stream. A named @p tag's
+     * name must outlive the copy.
+     */
     void memcpyAsync(StreamId stream, Bytes bytes, CopyDir dir,
-                     const std::string &tag = "");
+                     Label tag = {});
 
     /** Enqueue an event record; fires when prior commands complete. */
     void recordEvent(StreamId stream, CudaEventId event);
@@ -259,14 +272,14 @@ class Device
         KernelDesc kernel;   // Type::Kernel
         Bytes bytes = 0;     // Type::Copy
         CopyDir dir = CopyDir::HostToDevice;
-        std::string tag;     // Type::Copy
+        Label tag;           // Type::Copy
         CudaEventId event = -1; // EventRecord / EventWait
     };
 
     struct Stream
     {
         std::string name;
-        std::deque<Command> queue;
+        Fifo<Command> queue;
         /** Head command handed to an engine and executing. */
         bool headDispatched = false;
         /** Head is an EventWait blocked on an unfired event. */
@@ -345,6 +358,8 @@ class Device
     CopyEngine copyH2D;
     ic::FairShareArbiter arbD2H;
     ic::FairShareArbiter arbH2D;
+    /** copyTryStart()'s per-grant tenant list (reused scratch). */
+    std::vector<int> grantOwners;
 
     Bytes copiedD2H = 0;
     Bytes copiedH2D = 0;

@@ -43,11 +43,11 @@ MemoryPool::notify()
 }
 
 std::optional<Allocation>
-MemoryPool::tryAllocate(Bytes size, const std::string &tag, int client)
+MemoryPool::tryAllocate(Bytes size, Label tag, int client)
 {
     VDNN_ASSERT(size >= 0, "negative allocation size");
     VDNN_ASSERT(client >= 0, "%s: negative client id %d for '%s'",
-                poolName.c_str(), client, tag.c_str());
+                poolName.c_str(), client, tag.str().c_str());
     Bytes need = std::max<Bytes>(alignUp(size, kAlignment), kAlignment);
 
     // Best fit: the smallest sufficient block, the lowest offset on
@@ -73,7 +73,7 @@ MemoryPool::tryAllocate(Bytes size, const std::string &tag, int client)
         oom.requested = need;
         oom.totalFree = freeBytes();
         oom.largestFree = largestFreeBlock();
-        oom.tag = tag;
+        tag.formatTo(oom.tag);
         return std::nullopt;
     }
 
@@ -94,10 +94,9 @@ MemoryPool::tryAllocate(Bytes size, const std::string &tag, int client)
         freeBlocks.erase(freeBlocks.begin() + std::ptrdiff_t(best));
 
     Allocation a;
-    a.id = nextId++;
+    a.id = live.insert(LiveBlock{offset, need, tag, client});
     a.offset = offset;
     a.size = need;
-    live.emplace(a.id, LiveBlock{offset, need, tag, client});
     used += need;
     peak = std::max(peak, used);
     if (std::size_t(client) >= clients.size())
@@ -110,13 +109,14 @@ MemoryPool::tryAllocate(Bytes size, const std::string &tag, int client)
 }
 
 Allocation
-MemoryPool::allocate(Bytes size, const std::string &tag, int client)
+MemoryPool::allocate(Bytes size, Label tag, int client)
 {
     auto a = tryAllocate(size, tag, client);
     if (!a) {
         fatal("%s: out of memory allocating %s for '%s' "
               "(free %s, largest block %s)",
-              poolName.c_str(), formatBytes(size).c_str(), tag.c_str(),
+              poolName.c_str(), formatBytes(size).c_str(),
+              tag.str().c_str(),
               formatBytes(oom.totalFree).c_str(),
               formatBytes(oom.largestFree).c_str());
     }
@@ -126,13 +126,14 @@ MemoryPool::allocate(Bytes size, const std::string &tag, int client)
 void
 MemoryPool::release(const Allocation &alloc)
 {
-    auto it = live.find(alloc.id);
-    VDNN_ASSERT(it != live.end(), "releasing unknown allocation id %lld",
-                (long long)alloc.id);
-    Bytes offset = it->second.offset;
-    Bytes size = it->second.size;
-    int client = it->second.client;
-    live.erase(it);
+    const LiveBlock *blk = live.find(alloc.id);
+    VDNN_ASSERT(blk, "%s: releasing unknown allocation id %lld (double "
+                "release, or a handle from before releaseAll())",
+                poolName.c_str(), (long long)alloc.id);
+    Bytes offset = blk->offset;
+    Bytes size = blk->size;
+    int client = blk->client;
+    live.erase(alloc.id);
     used -= size;
     VDNN_ASSERT(clients[std::size_t(client)].used >= size,
                 "client %d accounting underflow", client);
@@ -217,8 +218,9 @@ MemoryPool::layoutString() const
     std::map<Bytes, std::pair<Bytes, std::string>> blocks;
     for (const FreeBlock &b : freeBlocks)
         blocks[b.offset] = {b.size, "<free>"};
-    for (const auto &[id, blk] : live)
-        blocks[blk.offset] = {blk.size, blk.tag};
+    live.forEach([&](const LiveBlock &blk) {
+        blocks[blk.offset] = {blk.size, blk.tag.str()};
+    });
     std::string out = strFormat("%s: %s used of %s\n", poolName.c_str(),
                                 formatBytes(used).c_str(),
                                 formatBytes(cap).c_str());
@@ -247,8 +249,7 @@ MemoryPool::checkInvariants() const
         total_free += b.size;
     }
     Bytes total_live = 0;
-    for (const auto &[id, blk] : live)
-        total_live += blk.size;
+    live.forEach([&](const LiveBlock &blk) { total_live += blk.size; });
     Bytes total_client = 0;
     for (const ClientUsage &cu : clients)
         total_client += cu.used;

@@ -11,8 +11,11 @@
  * pass (the smallest sufficient block, the lowest offset on ties) that
  * carves large requests from the block's high end and the rest from
  * its low end (see kLargeFraction); release finds its neighbours by
- * binary search and coalesces with them. Offsets stand in for device
- * pointers; no memory is actually backed.
+ * binary search and coalesces with them. Live blocks sit in a
+ * generation-checked slot vector (mem/slot_table.hh) carrying their
+ * Label, so a warm pool allocates and releases without touching the
+ * heap or formatting a string; a double or stale release asserts.
+ * Offsets stand in for device pointers; no memory is actually backed.
  *
  * Out-of-memory is an *expected* outcome for some (network, policy,
  * algorithm) configurations — it is exactly what the paper's `*` marks
@@ -24,13 +27,14 @@
 #ifndef VDNN_MEM_MEMORY_POOL_HH
 #define VDNN_MEM_MEMORY_POOL_HH
 
+#include "common/label.hh"
 #include "common/types.hh"
+#include "mem/slot_table.hh"
 #include "mem/usage_tracker.hh"
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace vdnn::mem
@@ -39,6 +43,7 @@ namespace vdnn::mem
 /** Handle to a live pool allocation. */
 struct Allocation
 {
+    /** Slot and generation in the pool's live table; -1 = none. */
     std::int64_t id = -1;
     Bytes offset = 0;
     Bytes size = 0;
@@ -52,6 +57,7 @@ struct OomInfo
     Bytes requested = 0;
     Bytes totalFree = 0;
     Bytes largestFree = 0;
+    /** The failed request's label, formatted when the OOM happened. */
     std::string tag;
 };
 
@@ -87,21 +93,24 @@ class MemoryPool
 
     /**
      * Best-fit allocation of @p size bytes (rounded up to kAlignment).
-     * @param tag free-form label kept for diagnostics / leak reports
+     * @param tag label kept for diagnostics (OOM reports, layout
+     *        dumps); formatted only there
      * @param client tenant id charged for the block (multi-tenant
      *        serving shares one pool among many jobs; 0 = sole tenant;
      *        must not be negative)
      * @return std::nullopt when no free block fits (details in lastOom())
      */
-    std::optional<Allocation> tryAllocate(Bytes size,
-                                          const std::string &tag = "",
+    std::optional<Allocation> tryAllocate(Bytes size, Label tag = {},
                                           int client = 0);
 
     /** tryAllocate() that treats failure as a fatal user error. */
-    Allocation allocate(Bytes size, const std::string &tag = "",
-                        int client = 0);
+    Allocation allocate(Bytes size, Label tag = {}, int client = 0);
 
-    /** Return an allocation to the pool; coalesces with neighbours. */
+    /**
+     * Return an allocation to the pool; coalesces with neighbours.
+     * Releasing a handle twice, or one issued before releaseAll(),
+     * panics.
+     */
     void release(const Allocation &alloc);
 
     /** Release every live allocation (between training iterations). */
@@ -148,7 +157,7 @@ class MemoryPool
     {
         Bytes offset;
         Bytes size;
-        std::string tag;
+        Label tag;
         int client = 0;
     };
 
@@ -165,11 +174,10 @@ class MemoryPool
     std::string poolName;
     Bytes used = 0;
     Bytes peak = 0;
-    std::int64_t nextId = 1;
     /** Offset-sorted, disjoint and never adjacent (release coalesces):
      *  a contiguous scan is far cheaper than walking tree nodes. */
     std::vector<FreeBlock> freeBlocks;
-    std::unordered_map<std::int64_t, LiveBlock> live;
+    SlotTable<LiveBlock> live;
     /** Indexed by client id (small dense tenant ids). */
     std::vector<ClientUsage> clients;
     OomInfo oom;

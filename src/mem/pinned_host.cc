@@ -14,16 +14,14 @@ PinnedHostAllocator::PinnedHostAllocator(Bytes capacity) : cap(capacity)
 }
 
 std::optional<HostAllocation>
-PinnedHostAllocator::tryAllocate(Bytes size, const std::string &tag)
+PinnedHostAllocator::tryAllocate(Bytes size, Label tag)
 {
     VDNN_ASSERT(size >= 0, "negative allocation size");
-    (void)tag;
     if (used + size > cap)
         return std::nullopt;
     HostAllocation a;
-    a.id = nextId++;
+    a.id = live.insert(LiveBuffer{size, tag});
     a.size = size;
-    live.emplace(a.id, size);
     used += size;
     totalAlloc += size;
     peak = std::max(peak, used);
@@ -31,13 +29,13 @@ PinnedHostAllocator::tryAllocate(Bytes size, const std::string &tag)
 }
 
 HostAllocation
-PinnedHostAllocator::allocate(Bytes size, const std::string &tag)
+PinnedHostAllocator::allocate(Bytes size, Label tag)
 {
     auto a = tryAllocate(size, tag);
     if (!a) {
         fatal("pinned host allocator: out of memory allocating %s for "
               "'%s' (used %s of %s)",
-              formatBytes(size).c_str(), tag.c_str(),
+              formatBytes(size).c_str(), tag.str().c_str(),
               formatBytes(used).c_str(), formatBytes(cap).c_str());
     }
     return *a;
@@ -46,12 +44,13 @@ PinnedHostAllocator::allocate(Bytes size, const std::string &tag)
 void
 PinnedHostAllocator::release(const HostAllocation &alloc)
 {
-    auto it = live.find(alloc.id);
-    VDNN_ASSERT(it != live.end(),
-                "releasing unknown host allocation id %lld",
+    const LiveBuffer *buf = live.find(alloc.id);
+    VDNN_ASSERT(buf,
+                "releasing unknown host allocation id %lld (double "
+                "release, or a handle from before releaseAll())",
                 (long long)alloc.id);
-    used -= it->second;
-    live.erase(it);
+    used -= buf->size;
+    live.erase(alloc.id);
 }
 
 void

@@ -6,17 +6,20 @@
  * pinned pages are required for async DMA. The model tracks the total
  * pinned footprint against the host DRAM capacity (64 GB DDR4 in the
  * paper's node) — Fig. 15 reports exactly this CPU-side allocation.
+ * Live buffers sit in a generation-checked slot vector
+ * (mem/slot_table.hh) with their Label, so a warm allocator pins and
+ * unpins without touching the heap; a double or stale release asserts.
  */
 
 #ifndef VDNN_MEM_PINNED_HOST_HH
 #define VDNN_MEM_PINNED_HOST_HH
 
+#include "common/label.hh"
 #include "common/types.hh"
+#include "mem/slot_table.hh"
 
 #include <cstdint>
 #include <optional>
-#include <string>
-#include <unordered_map>
 
 namespace vdnn::mem
 {
@@ -24,6 +27,7 @@ namespace vdnn::mem
 /** Handle to a pinned host buffer. */
 struct HostAllocation
 {
+    /** Slot and generation in the allocator's live table; -1 = none. */
     std::int64_t id = -1;
     Bytes size = 0;
 
@@ -36,13 +40,12 @@ class PinnedHostAllocator
     explicit PinnedHostAllocator(Bytes capacity);
 
     /** cudaMallocHost(); fails when host DRAM would be exhausted. */
-    std::optional<HostAllocation> tryAllocate(Bytes size,
-                                              const std::string &tag = "");
+    std::optional<HostAllocation> tryAllocate(Bytes size, Label tag = {});
 
     /** tryAllocate() that treats failure as a fatal user error. */
-    HostAllocation allocate(Bytes size, const std::string &tag = "");
+    HostAllocation allocate(Bytes size, Label tag = {});
 
-    /** cudaFreeHost(). */
+    /** cudaFreeHost(). A double or stale release panics. */
     void release(const HostAllocation &alloc);
 
     /** Free all buffers (between experiments). */
@@ -56,12 +59,17 @@ class PinnedHostAllocator
     std::size_t liveAllocations() const { return live.size(); }
 
   private:
+    struct LiveBuffer
+    {
+        Bytes size = 0;
+        Label tag;
+    };
+
     Bytes cap;
     Bytes used = 0;
     Bytes peak = 0;
     Bytes totalAlloc = 0;
-    std::int64_t nextId = 1;
-    std::unordered_map<std::int64_t, Bytes> live;
+    SlotTable<LiveBuffer> live;
 };
 
 } // namespace vdnn::mem

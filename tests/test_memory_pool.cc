@@ -167,6 +167,33 @@ TEST(MemoryPoolDeath, DoubleReleasePanics)
     EXPECT_DEATH(pool.release(a), "unknown allocation");
 }
 
+TEST(MemoryPoolDeath, StaleHandleOfReusedSlotPanics)
+{
+    // The live table reuses released slots; the handle's generation
+    // tells the old owner from the new one.
+    MemoryPool pool(1_MiB);
+    auto a = pool.allocate(64_KiB, "old");
+    pool.release(a);
+    auto b = pool.allocate(64_KiB, "new");
+    EXPECT_NE(a.id, b.id);
+    EXPECT_DEATH(pool.release(a), "unknown allocation");
+    pool.release(b);
+    EXPECT_EQ(pool.usedBytes(), 0);
+}
+
+TEST(MemoryPoolDeath, HandleFromBeforeReleaseAllPanics)
+{
+    MemoryPool pool(1_MiB);
+    auto a = pool.allocate(64_KiB);
+    pool.releaseAll();
+    EXPECT_DEATH(pool.release(a), "unknown allocation");
+    // Still stale once its slot is live again.
+    auto b = pool.allocate(64_KiB);
+    EXPECT_DEATH(pool.release(a), "unknown allocation");
+    pool.release(b);
+    EXPECT_TRUE(pool.checkInvariants());
+}
+
 TEST(MemoryPoolDeath, NegativeClientPanics)
 {
     // Per-client usage is indexed by tenant id.
@@ -373,6 +400,140 @@ INSTANTIATE_TEST_SUITE_P(Seeds, MemoryPoolDifferentialTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u,
                                            8u));
 
+/**
+ * Differential test against the plainest possible best fit: a bitmap
+ * of 512-byte granules. Each request takes the shortest run of free
+ * granules that fits (the lowest on ties), carving large requests from
+ * the run's high end. The reference shares no code or data structure
+ * with the pool (no free list, no coalescing), so offsets, OOM
+ * decisions, the largest free block and the pool's own invariant
+ * check are compared after every one of 120,000 operations.
+ */
+class GranuleBitmapReference
+{
+  public:
+    explicit GranuleBitmapReference(Bytes capacity)
+        : used(std::size_t(capacity / MemoryPool::kAlignment), 0),
+          large(capacity / MemoryPool::kLargeFraction)
+    {}
+
+    std::optional<Bytes> allocate(Bytes size)
+    {
+        std::size_t need = std::size_t(std::max<Bytes>(
+            (size + MemoryPool::kAlignment - 1) / MemoryPool::kAlignment, 1));
+        std::size_t best_start = 0, best_len = 0;
+        forEachRun([&](std::size_t start, std::size_t len) {
+            if (len >= need && (best_len == 0 || len < best_len)) {
+                best_start = start;
+                best_len = len;
+            }
+        });
+        if (best_len == 0)
+            return std::nullopt;
+        std::size_t at = Bytes(need) * MemoryPool::kAlignment >= large
+                             ? best_start + best_len - need
+                             : best_start;
+        std::fill_n(used.begin() + std::ptrdiff_t(at), need, 1);
+        return Bytes(at) * MemoryPool::kAlignment;
+    }
+
+    void release(Bytes offset, Bytes size)
+    {
+        std::size_t at = std::size_t(offset / MemoryPool::kAlignment);
+        std::size_t n = std::size_t(size / MemoryPool::kAlignment);
+        for (std::size_t i = at; i < at + n; ++i) {
+            ASSERT_TRUE(used[i]) << "reference double free at granule " << i;
+            used[i] = 0;
+        }
+    }
+
+    Bytes largestFree() const
+    {
+        std::size_t best = 0;
+        forEachRun([&](std::size_t, std::size_t len) {
+            best = std::max(best, len);
+        });
+        return Bytes(best) * MemoryPool::kAlignment;
+    }
+
+    Bytes freeBytes() const
+    {
+        return Bytes(std::count(used.begin(), used.end(), 0)) *
+               MemoryPool::kAlignment;
+    }
+
+  private:
+    /** Call @p fn(start, length) on every maximal run of free granules. */
+    template <typename F>
+    void forEachRun(F &&fn) const
+    {
+        std::size_t i = 0;
+        while (i < used.size()) {
+            if (used[i]) {
+                ++i;
+                continue;
+            }
+            std::size_t start = i;
+            while (i < used.size() && !used[i])
+                ++i;
+            fn(start, i - start);
+        }
+    }
+
+    std::vector<std::uint8_t> used; ///< per 512-byte granule
+    Bytes large;
+};
+
+TEST(MemoryPoolDifferential, MatchesGranuleBitmapBestFit)
+{
+    SplitMix64 rng(20161015);
+    const Bytes capacity = 1_MiB;
+    MemoryPool pool(capacity);
+    GranuleBitmapReference ref(capacity);
+    const Bytes large = capacity / MemoryPool::kLargeFraction;
+    std::vector<Allocation> live;
+    int ooms = 0;
+    int large_allocs = 0;
+    const int kOps = 120000;
+    for (int step = 0; step < kOps; ++step) {
+        bool do_alloc = live.empty() || rng.nextDouble() < 0.55;
+        if (do_alloc) {
+            double pick = rng.nextDouble();
+            Bytes size = pick < 0.75   ? rng.nextRange(0, 24 * kKiB)
+                         : pick < 0.85 ? rng.nextRange(large - 2 * kKiB,
+                                                       large + 2 * kKiB)
+                                       : rng.nextRange(large, 2 * large);
+            std::optional<Bytes> want = ref.allocate(size);
+            std::optional<Allocation> got =
+                pool.tryAllocate(size, "diff", int(step % 5));
+            ASSERT_EQ(want.has_value(), got.has_value())
+                << "OOM decision differs at step " << step;
+            if (got) {
+                ASSERT_EQ(*want, got->offset) << "at step " << step;
+                large_allocs += got->size >= large;
+                live.push_back(*got);
+            } else {
+                ++ooms;
+            }
+        } else {
+            std::size_t idx =
+                std::size_t(rng.nextRange(0, std::int64_t(live.size()) - 1));
+            ref.release(live[idx].offset, live[idx].size);
+            pool.release(live[idx]);
+            live[idx] = live.back();
+            live.pop_back();
+        }
+        ASSERT_TRUE(pool.checkInvariants()) << "at step " << step;
+        ASSERT_EQ(pool.largestFreeBlock(), ref.largestFree())
+            << "at step " << step;
+        ASSERT_EQ(pool.freeBytes(), ref.freeBytes()) << "at step " << step;
+        ASSERT_EQ(pool.liveAllocations(), live.size()) << "at step " << step;
+    }
+    // The mix must fragment the arena, fail requests and carve both ends.
+    EXPECT_GT(ooms, kOps / 100);
+    EXPECT_GT(large_allocs, kOps / 100);
+}
+
 // --- PinnedHostAllocator ------------------------------------------------------
 
 TEST(PinnedHost, TracksUsedAndPeak)
@@ -407,4 +568,36 @@ TEST(PinnedHost, FailsWhenHostMemoryExhausted)
     EXPECT_THROW(host.allocate(100_MiB), FatalError);
     host.release(*a);
     EXPECT_TRUE(host.tryAllocate(100_MiB).has_value());
+}
+
+TEST(PinnedHostDeath, DoubleReleasePanics)
+{
+    PinnedHostAllocator host(1_GiB);
+    auto a = host.allocate(100_MiB, "x");
+    host.release(a);
+    EXPECT_DEATH(host.release(a), "unknown host allocation");
+}
+
+TEST(PinnedHostDeath, StaleHandleOfReusedSlotPanics)
+{
+    PinnedHostAllocator host(1_GiB);
+    auto a = host.allocate(100_MiB, "old");
+    host.release(a);
+    auto b = host.allocate(100_MiB, "new");
+    EXPECT_NE(a.id, b.id);
+    EXPECT_DEATH(host.release(a), "unknown host allocation");
+    host.release(b);
+    EXPECT_EQ(host.usedBytes(), 0);
+}
+
+TEST(PinnedHostDeath, HandleFromBeforeReleaseAllPanics)
+{
+    PinnedHostAllocator host(1_GiB);
+    auto a = host.allocate(100_MiB);
+    host.releaseAll();
+    EXPECT_DEATH(host.release(a), "unknown host allocation");
+    auto b = host.allocate(100_MiB);
+    EXPECT_DEATH(host.release(a), "unknown host allocation");
+    host.release(b);
+    EXPECT_EQ(host.liveAllocations(), 0u);
 }

@@ -318,12 +318,17 @@ TEST(PrefetchHints, HigherPriorityIssuesFirst)
     int join_idx = network->node(join).topoIndex;
     ASSERT_LT(std::size_t(join_idx + 1), topo.size());
     net::LayerId after = topo[std::size_t(join_idx + 1)];
-    PrefetchCandidate cand = findPrefetchLayer(
-        *network, after, state, /*bounded=*/false, &plan);
+    PrefetchCandidate cand;
+    findPrefetchLayer(*network, after, state, cand, /*bounded=*/false,
+                      &plan);
     ASSERT_TRUE(cand.found());
     EXPECT_EQ(cand.layer, join);
     ASSERT_GE(cand.buffers.size(), 2u);
     EXPECT_EQ(cand.buffers.front(), ins.back());
+    // The sort is stable: the equal-priority rest keep input order.
+    ASSERT_EQ(cand.buffers.size(), ins.size());
+    for (std::size_t i = 1; i < ins.size(); ++i)
+        EXPECT_EQ(cand.buffers[i], ins[i - 1]) << "position " << i;
 }
 
 // --- session-level validation ------------------------------------------------

@@ -53,6 +53,16 @@ offloadXOf(const Network &net, PrefetchState &state, LayerId id)
     state.offloaded[std::size_t(net.node(id).xBuffer)] = true;
 }
 
+/** One search into a fresh candidate. */
+PrefetchCandidate
+search(const Network &net, LayerId curr, PrefetchState &state,
+       bool bounded = true)
+{
+    PrefetchCandidate cand;
+    findPrefetchLayer(net, curr, state, cand, bounded);
+    return cand;
+}
+
 } // namespace
 
 TEST(FindPrefetchLayer, FindsNearestOffloadedLayer)
@@ -64,7 +74,7 @@ TEST(FindPrefetchLayer, FindsNearestOffloadedLayer)
     offloadXOf(*net, state, 5); // conv3's X
 
     // Searching from the loss layer: conv3 (nearest) wins.
-    auto cand = findPrefetchLayer(*net, 7, state);
+    auto cand = search(*net, 7, state);
     ASSERT_TRUE(cand.found());
     EXPECT_EQ(cand.layer, 5);
     ASSERT_EQ(cand.buffers.size(), 1u);
@@ -76,11 +86,11 @@ TEST(FindPrefetchLayer, MarksBuffersPrefetched)
     auto net = chainNet();
     PrefetchState state(net->numBuffers());
     offloadXOf(*net, state, 5);
-    auto cand = findPrefetchLayer(*net, 7, state);
+    auto cand = search(*net, 7, state);
     ASSERT_TRUE(cand.found());
     EXPECT_TRUE(state.prefetched[std::size_t(net->node(5).xBuffer)]);
     // A second search does not return the same buffer.
-    auto again = findPrefetchLayer(*net, 7, state);
+    auto again = search(*net, 7, state);
     EXPECT_NE(again.layer, 5);
 }
 
@@ -92,10 +102,10 @@ TEST(FindPrefetchLayer, WindowStopsAtConvLayer)
 
     // Search from pool1 (4): relu2(3) no, conv2(2) has no offloaded
     // X and is CONV -> window closes without a candidate.
-    auto cand = findPrefetchLayer(*net, 4, state);
+    auto cand = search(*net, 4, state);
     EXPECT_FALSE(cand.found());
     // Unbounded search does find conv1.
-    auto unbounded = findPrefetchLayer(*net, 4, state, false);
+    auto unbounded = search(*net, 4, state, false);
     ASSERT_TRUE(unbounded.found());
     EXPECT_EQ(unbounded.layer, 0);
 }
@@ -107,7 +117,7 @@ TEST(FindPrefetchLayer, OffloadedConvInWindowIsReturnedNotSkipped)
     auto net = chainNet();
     PrefetchState state(net->numBuffers());
     offloadXOf(*net, state, 2);
-    auto cand = findPrefetchLayer(*net, 4, state);
+    auto cand = search(*net, 4, state);
     ASSERT_TRUE(cand.found());
     EXPECT_EQ(cand.layer, 2);
 }
@@ -117,7 +127,7 @@ TEST(FindPrefetchLayer, NothingOffloadedFindsNothing)
     auto net = chainNet();
     PrefetchState state(net->numBuffers());
     for (std::size_t i = 0; i < net->numLayers(); ++i) {
-        auto cand = findPrefetchLayer(*net, LayerId(i), state);
+        auto cand = search(*net, LayerId(i), state);
         EXPECT_FALSE(cand.found());
     }
 }
@@ -127,7 +137,7 @@ TEST(FindPrefetchLayer, FirstLayerHasNoPredecessors)
     auto net = chainNet();
     PrefetchState state(net->numBuffers());
     offloadXOf(*net, state, 5);
-    EXPECT_FALSE(findPrefetchLayer(*net, 0, state).found());
+    EXPECT_FALSE(search(*net, 0, state).found());
 }
 
 TEST(FindPrefetchLayer, SearchStartsBelowCurrentLayer)
@@ -137,7 +147,7 @@ TEST(FindPrefetchLayer, SearchStartsBelowCurrentLayer)
     auto net = chainNet();
     PrefetchState state(net->numBuffers());
     offloadXOf(*net, state, 5);
-    auto cand = findPrefetchLayer(*net, 5, state);
+    auto cand = search(*net, 5, state);
     EXPECT_FALSE(cand.found());
 }
 
@@ -164,15 +174,31 @@ TEST(FindPrefetchLayer, GoogLeNetForkJoinReturnsAllLayerBuffers)
     // Search from the layer after the concat.
     LayerId after = net->topoOrder()[std::size_t(
         net->node(concat).topoIndex + 1)];
-    auto cand = findPrefetchLayer(*net, after, state, false);
+    auto cand = search(*net, after, state, false);
     ASSERT_TRUE(cand.found());
     EXPECT_EQ(cand.layer, concat);
     EXPECT_EQ(cand.buffers.size(), 2u);
+}
+
+TEST(FindPrefetchLayer, ReusedCandidateIsOverwritten)
+{
+    // Callers keep one candidate across searches: a hit followed by a
+    // miss must leave no trace of the hit.
+    auto net = chainNet();
+    PrefetchState state(net->numBuffers());
+    offloadXOf(*net, state, 5);
+    PrefetchCandidate cand;
+    findPrefetchLayer(*net, 7, state, cand);
+    ASSERT_TRUE(cand.found());
+    EXPECT_EQ(cand.buffers.size(), 1u);
+    findPrefetchLayer(*net, 7, state, cand);
+    EXPECT_FALSE(cand.found());
+    EXPECT_TRUE(cand.buffers.empty());
 }
 
 TEST(FindPrefetchLayer, StateSizeMismatchPanics)
 {
     auto net = chainNet();
     PrefetchState bad(3);
-    EXPECT_DEATH(findPrefetchLayer(*net, 4, bad), "mismatch");
+    EXPECT_DEATH(search(*net, 4, bad), "mismatch");
 }

@@ -34,8 +34,10 @@ testSpec()
     return s;
 }
 
+/** A kernel named @p name: a label of a string literal, which outlives
+ *  the command (a KernelDesc keeps a Label, not a copy of the name). */
 KernelDesc
-kernel(const std::string &name, TimeNs dur, Bytes dram_bytes = 0)
+kernel(const char *name, TimeNs dur, Bytes dram_bytes = 0)
 {
     KernelDesc k;
     k.name = name;
