@@ -391,16 +391,14 @@ Executor::ensureResident(net::BufferId b, net::LayerId curr,
 }
 
 void
-Executor::processDeferredReleases(bool force)
+Executor::processDeferredReleases()
 {
     // Asynchronous-release mode (ablation): offloaded device copies are
     // released at the first synchronization point after their copy
     // completes, instead of stalling the layer boundary.
     auto it = deferredReleases.begin();
     while (it != deferredReleases.end()) {
-        if (force || rt.eventFired(it->second)) {
-            if (force)
-                rt.synchronize(streamMemory);
+        if (rt.markPassed(streamMemory, it->second)) {
             mm.finishOffload(net, it->first);
             it = deferredReleases.erase(it);
         } else {
@@ -444,7 +442,7 @@ IterationStepper::rewind()
     pcIndex = 0;
     st = Status::Running;
     blockedOn = -1;
-    syncPhase = 0;
+    computeJoined = false;
     tComputeDone = 0;
     groupLayer = -2;
     groupBackward = false;
@@ -591,7 +589,7 @@ IterationStepper::opFwdOffload(const IterOp &op)
 }
 
 IterationStepper::Status
-IterationStepper::opSync(const IterOp &op, bool blocking)
+IterationStepper::opSync(const IterOp &op)
 {
     // Layer boundary: wait for the computation, and for any transfer
     // launched under it — offloads so the device copy is released
@@ -602,41 +600,35 @@ IterationStepper::opSync(const IterOp &op, bool blocking)
     std::vector<net::BufferId> &pending =
         op.backward ? prefetching : offloading;
 
-    if (syncPhase == 0) {
-        if (!blocking && !ex.rt.streamIdle(ex.streamCompute))
+    if (!computeJoined) {
+        if (!ex.rt.streamIdle(ex.streamCompute))
             return blocked(ex.streamCompute);
-        ex.rt.synchronize(ex.streamCompute);
         tComputeDone = ex.rt.now();
-        syncPhase = 1;
+        computeJoined = true;
     }
-    if (syncPhase == 1) {
-        bool join_memory = !pending.empty() &&
-                           (op.backward || ex.cfg.syncAtLayerBoundary);
-        if (join_memory) {
-            if (!blocking && !ex.rt.streamIdle(ex.streamMemory))
-                return blocked(ex.streamMemory);
-            ex.rt.synchronize(ex.streamMemory);
-            res.transferStallTime += ex.rt.now() - tComputeDone;
-            for (net::BufferId b : pending) {
-                if (op.backward)
-                    ex.mm.finishPrefetch(b);
-                else
-                    ex.mm.finishOffload(ex.net, b);
-            }
-        } else if (!pending.empty()) {
-            // Asynchronous-release mode (ablation): release at the
-            // first synchronization point after the copy completes.
-            for (net::BufferId b : pending) {
-                gpu::CudaEventId ev = ex.rt.createEvent();
-                ex.rt.recordEvent(ex.streamMemory, ev);
-                ex.deferredReleases.emplace_back(b, ev);
-            }
+    bool join_memory = !pending.empty() &&
+                       (op.backward || ex.cfg.syncAtLayerBoundary);
+    if (join_memory) {
+        if (!ex.rt.streamIdle(ex.streamMemory))
+            return blocked(ex.streamMemory);
+        res.transferStallTime += ex.rt.now() - tComputeDone;
+        for (net::BufferId b : pending) {
+            if (op.backward)
+                ex.mm.finishPrefetch(b);
+            else
+                ex.mm.finishOffload(ex.net, b);
         }
-        pending.clear();
-        syncPhase = 2;
+    } else if (!pending.empty()) {
+        // Asynchronous-release mode (ablation): release at the first
+        // synchronization point after the copy completes, i.e. once
+        // the memory stream retires what it holds now.
+        gpu::StreamMark mark = ex.rt.streamMark(ex.streamMemory);
+        for (net::BufferId b : pending)
+            ex.deferredReleases.emplace_back(b, mark);
     }
-    ex.processDeferredReleases(false);
-    syncPhase = 0;
+    pending.clear();
+    computeJoined = false;
+    ex.processDeferredReleases();
     return Status::Running;
 }
 
@@ -671,15 +663,15 @@ IterationStepper::opFwdRelease(const IterOp &op)
 }
 
 IterationStepper::Status
-IterationStepper::opBarrier(bool blocking)
+IterationStepper::opBarrier()
 {
     // Any deferred (asynchronous) offload releases must land before
     // backward propagation starts reusing the buffers.
-    if (!blocking && !ex.deferredReleases.empty() &&
+    if (!ex.deferredReleases.empty() &&
         !ex.rt.streamIdle(ex.streamMemory)) {
         return blocked(ex.streamMemory);
     }
-    ex.processDeferredReleases(true);
+    ex.processDeferredReleases();
     return Status::Running;
 }
 
@@ -834,21 +826,16 @@ IterationStepper::opBwdRelease(const IterOp &op)
 }
 
 IterationStepper::Status
-IterationStepper::opEndIteration(bool blocking)
+IterationStepper::opEndIteration()
 {
-    if (blocking) {
-        ex.processDeferredReleases(true);
-        ex.rt.deviceSynchronize();
-    } else {
-        // Drain this executor's own streams only: a co-tenant's
-        // in-flight work on the shared device must not serialize this
-        // tenant's iteration boundary.
-        if (!ex.rt.streamIdle(ex.streamCompute))
-            return blocked(ex.streamCompute);
-        if (!ex.rt.streamIdle(ex.streamMemory))
-            return blocked(ex.streamMemory);
-        ex.processDeferredReleases(true);
-    }
+    // Drain this executor's own streams only: a co-tenant's in-flight
+    // work on the shared device must not serialize this tenant's
+    // iteration boundary.
+    if (!ex.rt.streamIdle(ex.streamCompute))
+        return blocked(ex.streamCompute);
+    if (!ex.rt.streamIdle(ex.streamMemory))
+        return blocked(ex.streamMemory);
+    ex.processDeferredReleases();
     res.end = ex.rt.now();
 
     // Steady-state invariant: everything allocated inside the iteration
@@ -866,7 +853,7 @@ IterationStepper::opEndIteration(bool blocking)
 // --- stepper: dispatch -------------------------------------------------------
 
 IterationStepper::Status
-IterationStepper::step(bool blocking)
+IterationStepper::step()
 {
     if (finished())
         return st;
@@ -914,15 +901,15 @@ IterationStepper::step(bool blocking)
             opFwdRelease(op);
         break;
       case OpKind::Sync:
-        if (opSync(op, blocking) == Status::Blocked)
+        if (opSync(op) == Status::Blocked)
             return st;
         break;
       case OpKind::Barrier:
-        if (opBarrier(blocking) == Status::Blocked)
+        if (opBarrier() == Status::Blocked)
             return st;
         break;
       case OpKind::EndIteration: {
-        Status s = opEndIteration(blocking);
+        Status s = opEndIteration();
         if (s == Status::Blocked)
             return st;
         st = s;
@@ -981,12 +968,26 @@ Executor::finishIteration()
     return r;
 }
 
+void
+IterationStepper::stepExclusive()
+{
+    // The tenant owns the device: nothing else can run while it waits,
+    // so block the host on the joined stream and retry the op.
+    while (step() == Status::Blocked)
+        ex.rt.synchronize(blockedOn);
+}
+
+void
+IterationStepper::drain()
+{
+    while (!finished())
+        stepExclusive();
+}
+
 IterationResult
 Executor::runIteration()
 {
-    IterationStepper &s = beginIteration();
-    while (!s.finished())
-        s.step(/*blocking=*/true);
+    beginIteration().drain();
     return finishIteration();
 }
 

@@ -41,16 +41,23 @@
  * each plan once.
  *
  * Execution is driven by an IterationStepper: a resumable cursor over
- * the program. runIteration() is a drain loop (step(blocking=true)
- * until done) and reproduces the former monolithic loop's timing
- * exactly. An external scheduler can instead step(blocking=false):
- * Sync boundaries (and the Barrier / EndIteration drains) then return
- * Blocked instead of stalling the host, so iterations of concurrent
- * tenants on a shared runtime can interleave at op granularity — one
- * tenant's compute ops run under another's in-flight DMAs
- * (serve::SchedPolicy::PackedOverlap). The on-demand fetch path stays
- * host-blocking even then: it is the serialized fallback prefetching
- * exists to avoid.
+ * the program. A Sync op (and the Barrier / EndIteration drains)
+ * returns Blocked while a stream it joins has in-flight work, and
+ * resumes there on the next step(). A tenant that owns its device
+ * drives the cursor with drain() (runIteration()): on Blocked it
+ * blocks the host on the joined stream and retries, the paper's
+ * layer-boundary join. A serving scheduler instead advances other
+ * tenants meanwhile, so iterations of concurrent tenants on a shared
+ * runtime interleave at op granularity — one tenant's compute ops run
+ * under another's in-flight DMAs (serve::SchedPolicy::PackedOverlap).
+ *
+ * Host waits that remain inside a step, for every driver:
+ *  - ensureResident(): the on-demand fetch (the serialized fallback
+ *    prefetching exists to avoid) and the wait on a prefetch still in
+ *    flight;
+ *  - dmaState(): the evict / restore staging copy;
+ *  - abortIteration(): a deviceSynchronize(), which on a shared device
+ *    also waits out co-tenants' streams.
  */
 
 #ifndef VDNN_CORE_EXECUTOR_HH
@@ -216,14 +223,13 @@ class Executor;
 /**
  * A resumable cursor over an Executor's IterationProgram.
  *
- * step(blocking=true) always executes the next op, stalling the
- * simulated host at stream joins exactly like the former monolithic
- * loop. step(blocking=false) instead returns Blocked from a Sync /
+ * step() executes the next op, or returns Blocked from a Sync /
  * Barrier / EndIteration op whose stream has in-flight work, leaving
  * the host free to advance another tenant's stepper; the op resumes
- * where it left off on the next call. The two modes produce identical
- * device timelines for a single tenant — non-blocking mode only hands
- * the wait loop to the caller.
+ * where it left off on the next call. stepExclusive() and drain() are
+ * the one driver for a tenant alone on its device: they wait out each
+ * Blocked stream with Device::synchronize. Host waits inside an op
+ * (file comment) happen under either driver.
  */
 class IterationStepper
 {
@@ -231,13 +237,22 @@ class IterationStepper
     enum class Status : std::uint8_t
     {
         Running, ///< more ops to execute
-        Blocked, ///< next op waits on blockedStream() (non-blocking)
+        Blocked, ///< next op waits on blockedStream()
         Done,    ///< iteration completed; result().ok == true
         Failed,  ///< iteration aborted; result().failReason says why
     };
 
     /** Execute (or resume) the next op. */
-    Status step(bool blocking = true);
+    Status step();
+
+    /**
+     * Execute the next op, blocking the host on each stream it joins
+     * until the op completes (status() is then never Blocked).
+     */
+    void stepExclusive();
+
+    /** Run the iteration to its end with stepExclusive(). */
+    void drain();
 
     Status status() const { return st; }
     bool finished() const
@@ -279,17 +294,18 @@ class IterationStepper
     void opBwdPrefetch(net::LayerId id);
     void opBwdKernel(net::LayerId id);
     void opBwdRelease(const IterOp &op);
-    Status opSync(const IterOp &op, bool blocking);
-    Status opBarrier(bool blocking);
-    Status opEndIteration(bool blocking);
+    Status opSync(const IterOp &op);
+    Status opBarrier();
+    Status opEndIteration();
 
     Executor &ex;
     std::size_t pcIndex = 0;
     Status st = Status::Running;
     gpu::StreamId blockedOn = -1;
 
-    /** Resume point inside a partially executed Sync op. */
-    int syncPhase = 0;
+    /** Resume point of a Sync op blocked on the memory stream: the
+     *  compute stream was joined at tComputeDone. */
+    bool computeJoined = false;
     TimeNs tComputeDone = 0;
 
     /** (layer, phase) group the cursor is in, for entry timestamps. */
@@ -324,7 +340,10 @@ class Executor
      */
     bool setup();
 
-    /** Run one forward+backward pass. Requires a successful setup(). */
+    /**
+     * Run one forward+backward pass as the device's only driver
+     * (IterationStepper::drain). Requires a successful setup().
+     */
     IterationResult runIteration();
 
     /**
@@ -420,7 +439,8 @@ class Executor
     bool allocGradient(net::BufferId b);
     void releaseGradient(net::BufferId b);
     bool gradientLive(net::BufferId b) const;
-    void processDeferredReleases(bool force);
+    /** Release the deferred offloads whose stream mark has passed. */
+    void processDeferredReleases();
     void abortIteration(IterationResult &result, const std::string &why,
                         FailKind kind = FailKind::None,
                         net::LayerId layer = net::kInputLayer);
@@ -462,7 +482,9 @@ class Executor
     /** Live gradient allocations, indexed by buffer id. */
     std::vector<std::optional<TaggedAlloc>> gradients;
     int liveGradients = 0;
-    std::vector<std::pair<net::BufferId, gpu::CudaEventId>>
+    /** Async-release ablation: buffer and the memory-stream mark its
+     *  offload must pass before the device copy is released. */
+    std::vector<std::pair<net::BufferId, gpu::StreamMark>>
         deferredReleases;
     std::vector<int> remainingReaders; // forward refcounts, per buffer
     PrefetchState prefetchState;

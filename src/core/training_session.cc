@@ -202,9 +202,7 @@ Session::setup()
 IterationResult
 Session::runIteration()
 {
-    IterationStepper &s = beginIteration();
-    while (!s.finished())
-        s.step(/*blocking=*/true);
+    beginIteration().drain();
     return completeIteration();
 }
 

@@ -195,7 +195,10 @@ class Session
      */
     bool setup();
 
-    /** Run one training iteration. Requires a successful setup(). */
+    /**
+     * Run one training iteration as the device's only driver
+     * (IterationStepper::drain). Requires a successful setup().
+     */
     IterationResult runIteration();
 
     /**

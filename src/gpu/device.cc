@@ -39,7 +39,7 @@ Device::Device(int id, GpuSpec spec, sim::EventQueue &clock,
 StreamId
 Device::createStream(const std::string &name)
 {
-    streams.push_back(Stream{name, {}, false, false, 0});
+    streams.push_back(Stream{name, {}, false, 0, 0, 0});
     return StreamId(streams.size() - 1);
 }
 
@@ -81,125 +81,58 @@ Device::setTelemetry(obs::Telemetry t)
                                               " (" + gpuSpec.name + ")");
 }
 
-CudaEventId
-Device::createEvent()
-{
-    CudaEventId id = nextEvent++;
-    events.emplace(id, EventState{});
-    return id;
-}
-
 void
 Device::launchKernel(StreamId stream, KernelDesc desc)
 {
-    VDNN_ASSERT(stream >= 0 && size_t(stream) < streams.size(),
-                "bad stream id %d", stream);
     VDNN_ASSERT(desc.duration >= 0, "negative kernel duration");
     if (desc.duration == 0)
         desc.duration = 1;
     Command c;
     c.type = Command::Type::Kernel;
     c.kernel = desc;
-    streams[size_t(stream)].queue.push_back(c);
-    tryDispatch(stream);
+    enqueue(stream, c);
 }
 
 void
 Device::memcpyAsync(StreamId stream, Bytes bytes, CopyDir dir, Label tag)
 {
-    VDNN_ASSERT(stream >= 0 && size_t(stream) < streams.size(),
-                "bad stream id %d", stream);
     VDNN_ASSERT(bytes >= 0, "negative copy size");
     Command c;
     c.type = Command::Type::Copy;
     c.bytes = bytes;
     c.dir = dir;
     c.tag = tag;
-    streams[size_t(stream)].queue.push_back(c);
-    tryDispatch(stream);
+    enqueue(stream, c);
 }
 
 void
-Device::recordEvent(StreamId stream, CudaEventId event)
+Device::enqueue(StreamId sid, const Command &c)
 {
-    VDNN_ASSERT(events.count(event), "unknown event %lld",
-                (long long)event);
-    Command c;
-    c.type = Command::Type::EventRecord;
-    c.event = event;
-    streams[size_t(stream)].queue.push_back(c);
-    tryDispatch(stream);
-}
-
-void
-Device::streamWaitEvent(StreamId stream, CudaEventId event)
-{
-    VDNN_ASSERT(events.count(event), "unknown event %lld",
-                (long long)event);
-    Command c;
-    c.type = Command::Type::EventWait;
-    c.event = event;
-    streams[size_t(stream)].queue.push_back(c);
-    tryDispatch(stream);
+    VDNN_ASSERT(sid >= 0 && size_t(sid) < streams.size(),
+                "bad stream id %d", sid);
+    Stream &s = streams[size_t(sid)];
+    s.queue.push_back(c);
+    ++s.enqueued;
+    tryDispatch(sid);
 }
 
 void
 Device::tryDispatch(StreamId sid)
 {
+    // Every command runs on an engine: hand the head to the kernel or
+    // the copy engine and let its completion dispatch the next one.
     Stream &s = streams[size_t(sid)];
-    // Instant commands (event record, satisfied waits) retire in a loop;
-    // engine commands hand off and return.
-    while (!s.headDispatched && !s.queue.empty()) {
-        Command &head = s.queue.front();
-        switch (head.type) {
-          case Command::Type::EventRecord: {
-            CudaEventId ev = head.event;
-            s.queue.pop_front();
-            fireEvent(ev);
-            break;
-          }
-          case Command::Type::EventWait: {
-            EventState &es = events.at(head.event);
-            if (es.fired) {
-                s.waiting = false;
-                s.queue.pop_front();
-                break;
-            }
-            if (!s.waiting) {
-                s.waiting = true;
-                es.waiters.push_back(sid);
-            }
-            return;
-          }
-          case Command::Type::Kernel: {
-            s.headDispatched = true;
-            compute.waitQueue.push_back(sid);
-            computeTryStart();
-            return;
-          }
-          case Command::Type::Copy: {
-            s.headDispatched = true;
-            CopyDir dir = head.dir;
-            engineFor(dir).waitQueue.push_back(sid);
-            copyTryStart(dir);
-            return;
-          }
-        }
-    }
-}
-
-void
-Device::fireEvent(CudaEventId event)
-{
-    EventState &es = events.at(event);
-    VDNN_ASSERT(!es.fired, "event %lld recorded twice", (long long)event);
-    es.fired = true;
-    es.fireTime = eq.now();
-    std::vector<StreamId> waiters = std::move(es.waiters);
-    es.waiters.clear();
-    for (StreamId w : waiters) {
-        streams[size_t(w)].waiting = false;
-        tryDispatch(w);
+    if (s.headDispatched || s.queue.empty())
+        return;
+    s.headDispatched = true;
+    const Command &head = s.queue.front();
+    if (head.type == Command::Type::Kernel) {
+        compute.waitQueue.push_back(sid);
+        computeTryStart();
+    } else {
+        CopyDir dir = head.dir;
+        engineFor(dir).waitQueue.push_back(sid);
+        copyTryStart(dir);
     }
 }
 
@@ -210,6 +143,7 @@ Device::commandDone(StreamId sid)
     VDNN_ASSERT(s.headDispatched, "completion for undispatched head");
     s.headDispatched = false;
     s.queue.pop_front();
+    ++s.retired;
     tryDispatch(sid);
 }
 
@@ -458,19 +392,27 @@ Device::streamIdle(StreamId stream) const
     return s.queue.empty() && !s.headDispatched;
 }
 
-bool
-Device::eventFired(CudaEventId event) const
+StreamMark
+Device::streamMark(StreamId stream) const
 {
-    return events.at(event).fired;
+    return streams.at(size_t(stream)).enqueued;
+}
+
+bool
+Device::markPassed(StreamId stream, StreamMark mark) const
+{
+    return streams.at(size_t(stream)).retired >= mark;
 }
 
 void
 Device::synchronize(StreamId stream)
 {
+    // A busy stream's head always holds an engine or waits behind one
+    // whose completion is scheduled, so the clock cannot run dry first.
     while (!streamIdle(stream)) {
         if (!eq.step()) {
-            panic("deadlock: stream '%s' cannot drain (waiting on an "
-                  "event that is never recorded?)",
+            panic("deadlock: stream '%s' has pending work but no event "
+                  "is scheduled",
                   streams[size_t(stream)].name.c_str());
         }
     }

@@ -1,6 +1,6 @@
 /**
  * @file
- * One simulated GPU: streams, events, kernels and async copies.
+ * One simulated GPU: streams, kernels and async copies.
  *
  * This is the substrate vDNN is built on. It reproduces the CUDA
  * execution semantics the paper relies on (Section III-B):
@@ -11,8 +11,10 @@
  *    availability: one compute engine (the GPU processes a single
  *    layer's kernel at a time, Section II-B) and two DMA copy engines
  *    (one per direction, as on Titan X);
- *  - cudaEvent-style record/wait provides cross-stream ordering;
- *  - synchronize() blocks the (simulated) host until a stream drains.
+ *  - synchronize() blocks the (simulated) host until a stream drains;
+ *  - a stream mark (streamMark / markPassed) lets the host poll,
+ *    without waiting, whether the commands enqueued on a stream so far
+ *    have retired.
  *
  * Time is advanced by a discrete-event queue; the host runs at
  * synchronization boundaries, exactly like a real CUDA host thread that
@@ -49,16 +51,15 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace vdnn::gpu
 {
 
 using StreamId = int;
-using CudaEventId = std::int64_t;
+/** Position in a stream's command sequence (see Device::streamMark). */
+using StreamMark = std::uint64_t;
 
 /** Direction of a DMA transfer. */
 enum class CopyDir : std::uint8_t { HostToDevice, DeviceToHost };
@@ -133,9 +134,8 @@ class Device
     /** Index of this device within its cluster (0 when self-clocked). */
     int deviceId() const { return devId; }
 
-    // --- stream / event management -------------------------------------
+    // --- stream management ---------------------------------------------
     StreamId createStream(const std::string &name);
-    CudaEventId createEvent();
 
     /**
      * Attach a stream to a tenant for per-client accounting and PCIe
@@ -158,12 +158,6 @@ class Device
     void memcpyAsync(StreamId stream, Bytes bytes, CopyDir dir,
                      Label tag = {});
 
-    /** Enqueue an event record; fires when prior commands complete. */
-    void recordEvent(StreamId stream, CudaEventId event);
-
-    /** Enqueue a wait: later commands stall until @p event fires. */
-    void streamWaitEvent(StreamId stream, CudaEventId event);
-
     // --- host-side synchronization ---------------------------------------
     /** Block the host until @p stream drains (advances simulated time). */
     void synchronize(StreamId stream);
@@ -174,8 +168,15 @@ class Device
     /** True when @p stream has no pending or executing commands. */
     bool streamIdle(StreamId stream) const;
 
-    /** True when the event has fired. */
-    bool eventFired(CudaEventId event) const;
+    /**
+     * Mark the current tail of @p stream: the count of commands
+     * enqueued on it so far. The mark has passed once all of them have
+     * retired (markPassed).
+     */
+    StreamMark streamMark(StreamId stream) const;
+
+    /** True once every command before @p mark on @p stream retired. */
+    bool markPassed(StreamId stream, StreamMark mark) const;
 
     // --- time and statistics ---------------------------------------------
     /** Current simulated time (the host clock). */
@@ -226,8 +227,8 @@ class Device
     /**
      * Completion wake hook: invoked every time this device executes a
      * scheduled event (kernel retirement or DMA completion), after the
-     * completion is fully processed — dependent commands dispatched,
-     * waiting streams released, cudaEvents fired. A stepper blocks
+     * completion is fully processed — the stream's next command
+     * dispatched and its retired count advanced. A stepper blocks
      * only on its own device's streams, and streams drain only
      * through these two completion paths, so an external serve loop
      * that wakes exactly the hooked device on each call never misses
@@ -267,13 +268,12 @@ class Device
   private:
     struct Command
     {
-        enum class Type : std::uint8_t { Kernel, Copy, EventRecord, EventWait };
+        enum class Type : std::uint8_t { Kernel, Copy };
         Type type;
         KernelDesc kernel;   // Type::Kernel
         Bytes bytes = 0;     // Type::Copy
         CopyDir dir = CopyDir::HostToDevice;
         Label tag;           // Type::Copy
-        CudaEventId event = -1; // EventRecord / EventWait
     };
 
     struct Stream
@@ -282,17 +282,11 @@ class Device
         Fifo<Command> queue;
         /** Head command handed to an engine and executing. */
         bool headDispatched = false;
-        /** Head is an EventWait blocked on an unfired event. */
-        bool waiting = false;
         /** Owning tenant (per-client accounting, PCIe arbitration). */
         int client = 0;
-    };
-
-    struct EventState
-    {
-        bool fired = false;
-        TimeNs fireTime = kTimeNone;
-        std::vector<StreamId> waiters;
+        /** Commands ever enqueued / retired (stream marks). */
+        StreamMark enqueued = 0;
+        StreamMark retired = 0;
     };
 
     /** One-kernel-at-a-time compute engine with contention stretching. */
@@ -320,10 +314,9 @@ class Device
         std::vector<StreamId> waitQueue;
     };
 
+    void enqueue(StreamId sid, const Command &c);
     void tryDispatch(StreamId sid);
-    void dispatchHead(StreamId sid);
     void commandDone(StreamId sid);
-    void fireEvent(CudaEventId event);
 
     void computeTryStart();
     void computeFinish();
@@ -350,8 +343,6 @@ class Device
     PowerModel powerModel;
 
     std::vector<Stream> streams;
-    std::unordered_map<CudaEventId, EventState> events;
-    CudaEventId nextEvent = 1;
 
     ComputeEngine compute;
     CopyEngine copyD2H;

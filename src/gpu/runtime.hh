@@ -7,8 +7,8 @@
  * (gpu/cluster.hh) can own several devices on one shared simulated
  * clock. A `Runtime` is exactly a self-clocked `Device` — the
  * construction every single-device call site has always used — so the
- * classic API (streams, events, kernels, async copies, synchronize)
- * and its timing behavior are unchanged.
+ * classic API (streams, kernels, async copies, synchronize, stream
+ * marks) and its timing behavior are unchanged.
  */
 
 #ifndef VDNN_GPU_RUNTIME_HH

@@ -1036,8 +1036,7 @@ Scheduler::stepTenant(Job &job)
         ++statFruitlessPolls;
         return false;
     }
-    if (st->step(/*blocking=*/false) ==
-        core::IterationStepper::Status::Blocked) {
+    if (st->step() == core::IterationStepper::Status::Blocked) {
         leaveReady(job);
         ++statFruitlessPolls;
         return false;

@@ -112,10 +112,12 @@ namespace
 constexpr long kIterationBudget = 8;
 
 long
-warmIterationAllocs(std::unique_ptr<net::Network> network)
+warmIterationAllocs(std::unique_ptr<net::Network> network,
+                    bool sync_at_layer_boundary = true)
 {
     core::SessionConfig cfg;
     cfg.gpu = gpu::titanXMaxwell();
+    cfg.exec.syncAtLayerBoundary = sync_at_layer_boundary;
     cfg.planner = std::make_shared<core::OffloadAllPlanner>(
         core::AlgoPreference::MemoryOptimal);
     core::Session session(*network, cfg);
@@ -150,6 +152,26 @@ TEST(AllocCount, GoogLeNetWarmIteration)
     long n = warmIterationAllocs(net::buildGoogLeNet(64));
     EXPECT_LE(n, kIterationBudget);
     std::printf("GoogLeNet (64) vDNN_all (m): %ld allocations\n", n);
+}
+
+TEST(AllocCount, AsyncReleaseWarmIteration)
+{
+    // The asynchronous-release ablation defers each offloaded buffer's
+    // release to a stream mark; deferring must not allocate per buffer.
+    struct Case
+    {
+        const char *name;
+        std::unique_ptr<net::Network> network;
+    };
+    Case cases[] = {{"AlexNet (128)", net::buildAlexNet(128)},
+                    {"VGG-16 (64)", net::buildVgg16(64)},
+                    {"GoogLeNet (64)", net::buildGoogLeNet(64)}};
+    for (Case &c : cases) {
+        long n = warmIterationAllocs(std::move(c.network), false);
+        EXPECT_LE(n, kIterationBudget) << c.name;
+        std::printf("%s vDNN_all (m), async release: %ld allocations\n",
+                    c.name, n);
+    }
 }
 
 TEST(AllocCount, WarmDeviceCommandsAllocateNothing)

@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the IterationProgram IR and the resumable stepper: compile
- * shape, static specialization, dump, drain-mode golden equivalence
- * against the pre-refactor monolithic executor, and non-blocking
- * stepping producing the identical device timeline.
+ * shape, static specialization, dump, drain() golden equivalence
+ * against the pre-refactor monolithic executor, and stepping one
+ * device event at a time producing the identical device timeline.
  */
 
 #include "core/executor.hh"
@@ -171,20 +171,20 @@ TEST(StepperEquivalence, NonBlockingSteppingMatchesDrainOnVgg16)
 {
     auto network = net::buildVgg16(64);
 
-    // Reference: the blocking drain loop (runSession).
+    // Reference: the exclusive drain() driver (runSession).
     SessionResult drained = runSession(*network, vggAllConfig());
     ASSERT_TRUE(drained.trainable);
 
-    // Same experiment, but every iteration is driven op by op in
-    // non-blocking mode: whenever the stepper reports Blocked, the
-    // device clock is advanced one event at a time — the path the
-    // packed-overlap scheduler takes.
+    // Same experiment, but every iteration is driven op by op with
+    // step(): whenever the stepper reports Blocked, the device clock
+    // is advanced one event at a time — the path the packed-overlap
+    // scheduler takes.
     Session session(*network, vggAllConfig());
     ASSERT_TRUE(session.setup());
     for (int i = 0; i < 2; ++i) {
         IterationStepper &st = session.beginIteration();
         while (!st.finished()) {
-            IterationStepper::Status s = st.step(/*blocking=*/false);
+            IterationStepper::Status s = st.step();
             if (s == IterationStepper::Status::Blocked) {
                 ASSERT_TRUE(session.runtime().stepDevice());
             }
@@ -230,7 +230,7 @@ TEST(Stepper, BlockedReportsTheJoinedStream)
     IterationStepper &st = session.beginIteration();
     bool saw_blocked = false;
     while (!st.finished()) {
-        IterationStepper::Status s = st.step(/*blocking=*/false);
+        IterationStepper::Status s = st.step();
         if (s == IterationStepper::Status::Blocked) {
             saw_blocked = true;
             EXPECT_GE(st.blockedStream(), 0);

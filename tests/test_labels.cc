@@ -173,7 +173,7 @@ TEST(LabelGolden, LayoutDumpWithFeatureMapWorkspaceAndWeightBlocks)
         const core::IterOp *op = s.nextOp();
         stopped = op->kind == core::OpKind::Alloc && !op->backward &&
                   op->wsBytes > 0;
-        s.step();
+        s.stepExclusive();
     }
     ASSERT_TRUE(stopped);
     EXPECT_EQ(dev.pool.layoutString(),
@@ -192,8 +192,7 @@ TEST(LabelGolden, LayoutDumpWithFeatureMapWorkspaceAndWeightBlocks)
               "  [     1196544 +      524288]      0.5 MiB  fmap:1\n"
               "  [     1720832 +      311296]      0.3 MiB  ws:conv1\n"
               "  [     2032128 + 12882869760]  12286.1 MiB  <free>\n");
-    while (!s.finished())
-        s.step();
+    s.drain();
     ASSERT_TRUE(session.completeIteration().ok);
     session.teardown();
 }

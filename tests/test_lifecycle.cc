@@ -85,7 +85,7 @@ TEST(Lifecycle, SuspendAtEveryBoundaryMatchesUninterruptedGolden)
     for (int i = 0; i < 2; ++i) {
         IterationStepper &st = session.beginIteration();
         while (!st.finished()) {
-            IterationStepper::Status s = st.step(/*blocking=*/false);
+            IterationStepper::Status s = st.step();
             if (st.finished())
                 break;
             session.suspend();
@@ -167,8 +167,7 @@ TEST(Lifecycle, EvictMidIterationCancelsAndRerunsCleanly)
     // Park the stepper somewhere in the middle of the iteration.
     IterationStepper &st = session.beginIteration();
     for (int steps = 0; steps < 40 && !st.finished(); ++steps) {
-        if (st.step(/*blocking=*/false) ==
-            IterationStepper::Status::Blocked) {
+        if (st.step() == IterationStepper::Status::Blocked) {
             ASSERT_TRUE(session.runtime().stepDevice());
         }
     }

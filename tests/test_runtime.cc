@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the simulated CUDA runtime: stream FIFO semantics,
- * cross-stream overlap, event ordering, synchronization, contention and
+ * cross-stream overlap, stream marks, synchronization, contention and
  * power accounting. These are the execution semantics vDNN's
  * offload/prefetch correctness rests on (Section III-B, Figure 9).
  */
@@ -134,36 +134,30 @@ TEST(Runtime, SameDirectionCopiesSerialize)
     EXPECT_EQ(rt.now(), 2 * single); // one D2H engine
 }
 
-TEST(Runtime, EventOrdersAcrossStreams)
+TEST(Runtime, StreamMarkPassesWhenPriorCommandsRetire)
 {
-    Runtime rt(testSpec());
-    auto sc = rt.createStream("compute");
+    Runtime rt(testSpec(), false);
     auto sm = rt.createStream("memory");
-    auto ev = rt.createEvent();
-    // memory stream records after its copy; compute waits on the event
-    // before its kernel: the kernel must start only after the copy.
-    rt.memcpyAsync(sm, 10_MiB, CopyDir::HostToDevice, "prefetch");
-    rt.recordEvent(sm, ev);
-    rt.streamWaitEvent(sc, ev);
-    rt.launchKernel(sc, kernel("bwd", 100_us));
-    rt.deviceSynchronize();
-    TimeNs copy = transferTimeNs(10_MiB, 10.0e9);
-    EXPECT_EQ(rt.now(), copy + 100_us);
-    EXPECT_TRUE(rt.eventFired(ev));
-}
+    // A mark taken on an idle stream has already passed.
+    EXPECT_TRUE(rt.markPassed(sm, rt.streamMark(sm)));
 
-TEST(Runtime, WaitOnAlreadyFiredEventDoesNotBlock)
-{
-    Runtime rt(testSpec());
-    auto s1 = rt.createStream("a");
-    auto s2 = rt.createStream("b");
-    auto ev = rt.createEvent();
-    rt.recordEvent(s1, ev);
-    rt.synchronize(s1);
-    rt.streamWaitEvent(s2, ev);
-    rt.launchKernel(s2, kernel("k", 10));
-    rt.synchronize(s2);
-    EXPECT_EQ(rt.now(), 10);
+    rt.memcpyAsync(sm, 10_MiB, CopyDir::DeviceToHost, "off1");
+    StreamMark first = rt.streamMark(sm);
+    rt.memcpyAsync(sm, 10_MiB, CopyDir::DeviceToHost, "off2");
+    StreamMark second = rt.streamMark(sm);
+    EXPECT_FALSE(rt.markPassed(sm, first));
+
+    // The first copy lands; the second is still in flight.
+    TimeNs copy = transferTimeNs(10_MiB, 10.0e9);
+    ASSERT_TRUE(rt.stepDevice());
+    EXPECT_EQ(rt.now(), copy);
+    EXPECT_TRUE(rt.markPassed(sm, first));
+    EXPECT_FALSE(rt.markPassed(sm, second));
+    EXPECT_FALSE(rt.streamIdle(sm));
+
+    rt.synchronize(sm);
+    EXPECT_EQ(rt.now(), 2 * copy);
+    EXPECT_TRUE(rt.markPassed(sm, second));
 }
 
 TEST(Runtime, BytesCopiedAccumulatePerDirection)
@@ -263,16 +257,6 @@ TEST(Runtime, CopiesRaiseMaxPower)
         rt->finishPowerWindow();
     }
     EXPECT_GT(offload.power().maxPowerW(), base.power().maxPowerW());
-}
-
-TEST(RuntimeDeath, DeadlockOnUnrecordedEventPanics)
-{
-    Runtime rt(testSpec());
-    auto s = rt.createStream("c");
-    auto ev = rt.createEvent();
-    rt.streamWaitEvent(s, ev);
-    rt.launchKernel(s, kernel("never", 10));
-    EXPECT_DEATH(rt.synchronize(s), "deadlock");
 }
 
 TEST(Runtime, ManyAlternatingLayersMatchHandComputedMakespan)
