@@ -13,7 +13,7 @@
 #include "bench_common.hh"
 
 #include "common/units.hh"
-#include "gpu/runtime.hh"
+#include "gpu/cluster.hh"
 
 using namespace vdnn;
 using namespace vdnn::bench;
@@ -36,7 +36,8 @@ OverlapResult
 runTimeline(int layers, TimeNs compute_us, TimeNs offload_us)
 {
     gpu::GpuSpec spec = gpu::titanXMaxwell();
-    gpu::Runtime rt(spec, /*enable_contention=*/false);
+    gpu::Cluster cluster({{spec}, /*contention=*/false});
+    gpu::Device &rt = cluster.device(0);
     auto sc = rt.createStream("compute");
     auto sm = rt.createStream("memory");
     Bytes bytes = Bytes(spec.pcie.dmaBandwidth *

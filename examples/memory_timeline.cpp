@@ -106,7 +106,7 @@ dumpOverlap()
         spec.iterations = 1;
         sched.submit(std::move(spec));
     }
-    gpu::Runtime &rt = sched.device(0);
+    gpu::Device &rt = sched.device(0);
     ServeReport rep = sched.run();
 
     std::printf("# 2 VGG-16 (64) vDNN_all tenants, packed-overlap: "
@@ -205,7 +205,7 @@ int
 dumpTrace()
 {
     // The Fig. 14 single-tenant run with the telemetry pillar on: one
-    // exclusive session, two iterations (the second is the profiled
+    // session run alone, two iterations (the second is the profiled
     // steady state), every kernel / DMA / iteration span recorded.
     obs::TraceRecorder trace;
     obs::MetricsRegistry metrics;

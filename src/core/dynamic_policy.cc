@@ -2,6 +2,7 @@
 
 #include "common/logging.hh"
 #include "dnn/cudnn_sim.hh"
+#include "gpu/cluster.hh"
 
 #include <algorithm>
 
@@ -12,8 +13,8 @@ namespace
 {
 
 /**
- * One derivation run: the profiling state shared by the passes. The
- * trial device is a private simulated GPU whose capacity is the
+ * One derivation run: the profiling state shared by the passes. Each
+ * trial runs on a private one-device cluster whose capacity is the
  * context's available share — profiling must not disturb (or assume
  * more than) the real device.
  */
@@ -49,8 +50,9 @@ Derivation::trial(const MemoryPlan &plan, const std::string &what,
     TrialRecord rec;
     rec.description = what;
 
-    gpu::Runtime rt(gpu, contention);
-    MemoryManager mm(rt);
+    gpu::Cluster cluster({{gpu}, contention});
+    gpu::Device &rt = cluster.device(0);
+    MemoryManager mm(rt, cluster.pool(0), cluster.host(0), /*client=*/0);
     Executor ex(net, *cudnn, rt, mm, plan, execCfg);
     if (!ex.setup()) {
         rec.passed = false;

@@ -20,9 +20,9 @@
  *  5. Fall back to the step-1 configuration.
  *
  * All trial devices are sized to the PlannerContext's *available*
- * capacity — the whole device in exclusive mode, the tenant's current
- * free share of the communal pool in multi-tenant serving — so a
- * shared-pool tenant derives a plan for what it can actually get.
+ * capacity — the tenant's current free share of its device's pool,
+ * the whole device for a session run alone — so a tenant derives a
+ * plan for what it can actually get.
  */
 
 #ifndef VDNN_CORE_DYNAMIC_POLICY_HH

@@ -11,7 +11,7 @@ using dnn::LayerKind;
 using gpu::CopyDir;
 
 Executor::Executor(const net::Network &net_, const dnn::CudnnSim &cudnn_,
-                   gpu::Runtime &runtime, MemoryManager &mm_,
+                   gpu::Device &runtime, MemoryManager &mm_,
                    const MemoryPlan &plan, ExecutorConfig config)
     : net(net_), cudnn(cudnn_), rt(runtime), mm(mm_), execPlan(plan),
       cfg(config), stats(net_, cudnn_),
@@ -182,7 +182,6 @@ Executor::setup()
         teardownPartial();
         return false;
     }
-    buffersStatic = staticAlloc();
     persistentTotal = mm.deviceUsage();
     setupDone = true;
     return true;
@@ -201,7 +200,6 @@ Executor::teardownPartial()
     for (const TaggedAlloc &a : persistent)
         mm.releaseDevice(a.alloc, a.managed);
     persistent.clear();
-    buffersStatic = false;
 }
 
 void
@@ -286,7 +284,7 @@ bool
 Executor::allocGradient(net::BufferId b)
 {
     const ExecBufferPlan &bp = bufferPlan[std::size_t(b)];
-    if (buffersStatic || bp.classifier)
+    if (staticAlloc() || bp.classifier)
         return true; // served by the static gradient region
     std::optional<TaggedAlloc> &g = gradients[std::size_t(b)];
     if (g)
@@ -498,7 +496,7 @@ IterationStepper::opBeginIteration()
     res.start = ex.rt.now();
 
     // Materialize the input batch (static under the baseline policy).
-    if (!ex.buffersStatic &&
+    if (!ex.staticAlloc() &&
         ex.mm.residence(ex.net.inputBuffer()) == Residence::Unallocated) {
         if (!ex.mm.allocBuffer(ex.net, ex.net.inputBuffer())) {
             ex.abortIteration(res, "OOM allocating the input batch",
@@ -643,7 +641,7 @@ IterationStepper::opFwdRelease(const IterOp &op)
 
     // Aggressive release: buffers whose last reader has executed and
     // that are not reused by backward propagation are freed outright.
-    if (!ex.buffersStatic) {
+    if (!ex.staticAlloc()) {
         for (net::BufferId b : op.buffers) {
             if (--ex.remainingReaders[std::size_t(b)] > 0)
                 continue;
@@ -805,7 +803,7 @@ IterationStepper::opBwdRelease(const IterOp &op)
         ws.reset();
     }
 
-    if (!ex.buffersStatic) {
+    if (!ex.staticAlloc()) {
         // dY fully consumed once this buffer's producer has run.
         if (op.releaseDY)
             ex.releaseGradient(op.yBuffer);

@@ -69,7 +69,7 @@
 #include "core/planner.hh"
 #include "core/prefetch.hh"
 #include "dnn/cudnn_sim.hh"
-#include "gpu/runtime.hh"
+#include "gpu/device.hh"
 #include "net/network.hh"
 #include "net/network_stats.hh"
 
@@ -328,7 +328,7 @@ class Executor
 {
   public:
     Executor(const net::Network &net, const dnn::CudnnSim &cudnn,
-             gpu::Runtime &runtime, MemoryManager &mm,
+             gpu::Device &runtime, MemoryManager &mm,
              const MemoryPlan &plan, ExecutorConfig config = {});
 
     /**
@@ -453,7 +453,7 @@ class Executor
 
     const net::Network &net;
     const dnn::CudnnSim &cudnn;
-    gpu::Runtime &rt;
+    gpu::Device &rt;
     MemoryManager &mm;
     MemoryPlan execPlan;
     ExecutorConfig cfg;
@@ -467,8 +467,6 @@ class Executor
     bool setupDone = false;
     std::vector<TaggedAlloc> persistent;
     Bytes persistentTotal = 0;
-    /** Baseline only: every buffer is pre-materialized. */
-    bool buffersStatic = false;
     /** Buffers materialized at setup (classifier block / baseline). */
     std::vector<bool> staticBuffers;
 

@@ -5,33 +5,12 @@
 namespace vdnn::core
 {
 
-MemoryManager::MemoryManager(gpu::Runtime &rt, bool keep_timeline)
-    : runtime(rt)
+MemoryManager::MemoryManager(gpu::Device &device, mem::MemoryPool &pool,
+                             mem::PinnedHostAllocator &host, int client_id,
+                             bool keep_timeline)
+    : dev(device), gpuPool(pool), hostAlloc(host), client(client_id)
 {
-    const gpu::GpuSpec &spec = runtime.spec();
-    ownedPool = std::make_unique<mem::MemoryPool>(spec.dramCapacity,
-                                                  spec.name + " pool");
-    ownedHost = std::make_unique<mem::PinnedHostAllocator>(
-        spec.hostCapacity);
-    gpuPool = ownedPool.get();
-    hostAlloc = ownedHost.get();
-    initTrackers(keep_timeline);
-}
-
-MemoryManager::MemoryManager(gpu::Runtime &rt,
-                             mem::MemoryPool &shared_pool,
-                             mem::PinnedHostAllocator &shared_host,
-                             int client_id, bool keep_timeline)
-    : runtime(rt), gpuPool(&shared_pool), hostAlloc(&shared_host),
-      client(client_id)
-{
-    initTrackers(keep_timeline);
-}
-
-void
-MemoryManager::initTrackers(bool keep_timeline)
-{
-    auto clock = [this] { return runtime.now(); };
+    auto clock = [this] { return dev.now(); };
     totalTrack = std::make_unique<mem::UsageTracker>(clock, keep_timeline);
     managedTrack =
         std::make_unique<mem::UsageTracker>(clock, keep_timeline);
@@ -57,7 +36,7 @@ MemoryManager::stateFor(net::BufferId buffer)
 std::optional<mem::Allocation>
 MemoryManager::allocDevice(Bytes bytes, Label tag, bool managed)
 {
-    auto a = gpuPool->tryAllocate(bytes, tag, client);
+    auto a = gpuPool.tryAllocate(bytes, tag, client);
     if (a) {
         deviceBytes += a->size;
         totalTrack->onUsage(deviceBytes);
@@ -72,7 +51,7 @@ MemoryManager::allocDevice(Bytes bytes, Label tag, bool managed)
 void
 MemoryManager::releaseDevice(const mem::Allocation &alloc, bool managed)
 {
-    gpuPool->release(alloc);
+    gpuPool.release(alloc);
     deviceBytes -= alloc.size;
     VDNN_ASSERT(deviceBytes >= 0, "device usage went negative");
     totalTrack->onUsage(deviceBytes);
@@ -108,8 +87,8 @@ MemoryManager::beginOffload(const net::Network &net, net::BufferId buffer)
                 "offload of non-resident buffer %d", buffer);
     const net::Buffer &b = net.buffer(buffer);
     // Pinned host staging region, allocated with cudaMallocHost().
-    auto h = hostAlloc->tryAllocate(b.bytes(),
-                                    Label::indexed("offload:", buffer));
+    auto h = hostAlloc.tryAllocate(b.bytes(),
+                                   Label::indexed("offload:", buffer));
     if (!h)
         return false;
     st.host = *h;
@@ -188,7 +167,7 @@ MemoryManager::releaseBuffer(const net::Network &net, net::BufferId buffer)
     releaseDevice(st.device, !net.buffer(buffer).classifier);
     st.device = {};
     if (st.hostValid) {
-        hostAlloc->release(st.host);
+        hostAlloc.release(st.host);
         st.host = {};
         st.hostValid = false;
     }
@@ -202,7 +181,7 @@ MemoryManager::dropHostCopy(net::BufferId buffer)
     VDNN_ASSERT(st.residence == Residence::Host,
                 "dropHostCopy on buffer %d in state %d", buffer,
                 int(st.residence));
-    hostAlloc->release(st.host);
+    hostAlloc.release(st.host);
     st.host = {};
     st.hostValid = false;
     st.residence = Residence::Unallocated;

@@ -2,22 +2,24 @@
  * @file
  * The vDNN runtime memory manager.
  *
- * Owns the GPU-side cnmem pool (sized to the device's physical
- * capacity, Section III-B), the pinned host allocator targeted by
- * offload, and the location state machine of every feature-map buffer:
+ * One tenant's view of a device's cnmem pool (sized to the device's
+ * physical capacity, Section III-B) and of its pinned-host share, the
+ * target of offload: both belong to the device's gpu::Cluster, and
+ * every allocation is charged to the tenant's client id. The manager
+ * keeps the location state machine of every feature-map buffer:
  *
  *     Unallocated -> Device -> Offloading -> Host -> Prefetching -> Device
  *
- * Two usage signals are tracked against the simulated clock: the total
- * pool usage, and the *managed* usage (total minus the constant
- * classifier block), which is the quantity Figs. 11/12 report.
+ * Two usage signals are tracked against the simulated clock: this
+ * tenant's total pool usage, and its *managed* usage (total minus the
+ * constant classifier block), which is the quantity Figs. 11/12 report.
  */
 
 #ifndef VDNN_CORE_MEMORY_MANAGER_HH
 #define VDNN_CORE_MEMORY_MANAGER_HH
 
 #include "common/types.hh"
-#include "gpu/runtime.hh"
+#include "gpu/device.hh"
 #include "mem/memory_pool.hh"
 #include "mem/pinned_host.hh"
 #include "mem/usage_tracker.hh"
@@ -45,21 +47,14 @@ class MemoryManager
 {
   public:
     /**
-     * Exclusive mode: reserve the whole device for this manager (the
-     * pool and pinned host allocator are created and owned here).
-     * @param runtime     simulated CUDA runtime (provides the clock)
+     * Sub-allocate from a device's pool and pinned-host share (owned by
+     * its gpu::Cluster, possibly shared with other tenants). Every
+     * allocation is charged to @p client in the pool's per-tenant
+     * accounting; the total-usage tracker follows this tenant's usage.
      * @param keep_timeline retain the full usage timeline for plotting
      */
-    MemoryManager(gpu::Runtime &runtime, bool keep_timeline = false);
-
-    /**
-     * Multi-tenant mode: sub-allocate from a device pool and pinned
-     * host allocator shared with other tenants. Every allocation is
-     * charged to @p client in the pool's per-tenant accounting; the
-     * total-usage tracker then follows this tenant's usage only.
-     */
-    MemoryManager(gpu::Runtime &runtime, mem::MemoryPool &shared_pool,
-                  mem::PinnedHostAllocator &shared_host, int client,
+    MemoryManager(gpu::Device &device, mem::MemoryPool &pool,
+                  mem::PinnedHostAllocator &host, int client,
                   bool keep_timeline = false);
 
     // --- raw tagged allocations (weights, gradients, workspace) ----------
@@ -127,14 +122,14 @@ class MemoryManager
     Residence residence(net::BufferId buffer) const;
 
     // --- accounting ------------------------------------------------------------
-    mem::MemoryPool &pool() { return *gpuPool; }
-    mem::PinnedHostAllocator &host() { return *hostAlloc; }
+    mem::MemoryPool &pool() { return gpuPool; }
+    mem::PinnedHostAllocator &host() { return hostAlloc; }
 
     /** Tenant id this manager charges pool allocations to. */
     int clientId() const { return client; }
 
-    /** Device bytes currently held by *this* manager (== pool usage in
-     *  exclusive mode; one tenant's share in multi-tenant mode). */
+    /** Device bytes currently held by *this* manager (the pool's whole
+     *  usage when the tenant is alone on its device). */
     Bytes deviceUsage() const { return deviceBytes; }
 
     Bytes managedUsage() const { return managedBytes; }
@@ -160,17 +155,13 @@ class MemoryManager
         bool hostValid = false;
     };
 
-    void initTrackers(bool keep_timeline);
     void touchManaged();
     /** Grow the state table to cover @p buffer and return its state. */
     BufferState &stateFor(net::BufferId buffer);
 
-    gpu::Runtime &runtime;
-    /** Owned in exclusive mode; null when sharing another's pool. */
-    std::unique_ptr<mem::MemoryPool> ownedPool;
-    std::unique_ptr<mem::PinnedHostAllocator> ownedHost;
-    mem::MemoryPool *gpuPool = nullptr;
-    mem::PinnedHostAllocator *hostAlloc = nullptr;
+    gpu::Device &dev;
+    mem::MemoryPool &gpuPool;
+    mem::PinnedHostAllocator &hostAlloc;
     std::unique_ptr<mem::UsageTracker> totalTrack;
     std::unique_ptr<mem::UsageTracker> managedTrack;
     /**

@@ -17,8 +17,8 @@
  *    per layer, and the provenance of how the plan was derived.
  *  - Planner: plan(network, context) -> MemoryPlan. PlannerContext
  *    carries the capacity the plan may actually assume: the whole
- *    device in exclusive mode, or the tenant's current free share of
- *    the communal pool in multi-tenant serving (src/serve/).
+ *    device, or a tenant's current free share of its device's pool
+ *    (a Session, or admission in src/serve/).
  *
  * Concrete planners:
  *  - BaselinePlanner:        network-wide static allocation, no
@@ -212,10 +212,10 @@ struct MemoryPlan
 
 /**
  * What a Planner may assume about the device it plans for. The key
- * field is the *available* capacity: an exclusive session plans
- * against the whole device, while a tenant of the shared serving pool
- * plans against its current free share — so vDNN_dyn's trial passes
- * probe what the tenant can actually get, not the nameplate capacity.
+ * field is the *available* capacity: a Session plans against its
+ * current free share of the device's pool (the whole device when it is
+ * alone there) — so vDNN_dyn's trial passes probe what the tenant can
+ * actually get, not the nameplate capacity.
  */
 struct PlannerContext
 {

@@ -39,37 +39,60 @@ sessionStateName(SessionState s)
     return "?";
 }
 
+SharedGpu
+shareOf(gpu::Cluster &cluster, int device, int client)
+{
+    return {&cluster.device(device), &cluster.pool(device),
+            &cluster.host(device), client};
+}
+
 // --- Session -----------------------------------------------------------------
 
-Session::Session(const net::Network &net_, SessionConfig config_)
-    : net(net_), config(std::move(config_)), spec(config.gpu)
+namespace
 {
+
+/** The one-device cluster a Session run alone is the tenant of. */
+gpu::ClusterSpec
+privateCluster(const SessionConfig &config)
+{
+    gpu::GpuSpec spec = config.gpu;
     if (config.oracle) {
         // Hypothetical GPU with enough memory to hold the entire DNN.
         spec.dramCapacity = Bytes(1024) * 1024 * 1024 * 1024;
         spec.name += " (oracle)";
     }
-    cudnn = std::make_unique<dnn::CudnnSim>(spec);
-    ownedRt = std::make_unique<gpu::Runtime>(spec, config.contention);
-    rt = ownedRt.get();
+    return {{spec}, config.contention};
+}
+
+} // namespace
+
+Session::Session(const net::Network &net_, SessionConfig config_)
+    : net(net_), config(std::move(config_)),
+      ownCluster(std::make_unique<gpu::Cluster>(privateCluster(config)))
+{
+    bind(shareOf(*ownCluster, 0, 0));
     rt->setKernelLog(config.kernelLog);
-    mm = std::make_unique<MemoryManager>(*rt, config.keepTimeline);
 }
 
 Session::Session(const net::Network &net_, SessionConfig config_,
                  SharedGpu shared)
-    : net(net_), config(std::move(config_)), sharedMode(true)
+    : net(net_), config(std::move(config_))
 {
-    VDNN_ASSERT(shared.runtime && shared.pool && shared.host,
-                "SharedGpu handles must all be set");
     VDNN_ASSERT(!config.oracle,
                 "oracle mode is meaningless on a shared device");
-    rt = shared.runtime;
+    bind(shared);
+}
+
+void
+Session::bind(SharedGpu gpu)
+{
+    VDNN_ASSERT(gpu.runtime && gpu.pool && gpu.host,
+                "SharedGpu handles must all be set");
+    rt = gpu.runtime;
     spec = rt->spec();
     cudnn = std::make_unique<dnn::CudnnSim>(spec);
-    mm = std::make_unique<MemoryManager>(*rt, *shared.pool, *shared.host,
-                                         shared.clientId,
-                                         config.keepTimeline);
+    mm = std::make_unique<MemoryManager>(*rt, *gpu.pool, *gpu.host,
+                                         gpu.clientId, config.keepTimeline);
 }
 
 Session::~Session()
@@ -81,20 +104,15 @@ Session::~Session()
 PlannerContext
 Session::plannerContext() const
 {
-    // Exclusive sessions plan against the whole device; a tenant of a
-    // shared pool plans against its current free share, so trial-
-    // running planners (vDNN_dyn) probe what it can actually get. A
-    // mid-run re-plan keeps the persistent state allocated, so those
-    // bytes count toward the share the fresh plan may assume.
-    PlannerContext ctx;
-    if (!sharedMode) {
-        ctx = PlannerContext::exclusive(spec, config.contention);
-    } else {
-        Bytes share = mm->pool().freeBytes() +
-                      (ex ? ex->persistentBytes() : 0);
-        ctx = PlannerContext::shared(spec, share, config.contention,
-                                     rt->deviceId());
-    }
+    // A tenant plans against its current free share (the whole device
+    // when it is alone on it), so trial-running planners (vDNN_dyn)
+    // probe what it can actually get. A mid-run re-plan keeps the
+    // persistent state allocated, so those bytes count toward the
+    // share the fresh plan may assume.
+    Bytes share = mm->pool().freeBytes() + (ex ? ex->persistentBytes() : 0);
+    PlannerContext ctx = PlannerContext::shared(spec, share,
+                                                config.contention,
+                                                rt->deviceId());
     // Once the first iteration has been profiled, planners see the
     // measured sparsity instead of their analytic model.
     ctx.profile = profiledFp.valid ? &profiledFp : nullptr;
@@ -357,7 +375,7 @@ Session::migrate(SharedGpu target)
 {
     VDNN_ASSERT(lifecycle == SessionState::Evicted,
                 "migrate() on a %s session", sessionStateName(lifecycle));
-    VDNN_ASSERT(sharedMode, "migrate() is for shared-device tenants");
+    VDNN_ASSERT(!ownCluster, "migrate() is for serve-layer tenants");
     VDNN_ASSERT(target.runtime && target.pool && target.host,
                 "SharedGpu handles must all be set");
 
@@ -379,14 +397,7 @@ Session::migrate(SharedGpu target)
         // may be heterogeneous), its perf model, its pool and host
         // share. The plan is invalidated so resume() re-plans against
         // the target's free share and recompiles the program there.
-        rt = target.runtime;
-        spec = rt->spec();
-        config.gpu = spec;
-        cudnn = std::make_unique<dnn::CudnnSim>(spec);
-        mm = std::make_unique<MemoryManager>(*rt, *target.pool,
-                                             *target.host,
-                                             target.clientId,
-                                             config.keepTimeline);
+        bind(target);
         planResolved = false;
         ++migrations;
         traceLifecycle("migrate-in");
@@ -441,8 +452,8 @@ Session::teardown()
         ex->teardown();
     }
     mm->finishTracking();
-    if (ownedRt)
-        ownedRt->finishPowerWindow();
+    if (ownCluster)
+        ownCluster->finishPowerWindows();
     lifecycle = SessionState::Torn;
 }
 
@@ -489,10 +500,10 @@ Session::result() const
     r.persistentBytes = ex ? ex->persistentBytes() : 0;
 
     // Host allocator and power model are device-wide; on a shared
-    // device they mix in co-tenant activity, so they are reported
-    // only for exclusive sessions (the serve layer builds per-tenant
-    // metrics from the pool's client accounting instead).
-    if (!sharedMode) {
+    // device they mix in co-tenant activity, so they are reported only
+    // by a session that owns its cluster (the serve layer builds
+    // per-tenant metrics from the pool's client accounting instead).
+    if (ownCluster) {
         r.hostPeakBytes = mm->host().peakUsage();
         r.avgPowerW = rt->power().averagePowerW();
         r.maxPowerW = rt->power().maxPowerW();

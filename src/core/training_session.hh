@@ -3,14 +3,17 @@
  * Top-level experiment driver: run a network under a memory planner
  * and collect every metric the paper's evaluation reports.
  *
- * A TrainingSession owns one simulated GPU runtime, one vDNN memory
- * manager and one executor; it resolves the plan (running the
- * vDNN_dyn profiling passes when requested), executes the requested
- * number of training iterations, and gathers memory / performance /
- * traffic / power statistics.
+ * A Session is one tenant of a simulated GPU: a device of a
+ * gpu::Cluster, with that device's pool and pinned-host share. It owns
+ * one vDNN memory manager and one executor; it resolves the plan
+ * (running the vDNN_dyn profiling passes when requested), executes the
+ * requested number of training iterations, and gathers memory /
+ * performance / traffic / power statistics. Run alone (runSession,
+ * every paper figure) it is the sole tenant of a private one-device
+ * cluster; under the serve layer it is one of many on the serving
+ * engine's cluster. Both run the same tenant code.
  *
- * A Session is also one tenant of the multi-tenant serve layer, and
- * its lifecycle is an explicit state machine the scheduler drives:
+ * Its lifecycle is an explicit state machine the scheduler drives:
  *
  *     Fresh --setup()--> Active --teardown()--> Torn
  *                        |  ^
@@ -53,7 +56,10 @@
 #include "core/dynamic_policy.hh"
 #include "core/executor.hh"
 #include "core/planner.hh"
+#include "gpu/cluster.hh"
 #include "gpu/gpu_spec.hh"
+// gpu::Runtime, the name perfbench/ still gives Session::runtime().
+#include "gpu/runtime.hh"
 #include "mem/pinned_host.hh"
 #include "net/network.hh"
 #include "obs/profiler.hh"
@@ -138,17 +144,21 @@ struct SessionResult
 };
 
 /**
- * Handles to a device shared among tenants (multi-tenant serving).
- * All pointers must outlive the Session; allocations are charged to
- * @p clientId in the pool's per-tenant accounting.
+ * One tenant's handles on a cluster device: the device, its pool and
+ * its pinned-host share. All pointers must outlive the Session;
+ * allocations are charged to @p clientId in the pool's per-tenant
+ * accounting.
  */
 struct SharedGpu
 {
-    gpu::Runtime *runtime = nullptr;
+    gpu::Device *runtime = nullptr;
     mem::MemoryPool *pool = nullptr;
     mem::PinnedHostAllocator *host = nullptr;
     int clientId = 0;
 };
+
+/** Client @p client's handles on device @p device of @p cluster. */
+SharedGpu shareOf(gpu::Cluster &cluster, int device, int client);
 
 /** Lifecycle state of a Session (see the file comment's diagram). */
 enum class SessionState : std::uint8_t
@@ -169,18 +179,21 @@ const char *sessionStateName(SessionState s);
  * the same lifecycle as separate setup / runIteration / teardown steps
  * so an external scheduler (src/serve/) can interleave iterations of
  * many jobs on one shared device, and the suspend / evict / resume /
- * replan transitions documented above. Two construction modes:
- *
- *  - exclusive: the session owns a private runtime and device pool
- *    sized by config.gpu (this is what runSession() uses);
- *  - shared: the session is one tenant of a SharedGpu — its persistent
- *    and transient allocations come from the communal pool and its
- *    kernels/DMAs arbitrate the shared compute and copy engines.
+ * replan transitions documented above. Either way it is a tenant of a
+ * SharedGpu: its persistent and transient allocations come from the
+ * device's pool and its kernels/DMAs arbitrate the device's compute
+ * and copy engines.
  */
 class Session
 {
   public:
+    /**
+     * The sole tenant of a private one-device cluster built from
+     * config.gpu (the oracle's capacity applied) and config.contention.
+     * This is what runSession() uses.
+     */
     Session(const net::Network &net, SessionConfig config);
+    /** One tenant of @p shared, a device of someone else's cluster. */
     Session(const net::Network &net, SessionConfig config,
             SharedGpu shared);
     ~Session();
@@ -270,7 +283,7 @@ class Session
     bool replan();
 
     /**
-     * Cross-device migration: re-home an Evicted shared-mode tenant
+     * Cross-device migration: re-home an Evicted serve-layer tenant
      * onto a different device of the same node and resume it there.
      * The staged persistent state moves to the target device's
      * pinned-host share (node DRAM is one physical resource, so the
@@ -327,13 +340,15 @@ class Session
         return profiledFp;
     }
 
-    gpu::Runtime &runtime() { return *rt; }
+    gpu::Device &runtime() { return *rt; }
     MemoryManager &memory() { return *mm; }
 
     /** Assemble the experiment report from the state gathered so far. */
     SessionResult result() const;
 
   private:
+    /** Take @p gpu's device, pool and host share as this tenant's. */
+    void bind(SharedGpu gpu);
     bool resolvePlan();
     PlannerContext plannerContext() const;
     void collectProfile(const IterationResult &r);
@@ -341,13 +356,14 @@ class Session
 
     const net::Network &net;
     SessionConfig config;
-    gpu::GpuSpec spec; ///< effective device spec (oracle applied)
+    gpu::GpuSpec spec; ///< the device's spec (oracle applied)
+    /** The private cluster of a Session run alone; null for a tenant
+     *  of another's cluster. Declared before the members that use it,
+     *  so it outlives them. */
+    std::unique_ptr<gpu::Cluster> ownCluster;
     std::unique_ptr<dnn::CudnnSim> cudnn;
-
-    std::unique_ptr<gpu::Runtime> ownedRt;
     std::unique_ptr<MemoryManager> mm;
-    gpu::Runtime *rt = nullptr;
-    bool sharedMode = false;
+    gpu::Device *rt = nullptr;
 
     MemoryPlan execPlan;
     std::vector<TrialRecord> trials;

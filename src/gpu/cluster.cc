@@ -6,12 +6,11 @@ namespace vdnn::gpu
 {
 
 ClusterSpec
-homogeneousCluster(const GpuSpec &spec, int count, bool contention)
+homogeneousCluster(const GpuSpec &spec, int count)
 {
     VDNN_ASSERT(count >= 1, "a cluster needs at least one device");
     ClusterSpec cs;
     cs.devices.assign(std::size_t(count), spec);
-    cs.contention = contention;
     return cs;
 }
 

@@ -1,14 +1,16 @@
 /**
  * @file
- * A multi-GPU node: N simulated devices on one shared clock.
+ * A GPU node: N simulated devices on one shared clock.
  *
- * The Cluster owns the discrete-event queue every member device
- * schedules against, so kernels and DMAs on different devices overlap
- * on one consistent simulated timeline — the defining difference from
- * instantiating N independent Runtimes, whose private clocks could
- * never interleave. Each device keeps its own engines (one compute,
- * two DMA), PCIe link and fair-share arbiters (gpu/device.hh), and the
- * cluster additionally gives each one:
+ * The Cluster is the one way to stand up a simulated GPU. The serving
+ * engine builds one per run; a Session run alone (core::runSession,
+ * every paper figure) and each vDNN_dyn profiling trial build a
+ * private one-device cluster. The Cluster owns the discrete-event
+ * queue every member device schedules against, so kernels and DMAs on
+ * different devices overlap on one consistent simulated timeline. Each
+ * device keeps its own engines (one compute, two DMA), PCIe link and
+ * fair-share arbiters (gpu/device.hh), and the cluster additionally
+ * gives each one:
  *
  *  - a private cnmem-style device pool sized to its GpuSpec capacity
  *    (vDNN reserves the whole physical memory up front, Section
@@ -48,8 +50,7 @@ struct ClusterSpec
 };
 
 /** @p count identical devices of @p spec. */
-ClusterSpec homogeneousCluster(const GpuSpec &spec, int count,
-                               bool contention = true);
+ClusterSpec homogeneousCluster(const GpuSpec &spec, int count);
 
 class Cluster
 {

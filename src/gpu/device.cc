@@ -19,14 +19,6 @@ KernelRecord::dramBandwidth() const
     return double(dramBytes) / toSeconds(d);
 }
 
-Device::Device(GpuSpec spec, bool enable_contention)
-    : gpuSpec(std::move(spec)), contention(enable_contention),
-      ownedEq(std::make_unique<sim::EventQueue>()), eq(*ownedEq),
-      pcie(gpuSpec.pcie), powerModel(gpuSpec)
-{
-    powerModel.begin(0);
-}
-
 Device::Device(int id, GpuSpec spec, sim::EventQueue &clock,
                bool enable_contention)
     : gpuSpec(std::move(spec)), contention(enable_contention),

@@ -19,11 +19,12 @@
  * Time is advanced by a discrete-event queue; the host runs at
  * synchronization boundaries, exactly like a real CUDA host thread that
  * enqueues asynchronous work and blocks on cudaStreamSynchronize().
- * A Device either owns its clock (the classic single-GPU `Runtime`
- * mode) or shares one with the other devices of a `Cluster`
- * (gpu/cluster.hh), so kernels and DMAs on different devices of one
- * node overlap in simulated time while each device keeps its own
- * engines, PCIe link, fair-share arbiters and power model.
+ * The queue is not the device's own: a Device is a member of a
+ * `Cluster` (gpu/cluster.hh), which owns the clock, the device's
+ * memory pool and its pinned-host share, so kernels and DMAs on
+ * different devices of one node overlap in simulated time while each
+ * device keeps its own engines, PCIe link, fair-share arbiters and
+ * power model. A single-GPU experiment is a one-device cluster.
  *
  * A simple DRAM contention model stretches kernels whose bandwidth
  * demand cannot be met while a DMA copy is stealing PCIe-rate bandwidth
@@ -50,7 +51,6 @@
 #include "sim/event_queue.hh"
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -111,19 +111,9 @@ class Device
 {
   public:
     /**
-     * Self-clocked device: owns a private event queue. This is the
-     * classic single-GPU `Runtime` construction — every existing
-     * single-device call site builds exactly this.
-     * @param spec device model
-     * @param enable_contention stretch kernels that compete with DMA
-     *        traffic for DRAM bandwidth (ablation toggle)
-     */
-    explicit Device(GpuSpec spec, bool enable_contention = true);
-
-    /**
-     * Cluster member: device @p id of a multi-GPU node, sharing
-     * @p clock with its siblings so cross-device work interleaves on
-     * one simulated timeline. @p clock must outlive the device.
+     * Device @p id of a node, scheduling against @p clock, which must
+     * outlive it. A gpu::Cluster builds its members this way; a test of
+     * the device alone passes a local sim::EventQueue.
      */
     Device(int id, GpuSpec spec, sim::EventQueue &clock,
            bool enable_contention = true);
@@ -131,7 +121,7 @@ class Device
     Device(const Device &) = delete;
     Device &operator=(const Device &) = delete;
 
-    /** Index of this device within its cluster (0 when self-clocked). */
+    /** Index of this device within its cluster. */
     int deviceId() const { return devId; }
 
     // --- stream management ---------------------------------------------
@@ -237,7 +227,7 @@ class Device
      * (setStreamClient), so a multi-tenant loop can further narrow the
      * wake to the one tenant whose stepper the completion could have
      * unblocked. Plain function pointer + context: the unset case
-     * (every classic single-Runtime user) costs one branch.
+     * (a Session driving its device alone) costs one branch.
      */
     using WakeHook = void (*)(void *ctx, int device, int client);
     void setWakeHook(WakeHook hook, void *ctx)
@@ -336,8 +326,6 @@ class Device
     GpuSpec gpuSpec;
     bool contention;
     int devId = 0;
-    /** The private clock of a self-clocked (single-GPU) device. */
-    std::unique_ptr<sim::EventQueue> ownedEq;
     sim::EventQueue &eq;
     ic::PcieLink pcie;
     PowerModel powerModel;

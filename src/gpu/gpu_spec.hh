@@ -45,6 +45,8 @@ struct GpuSpec
     double dramPowerW = 40.0;
     /** Copy engine + PCIe PHY power while a DMA is in flight. */
     double copyPowerW = 8.0;
+
+    bool operator==(const GpuSpec &) const = default;
 };
 
 /** NVIDIA Titan X (Maxwell) — the paper's evaluation GPU. */

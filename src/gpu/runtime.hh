@@ -1,14 +1,9 @@
 /**
  * @file
- * Simulated CUDA runtime — the single-GPU façade over gpu::Device.
- *
- * Historically this header defined the whole execution substrate; the
- * engine now lives in gpu/device.hh so that a multi-GPU `Cluster`
- * (gpu/cluster.hh) can own several devices on one shared simulated
- * clock. A `Runtime` is exactly a self-clocked `Device` — the
- * construction every single-device call site has always used — so the
- * classic API (streams, kernels, async copies, synchronize, stream
- * marks) and its timing behavior are unchanged.
+ * The name the benchmark driver (perfbench/) still uses for one
+ * simulated GPU. Everything else says gpu::Device (gpu/device.hh),
+ * built as a member of a gpu::Cluster (gpu/cluster.hh). The alias goes
+ * with the benchmark change of ROADMAP item 3.
  */
 
 #ifndef VDNN_GPU_RUNTIME_HH
@@ -19,7 +14,6 @@
 namespace vdnn::gpu
 {
 
-/** One self-clocked simulated GPU (device 0 of an implicit cluster). */
 using Runtime = Device;
 
 } // namespace vdnn::gpu

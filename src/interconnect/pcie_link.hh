@@ -30,6 +30,8 @@ struct PcieSpec
     double dmaBandwidth = 12.8e9;
     /** Fixed per-transfer setup latency (driver + DMA engine kick). */
     TimeNs setupLatency = 8000; // 8 us
+
+    bool operator==(const PcieSpec &) const = default;
 };
 
 /** Preset matching the paper's evaluation node (Section IV-B). */

@@ -66,19 +66,6 @@ presetFor(SchedPolicy p)
     return kPresets[row];
 }
 
-/** Do two devices yield identical footprint estimates? */
-bool
-sameEstimateSpec(const gpu::GpuSpec &a, const gpu::GpuSpec &b)
-{
-    return a.name == b.name && a.peakFlops == b.peakFlops &&
-           a.dramBandwidth == b.dramBandwidth &&
-           a.dramCapacity == b.dramCapacity &&
-           a.hostCapacity == b.hostCapacity &&
-           a.pcie.rawBandwidth == b.pcie.rawBandwidth &&
-           a.pcie.dmaBandwidth == b.pcie.dmaBandwidth &&
-           a.pcie.setupLatency == b.pcie.setupLatency;
-}
-
 } // namespace
 
 const char *
@@ -114,8 +101,7 @@ Scheduler::Scheduler(SchedulerConfig config)
         DeviceCtx &ctx = *devs.back();
         ctx.estimateSlot = d;
         for (int k = 0; k < d; ++k) {
-            if (sameEstimateSpec(devs[std::size_t(k)]->dev->spec(),
-                                 ctx.dev->spec())) {
+            if (devs[std::size_t(k)]->dev->spec() == ctx.dev->spec()) {
                 ctx.estimateSlot = k;
                 break;
             }
@@ -628,21 +614,16 @@ Scheduler::preempt(Job &victim)
 int
 Scheduler::makeRoomFor(Job &job, double bar)
 {
-    // One victim scan: the candidates of the feasible device holding
-    // the most reserved bytes below the job's effective priority —
-    // where eviction has the best odds of clearing enough space.
     TimeNs now = cluster.now();
     DeviceCtx *best = nullptr;
     Bytes best_bytes = 0;
-    candidates.clear();
+    double best_top = 0.0;
     for (auto &dp : devs) {
         DeviceCtx &d = *dp;
-        if (!d.admission.feasible(jobEst[std::size_t(d.id)],
-                                  job.reserveScale)) {
+        const FootprintEstimate &est = jobEst[std::size_t(d.id)];
+        if (!d.admission.feasible(est, job.reserveScale))
             continue;
-        }
-        std::size_t first = candidates.size();
-        Bytes bytes = 0;
+        candidates.clear();
         for (JobId id : d.running) {
             Job *v = jobs[std::size_t(id)].get();
             double eff = effectivePriority(*v, now);
@@ -656,50 +637,58 @@ Scheduler::makeRoomFor(Job &job, double bar)
                 continue;
             }
             candidates.push_back({eff, v});
-            bytes += d.admission.reservedFor(id);
         }
-        if (bytes > 0 && (!best || bytes > best_bytes)) {
+        if (candidates.empty())
+            continue;
+        // Eviction order: lowest effective priority first (an aged-in
+        // tenant keeps the boost it earned, so it is not the default
+        // victim); the latest-arrived tenant of a level first (LIFO),
+        // so incumbents are disturbed least; ties keep running-set
+        // order.
+        std::stable_sort(candidates.begin(), candidates.end(),
+                         [](const Candidate &a, const Candidate &b) {
+                             if (a.eff != b.eff)
+                                 return a.eff < b.eff;
+                             return a.job->spec.arrival >
+                                    b.job->spec.arrival;
+                         });
+        victims.clear();
+        for (const Candidate &c : candidates)
+            victims.push_back(c.job->id);
+        // Dry run on the ledger: size the whole victim set before
+        // anyone is evicted, so an insufficient set costs nothing.
+        int need = d.admission.evictionsToFit(est, job.reserveScale,
+                                              victims);
+        if (need < 0)
+            continue;
+        victims.resize(std::size_t(need));
+        // ... and on the pinned-host share, where each eviction stages
+        // the victim's persistent state (Session::evictToHost).
+        // Conservative: it does not credit the host copies an earlier
+        // victim's cancelled iteration frees.
+        Bytes bytes = 0;
+        Bytes staged = 0;
+        for (JobId v : victims) {
+            bytes += d.admission.reservedFor(v);
+            staged += jobs[std::size_t(v)]->session->persistentBytes();
+        }
+        if (!d.hostCanStage(staged))
+            continue;
+        // Victims are in ascending priority: the last is the highest.
+        double top = need > 0 ? candidates[std::size_t(need - 1)].eff
+                              : -std::numeric_limits<double>::infinity();
+        if (!best || bytes < best_bytes ||
+            (bytes == best_bytes && top < best_top)) {
             best = &d;
             best_bytes = bytes;
-            candidates.erase(candidates.begin(),
-                             candidates.begin() + std::ptrdiff_t(first));
-        } else {
-            candidates.resize(first);
+            best_top = top;
+            chosenVictims.swap(victims);
         }
     }
     if (!best)
         return -1;
-    // Eviction order: lowest effective priority first (an aged-in
-    // tenant keeps the boost it earned, so it is not the default
-    // victim); the latest-arrived tenant of a level first (LIFO), so
-    // incumbents are disturbed least; ties keep running-set order.
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [](const Candidate &a, const Candidate &b) {
-                         if (a.eff != b.eff)
-                             return a.eff < b.eff;
-                         return a.job->spec.arrival > b.job->spec.arrival;
-                     });
-    victims.clear();
-    for (const Candidate &c : candidates)
-        victims.push_back(c.job->id);
-    // Dry run on the ledger: size the whole victim set before anyone
-    // is evicted, so an insufficient set costs nothing.
-    int need = best->admission.evictionsToFit(
-        jobEst[std::size_t(best->id)], job.reserveScale, victims);
-    if (need < 0)
-        return -1;
-    // ... and on the pinned-host share, where each eviction stages the
-    // victim's persistent state (Session::evictToHost). Conservative:
-    // it does not credit the host copies an earlier victim's cancelled
-    // iteration frees.
-    Bytes staged = 0;
-    for (int k = 0; k < need; ++k)
-        staged += jobs[std::size_t(victims[std::size_t(k)])]
-                      ->session->persistentBytes();
-    if (!best->hostCanStage(staged))
-        return -1;
-    for (int k = 0; k < need; ++k) {
-        preempt(*jobs[std::size_t(victims[std::size_t(k)])]);
+    for (JobId v : chosenVictims) {
+        preempt(*jobs[std::size_t(v)]);
         ++job.record.victimsPreempted;
     }
     return best->id;

@@ -105,7 +105,6 @@
 #include "dnn/cudnn_sim.hh"
 #include "gpu/cluster.hh"
 #include "gpu/gpu_spec.hh"
-#include "gpu/runtime.hh"
 #include "mem/memory_pool.hh"
 #include "mem/pinned_host.hh"
 #include "mem/usage_tracker.hh"
@@ -387,14 +386,15 @@ class Scheduler
      * All-or-nothing make-room for @p job (estimates from `jobEst`),
      * whose effective priority is @p bar. Until it evicts, it reads
      * only @p bar, the job's reserveScale and estimates, and ledger,
-     * resident and pinned-host state. One victim scan picks the
-     * feasible device holding the most reserved bytes below @p bar
-     * (tenants with an iteration in flight count only at Op
-     * granularity); a dry run against that device's ledger then sizes
-     * the victim set — lowest effective priority first, latest arrival
-     * first within a level — that lets the job fit, and checks that
-     * the device's pinned-host share can stage every victim's
-     * persistent state.
+     * resident and pinned-host state. On every feasible device with
+     * tenants below @p bar (those with an iteration in flight count
+     * only at Op granularity), a dry run against the device's ledger
+     * sizes the victim set — lowest effective priority first, latest
+     * arrival first within a level — that lets the job fit, and checks
+     * that the device's pinned-host share can stage every victim's
+     * persistent state. It evicts on the cheapest such device: fewest
+     * reserved bytes evicted, then the lowest highest-victim effective
+     * priority, then the lowest device id.
      * @return the device now holding room, or -1 with nobody evicted.
      */
     int makeRoomFor(Job &job, double bar);
@@ -513,7 +513,8 @@ class Scheduler
      * allocation per queued job: effective priorities by job id for
      * the priority sort, the current job's estimate per device, the
      * pass's last refused demand, the placement snapshot, and
-     * make-room candidates and their eviction order.
+     * make-room candidates, their eviction order and the cheapest
+     * device's victim set.
      */
     std::vector<double> rankEff;
     std::vector<FootprintEstimate> jobEst;
@@ -527,6 +528,7 @@ class Scheduler
     };
     std::vector<Candidate> candidates;
     std::vector<JobId> victims;
+    std::vector<JobId> chosenVictims;
 
     std::vector<LifecycleEvent> lifecycleLog;
     stats::TimeWeighted inflight;

@@ -17,8 +17,8 @@
 
 #include "core/planner.hh"
 #include "core/training_session.hh"
+#include "gpu/device.hh"
 #include "gpu/gpu_spec.hh"
-#include "gpu/runtime.hh"
 #include "net/builders.hh"
 
 #include <gtest/gtest.h>
@@ -178,7 +178,8 @@ TEST(AllocCount, WarmDeviceCommandsAllocateNothing)
 {
     // Kernels with named labels, copies both ways on two tenants'
     // streams (so the copy engines arbitrate), kept warm once.
-    gpu::Runtime rt(gpu::titanXMaxwell());
+    sim::EventQueue clock;
+    gpu::Device rt(0, gpu::titanXMaxwell(), clock);
     gpu::StreamId sc = rt.createStream("compute");
     gpu::StreamId sm = rt.createStream("memory");
     gpu::StreamId so = rt.createStream("other");

@@ -24,6 +24,7 @@
 #include "core/iteration_program.hh"
 #include "core/memory_manager.hh"
 #include "core/planner.hh"
+#include "gpu/cluster.hh"
 #include "mem/memory_pool.hh"
 #include "net/builders.hh"
 #include "serve/admission.hh"
@@ -168,8 +169,10 @@ TEST(CheckCleanPass, EveryPlannerByEveryNetwork)
                             << what;
                     }
 
-                    gpu::Runtime rt(gpu::titanXMaxwell());
-                    MemoryManager mm(rt);
+                    gpu::Cluster cluster({{gpu::titanXMaxwell()}});
+                    gpu::Device &rt = cluster.device(0);
+                    MemoryManager mm(rt, cluster.pool(0), cluster.host(0),
+                                     /*client=*/0);
                     Executor ex(*nc.net, cudnn, rt, mm, plan, exec);
                     // The executor's gate on its own program (share:
                     // the fresh pool) finds exactly what standalone
@@ -505,8 +508,9 @@ TEST(CheckSeededDefect, ExecutorGateRejectsBadDmaScaleAtConstruction)
     ExecutorConfig exec;
     exec.check.verifyPlans = true;
     dnn::CudnnSim cudnn(gpu::titanXMaxwell());
-    gpu::Runtime rt(gpu::titanXMaxwell());
-    MemoryManager mm(rt);
+    gpu::Cluster cluster({{gpu::titanXMaxwell()}});
+    gpu::Device &rt = cluster.device(0);
+    MemoryManager mm(rt, cluster.pool(0), cluster.host(0), /*client=*/0);
     EXPECT_DEATH(Executor(*network, cudnn, rt, mm, plan, exec),
                  "BadDmaScale");
 }

@@ -56,17 +56,6 @@ makeJob(const std::shared_ptr<const net::Network> &network,
     return spec;
 }
 
-SharedGpu
-tenantOn(gpu::Cluster &cluster, int device, int client)
-{
-    SharedGpu shared;
-    shared.runtime = &cluster.device(device);
-    shared.pool = &cluster.pool(device);
-    shared.host = &cluster.host(device);
-    shared.clientId = client;
-    return shared;
-}
-
 /** The per-iteration fields migration byte-identity compares. */
 void
 expectIterationsIdentical(const IterationResult &a,
@@ -96,8 +85,8 @@ TEST(Cluster, DevicesOverlapOnOneSharedClock)
 
     // One 10 ms kernel per device, launched back to back from the
     // host: on a shared clock they execute concurrently, so the node
-    // drains at ~10 ms, not 20 ms (the behavior two self-clocked
-    // Runtimes could never exhibit on one timeline).
+    // drains at ~10 ms, not 20 ms (the behavior two devices on
+    // separate clocks could never exhibit on one timeline).
     gpu::StreamId s0 = cluster.device(0).createStream("d0");
     gpu::StreamId s1 = cluster.device(1).createStream("d1");
     cluster.device(0).launchKernel(s0, {"k0", 10_ms, 0.0, 0});
@@ -129,6 +118,76 @@ TEST(Cluster, PerDevicePoolsAndHostsAreIndependent)
     EXPECT_EQ(cluster.host(1).usedBytes(), 1_MiB);
     EXPECT_EQ(cluster.host(0).usedBytes(), 0);
     cluster.host(1).release(h);
+}
+
+TEST(Cluster, SoleTenantMatchesRunSession)
+{
+    // runSession and a Session that is the only tenant of a fresh
+    // one-device cluster run the same experiment: every paper figure
+    // may therefore stand on the cluster's device, pool and host share.
+    struct Case
+    {
+        std::shared_ptr<core::Planner> planner;
+        bool oracle = false;
+    };
+    auto pref = AlgoPreference::MemoryOptimal;
+    std::vector<Case> cases = {
+        {std::make_shared<BaselinePlanner>(pref)},
+        {std::make_shared<OffloadAllPlanner>(pref)},
+        {std::make_shared<OffloadConvPlanner>(pref)},
+        {std::make_shared<DynamicPlanner>()},
+        {std::make_shared<CompressedOffloadPlanner>(pref)},
+        {std::make_shared<BaselinePlanner>(
+             AlgoPreference::PerformanceOptimal),
+         true},
+    };
+    for (const auto &network :
+         {net::buildAlexNet(128), net::buildVgg16(64)}) {
+        for (const Case &c : cases) {
+            SessionConfig cfg;
+            cfg.planner = c.planner;
+            cfg.oracle = c.oracle;
+            SessionResult alone = runSession(*network, cfg);
+
+            // The oracle's capacity goes into the cluster's spec.
+            gpu::GpuSpec spec = cfg.gpu;
+            if (c.oracle)
+                spec.dramCapacity = Bytes(1024) * 1024 * 1024 * 1024;
+            cfg.oracle = false;
+            gpu::Cluster cluster(gpu::ClusterSpec{{spec}});
+            Session s(*network, cfg, shareOf(cluster, 0, 0));
+            bool ok = s.setup();
+            for (int i = 0; ok && i < cfg.iterations; ++i)
+                ok = s.runIteration().ok;
+            s.teardown();
+            SessionResult tenant = s.result();
+
+            std::string what = network->name() + " " + alone.configName;
+            ASSERT_EQ(alone.trainable, ok) << what;
+            EXPECT_EQ(alone.trainable, tenant.trainable) << what;
+            EXPECT_EQ(alone.trials.size(), tenant.trials.size()) << what;
+            EXPECT_EQ(alone.iterationTime, tenant.iterationTime) << what;
+            EXPECT_EQ(alone.pcieBytesPerIter, tenant.pcieBytesPerIter)
+                << what;
+            EXPECT_EQ(alone.maxTotalUsage, tenant.maxTotalUsage) << what;
+            EXPECT_EQ(alone.avgTotalUsage, tenant.avgTotalUsage) << what;
+            EXPECT_EQ(alone.maxManagedUsage, tenant.maxManagedUsage)
+                << what;
+            EXPECT_EQ(alone.avgManagedUsage, tenant.avgManagedUsage)
+                << what;
+            ASSERT_EQ(alone.layerTimings.size(), tenant.layerTimings.size())
+                << what;
+            for (std::size_t l = 0; l < alone.layerTimings.size(); ++l) {
+                const LayerTiming &a = alone.layerTimings[l];
+                const LayerTiming &b = tenant.layerTimings[l];
+                EXPECT_EQ(a.id, b.id) << what;
+                EXPECT_EQ(a.fwdStart, b.fwdStart) << what;
+                EXPECT_EQ(a.fwdEnd, b.fwdEnd) << what;
+                EXPECT_EQ(a.bwdStart, b.bwdStart) << what;
+                EXPECT_EQ(a.bwdEnd, b.bwdEnd) << what;
+            }
+        }
+    }
 }
 
 // --- placement policies ------------------------------------------------------
@@ -270,7 +329,7 @@ TEST(Migration, EvictedTenantResumesOnAnotherDeviceByteIdentically)
     auto network = net::buildTinyCnn(8);
     SessionConfig scfg;
     scfg.planner = vdnnAll();
-    Session migrant(*network, scfg, tenantOn(cluster, 0, 1));
+    Session migrant(*network, scfg, shareOf(cluster, 0, 1));
     ASSERT_TRUE(migrant.setup());
     EXPECT_EQ(migrant.deviceId(), 0);
     IterationResult first = migrant.runIteration();
@@ -282,7 +341,7 @@ TEST(Migration, EvictedTenantResumesOnAnotherDeviceByteIdentically)
     EXPECT_GT(staged, 0);
     EXPECT_EQ(cluster.host(0).usedBytes(), staged);
 
-    ASSERT_TRUE(migrant.migrate(tenantOn(cluster, 1, 1)));
+    ASSERT_TRUE(migrant.migrate(shareOf(cluster, 1, 1)));
     EXPECT_EQ(migrant.deviceId(), 1);
     EXPECT_EQ(migrant.migrationCount(), 1);
     EXPECT_EQ(migrant.state(), SessionState::Active);
@@ -305,7 +364,7 @@ TEST(Migration, EvictedTenantResumesOnAnotherDeviceByteIdentically)
     // Control: the same two iterations without migration.
     gpu::Cluster control_cluster(
         gpu::homogeneousCluster(gpu::titanXMaxwell(), 2));
-    Session control(*network, scfg, tenantOn(control_cluster, 0, 1));
+    Session control(*network, scfg, shareOf(control_cluster, 0, 1));
     ASSERT_TRUE(control.setup());
     IterationResult c1 = control.runIteration();
     IterationResult c2 = control.runIteration();
@@ -330,14 +389,14 @@ TEST(Migration, SqueezedDynamicTenantReplansAgainstTheTargetShare)
     auto network = net::buildVgg16(64);
     SessionConfig scfg;
     scfg.planner = std::make_shared<DynamicPlanner>();
-    Session session(*network, scfg, tenantOn(cluster, 0, 1));
+    Session session(*network, scfg, shareOf(cluster, 0, 1));
     ASSERT_TRUE(session.setup());
     EXPECT_GT(session.plan().offloadCount(), 0); // squeezed
     ASSERT_TRUE(session.runIteration().ok);
 
     session.suspend();
     ASSERT_TRUE(session.evictToHost());
-    ASSERT_TRUE(session.migrate(tenantOn(cluster, 1, 1)));
+    ASSERT_TRUE(session.migrate(shareOf(cluster, 1, 1)));
     EXPECT_EQ(session.deviceId(), 1);
     EXPECT_EQ(session.plan().offloadCount(), 0); // re-planned larger
 
@@ -349,7 +408,7 @@ TEST(Migration, SqueezedDynamicTenantReplansAgainstTheTargetShare)
     // device: migration must be transparent to the iterations.
     gpu::Cluster control_cluster(
         gpu::homogeneousCluster(gpu::titanXMaxwell(), 1));
-    Session control(*network, scfg, tenantOn(control_cluster, 0, 1));
+    Session control(*network, scfg, shareOf(control_cluster, 0, 1));
     ASSERT_TRUE(control.setup());
     ASSERT_TRUE(control.runIteration().ok); // control's first iteration
     IterationResult control_after = control.runIteration();
@@ -373,13 +432,13 @@ TEST(Migration, RefusedWhenTargetHostShareIsExhausted)
     auto network = net::buildTinyCnn(8);
     SessionConfig scfg;
     scfg.planner = vdnnAll();
-    Session session(*network, scfg, tenantOn(cluster, 0, 1));
+    Session session(*network, scfg, shareOf(cluster, 0, 1));
     ASSERT_TRUE(session.setup());
     ASSERT_TRUE(session.runIteration().ok);
     session.suspend();
     ASSERT_TRUE(session.evictToHost());
 
-    EXPECT_FALSE(session.migrate(tenantOn(cluster, 1, 1)));
+    EXPECT_FALSE(session.migrate(shareOf(cluster, 1, 1)));
     // Still evicted, still homed on the source, still resumable there.
     EXPECT_EQ(session.state(), SessionState::Evicted);
     EXPECT_EQ(session.deviceId(), 0);

@@ -253,8 +253,9 @@ TEST(Executor, FailedIterationLeavesCleanPool)
     // path must unwind every allocation so the pool balances.
     auto network = net::buildVgg16(256);
     dnn::CudnnSim cudnn(gpu::titanXMaxwell());
-    gpu::Runtime rt(gpu::titanXMaxwell());
-    MemoryManager mm(rt);
+    gpu::Cluster cluster({{gpu::titanXMaxwell()}});
+    gpu::Device &rt = cluster.device(0);
+    MemoryManager mm(rt, cluster.pool(0), cluster.host(0), /*client=*/0);
     MemoryPlan plan = planWith(
         OffloadAllPlanner(AlgoPreference::PerformanceOptimal), *network);
     Executor ex(*network, cudnn, rt, mm, plan);

@@ -10,10 +10,9 @@
 #include "common/label.hh"
 #include "core/planner.hh"
 #include "core/training_session.hh"
+#include "gpu/cluster.hh"
 #include "gpu/gpu_spec.hh"
-#include "gpu/runtime.hh"
 #include "mem/memory_pool.hh"
-#include "mem/pinned_host.hh"
 #include "net/builders.hh"
 
 #include <gtest/gtest.h>
@@ -98,22 +97,16 @@ joinCopyTags(const std::vector<gpu::CopyRecord> &log)
     return out;
 }
 
+/** A one-Titan X cluster, whose device and pool the goldens read. */
 struct SharedDevice
 {
-    gpu::GpuSpec spec = gpu::titanXMaxwell();
-    gpu::Runtime rt{spec};
-    mem::MemoryPool pool{spec.dramCapacity, "shared pool"};
-    mem::PinnedHostAllocator host{spec.hostCapacity};
+    gpu::Cluster cluster{{{gpu::titanXMaxwell()}}};
+    gpu::Device &rt = cluster.device(0);
+    mem::MemoryPool &pool = cluster.pool(0);
 
-    core::SharedGpu
-    share(int client)
+    core::SharedGpu share(int client)
     {
-        core::SharedGpu s;
-        s.runtime = &rt;
-        s.pool = &pool;
-        s.host = &host;
-        s.clientId = client;
-        return s;
+        return core::shareOf(cluster, 0, client);
     }
 };
 
@@ -177,7 +170,7 @@ TEST(LabelGolden, LayoutDumpWithFeatureMapWorkspaceAndWeightBlocks)
     }
     ASSERT_TRUE(stopped);
     EXPECT_EQ(dev.pool.layoutString(),
-              "shared pool: 1.94 MiB used of 12.00 GiB\n"
+              "Titan X (Maxwell)[0] shared pool: 1.94 MiB used of 12.00 GiB\n"
               "  [           0 +        2048]      0.0 MiB  W:conv1\n"
               "  [        2048 +       18944]      0.0 MiB  W:conv2\n"
               "  [       20992 +      524800]      0.5 MiB  W:fc1\n"

@@ -14,8 +14,6 @@
 #include "core/training_session.hh"
 
 #include "common/units.hh"
-#include "mem/memory_pool.hh"
-#include "mem/pinned_host.hh"
 #include "net/builders.hh"
 #include "obs/metrics.hh"
 
@@ -199,14 +197,10 @@ TEST(Lifecycle, EvictFailsGracefullyWhenHostExhausted)
     // evictToHost() must refuse and leave the tenant Suspended
     // (resident), still resumable.
     gpu::GpuSpec spec = gpu::titanXMaxwell();
-    gpu::Runtime rt(spec);
-    mem::MemoryPool pool(spec.dramCapacity, "shared pool");
-    mem::PinnedHostAllocator host(1_KiB);
-    SharedGpu shared;
-    shared.runtime = &rt;
-    shared.pool = &pool;
-    shared.host = &host;
-    shared.clientId = 1;
+    spec.hostCapacity = 1_KiB;
+    gpu::Cluster cluster({{spec}});
+    mem::MemoryPool &pool = cluster.pool(0);
+    SharedGpu shared = shareOf(cluster, 0, /*client=*/1);
 
     auto network = net::buildTinyCnn(8);
     SessionConfig cfg;
@@ -242,17 +236,10 @@ TEST(Lifecycle, DynamicTenantGrowsBackWhenTheShareFrees)
     // when the hog's share frees, an in-place replan at the iteration
     // boundary grows the plan back to the no-offload ideal — the
     // ROADMAP's mid-run re-planning item.
-    gpu::GpuSpec spec = gpu::titanXMaxwell();
-    gpu::Runtime rt(spec);
-    mem::MemoryPool pool(spec.dramCapacity, "shared pool");
-    mem::PinnedHostAllocator host(spec.hostCapacity);
+    gpu::Cluster cluster({{gpu::titanXMaxwell()}});
+    mem::MemoryPool &pool = cluster.pool(0);
     auto hog = pool.allocate(7_GiB + 512_MiB, "co-tenant hog", /*client=*/99);
-
-    SharedGpu shared;
-    shared.runtime = &rt;
-    shared.pool = &pool;
-    shared.host = &host;
-    shared.clientId = 1;
+    SharedGpu shared = shareOf(cluster, 0, /*client=*/1);
 
     auto network = net::buildVgg16(64);
     SessionConfig cfg;
@@ -279,17 +266,10 @@ TEST(Lifecycle, ResumedTenantReplansAgainstTheCurrentShare)
     // Evicted under a full device, resumed against an empty one: the
     // re-plan on resume() picks a larger plan than the tenant left
     // with (vDNN_dyn grows from offloading to no-offload).
-    gpu::GpuSpec spec = gpu::titanXMaxwell();
-    gpu::Runtime rt(spec);
-    mem::MemoryPool pool(spec.dramCapacity, "shared pool");
-    mem::PinnedHostAllocator host(spec.hostCapacity);
+    gpu::Cluster cluster({{gpu::titanXMaxwell()}});
+    mem::MemoryPool &pool = cluster.pool(0);
     auto hog = pool.allocate(7_GiB + 512_MiB, "co-tenant hog", /*client=*/99);
-
-    SharedGpu shared;
-    shared.runtime = &rt;
-    shared.pool = &pool;
-    shared.host = &host;
-    shared.clientId = 1;
+    SharedGpu shared = shareOf(cluster, 0, /*client=*/1);
 
     auto network = net::buildVgg16(64);
     SessionConfig cfg;
@@ -309,7 +289,7 @@ TEST(Lifecycle, ResumedTenantReplansAgainstTheCurrentShare)
     EXPECT_TRUE(session.runIteration().ok);
     session.teardown();
     EXPECT_EQ(pool.usedBytes(), 0);
-    EXPECT_EQ(host.usedBytes(), 0);
+    EXPECT_EQ(cluster.host(0).usedBytes(), 0);
 }
 
 // --- the verification gate on every re-plan surface --------------------------
@@ -347,11 +327,10 @@ TEST(Lifecycle, EveryReplanSurfaceIsVerifiedOnceAgainstTheShare)
     // gate verifies each exactly once against that share: a warning,
     // not a failure, because the runtime degrades to OOM-requeue.
     gpu::GpuSpec spec = gpu::titanXMaxwell();
-    gpu::Runtime rt(spec);
+    gpu::Cluster cluster({{spec}});
     obs::MetricsRegistry metrics;
-    rt.setTelemetry({nullptr, &metrics});
-    mem::MemoryPool pool(spec.dramCapacity, "shared pool");
-    mem::PinnedHostAllocator host(spec.hostCapacity);
+    cluster.setTelemetry({nullptr, &metrics});
+    mem::MemoryPool &pool = cluster.pool(0);
 
     auto network = net::buildVgg16(64);
     auto planner = std::make_shared<InPlaceOffloadAllPlanner>();
@@ -364,11 +343,7 @@ TEST(Lifecycle, EveryReplanSurfaceIsVerifiedOnceAgainstTheShare)
     auto hog = pool.allocate(spec.dramCapacity - share, "co-tenant hog",
                              /*client=*/99);
 
-    SharedGpu shared;
-    shared.runtime = &rt;
-    shared.pool = &pool;
-    shared.host = &host;
-    shared.clientId = 1;
+    SharedGpu shared = shareOf(cluster, 0, /*client=*/1);
     SessionConfig cfg;
     cfg.planner = planner;
     cfg.exec.check.verifyPlans = true;
@@ -396,5 +371,5 @@ TEST(Lifecycle, EveryReplanSurfaceIsVerifiedOnceAgainstTheShare)
     session.teardown();
     pool.release(hog);
     EXPECT_EQ(pool.usedBytes(), 0);
-    EXPECT_EQ(host.usedBytes(), 0);
+    EXPECT_EQ(cluster.host(0).usedBytes(), 0);
 }

@@ -8,7 +8,7 @@
 #include "core/memory_manager.hh"
 
 #include "common/units.hh"
-#include "gpu/runtime.hh"
+#include "gpu/cluster.hh"
 #include "net/builders.hh"
 
 #include <gtest/gtest.h>
@@ -21,10 +21,13 @@ class MemoryManagerTest : public ::testing::Test
 {
   protected:
     MemoryManagerTest()
-        : rt(gpu::titanXMaxwell()), mm(rt), net(net::buildTinyCnn(4))
+        : cluster({{gpu::titanXMaxwell()}}), rt(cluster.device(0)),
+          mm(rt, cluster.pool(0), cluster.host(0), /*client=*/0),
+          net(net::buildTinyCnn(4))
     {}
 
-    gpu::Runtime rt;
+    gpu::Cluster cluster;
+    gpu::Device &rt;
     MemoryManager mm;
     std::unique_ptr<net::Network> net;
 };
@@ -205,8 +208,9 @@ TEST_F(MemoryManagerTest, DeviceOomReturnsFalseAndKeepsState)
 {
     gpu::GpuSpec tiny = gpu::titanXMaxwell();
     tiny.dramCapacity = 1_MiB;
-    gpu::Runtime rt2(tiny);
-    MemoryManager mm2(rt2);
+    gpu::Cluster tiny_gpu({{tiny}});
+    MemoryManager mm2(tiny_gpu.device(0), tiny_gpu.pool(0),
+                      tiny_gpu.host(0), /*client=*/0);
     auto big = net::buildTinyCnn(64, 64); // input exceeds 1 MiB
     EXPECT_FALSE(mm2.allocBuffer(*big, big->inputBuffer()));
     EXPECT_EQ(mm2.residence(big->inputBuffer()),
@@ -218,8 +222,9 @@ TEST_F(MemoryManagerTest, HostExhaustionFailsOffloadGracefully)
 {
     gpu::GpuSpec spec = gpu::titanXMaxwell();
     spec.hostCapacity = 1_KiB;
-    gpu::Runtime rt2(spec);
-    MemoryManager mm2(rt2);
+    gpu::Cluster small_host({{spec}});
+    MemoryManager mm2(small_host.device(0), small_host.pool(0),
+                      small_host.host(0), /*client=*/0);
     net::BufferId b = net->inputBuffer();
     ASSERT_TRUE(mm2.allocBuffer(*net, b));
     EXPECT_FALSE(mm2.beginOffload(*net, b));

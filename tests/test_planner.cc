@@ -266,8 +266,9 @@ TEST(PrefetchHints, NegativePriorityDisablesPrefetch)
         d.prefetchPriority = -1;
 
     dnn::CudnnSim cudnn(gpu::titanXMaxwell());
-    gpu::Runtime rt(gpu::titanXMaxwell());
-    MemoryManager mm(rt);
+    gpu::Cluster cluster({{gpu::titanXMaxwell()}});
+    gpu::Device &rt = cluster.device(0);
+    MemoryManager mm(rt, cluster.pool(0), cluster.host(0), /*client=*/0);
     Executor ex(*network, cudnn, rt, mm, plan);
     ASSERT_TRUE(ex.setup());
     IterationResult r = ex.runIteration();

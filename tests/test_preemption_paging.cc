@@ -474,12 +474,12 @@ TEST(AdmissionPass, EvictionInThePassReopensARefusedDemand)
     // (32) (4.1 GB) and two priority-0 VGG-16 (16) tenants (5.2 GB).
     // At 1 ms three priority-10 jobs arrive: `first` and `twin`, equal
     // VGG-16 (64) demands, with a VGG-16 (32) `middle` queued between
-    // them; none fits outright. Make-room scans the device with the
-    // most reserved bytes below the bar, device 0, where no eviction
-    // can fit `first`: refused. `middle` evicts there, which leaves
-    // device 1 the richer one, so make-room for `twin` evicts on
-    // device 1 and fits it in the same pass. The refusal of `first`
-    // must not outlive the eviction that moved the state.
+    // them; none fits outright. Make-room sizes a victim set on every
+    // device: on device 0 no eviction fits `first`, on device 1
+    // evicting both low tenants does, so `first` goes there at once.
+    // `middle` then evicts on device 0. `twin`, the equal demand
+    // queued behind `first`, must not overtake it: it fits nowhere
+    // until hog-0 leaves.
     SchedulerConfig cfg;
     cfg.policy = SchedPolicy::PreemptivePriority;
     cfg.devices = {gpu::titanXMaxwell(), gpu::titanXMaxwell()};
@@ -522,15 +522,18 @@ TEST(AdmissionPass, EvictionInThePassReopensARefusedDemand)
     ASSERT_EQ(job(low_0b).placements.front(), 0);
     ASSERT_EQ(job(low_1a).placements.front(), 1);
     ASSERT_EQ(job(low_1b).placements.front(), 1);
-    EXPECT_GE(job(middle).victimsPreempted, 1);
+    EXPECT_EQ(job(first).victimsPreempted, 2);
+    EXPECT_EQ(job(first).placements.front(), 1);
+    EXPECT_EQ(job(middle).victimsPreempted, 1);
     EXPECT_EQ(job(middle).placements.front(), 0);
-    EXPECT_EQ(job(twin).victimsPreempted, 2);
-    EXPECT_EQ(job(twin).placements.front(), 1);
-    // The pass at the arrival admitted both (the next one runs when
-    // a hog's iteration ends), while `first` waited.
+    EXPECT_EQ(job(twin).victimsPreempted, 0);
+    EXPECT_EQ(job(twin).placements.front(), 0);
+    // The pass at the arrival admitted `first` and `middle` (the next
+    // one runs when a hog's iteration ends), while `twin` waited.
     TimeNs next_pass = std::min(job(0).finishTime, job(1).finishTime);
+    EXPECT_LT(job(first).admitTime, next_pass);
     EXPECT_LT(job(middle).admitTime, next_pass);
-    EXPECT_LT(job(twin).admitTime, next_pass);
-    EXPECT_GE(job(first).admitTime, next_pass);
+    EXPECT_GE(job(twin).admitTime, next_pass);
+    EXPECT_LE(job(first).admitTime, job(twin).admitTime);
     expectClean(r);
 }

@@ -1,12 +1,12 @@
 /**
  * @file
- * Unit tests for the simulated CUDA runtime: stream FIFO semantics,
- * cross-stream overlap, stream marks, synchronization, contention and
- * power accounting. These are the execution semantics vDNN's
+ * Unit tests for one simulated GPU, a gpu::Device on a local clock:
+ * stream FIFO semantics, cross-stream overlap, stream marks,
+ * synchronization, contention and power accounting. These are the execution semantics vDNN's
  * offload/prefetch correctness rests on (Section III-B, Figure 9).
  */
 
-#include "gpu/runtime.hh"
+#include "gpu/device.hh"
 
 #include "common/units.hh"
 
@@ -51,7 +51,8 @@ kernel(const char *name, TimeNs dur, Bytes dram_bytes = 0)
 
 TEST(Runtime, KernelsOnOneStreamSerialize)
 {
-    Runtime rt(testSpec());
+    sim::EventQueue clock;
+    Device rt(0, testSpec(), clock);
     auto s = rt.createStream("compute");
     rt.launchKernel(s, kernel("k1", 1000));
     rt.launchKernel(s, kernel("k2", 500));
@@ -62,7 +63,8 @@ TEST(Runtime, KernelsOnOneStreamSerialize)
 
 TEST(Runtime, HostClockOnlyAdvancesOnSync)
 {
-    Runtime rt(testSpec());
+    sim::EventQueue clock;
+    Device rt(0, testSpec(), clock);
     auto s = rt.createStream("compute");
     rt.launchKernel(s, kernel("k1", 1000));
     EXPECT_EQ(rt.now(), 0); // async launch does not block the host
@@ -72,7 +74,8 @@ TEST(Runtime, HostClockOnlyAdvancesOnSync)
 
 TEST(Runtime, KernelAndCopyOverlapAcrossStreams)
 {
-    Runtime rt(testSpec(), /*enable_contention=*/false);
+    sim::EventQueue clock;
+    Device rt(0, testSpec(), clock, /*enable_contention=*/false);
     auto sc = rt.createStream("compute");
     auto sm = rt.createStream("memory");
     // 10 GB/s link: 1 MiB takes ~104.8 us; kernel takes 200 us.
@@ -86,7 +89,8 @@ TEST(Runtime, KernelAndCopyOverlapAcrossStreams)
 
 TEST(Runtime, CopyLongerThanKernelDeterminesMakespan)
 {
-    Runtime rt(testSpec(), false);
+    sim::EventQueue clock;
+    Device rt(0, testSpec(), clock, false);
     auto sc = rt.createStream("compute");
     auto sm = rt.createStream("memory");
     rt.launchKernel(sc, kernel("conv", 50_us));
@@ -101,7 +105,8 @@ TEST(Runtime, TwoComputeStreamsShareOneEngine)
 {
     // The GPU can only process one layer's kernel at a time (paper
     // Section II-B): two streams of kernels must serialize.
-    Runtime rt(testSpec());
+    sim::EventQueue clock;
+    Device rt(0, testSpec(), clock);
     auto s1 = rt.createStream("a");
     auto s2 = rt.createStream("b");
     rt.launchKernel(s1, kernel("k1", 1000));
@@ -112,7 +117,8 @@ TEST(Runtime, TwoComputeStreamsShareOneEngine)
 
 TEST(Runtime, OppositeDirectionCopiesOverlap)
 {
-    Runtime rt(testSpec(), false);
+    sim::EventQueue clock;
+    Device rt(0, testSpec(), clock, false);
     auto s1 = rt.createStream("a");
     auto s2 = rt.createStream("b");
     rt.memcpyAsync(s1, 10_MiB, CopyDir::DeviceToHost, "off");
@@ -124,7 +130,8 @@ TEST(Runtime, OppositeDirectionCopiesOverlap)
 
 TEST(Runtime, SameDirectionCopiesSerialize)
 {
-    Runtime rt(testSpec(), false);
+    sim::EventQueue clock;
+    Device rt(0, testSpec(), clock, false);
     auto s1 = rt.createStream("a");
     auto s2 = rt.createStream("b");
     rt.memcpyAsync(s1, 10_MiB, CopyDir::DeviceToHost, "off1");
@@ -136,7 +143,8 @@ TEST(Runtime, SameDirectionCopiesSerialize)
 
 TEST(Runtime, StreamMarkPassesWhenPriorCommandsRetire)
 {
-    Runtime rt(testSpec(), false);
+    sim::EventQueue clock;
+    Device rt(0, testSpec(), clock, false);
     auto sm = rt.createStream("memory");
     // A mark taken on an idle stream has already passed.
     EXPECT_TRUE(rt.markPassed(sm, rt.streamMark(sm)));
@@ -162,7 +170,8 @@ TEST(Runtime, StreamMarkPassesWhenPriorCommandsRetire)
 
 TEST(Runtime, BytesCopiedAccumulatePerDirection)
 {
-    Runtime rt(testSpec());
+    sim::EventQueue clock;
+    Device rt(0, testSpec(), clock);
     auto s = rt.createStream("m");
     rt.memcpyAsync(s, 1_MiB, CopyDir::DeviceToHost);
     rt.memcpyAsync(s, 2_MiB, CopyDir::DeviceToHost);
@@ -174,7 +183,8 @@ TEST(Runtime, BytesCopiedAccumulatePerDirection)
 
 TEST(Runtime, KernelLogRecordsTiming)
 {
-    Runtime rt(testSpec());
+    sim::EventQueue clock;
+    Device rt(0, testSpec(), clock);
     rt.setKernelLog(true);
     auto s = rt.createStream("c");
     rt.launchKernel(s, kernel("conv_fwd", 1000, 50000));
@@ -194,9 +204,10 @@ TEST(Runtime, ContentionStretchesBandwidthBoundKernel)
     // Kernel demands 95% of DRAM bandwidth; a concurrent copy steals
     // PCIe-rate bandwidth, so the kernel must stretch.
     GpuSpec spec = testSpec();
-    Runtime with(spec, true);
-    Runtime without(spec, false);
-    for (Runtime *rt : {&with, &without}) {
+    sim::EventQueue clock_with, clock_without;
+    Device with(0, spec, clock_with, true);
+    Device without(0, spec, clock_without, false);
+    for (Device *rt : {&with, &without}) {
         auto sc = rt->createStream("c");
         auto sm = rt->createStream("m");
         Bytes kernel_bytes = Bytes(0.95 * 100.0e9 * 1e-3); // 95 GB/s for 1 ms
@@ -212,7 +223,8 @@ TEST(Runtime, ContentionStretchesBandwidthBoundKernel)
 TEST(Runtime, ComputeBoundKernelUnaffectedByContention)
 {
     GpuSpec spec = testSpec();
-    Runtime rt(spec, true);
+    sim::EventQueue clock;
+    Device rt(0, spec, clock, true);
     auto sc = rt.createStream("c");
     auto sm = rt.createStream("m");
     // Demands only 10% of DRAM bandwidth: headroom absorbs the copy.
@@ -226,7 +238,8 @@ TEST(Runtime, ComputeBoundKernelUnaffectedByContention)
 TEST(Runtime, PowerWindowAveragesAboveIdle)
 {
     GpuSpec spec = testSpec();
-    Runtime rt(spec);
+    sim::EventQueue clock;
+    Device rt(0, spec, clock);
     auto s = rt.createStream("c");
     KernelDesc k = kernel("k", 1_ms, 50_MiB);
     k.flops = 1.0e12 * 1e-3; // exactly peak rate for 1 ms
@@ -243,8 +256,9 @@ TEST(Runtime, PowerWindowAveragesAboveIdle)
 TEST(Runtime, CopiesRaiseMaxPower)
 {
     GpuSpec spec = testSpec();
-    Runtime base(spec), offload(spec);
-    for (Runtime *rt : {&base, &offload}) {
+    sim::EventQueue clock_base, clock_offload;
+    Device base(0, spec, clock_base), offload(0, spec, clock_offload);
+    for (Device *rt : {&base, &offload}) {
         auto sc = rt->createStream("c");
         KernelDesc k = kernel("k", 1_ms, 10_MiB);
         k.flops = 0.5e12 * 1e-3;
@@ -265,7 +279,8 @@ TEST(Runtime, ManyAlternatingLayersMatchHandComputedMakespan)
     // with offload(n) on stream_memory, sync at each layer boundary.
     // With kernel time 100us and offload time 60us the offloads hide
     // completely: makespan = N * 100us.
-    Runtime rt(testSpec(), false);
+    sim::EventQueue clock;
+    Device rt(0, testSpec(), clock, false);
     auto sc = rt.createStream("compute");
     auto sm = rt.createStream("memory");
     const int layers = 16;
@@ -283,7 +298,8 @@ TEST(Runtime, SlowOffloadStallsNextLayerExactlyLikeFigure9)
 {
     // Figure 9: when OFF(n) outlives FWD(n), FWD(n+1) is delayed by the
     // residual offload time ("wasted time").
-    Runtime rt(testSpec(), false);
+    sim::EventQueue clock;
+    Device rt(0, testSpec(), clock, false);
     auto sc = rt.createStream("compute");
     auto sm = rt.createStream("memory");
     Bytes off_bytes = Bytes(10.0e9 * 150e-6); // 150 us at 10 GB/s
@@ -303,7 +319,8 @@ TEST(Runtime, ConcurrentOffloadersEachGetHalfTheLink)
     // Two tenants, one D2H stream each, saturating the link with
     // equal-size offloads: the fair-share arbiter must interleave the
     // grants so both drain together, each at ~half the DMA bandwidth.
-    Runtime rt(testSpec(), /*enable_contention=*/false);
+    sim::EventQueue clock;
+    Device rt(0, testSpec(), clock, /*enable_contention=*/false);
     rt.setKernelLog(true);
     StreamId a = rt.createStream("tenantA_mem");
     StreamId b = rt.createStream("tenantB_mem");
