@@ -274,10 +274,8 @@ runVerify()
     for (const NetCase &nc : nets) {
         for (const auto &planner : planners) {
             MemoryPlan plan = planner->plan(*nc.net, ctx);
-            check::CheckConfig ccfg;
-            ccfg.enforceCapacity = false; // report fit, don't fail it
             check::CheckResult r = plan.feasible
-                ? check::verifyPlan(*nc.net, plan, ctx, exec, ccfg)
+                ? check::verifyPlan(*nc.net, plan, ctx, exec)
                 : check::CheckResult{};
             if (!plan.feasible) {
                 r.add(check::DiagCode::Infeasible,

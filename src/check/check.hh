@@ -21,7 +21,10 @@
  * executes is checked once. The gate is on by default in Debug and
  * the default RelWithDebInfo (test) builds, one branch off in Release
  * (CMake sets VDNN_CHECK_OFF_BY_DEFAULT there); either way a caller
- * can force it per-executor through ExecutorConfig::check.
+ * can force it per-executor through ExecutorConfig::check. Every
+ * finding's severity is fixed by its code; the one capacity finding,
+ * ShareExceeded, is always a warning (a plan that outgrows its share
+ * meets an OOM at run time; it is not a defect of the plan).
  */
 
 #ifndef VDNN_CHECK_CHECK_HH
@@ -71,7 +74,7 @@ enum class DiagCode : std::uint8_t
     BadDmaScale,    ///< dmaScale outside (0, 1] / without compression
     StaticPlanTraffic, ///< static-allocation plan carries directives
     PriorityConflict,  ///< ambiguous/cyclic prefetch-priority ordering
-    ShareExceeded,  ///< provable peak residency exceeds the free share
+    ShareExceeded,  ///< provable peak exceeds the share (always a warning)
     // --- LedgerAuditor: serve-layer replay ------------------------------
     LedgerChain,    ///< reservedBefore does not chain from the last event
     LedgerNonZero,  ///< reserved/evicted ledger nonzero at drain
@@ -132,20 +135,13 @@ struct CheckResult
     void merge(const CheckResult &other);
 };
 
-/** Verification gate carried by ExecutorConfig. */
+/** Verification gate carried by ExecutorConfig: whether to verify,
+ *  never how (severities are fixed by DiagCode). */
 struct CheckConfig
 {
     /** Run the Executor's plan gate (PlanVerifier + ProgramVerifier)
      *  on every program it compiles; a failing plan panics. */
     bool verifyPlans = defaultEnabled();
-    /**
-     * Treat ShareExceeded as an error. Executors run with this false:
-     * a plan that outgrows its share is a capacity condition the
-     * runtime handles gracefully (OOM -> requeue), not a program bug —
-     * standalone verification (memory_timeline verify, tests) turns it
-     * on to prove admissibility.
-     */
-    bool enforceCapacity = false;
 
     /**
      * Build-type default: true in Debug and the default RelWithDebInfo

@@ -118,8 +118,7 @@ CheckResult
 verifyCompiledPlan(const net::Network &net, const MemoryPlan &plan,
                    const core::ExecutorConfig &cfg,
                    const core::IterationProgram &prog,
-                   const net::NetworkStats &stats, Bytes share,
-                   const CheckConfig &ccfg)
+                   const net::NetworkStats &stats, Bytes share)
 {
     CheckResult out;
     checkDirectives(net, plan, out);
@@ -130,9 +129,7 @@ verifyCompiledPlan(const net::Network &net, const MemoryPlan &plan,
         core::persistentFootprint(net, plan, stats).total();
     out.provablePeakBytes = out.persistentBytes + out.peakTransientBytes;
     if (out.provablePeakBytes > share) {
-        out.add(DiagCode::ShareExceeded,
-                ccfg.enforceCapacity ? Severity::Error
-                                     : Severity::Warning,
+        out.add(DiagCode::ShareExceeded, Severity::Warning,
                 strFormat("provable peak residency %lld B exceeds the "
                           "granted share %lld B (persistent %lld B + "
                           "transient peak %lld B)",
@@ -147,7 +144,7 @@ verifyCompiledPlan(const net::Network &net, const MemoryPlan &plan,
 CheckResult
 verifyPlan(const net::Network &net, const MemoryPlan &plan,
            const PlannerContext &ctx, const core::ExecutorConfig &cfg,
-           const CheckConfig &ccfg)
+           const CheckConfig & /*ccfg*/)
 {
     CheckResult out;
     VDNN_ASSERT(net.finalized(), "network must be finalized");
@@ -174,7 +171,7 @@ verifyPlan(const net::Network &net, const MemoryPlan &plan,
     dnn::CudnnSim cudnn(ctx.gpu);
     return verifyCompiledPlan(
         net, plan, cfg, core::IterationProgram::compile(net, plan, cfg),
-        net::NetworkStats(net, cudnn), ctx.capacity(), ccfg);
+        net::NetworkStats(net, cudnn), ctx.capacity());
 }
 
 } // namespace vdnn::check

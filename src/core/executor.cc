@@ -111,8 +111,7 @@ Executor::verifyGate(const char *when)
     // The share is what the plan may assume: the free pool plus what
     // this executor already holds (a re-plan keeps its persistent set).
     gate = check::verifyCompiledPlan(net, execPlan, cfg, prog, stats,
-                                     mm.pool().freeBytes() + persistentTotal,
-                                     cfg.check);
+                                     mm.pool().freeBytes() + persistentTotal);
     if (obs::MetricsRegistry *m = rt.telemetry().metrics) {
         m->counter("check.programs_verified").add();
         if (!gate.diags.empty())

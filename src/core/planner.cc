@@ -138,10 +138,10 @@ persistentFootprint(const net::Network &net, const MemoryPlan &plan,
     Bytes grad_managed = 0;
     Bytes workspace = 0;
     if (plan.staticAllocation) {
-        grad_managed = stats.peakGradientBytesScoped(Scope::Managed);
+        grad_managed = stats.peakGradientBytes(Scope::Managed);
         workspace = stats.maxWorkspaceBytes(plan.algos, false);
     }
-    Bytes grad_classifier = stats.peakGradientBytesScoped(Scope::Classifier);
+    Bytes grad_classifier = stats.peakGradientBytes(Scope::Classifier);
     fp.scratch = {{{"grad:shared", grad_managed, true},
                    {"grad:classifier", grad_classifier, false},
                    {"ws:shared", workspace, true}}};

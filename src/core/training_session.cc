@@ -281,7 +281,6 @@ Session::suspend()
     // a legal boundary (between ops, or parked on a Sync/Barrier
     // join); it simply stops receiving steps until resume().
     lifecycle = SessionState::Suspended;
-    ++suspends;
     traceLifecycle("suspend");
 }
 
@@ -315,7 +314,6 @@ Session::evictToHost()
                  Label::named("evict:", net.name()));
     ex->teardown();
     lifecycle = SessionState::Evicted;
-    ++evicts;
     traceLifecycle("evict-to-host");
     return true;
 }
@@ -399,7 +397,6 @@ Session::migrate(SharedGpu target)
         // the target's free share and recompiles the program there.
         bind(target);
         planResolved = false;
-        ++migrations;
         traceLifecycle("migrate-in");
     }
     return resume();
@@ -427,7 +424,6 @@ Session::replan()
         return false;
     }
     ex->adoptPlan(execPlan);
-    ++replans;
     traceLifecycle("replan");
     return true;
 }

@@ -307,12 +307,6 @@ class Session
     /** Bytes staged in pinned host memory while Evicted (else 0). */
     Bytes evictedBytes() const { return evictStage.size; }
 
-    /** Lifetime counts of lifecycle transitions (reporting). */
-    int suspendCount() const { return suspends; }
-    int evictCount() const { return evicts; }
-    int replanCount() const { return replans; }
-    int migrationCount() const { return migrations; }
-
     /** Device this session is homed on (0 on a single-GPU node). */
     int deviceId() const { return rt->deviceId(); }
 
@@ -382,10 +376,6 @@ class Session
 
     /** Pinned host staging of the persistent state while Evicted. */
     mem::HostAllocation evictStage;
-    int suspends = 0;
-    int evicts = 0;
-    int replans = 0;
-    int migrations = 0;
 };
 
 /** Run one complete experiment. */

@@ -128,7 +128,7 @@ MemoryPool::release(const Allocation &alloc)
 {
     const LiveBlock *blk = live.find(alloc.id);
     VDNN_ASSERT(blk, "%s: releasing unknown allocation id %lld (double "
-                "release, or a handle from before releaseAll())",
+                "or stale release)",
                 poolName.c_str(), (long long)alloc.id);
     Bytes offset = blk->offset;
     Bytes size = blk->size;
@@ -166,17 +166,6 @@ MemoryPool::release(const Allocation &alloc)
     notify();
 }
 
-void
-MemoryPool::releaseAll()
-{
-    live.clear();
-    freeBlocks.assign(1, FreeBlock{0, cap});
-    used = 0;
-    for (ClientUsage &cu : clients)
-        cu.used = 0;
-    notify();
-}
-
 Bytes
 MemoryPool::usedByClient(int client) const
 {
@@ -191,15 +180,6 @@ MemoryPool::peakByClient(int client) const
     return client >= 0 && std::size_t(client) < clients.size()
                ? clients[std::size_t(client)].peak
                : 0;
-}
-
-std::size_t
-MemoryPool::activeClients() const
-{
-    std::size_t n = 0;
-    for (const ClientUsage &cu : clients)
-        n += cu.used > 0 ? 1 : 0;
-    return n;
 }
 
 Bytes

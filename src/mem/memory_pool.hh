@@ -108,13 +108,9 @@ class MemoryPool
 
     /**
      * Return an allocation to the pool; coalesces with neighbours.
-     * Releasing a handle twice, or one issued before releaseAll(),
-     * panics.
+     * Releasing a handle twice panics.
      */
     void release(const Allocation &alloc);
-
-    /** Release every live allocation (between training iterations). */
-    void releaseAll();
 
     Bytes capacity() const { return cap; }
     Bytes usedBytes() const { return used; }
@@ -129,8 +125,6 @@ class MemoryPool
     Bytes usedByClient(int client) const;
     /** Peak bytes ever charged to @p client. */
     Bytes peakByClient(int client) const;
-    /** Number of clients with live allocations. */
-    std::size_t activeClients() const;
 
     const OomInfo &lastOom() const { return oom; }
     const std::string &name() const { return poolName; }

@@ -47,17 +47,10 @@ PinnedHostAllocator::release(const HostAllocation &alloc)
     const LiveBuffer *buf = live.find(alloc.id);
     VDNN_ASSERT(buf,
                 "releasing unknown host allocation id %lld (double "
-                "release, or a handle from before releaseAll())",
+                "or stale release)",
                 (long long)alloc.id);
     used -= buf->size;
     live.erase(alloc.id);
-}
-
-void
-PinnedHostAllocator::releaseAll()
-{
-    live.clear();
-    used = 0;
 }
 
 } // namespace vdnn::mem

@@ -48,9 +48,6 @@ class PinnedHostAllocator
     /** cudaFreeHost(). A double or stale release panics. */
     void release(const HostAllocation &alloc);
 
-    /** Free all buffers (between experiments). */
-    void releaseAll();
-
     Bytes capacity() const { return cap; }
     Bytes usedBytes() const { return used; }
     Bytes peakUsage() const { return peak; }

@@ -71,20 +71,6 @@ class SlotTable
         --count;
     }
 
-    /** Release every entry; every id issued so far goes stale. */
-    void
-    clear()
-    {
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            if (slots[i].live) {
-                slots[i].live = false;
-                ++slots[i].gen;
-                freeSlots.push_back(std::uint32_t(i));
-            }
-        }
-        count = 0;
-    }
-
     /** Number of live entries. */
     std::size_t size() const { return count; }
 

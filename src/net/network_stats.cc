@@ -61,14 +61,7 @@ NetworkStats::maxWorkspaceBytes(const AlgoAssignment &algos,
 }
 
 Bytes
-NetworkStats::peakGradientBytes(bool managed_only) const
-{
-    return peakGradientBytesScoped(managed_only ? GradScope::Managed
-                                                : GradScope::All);
-}
-
-Bytes
-NetworkStats::peakGradientBytesScoped(GradScope scope) const
+NetworkStats::peakGradientBytes(GradScope scope) const
 {
     // Replay backward propagation in reverse topological order with
     // on-demand gradient buffers: g(b) is allocated by the last consumer
@@ -145,7 +138,7 @@ NetworkStats::baselineBreakdown(const AlgoAssignment &algos) const
     b.weights += max_dw;
     for (BufferId i = 0; i < BufferId(net.numBuffers()); ++i)
         b.featureMaps += net.buffer(i).bytes();
-    b.gradientMaps = peakGradientBytes(false);
+    b.gradientMaps = peakGradientBytes(GradScope::All);
     b.workspace = maxWorkspaceBytes(algos, false);
     return b;
 }
@@ -169,7 +162,8 @@ NetworkStats::classifierBytes() const
     }
     // Classifier gradient maps: difference between full and managed
     // gradient peaks approximates the classifier-resident share.
-    total += peakGradientBytes(false) - peakGradientBytes(true);
+    total += peakGradientBytes(GradScope::All) -
+             peakGradientBytes(GradScope::Managed);
     return total;
 }
 
@@ -190,7 +184,7 @@ NetworkStats::managedBreakdown(const AlgoAssignment &algos) const
         if (!net.buffer(i).classifier)
             b.featureMaps += net.buffer(i).bytes();
     }
-    b.gradientMaps = peakGradientBytes(true);
+    b.gradientMaps = peakGradientBytes(GradScope::Managed);
     b.workspace = maxWorkspaceBytes(algos, true);
     return b;
 }

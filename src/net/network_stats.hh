@@ -97,13 +97,10 @@ class NetworkStats
     /**
      * Peak concurrent gradient-map bytes when gradient buffers are
      * allocated on demand and released as soon as their consumer
-     * finishes (the "minimally required number ... reused" policy).
-     * @param managed_only count only feature-extraction gradients
+     * finishes (the "minimally required number ... reused" policy),
+     * counting only the gradients @p scope selects.
      */
-    Bytes peakGradientBytes(bool managed_only = false) const;
-
-    /** peakGradientBytes with an explicit scope. */
-    Bytes peakGradientBytesScoped(GradScope scope) const;
+    Bytes peakGradientBytes(GradScope scope) const;
 
     /** Largest per-layer workspace requirement under @p algos. */
     Bytes maxWorkspaceBytes(const AlgoAssignment &algos,

@@ -10,9 +10,12 @@
  *   Queued -> Admitted/Running <-> Suspended(resident)
  *                                  <-> Evicted(host) -> Finished/Failed
  *
- * (suspend/evict/resume under SchedPolicy::PreemptivePriority);
- * JobRecord captures the timestamps the serving metrics (queueing
- * delay, job completion time) are computed from.
+ * (suspend/evict/resume under SchedPolicy::PreemptivePriority).
+ * Each Job carries one JobOutcome, its record: the scheduler keeps it
+ * live (Scheduler::setState is the one writer of its state, and runs
+ * the priority-aging clock), and the ServeReport copies it, so the
+ * serving metrics (queueing delay, job completion time, SLO
+ * attainment) read the very record the scheduler wrote.
  */
 
 #ifndef VDNN_SERVE_JOB_HH
@@ -92,51 +95,32 @@ struct JobSpec
     TimeNs sloJct = 0;
 };
 
-/** Scheduler-maintained lifecycle record of one job. */
-struct JobRecord
+/**
+ * One job's record: the scheduler keeps it live from submission and
+ * the report copies it (ServeReport::jobs), so each per-job fact has
+ * one definition. submit() sets the identity fields; the scheduler
+ * fills the rest as the job moves through its lifecycle, and the
+ * report adds configName, queueingDelay and completionTime.
+ */
+struct JobOutcome
 {
+    JobId id = -1;
+    std::string name;
+    /** Report only: the planner's name. The report formats it, so
+     *  submission (which perfbench's setup_s times) formats no string
+     *  per job. */
+    std::string configName;
+    /** Written only by the scheduler's one state routine. */
     JobState state = JobState::Pending;
+    int priority = 0;
+    TimeNs arrival = 0;
     TimeNs admitTime = kTimeNone;
-    /** First time an iteration of this job was dispatched. */
+    /** First iteration dispatch (preemption responsiveness metric). */
     TimeNs firstDispatchTime = kTimeNone;
+    /** Set when the job goes terminal (Finished, Failed, Rejected). */
     TimeNs finishTime = kTimeNone;
-    int itersDone = 0;
-    /** Times the job was torn down and requeued after an OOM abort. */
-    int oomRequeues = 0;
-    /** Times the job was preempted (suspend -> evict) by a
-     *  higher-priority arrival. */
-    int preemptions = 0;
-    /** Mid-run in-place re-plans (grow-back sweeps). */
-    int replans = 0;
-    /** Cross-device rebalance migrations. */
-    int migrations = 0;
-    /** Tenants this job preempted (evicted) to get admitted. Jobs
-     *  with a nonzero count contribute a preemption-latency sample
-     *  (arrival to first dispatch) to the report. */
-    int victimsPreempted = 0;
-    /**
-     * Priority-aging bookkeeping: wait accrued over completed
-     * Queued/Evicted spells, and the start of the current spell
-     * (kTimeNone while the job is running). The earned boost is
-     * *retained* while running — otherwise the next hostile arrival
-     * would instantly re-preempt a job that aged its way in, and the
-     * starvation aging exists to bound would continue.
-     */
-    TimeNs agedWait = 0;
-    TimeNs waitingSince = kTimeNone;
-    /** Device the job is homed on (-1 before first admission). */
-    int deviceId = -1;
-    /** Every device the job was placed on, in order. */
-    std::vector<int> placements;
-    std::string failReason;
-
-    Bytes persistentBytes = 0;
-    /** Peak bytes this tenant held in the shared pool(s). */
-    Bytes peakPoolBytes = 0;
-    Bytes offloadedBytes = 0;
-    /** Offload traffic accrued on devices the job has migrated off
-     *  (its live MemoryManager counts the current device only). */
-    Bytes offloadedBytesPrior = 0;
+    TimeNs queueingDelay = 0;  ///< report only: admitTime - arrival
+    TimeNs completionTime = 0; ///< report only: JCT; 0 unless Finished
     /**
      * Sum of the job's own iteration windows [start, end). Time the
      * job spends admitted with no iteration in flight — e.g. the
@@ -146,6 +130,42 @@ struct JobRecord
      * compute.
      */
     TimeNs serviceTime = 0;
+    /** Completed iterations. */
+    int iterations = 0;
+    /** Times the job was torn down and requeued after an OOM abort. */
+    int oomRequeues = 0;
+    /** Times the job was preempted (suspend -> evict) by a
+     *  higher-priority arrival. */
+    int preemptions = 0;
+    /** Mid-run in-place re-plans (grow-back sweeps). */
+    int replans = 0;
+    /** Always 0: the scheduler no longer pages buffers. Kept only
+     *  because the repository benchmark still reads it. */
+    int pageOuts = 0;
+    /** Tenants this job preempted (evicted) to get admitted. Jobs
+     *  with a nonzero count contribute a preemption-latency sample
+     *  (arrival to first dispatch) to the report. */
+    int victimsPreempted = 0;
+    /** Cross-device rebalance migrations. */
+    int migrations = 0;
+    /** Device the job is homed on (-1: never admitted). */
+    int device = -1;
+    /** Placement history: every device the job ran on, in order. */
+    std::vector<int> placements;
+    Bytes persistentBytes = 0;
+    /** Peak bytes this tenant held in the shared pool(s). */
+    Bytes peakPoolBytes = 0;
+    Bytes offloadedBytes = 0;
+    /** JCT service-level objective carried by the spec (0 = none). */
+    TimeNs sloJct = 0;
+    std::string failReason;
+
+    /** Finished within the SLO (false when none was set). */
+    bool sloMet() const
+    {
+        return sloJct > 0 && state == JobState::Finished &&
+               completionTime <= sloJct;
+    }
 };
 
 /**
@@ -169,8 +189,9 @@ struct FootprintEstimate
 struct Job
 {
     JobId id = -1;
+    /** The submitted request; submit() moves its name to the record. */
     JobSpec spec;
-    JobRecord record;
+    JobOutcome record;
     /** Live while Running / Suspended / Evicted. */
     std::unique_ptr<core::Session> session;
     /** Multiplier applied to the admission reservation; grows after
@@ -193,28 +214,19 @@ struct Job
     /** Entry sequence on its device's resident set: orders the ready
      *  list exactly like the resident set. */
     std::uint64_t runSeq = 0;
-
-    TimeNs queueingDelay() const
-    {
-        return record.admitTime == kTimeNone
-                   ? 0
-                   : record.admitTime - spec.arrival;
-    }
-
-    /** Job completion time (arrival to finish). */
-    TimeNs completionTime() const
-    {
-        return record.finishTime == kTimeNone
-                   ? 0
-                   : record.finishTime - spec.arrival;
-    }
-
-    bool done() const
-    {
-        return record.state == JobState::Finished ||
-               record.state == JobState::Failed ||
-               record.state == JobState::Rejected;
-    }
+    /**
+     * Priority-aging clock, run by the scheduler's state routine:
+     * wait accrued over completed Queued/Evicted spells, and the start
+     * of the current spell (kTimeNone outside one). The earned boost
+     * is *retained* while running — otherwise the next hostile arrival
+     * would instantly re-preempt a job that aged its way in, and the
+     * starvation aging exists to bound would continue.
+     */
+    TimeNs agedWait = 0;
+    TimeNs waitingSince = kTimeNone;
+    /** Offload traffic accrued on devices the job has migrated off
+     *  (its live MemoryManager counts the current device only). */
+    Bytes offloadedBytesPrior = 0;
 };
 
 /** FIFO admission queue of arrived jobs. */

@@ -84,6 +84,9 @@ Scheduler::DeviceCtx::DeviceCtx(int id_, gpu::Cluster &cluster_,
       track([this] { return this->dev->now(); }, cfg_.keepTimeline)
 {
     pool->setTracker(&track);
+    record.device = id;
+    record.gpuName = dev->spec().name;
+    record.poolCapacity = pool->capacity();
 }
 
 Scheduler::Scheduler(SchedulerConfig config)
@@ -165,14 +168,21 @@ Scheduler::submit(JobSpec spec)
     auto job = std::make_unique<Job>();
     job->id = JobId(jobs.size());
     job->spec = std::move(spec);
-    if (job->spec.name.empty())
-        job->spec.name = strFormat("job%d", job->id);
     // Default planner, resolved once here so admission and session
     // setup agree on the plan source.
     if (!job->spec.planner) {
         job->spec.planner = std::make_shared<core::OffloadAllPlanner>(
             core::AlgoPreference::MemoryOptimal);
     }
+    JobOutcome &rec = job->record;
+    rec.id = job->id;
+    // The name moves to the record, its one home.
+    rec.name.swap(job->spec.name);
+    if (rec.name.empty())
+        rec.name = strFormat("job%d", job->id);
+    rec.priority = job->spec.priority;
+    rec.arrival = job->spec.arrival;
+    rec.sloJct = job->spec.sloJct;
     jobs.push_back(std::move(job));
     estimates.resize(jobs.size() * devs.size());
     ++numPending;
@@ -213,21 +223,30 @@ Scheduler::collectArrivals()
                                 jobs[std::size_t(b)]->spec.arrival;
                      });
     for (JobId id : arrived) {
-        jobs[std::size_t(id)]->record.state = JobState::Queued;
-        // Aging clock: the wait began at submission, not collection.
-        jobs[std::size_t(id)]->record.waitingSince =
-            jobs[std::size_t(id)]->spec.arrival;
+        Job &job = *jobs[std::size_t(id)];
+        setState(job, JobState::Queued);
+        // Aging clock: the wait began at arrival, not collection.
+        job.waitingSince = job.spec.arrival;
         queue.push(id);
     }
 }
 
 void
-Scheduler::stopWaiting(Job &job)
+Scheduler::setState(Job &job, JobState s)
 {
-    if (job.record.waitingSince == kTimeNone)
-        return;
-    job.record.agedWait += cluster.now() - job.record.waitingSince;
-    job.record.waitingSince = kTimeNone;
+    TimeNs now = cluster.now();
+    if (job.waitingSince != kTimeNone) {
+        job.agedWait += now - job.waitingSince;
+        job.waitingSince = kTimeNone;
+    }
+    if (s == JobState::Queued || s == JobState::Evicted)
+        job.waitingSince = now;
+    if (s == JobState::Finished || s == JobState::Failed ||
+        s == JobState::Rejected) {
+        job.record.finishTime = now;
+        ++numTerminal;
+    }
+    job.record.state = s;
 }
 
 const FootprintEstimate &
@@ -262,11 +281,9 @@ Scheduler::effectivePriority(const Job &job, TimeNs now) const
 {
     double p = double(job.spec.priority);
     if (job.spec.agingRatePerSec > 0.0) {
-        TimeNs waited = job.record.agedWait;
-        if (job.record.waitingSince != kTimeNone &&
-            now > job.record.waitingSince) {
-            waited += now - job.record.waitingSince;
-        }
+        TimeNs waited = job.agedWait;
+        if (job.waitingSince != kTimeNone && now > job.waitingSince)
+            waited += now - job.waitingSince;
         p += job.spec.agingRatePerSec * toSeconds(waited);
     }
     return p;
@@ -305,18 +322,18 @@ Scheduler::tryAdmit(Job &job, const FootprintEstimate &est, DeviceCtx &d)
     job.record.persistentBytes =
         std::max(job.record.persistentBytes,
                  job.session->persistentBytes());
-    job.record.deviceId = d.id;
+    job.record.device = d.id;
     if (job.record.placements.empty() ||
         job.record.placements.back() != d.id) {
         job.record.placements.push_back(d.id);
     }
-    ++d.jobsPlaced;
+    ++d.record.jobsPlaced;
     enterRunning(job, d);
     logLifecycle(job.id, "admit", before, d.id);
     if (ctrAdmissions)
         ctrAdmissions->add();
     if (cfg.telemetry.tracing()) {
-        cfg.telemetry.trace->setThreadName(d.id, job.id, job.spec.name);
+        cfg.telemetry.trace->setThreadName(d.id, job.id, job.record.name);
         if (pendingPreemptFlow) {
             // Close the preemption arrow at its beneficiary: this
             // admission is what the eviction paid for.
@@ -343,14 +360,12 @@ Scheduler::backoffAfterSetupOom(Job &job, std::size_t queue_index)
     if (!give_up.empty()) {
         std::string why = job.record.failReason;
         queue.take(queue_index);
-        job.record.state = JobState::Failed;
-        ++numTerminal;
-        job.record.finishTime = cluster.now();
+        setState(job, JobState::Failed);
         job.record.failReason =
             "admission gave up after " + give_up + ": " + why;
         // Queued jobs hold no reservation: the ledger does not move.
         logLifecycle(job.id, "fail", reservedBytesTotal(),
-                     job.record.deviceId);
+                     job.record.device);
         return true; // taken from the queue, now terminal
     }
     return false;
@@ -376,8 +391,7 @@ Scheduler::stepOomBackoff(Job &job, const char *oom)
 void
 Scheduler::enterRunning(Job &job, DeviceCtx &d)
 {
-    job.record.state = JobState::Running;
-    stopWaiting(job);
+    setState(job, JobState::Running);
     d.running.push_back(job.id);
     // The only way a Running resident can come to outrank the
     // top-ranked in-flight tenant: topChallengerOn must rescan.
@@ -399,8 +413,8 @@ void
 Scheduler::removeFromRunning(JobId id)
 {
     Job &job = *jobs[std::size_t(id)];
-    VDNN_ASSERT(job.record.deviceId >= 0, "job %d has no device", id);
-    DeviceCtx &d = *devs[std::size_t(job.record.deviceId)];
+    VDNN_ASSERT(job.record.device >= 0, "job %d has no device", id);
+    DeviceCtx &d = *devs[std::size_t(job.record.device)];
     auto it = std::find(d.running.begin(), d.running.end(), id);
     VDNN_ASSERT(it != d.running.end(), "job %d not running", id);
     std::size_t idx = std::size_t(it - d.running.begin());
@@ -420,7 +434,7 @@ Scheduler::markReady(Job &job)
     if (job.ready)
         return;
     job.ready = true;
-    auto &ready = devs[std::size_t(job.record.deviceId)]->ready;
+    auto &ready = devs[std::size_t(job.record.device)]->ready;
     ready.insert(std::lower_bound(ready.begin(), ready.end(), job.runSeq),
                  {job.runSeq, job.id});
 }
@@ -431,7 +445,7 @@ Scheduler::leaveReady(Job &job)
     if (!job.ready)
         return;
     job.ready = false;
-    auto &ready = devs[std::size_t(job.record.deviceId)]->ready;
+    auto &ready = devs[std::size_t(job.record.device)]->ready;
     auto it = std::lower_bound(ready.begin(), ready.end(), job.runSeq);
     VDNN_ASSERT(it != ready.end() && it->id == job.id,
                 "job %d missing from the ready list", job.id);
@@ -445,11 +459,11 @@ Scheduler::finishJob(Job &job, JobState final_state,
     VDNN_ASSERT(jobStateLive(job.record.state),
                 "finishing job %d in state %s", job.id,
                 jobStateName(job.record.state));
-    DeviceCtx &d = *devs[std::size_t(job.record.deviceId)];
+    DeviceCtx &d = *devs[std::size_t(job.record.device)];
     Bytes before = reservedBytesTotal();
     job.record.peakPoolBytes = std::max(
         job.record.peakPoolBytes, d.pool->peakByClient(job.id));
-    job.record.offloadedBytes = job.record.offloadedBytesPrior +
+    job.record.offloadedBytes = job.offloadedBytesPrior +
                                 job.session->memory().offloadedBytes();
     job.session->teardown();
     job.session.reset();
@@ -468,12 +482,7 @@ Scheduler::finishJob(Job &job, JobState final_state,
         removeFromRunning(job.id);
     }
 
-    job.record.state = final_state;
-    if (final_state == JobState::Finished ||
-        final_state == JobState::Failed) {
-        ++numTerminal;
-    }
-    job.record.finishTime = cluster.now();
+    setState(job, final_state);
     job.record.failReason = why;
     logLifecycle(job.id,
                  final_state == JobState::Finished ? "finish"
@@ -481,7 +490,7 @@ Scheduler::finishJob(Job &job, JobState final_state,
                                                    : "fail",
                  before, d.id);
     if (final_state == JobState::Finished && jctAcc)
-        jctAcc->add(double(job.completionTime()) / 1e6);
+        jctAcc->add(double(job.record.finishTime - job.spec.arrival) / 1e6);
 
     // Freed capacity: evicted tenants may fit again, and survivors
     // whose planner supports it may grow their plans back.
@@ -503,9 +512,6 @@ Scheduler::evictForRequeue(Job &job)
         return;
     }
     finishJob(job, JobState::Queued, why);
-    // Not terminal: the finish timestamp belongs to real completion.
-    job.record.finishTime = kTimeNone;
-    job.record.waitingSince = cluster.now(); // aging resumes
     // Head of the queue: the job keeps its arrival-order priority.
     queue.pushFront(job.id);
 }
@@ -521,9 +527,9 @@ Scheduler::setParked(Job &job, bool parked)
         job.session->suspend();
     else
         job.session->resume();
-    job.record.state = parked ? JobState::Suspended : JobState::Running;
+    setState(job, parked ? JobState::Suspended : JobState::Running);
     logLifecycle(job.id, parked ? "suspend" : "resume", before,
-                 job.record.deviceId);
+                 job.record.device);
 }
 
 Job *
@@ -580,7 +586,7 @@ Scheduler::preempt(Job &victim)
                     victim.record.state == JobState::Suspended,
                 "preempting job %d in state %s", victim.id,
                 jobStateName(victim.record.state));
-    DeviceCtx &d = *devs[std::size_t(victim.record.deviceId)];
+    DeviceCtx &d = *devs[std::size_t(victim.record.device)];
     Bytes before = reservedBytesTotal();
     // An op-granularity dispatch preemption may already have parked
     // this victim resident (Suspended); eviction then just skips the
@@ -595,8 +601,7 @@ Scheduler::preempt(Job &victim)
     removeFromRunning(victim.id);
     admissionDirty = true;
     evictedJobs.push_back(victim.id);
-    victim.record.state = JobState::Evicted;
-    victim.record.waitingSince = cluster.now(); // aging resumes
+    setState(victim, JobState::Evicted);
     ++victim.record.preemptions;
     logLifecycle(victim.id, "evict", before, d.id);
     if (ctrPreemptions)
@@ -720,7 +725,7 @@ Scheduler::resumeEvictedSweep()
     });
     for (JobId id : order) {
         Job &job = *jobs[std::size_t(id)];
-        tryResumeOn(job, *devs[std::size_t(job.record.deviceId)]);
+        tryResumeOn(job, *devs[std::size_t(job.record.device)]);
     }
 }
 
@@ -779,7 +784,7 @@ Scheduler::recordInflight()
 void
 Scheduler::chargeIteration(Job &job, const core::IterationResult &r)
 {
-    ++job.record.itersDone;
+    ++job.record.iterations;
     // Service time is derived solely from the iteration's own
     // [start, end) window, never from scheduler wall time: host
     // advances between iterations — in particular advancing the device
@@ -859,9 +864,7 @@ Scheduler::admitQueued()
         }
         if (!feasible_somewhere) {
             queue.take(i);
-            job.record.state = JobState::Rejected;
-            ++numTerminal;
-            job.record.finishTime = cluster.now();
+            setState(job, JobState::Rejected);
             job.record.failReason = strFormat(
                 "reservation exceeds every device's capacity "
                 "(largest %s)",
@@ -922,9 +925,9 @@ Scheduler::pickNextOn(DeviceCtx &d)
         Job *best = nullptr;
         for (JobId id : d.running) {
             Job *j = jobs[std::size_t(id)].get();
-            int rem = j->spec.iterations - j->record.itersDone;
+            int rem = j->spec.iterations - j->record.iterations;
             if (!best ||
-                rem < best->spec.iterations - best->record.itersDone) {
+                rem < best->spec.iterations - best->record.iterations) {
                 best = j;
             }
         }
@@ -1032,11 +1035,11 @@ Scheduler::stepTenant(Job &job)
     }
     if (!st->finished())
         return true;
-    devs[std::size_t(job.record.deviceId)]->inFlight = -1;
+    devs[std::size_t(job.record.device)]->inFlight = -1;
     core::IterationResult r = job.session->completeIteration();
     if (r.ok) {
         chargeIteration(job, r);
-        if (job.record.itersDone >= job.spec.iterations)
+        if (job.record.iterations >= job.spec.iterations)
             finishJob(job, JobState::Finished);
     } else {
         // In-flight OOM: only this job's iteration aborts; it is torn
@@ -1158,8 +1161,8 @@ Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
     removeFromRunning(job.id);
     // Both outcomes move ledger entries across devices.
     admissionDirty = true;
-    ++src.migrationsOut;
-    job.record.state = JobState::Evicted;
+    ++src.record.migrationsOut;
+    setState(job, JobState::Evicted);
     logLifecycle(job.id, "migrate-out", before, src.id);
     // The migrate-out event above already accounted the source
     // release; the migrate/migrate-stall event below must chain from
@@ -1178,13 +1181,13 @@ Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
                 "job %d: target host share refused the staging "
                 "maybeRebalance's dry run sized",
                 job.id);
-    job.record.offloadedBytesPrior += src_offloaded;
+    job.offloadedBytesPrior += src_offloaded;
     job.record.peakPoolBytes = std::max(job.record.peakPoolBytes, src_peak);
-    job.record.deviceId = dst.id;
+    job.record.device = dst.id;
     job.record.placements.push_back(dst.id);
     ++job.record.migrations;
-    ++dst.migrationsIn;
-    ++dst.jobsPlaced;
+    ++dst.record.migrationsIn;
+    ++dst.record.jobsPlaced;
     if (ok) {
         enterRunning(job, dst);
     } else {
@@ -1201,7 +1204,7 @@ Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
     if (cfg.telemetry.tracing()) {
         if (ok) {
             cfg.telemetry.trace->setThreadName(dst.id, job.id,
-                                               job.spec.name);
+                                               job.record.name);
         }
         if (flow) {
             cfg.telemetry.trace->flowEnd(flow, dst.id, job.id, "sched",
@@ -1395,16 +1398,10 @@ Scheduler::buildReport()
         rep.reservedBytesAtEnd += d->admission.reservedBytes();
         rep.evictedLedgerAtEnd += d->admission.evictedCount();
 
-        DeviceOutcome out;
-        out.device = d->id;
-        out.gpuName = d->dev->spec().name;
-        out.poolCapacity = d->pool->capacity();
+        DeviceOutcome out = d->record;
         out.poolPeakBytes = d->track.peakBytes();
         out.poolAvgBytes = d->track.averageBytes();
         out.computeBusyTime = d->dev->computeBusyTime();
-        out.jobsPlaced = d->jobsPlaced;
-        out.migrationsIn = d->migrationsIn;
-        out.migrationsOut = d->migrationsOut;
         out.reservedAtEnd = d->admission.reservedBytes();
         out.evictedLedgerAtEnd = d->admission.evictedCount();
         rep.devices.push_back(std::move(out));
@@ -1419,43 +1416,20 @@ Scheduler::buildReport()
     TimeNs first_arrival = kTimeNone;
     TimeNs last_finish = 0;
     for (const auto &job : jobs) {
-        const JobRecord &rec = job->record;
-        JobOutcome out;
-        out.id = job->id;
-        out.name = job->spec.name;
+        JobOutcome out = job->record;
         out.configName = job->spec.planner->name();
-        out.state = rec.state;
-        out.priority = job->spec.priority;
-        out.arrival = job->spec.arrival;
-        out.admitTime = rec.admitTime;
-        out.firstDispatchTime = rec.firstDispatchTime;
-        out.finishTime = rec.finishTime;
-        out.queueingDelay = job->queueingDelay();
-        out.completionTime = rec.state == JobState::Finished
-                                 ? job->completionTime()
-                                 : 0;
-        out.serviceTime = rec.serviceTime;
-        out.iterations = rec.itersDone;
-        out.oomRequeues = rec.oomRequeues;
-        out.preemptions = rec.preemptions;
-        out.replans = rec.replans;
-        out.victimsPreempted = rec.victimsPreempted;
-        out.migrations = rec.migrations;
-        out.device = rec.deviceId;
-        out.placements = rec.placements;
-        out.persistentBytes = rec.persistentBytes;
-        out.peakPoolBytes = rec.peakPoolBytes;
-        out.offloadedBytes = rec.offloadedBytes;
-        out.sloJct = job->spec.sloJct;
-        out.failReason = rec.failReason;
+        if (out.admitTime != kTimeNone)
+            out.queueingDelay = out.admitTime - out.arrival;
+        if (out.state == JobState::Finished)
+            out.completionTime = out.finishTime - out.arrival;
         rep.jobs.push_back(std::move(out));
 
         if (first_arrival == kTimeNone ||
             job->spec.arrival < first_arrival) {
             first_arrival = job->spec.arrival;
         }
-        if (rec.finishTime != kTimeNone)
-            last_finish = std::max(last_finish, rec.finishTime);
+        if (job->record.finishTime != kTimeNone)
+            last_finish = std::max(last_finish, job->record.finishTime);
     }
     if (first_arrival != kTimeNone && last_finish > first_arrival)
         rep.makespan = last_finish - first_arrival;

@@ -54,6 +54,13 @@
  * effective priority grows with its wait, so a hostile stream of
  * high-priority arrivals cannot park a low-priority job forever.
  *
+ * Every change of a job's state goes through one routine, setState,
+ * which also runs the aging clock: the wait is the job's time in
+ * Queued (from arrival or a requeue) and Evicted (a preemption, a
+ * migration in progress or stalled) spells, whatever moved it there.
+ * The job's record (JobOutcome) is live from submission; the report
+ * copies it.
+ *
  * One event-driven engine serves every configuration with one
  * cadence: per turn it collects arrivals, reruns the one admission
  * sweep when a dirty flag says its inputs moved, then sweeps only the
@@ -281,9 +288,9 @@ class Scheduler
         /** Lowest device id with an identical spec: same-spec devices
          *  share one footprint-estimate slot per job. */
         int estimateSlot = 0;
-        int jobsPlaced = 0;
-        int migrationsIn = 0;
-        int migrationsOut = 0;
+        /** This device's report section, kept live: placements and
+         *  migrations are counted here as they happen. */
+        DeviceOutcome record;
 
         DeviceCtx(int id, gpu::Cluster &cluster,
                   const SchedulerConfig &cfg, bool overlap_transients);
@@ -316,10 +323,16 @@ class Scheduler
     /** Effective priority: static priority plus queue-wait aging
      *  (accrued while Queued/Evicted, retained while running). */
     double effectivePriority(const Job &job, TimeNs now) const;
-    /** Fold the current waiting spell into the job's aging clock. */
-    void stopWaiting(Job &job);
-    /** Put @p job on @p d's resident set as Running (aging stops,
-     *  the device is woken). */
+    /**
+     * The one writer of a job's state. It runs the aging clock:
+     * entering Queued or Evicted opens a waiting spell, leaving one
+     * banks it into Job::agedWait. Entering a terminal state (Finished,
+     * Failed, Rejected) stamps the finish time and counts the job
+     * terminal.
+     */
+    void setState(Job &job, JobState s);
+    /** Put @p job on @p d's resident set as Running (its waiting spell
+     *  ends, the device is woken). */
     void enterRunning(Job &job, DeviceCtx &d);
     /** Does exclusive packing bar @p d from taking another tenant?
      *  (An exclusive device holds at most one resident.) */

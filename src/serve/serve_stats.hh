@@ -2,10 +2,13 @@
  * @file
  * Serving metrics: the report the multi-tenant scheduler produces.
  *
- * Per job: queueing delay (arrival to admission) and job completion
- * time (arrival to finish). Aggregate: makespan, mean/p99 JCT, jobs
- * admitted concurrently (peak and time-weighted average), and the
- * shared pool occupancy (peak, time-weighted average, timeline).
+ * Per job: a copy of the scheduler's live record (JobOutcome in
+ * serve/job.hh) with queueing delay (arrival to admission) and job
+ * completion time (arrival to finish) filled in; per device, likewise
+ * a copy of the scheduler's live DeviceOutcome. Aggregate: makespan,
+ * mean/p99 JCT, jobs admitted concurrently (peak and time-weighted
+ * average), and the shared pool occupancy (peak, time-weighted
+ * average, timeline).
  */
 
 #ifndef VDNN_SERVE_SERVE_STATS_HH
@@ -21,53 +24,10 @@
 namespace vdnn::serve
 {
 
-/** Final per-job line of the report. */
-struct JobOutcome
-{
-    JobId id = -1;
-    std::string name;
-    std::string configName;
-    JobState state = JobState::Pending;
-    int priority = 0;
-    TimeNs arrival = 0;
-    TimeNs admitTime = kTimeNone;
-    /** First iteration dispatch (preemption responsiveness metric). */
-    TimeNs firstDispatchTime = kTimeNone;
-    TimeNs finishTime = kTimeNone;
-    TimeNs queueingDelay = 0;
-    TimeNs completionTime = 0; ///< JCT; 0 unless Finished
-    TimeNs serviceTime = 0;
-    int iterations = 0;
-    int oomRequeues = 0;
-    int preemptions = 0;
-    int replans = 0;
-    /** Always 0: the scheduler no longer pages buffers. Kept only
-     *  because the repository benchmark still reads it. */
-    int pageOuts = 0;
-    /** Tenants this job evicted to get admitted. */
-    int victimsPreempted = 0;
-    /** Cross-device rebalance migrations. */
-    int migrations = 0;
-    /** Device the job last ran on (-1: never admitted). */
-    int device = -1;
-    /** Placement history: every device the job ran on, in order. */
-    std::vector<int> placements;
-    Bytes persistentBytes = 0;
-    Bytes peakPoolBytes = 0;
-    Bytes offloadedBytes = 0;
-    /** JCT service-level objective carried by the spec (0 = none). */
-    TimeNs sloJct = 0;
-    std::string failReason;
-
-    /** Finished within the SLO (false when none was set). */
-    bool sloMet() const
-    {
-        return sloJct > 0 && state == JobState::Finished &&
-               completionTime <= sloJct;
-    }
-};
-
-/** Per-device section of a cluster report. */
+/** Per-device section of a cluster report. The scheduler keeps one
+ *  live per device (placements and migrations counted as they
+ *  happen); the report copies it and fills the pool, busy-time and
+ *  ledger fields. */
 struct DeviceOutcome
 {
     int device = -1;

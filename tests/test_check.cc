@@ -515,19 +515,13 @@ TEST(CheckSeededDefect, ExecutorGateRejectsBadDmaScaleAtConstruction)
                  "BadDmaScale");
 }
 
-TEST(CheckSeededDefect, OversubscribedShareRejectedWhenEnforced)
+TEST(CheckSeededDefect, OversubscribedShareWarns)
 {
     Golden g;
     PlannerContext tiny = PlannerContext::shared(
         gpu::titanXMaxwell(), Bytes(4096));
-    check::CheckConfig enforce;
-    enforce.enforceCapacity = true;
-    CheckResult r =
-        check::verifyPlan(*g.net, g.plan, tiny, g.cfg, enforce);
-    EXPECT_FALSE(r.ok());
-    EXPECT_TRUE(hasCode(r, DiagCode::ShareExceeded)) << r.report();
-
-    // The wired (runtime) default only warns: OOM-requeue handles it.
+    // A share too small is a capacity condition, not a plan defect:
+    // it only warns (the runtime meets it with an OOM and a requeue).
     CheckResult warned =
         check::verifyPlan(*g.net, g.plan, tiny, g.cfg);
     EXPECT_TRUE(warned.ok()) << warned.report();

@@ -65,8 +65,6 @@ TEST(Lifecycle, FreshSessionStateMachine)
     EXPECT_EQ(session.state(), SessionState::Active);
     session.teardown();
     EXPECT_EQ(session.state(), SessionState::Torn);
-    EXPECT_EQ(session.suspendCount(), 1);
-    EXPECT_EQ(session.evictCount(), 0);
 }
 
 TEST(Lifecycle, SuspendAtEveryBoundaryMatchesUninterruptedGolden)
@@ -144,7 +142,6 @@ TEST(Lifecycle, EvictRestoreBetweenIterationsPreservesIterations)
     SessionResult r = session.result();
     ASSERT_TRUE(r.trainable);
     EXPECT_EQ(session.iterationsDone(), 2);
-    EXPECT_EQ(session.evictCount(), 1);
     // Per-iteration behaviour is unchanged by the round trip: the
     // restored tenant re-plans to the same plan (same free share) and
     // the steady-state iteration reproduces the golden metrics.
@@ -226,7 +223,6 @@ TEST(Lifecycle, ReplanRefusedForCapacityIndependentPlanners)
     ASSERT_TRUE(session.setup());
     // vDNN_all advertises ReplanHint::Evict: no in-place swap.
     EXPECT_FALSE(session.replan());
-    EXPECT_EQ(session.replanCount(), 0);
     session.teardown();
 }
 
@@ -251,7 +247,6 @@ TEST(Lifecycle, DynamicTenantGrowsBackWhenTheShareFrees)
 
     pool.release(hog);
     ASSERT_TRUE(session.replan());
-    EXPECT_EQ(session.replanCount(), 1);
     EXPECT_EQ(session.plan().offloadCount(), 0); // grown back
     // The recompiled program runs under the new plan.
     core::IterationResult r = session.runIteration();

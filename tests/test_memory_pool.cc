@@ -147,18 +147,6 @@ TEST(MemoryPool, PeakTracksHighWaterMark)
     EXPECT_EQ(pool.usedBytes(), 0);
 }
 
-TEST(MemoryPool, ReleaseAllResets)
-{
-    MemoryPool pool(1_MiB);
-    pool.allocate(100_KiB);
-    pool.allocate(100_KiB);
-    pool.releaseAll();
-    EXPECT_EQ(pool.usedBytes(), 0);
-    EXPECT_EQ(pool.liveAllocations(), 0u);
-    EXPECT_EQ(pool.freeBlockCount(), 1u);
-    EXPECT_TRUE(pool.checkInvariants());
-}
-
 TEST(MemoryPoolDeath, DoubleReleasePanics)
 {
     MemoryPool pool(1_MiB);
@@ -181,18 +169,6 @@ TEST(MemoryPoolDeath, StaleHandleOfReusedSlotPanics)
     EXPECT_EQ(pool.usedBytes(), 0);
 }
 
-TEST(MemoryPoolDeath, HandleFromBeforeReleaseAllPanics)
-{
-    MemoryPool pool(1_MiB);
-    auto a = pool.allocate(64_KiB);
-    pool.releaseAll();
-    EXPECT_DEATH(pool.release(a), "unknown allocation");
-    // Still stale once its slot is live again.
-    auto b = pool.allocate(64_KiB);
-    EXPECT_DEATH(pool.release(a), "unknown allocation");
-    pool.release(b);
-    EXPECT_TRUE(pool.checkInvariants());
-}
 
 TEST(MemoryPoolDeath, NegativeClientPanics)
 {
@@ -588,16 +564,4 @@ TEST(PinnedHostDeath, StaleHandleOfReusedSlotPanics)
     EXPECT_DEATH(host.release(a), "unknown host allocation");
     host.release(b);
     EXPECT_EQ(host.usedBytes(), 0);
-}
-
-TEST(PinnedHostDeath, HandleFromBeforeReleaseAllPanics)
-{
-    PinnedHostAllocator host(1_GiB);
-    auto a = host.allocate(100_MiB);
-    host.releaseAll();
-    EXPECT_DEATH(host.release(a), "unknown host allocation");
-    auto b = host.allocate(100_MiB);
-    EXPECT_DEATH(host.release(a), "unknown host allocation");
-    host.release(b);
-    EXPECT_EQ(host.liveAllocations(), 0u);
 }

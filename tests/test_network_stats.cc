@@ -96,7 +96,7 @@ TEST_F(NetworkStatsTest, GradientPeakIsTwoMaxBuffersOnLinearNets)
     auto net = buildVgg16(64);
     NetworkStats ns(*net, cudnn);
     Bytes big = Bytes(64) * 64 * 224 * 224 * 4;
-    EXPECT_EQ(ns.peakGradientBytes(false), 2 * big);
+    EXPECT_EQ(ns.peakGradientBytes(NetworkStats::GradScope::All), 2 * big);
 }
 
 TEST_F(NetworkStatsTest, GradientScopesArePartitioned)
@@ -104,9 +104,9 @@ TEST_F(NetworkStatsTest, GradientScopesArePartitioned)
     auto net = buildAlexNet(128);
     NetworkStats ns(*net, cudnn);
     using Scope = NetworkStats::GradScope;
-    Bytes all = ns.peakGradientBytesScoped(Scope::All);
-    Bytes managed = ns.peakGradientBytesScoped(Scope::Managed);
-    Bytes classifier = ns.peakGradientBytesScoped(Scope::Classifier);
+    Bytes all = ns.peakGradientBytes(Scope::All);
+    Bytes managed = ns.peakGradientBytes(Scope::Managed);
+    Bytes classifier = ns.peakGradientBytes(Scope::Classifier);
     EXPECT_LE(managed, all);
     EXPECT_LE(classifier, all);
     EXPECT_GE(managed + classifier, all);
@@ -187,7 +187,7 @@ TEST_F(NetworkStatsTest, GoogLeNetGradientPeakHandlesForks)
     // the analysis must not underflow or explode.
     auto net = buildGoogLeNet(128);
     NetworkStats ns(*net, cudnn);
-    Bytes peak = ns.peakGradientBytes(false);
+    Bytes peak = ns.peakGradientBytes(NetworkStats::GradScope::All);
     EXPECT_GT(peak, 100_MiB);
     EXPECT_LT(peak, 2_GiB);
 }
