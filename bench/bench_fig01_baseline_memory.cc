@@ -26,8 +26,6 @@ namespace
 void
 report()
 {
-    dnn::CudnnSim cudnn(gpu::titanXMaxwell());
-
     stats::Table table("Figure 1: baseline (network-wide) memory "
                        "allocation and max layer-wise usage");
     table.setColumns({"network", "allocation (MB)", "max layer-wise (MB)",
@@ -42,7 +40,7 @@ report()
     const std::size_t conventional = net::conventionalSuite().size();
     for (const auto &entry : net::fullSuite()) {
         auto network = entry.build();
-        net::NetworkStats ns(*network, cudnn);
+        net::NetworkStats ns(*network);
         // The paper's allocation anchors (1.1 GB AlexNet) correspond to
         // the memory-optimal algorithm choice (no workspace).
         auto algos = net::memoryOptimalAlgos(*network);
@@ -93,7 +91,7 @@ main(int argc, char **argv)
         dnn::CudnnSim cudnn(gpu::titanXMaxwell());
         for (const auto &entry : net::fullSuite()) {
             auto network = entry.build();
-            net::NetworkStats ns(*network, cudnn);
+            net::NetworkStats ns(*network);
             auto algos = net::performanceOptimalAlgos(*network, cudnn);
             benchmark::DoNotOptimize(
                 ns.baselineBreakdown(algos).total());

@@ -37,7 +37,7 @@ report()
 
     for (const auto &entry : net::fullSuite()) {
         auto network = entry.build();
-        net::NetworkStats ns(*network, cudnn);
+        net::NetworkStats ns(*network);
         auto algos = net::performanceOptimalAlgos(*network, cudnn);
         auto full = ns.baselineBreakdown(algos);
         auto managed = ns.managedBreakdown(algos);
@@ -88,7 +88,7 @@ main(int argc, char **argv)
         dnn::CudnnSim cudnn(gpu::titanXMaxwell());
         for (const auto &entry : net::fullSuite()) {
             auto network = entry.build();
-            net::NetworkStats ns(*network, cudnn);
+            net::NetworkStats ns(*network);
             auto algos = net::performanceOptimalAlgos(*network, cudnn);
             benchmark::DoNotOptimize(ns.baselineBreakdown(algos).total());
         }

@@ -28,7 +28,7 @@ report()
 {
     dnn::CudnnSim cudnn(gpu::titanXMaxwell());
     auto network = net::buildVgg16(256);
-    net::NetworkStats ns(*network, cudnn);
+    net::NetworkStats ns(*network);
     auto algos = net::performanceOptimalAlgos(*network, cudnn);
 
     stats::Table table(
@@ -87,7 +87,7 @@ main(int argc, char **argv)
     registerSim("fig05/per_layer_analysis_vgg16_256", [] {
         dnn::CudnnSim cudnn(gpu::titanXMaxwell());
         auto network = net::buildVgg16(256);
-        net::NetworkStats ns(*network, cudnn);
+        net::NetworkStats ns(*network);
         auto algos = net::performanceOptimalAlgos(*network, cudnn);
         benchmark::DoNotOptimize(ns.perLayerForward(algos).size());
     });

@@ -48,7 +48,7 @@ report()
 
     for (std::size_t i = 0; i < nets.size(); ++i) {
         auto network = nets[i].build();
-        net::NetworkStats ns(*network, cudnn);
+        net::NetworkStats ns(*network);
         auto algos = net::performanceOptimalAlgos(*network, cudnn);
         double base_gb =
             double(ns.baselineBreakdown(algos).total()) / 1e9;

@@ -15,10 +15,13 @@
  *  - LedgerAuditor (check/ledger_auditor.hh): replayable checks over
  *    the serve layer's admission ledgers and LifecycleEvent log.
  *
- * The plan and program checks have one wired gate: the Executor runs
- * the PlanVerifier body on the very program it compiled (construction
- * and adoptPlan), so every plan a Session, a vDNN_dyn trial or a test
- * executes is checked once. The gate is on by default in Debug and
+ * The plan and program checks have one wired gate: the Executor checks
+ * the very program it runs (construction and adoptPlan), so every plan
+ * a Session, a vDNN_dyn trial or a test executes is checked. The
+ * PlanVerifier body runs once per distinct compiled plan (a
+ * core::CompiledPlan keeps its share-independent verdict, shared
+ * through a ProgramCache), and every gate run adds its own capacity
+ * step against its own share. The gate is on by default in Debug and
  * the default RelWithDebInfo (test) builds, one branch off in Release
  * (CMake sets VDNN_CHECK_OFF_BY_DEFAULT there); either way a caller
  * can force it per-executor through ExecutorConfig::check. Every

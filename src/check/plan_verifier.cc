@@ -2,9 +2,7 @@
 
 #include "check/program_verifier.hh"
 #include "common/logging.hh"
-#include "core/iteration_program.hh"
-#include "dnn/cudnn_sim.hh"
-#include "net/network_stats.hh"
+#include "core/program_cache.hh"
 
 #include <map>
 #include <utility>
@@ -118,27 +116,29 @@ CheckResult
 verifyCompiledPlan(const net::Network &net, const MemoryPlan &plan,
                    const core::ExecutorConfig &cfg,
                    const core::IterationProgram &prog,
-                   const net::NetworkStats &stats, Bytes share)
+                   const core::PersistentFootprint &footprint)
 {
     CheckResult out;
     checkDirectives(net, plan, out);
     checkPrefetchPriorities(net, plan, out);
     out.merge(verifyProgram(net, plan, cfg, prog));
-
-    out.persistentBytes =
-        core::persistentFootprint(net, plan, stats).total();
+    out.persistentBytes = footprint.total();
     out.provablePeakBytes = out.persistentBytes + out.peakTransientBytes;
-    if (out.provablePeakBytes > share) {
-        out.add(DiagCode::ShareExceeded, Severity::Warning,
-                strFormat("provable peak residency %lld B exceeds the "
-                          "granted share %lld B (persistent %lld B + "
-                          "transient peak %lld B)",
-                          (long long)out.provablePeakBytes,
-                          (long long)share,
-                          (long long)out.persistentBytes,
-                          (long long)out.peakTransientBytes));
-    }
     return out;
+}
+
+void
+checkShare(CheckResult &r, Bytes share)
+{
+    if (r.provablePeakBytes <= share)
+        return;
+    r.add(DiagCode::ShareExceeded, Severity::Warning,
+          strFormat("provable peak residency %lld B exceeds the granted "
+                    "share %lld B (persistent %lld B + transient peak "
+                    "%lld B)",
+                    (long long)r.provablePeakBytes, (long long)share,
+                    (long long)r.persistentBytes,
+                    (long long)r.peakTransientBytes));
 }
 
 CheckResult
@@ -168,10 +168,9 @@ verifyPlan(const net::Network &net, const MemoryPlan &plan,
         return out; // nothing below is well-defined
     }
 
-    dnn::CudnnSim cudnn(ctx.gpu);
-    return verifyCompiledPlan(
-        net, plan, cfg, core::IterationProgram::compile(net, plan, cfg),
-        net::NetworkStats(net, cudnn), ctx.capacity());
+    out = core::CompiledPlan(net, plan, cfg).verdict();
+    checkShare(out, ctx.capacity());
+    return out;
 }
 
 } // namespace vdnn::check

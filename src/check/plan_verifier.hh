@@ -27,10 +27,14 @@
  *    rounding is not included, so a measured peak can exceed the
  *    provable one by a few hundred bytes.
  *
- * verifyCompiledPlan() is the one body. The Executor runs it as its
- * gate on the program it will execute, against its pool's free bytes
- * plus the persistent bytes it already holds; verifyPlan() is the
- * standalone entry point that compiles first.
+ * verifyCompiledPlan() is the one body, and it reads no share: a
+ * core::CompiledPlan (core/program_cache.hh) runs it once per distinct
+ * plan and keeps the verdict. checkShare() is the capacity step, the
+ * only share-dependent finding; the Executor's gate copies the kept
+ * verdict and runs it against its pool's free bytes plus the
+ * persistent bytes it already holds, so every tenant gets its own
+ * ShareExceeded. verifyPlan() is the standalone entry point: it builds
+ * a private CompiledPlan and runs both.
  */
 
 #ifndef VDNN_CHECK_PLAN_VERIFIER_HH
@@ -41,14 +45,14 @@
 #include "core/iteration_program.hh"
 #include "core/planner.hh"
 #include "net/network.hh"
-#include "net/network_stats.hh"
 
 namespace vdnn::check
 {
 
 /**
- * Verify the feasible, network-shaped @p plan, already compiled under
- * @p cfg into @p prog, against @p share bytes. CheckResult carries
+ * The share-independent body: verify the feasible, network-shaped
+ * @p plan, already compiled under @p cfg into @p prog, whose
+ * persistent footprint is @p footprint. CheckResult carries
  * persistentBytes, peakTransientBytes and provablePeakBytes (their
  * sum) on return.
  */
@@ -56,15 +60,20 @@ CheckResult verifyCompiledPlan(const net::Network &net,
                                const core::MemoryPlan &plan,
                                const core::ExecutorConfig &cfg,
                                const core::IterationProgram &prog,
-                               const net::NetworkStats &stats, Bytes share);
+                               const core::PersistentFootprint &footprint);
+
+/** The capacity step: append ShareExceeded (a warning) to @p r when
+ *  its provable peak exceeds @p share bytes. */
+void checkShare(CheckResult &r, Bytes share);
 
 /**
  * Verify @p plan for @p net against the capacity granted by @p ctx:
  * reject an infeasible or misshapen plan, else compile it under @p cfg
- * and run verifyCompiledPlan(), so a passing plan is admissible *and*
- * compiles to a correct program. The CheckConfig argument is ignored
- * (a call always verifies); it stays only because the repository
- * benchmark passes one.
+ * into a private core::CompiledPlan and run verifyCompiledPlan() and
+ * checkShare(), so a passing plan is admissible *and* compiles to a
+ * correct program. The CheckConfig argument is ignored (a call always
+ * verifies); it stays only because the repository benchmark passes
+ * one.
  */
 CheckResult verifyPlan(const net::Network &net,
                        const core::MemoryPlan &plan,

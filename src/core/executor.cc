@@ -3,6 +3,7 @@
 #include "check/plan_verifier.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
+#include "core/program_cache.hh"
 
 namespace vdnn::core
 {
@@ -12,10 +13,11 @@ using gpu::CopyDir;
 
 Executor::Executor(const net::Network &net_, const dnn::CudnnSim &cudnn_,
                    gpu::Device &runtime, MemoryManager &mm_,
-                   const MemoryPlan &plan, ExecutorConfig config)
+                   const MemoryPlan &plan, ExecutorConfig config,
+                   ProgramCache *programs_)
     : net(net_), cudnn(cudnn_), rt(runtime), mm(mm_), execPlan(plan),
-      cfg(config), stats(net_, cudnn_),
-      prog(IterationProgram::compile(net_, plan, config)),
+      cfg(config), programs(programs_),
+      compiled(compiledPlan(programs_, net_, plan, config)),
       prefetchState(net_.numBuffers())
 {
     VDNN_ASSERT(net.finalized(), "network must be finalized");
@@ -103,17 +105,27 @@ Executor::rebuildDispatchPlan()
     }
 }
 
+const IterationProgram &
+Executor::program() const
+{
+    return compiled->program();
+}
+
 void
 Executor::verifyGate(const char *when)
 {
     if (!cfg.check.verifyPlans)
         return;
-    // The share is what the plan may assume: the free pool plus what
-    // this executor already holds (a re-plan keeps its persistent set).
-    gate = check::verifyCompiledPlan(net, execPlan, cfg, prog, stats,
-                                     mm.pool().freeBytes() + persistentTotal);
+    // One verifier run per entry; every gate run judges the verdict
+    // against its own share: the free pool plus what this executor
+    // already holds (a re-plan keeps its persistent set).
+    const bool hit = compiled->verified();
+    gate = compiled->verdict();
+    check::checkShare(gate, mm.pool().freeBytes() + persistentTotal);
     if (obs::MetricsRegistry *m = rt.telemetry().metrics) {
-        m->counter("check.programs_verified").add();
+        m->counter(hit ? "check.program_cache_hits"
+                       : "check.programs_verified")
+            .add();
         if (!gate.diags.empty())
             m->counter("check.findings").add(double(gate.diags.size()));
     }
@@ -146,7 +158,7 @@ bool
 Executor::setup()
 {
     VDNN_ASSERT(!setupDone, "setup() called twice");
-    const PersistentFootprint fp = persistentFootprint(net, execPlan, stats);
+    const PersistentFootprint &fp = compiled->footprint();
 
     // Weights: W per layer, resident for the whole run, plus one shared
     // dW per region (updates applied in place, Section IV-A).
@@ -249,7 +261,7 @@ Executor::adoptPlan(const MemoryPlan &plan)
                     plan.buffers.size() == net.numBuffers(),
                 "adopted plan does not match the network");
     execPlan = plan;
-    prog = IterationProgram::compile(net, execPlan, cfg);
+    compiled = compiledPlan(programs, net, execPlan, cfg);
     rebuildDispatchPlan();
     verifyGate("adopt-plan");
 }
@@ -471,7 +483,8 @@ IterationStepper::cancel()
 const IterOp *
 IterationStepper::nextOp() const
 {
-    return pcIndex < ex.prog.ops.size() ? &ex.prog.ops[pcIndex] : nullptr;
+    const std::vector<IterOp> &ops = ex.compiled->program().ops;
+    return pcIndex < ops.size() ? &ops[pcIndex] : nullptr;
 }
 
 IterationStepper::Status
@@ -854,9 +867,9 @@ IterationStepper::step()
 {
     if (finished())
         return st;
-    VDNN_ASSERT(pcIndex < ex.prog.ops.size(),
-                "stepper ran off the program");
-    const IterOp &op = ex.prog.ops[pcIndex];
+    const std::vector<IterOp> &ops = ex.compiled->program().ops;
+    VDNN_ASSERT(pcIndex < ops.size(), "stepper ran off the program");
+    const IterOp &op = ops[pcIndex];
 
     // Entering a new (layer, phase) group: take the timestamp the
     // monolithic loop captured at forwardLayer/backwardLayer entry.

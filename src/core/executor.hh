@@ -3,11 +3,11 @@
  * The vDNN training-iteration executor (Sections III-A and III-B),
  * decomposed into a compile-then-step architecture.
  *
- * The Executor compiles one IterationProgram — an explicit op stream
- * of Alloc / Kernel / Offload / OnDemandFetch / Prefetch / Sync /
- * Release steps (core/iteration_program.hh) — from its (Network,
- * MemoryPlan, ExecutorConfig) triple, and executes it on the simulated
- * CUDA runtime with two streams, exactly as the paper's prototype:
+ * The Executor runs one IterationProgram — an explicit op stream of
+ * Alloc / Kernel / Offload / OnDemandFetch / Prefetch / Sync / Release
+ * steps (core/iteration_program.hh) — compiled from its (Network,
+ * MemoryPlan, ExecutorConfig) triple, on the simulated CUDA runtime
+ * with two streams, exactly as the paper's prototype:
  *
  *  - stream_compute sequences all layer kernels (cuDNN / cuBLAS);
  *  - stream_memory performs offload (D2H) and prefetch (H2D) DMAs.
@@ -32,13 +32,22 @@
  * traffic. The executor consumes only the MemoryPlan's per-buffer
  * directives — it never consults a policy enum.
  *
- * The Executor is the one verification gate (src/check/): where it
- * compiles — construction and adoptPlan() — it runs the PlanVerifier,
- * ProgramVerifier included, on the very program it will execute,
- * against its pool's free bytes plus the persistent bytes it already
- * holds, and panics on any error. A Session's plans, vDNN_dyn's
- * profiling trials and directly built executors are all checked there,
- * each plan once.
+ * The program is not the Executor's own: it takes a shared
+ * CompiledPlan (core/program_cache.hh) — program, persistent footprint
+ * and verdict — from the ProgramCache it is given, so executors of the
+ * same plan compile it once, or builds a private one when it has no
+ * cache.
+ *
+ * The Executor is the one verification gate (src/check/): wherever it
+ * takes a program — construction and adoptPlan() — it checks the very
+ * program it will execute. It copies the entry's share-independent
+ * verdict (the PlanVerifier body, ProgramVerifier included, run on the
+ * entry's first verified use) and runs the capacity step against its
+ * pool's free bytes plus the persistent bytes it already holds, so
+ * every tenant gets its own ShareExceeded, and it panics on any error,
+ * on every use of a bad entry. A Session's plans, vDNN_dyn's profiling
+ * trials and directly built executors are all checked there; each
+ * distinct plan is verified once per cache.
  *
  * Execution is driven by an IterationStepper: a resumable cursor over
  * the program. A Sync op (and the Barrier / EndIteration drains)
@@ -71,7 +80,6 @@
 #include "dnn/cudnn_sim.hh"
 #include "gpu/device.hh"
 #include "net/network.hh"
-#include "net/network_stats.hh"
 
 #include <cstdint>
 #include <memory>
@@ -218,7 +226,9 @@ struct ExecBufferPlan
     bool classifier = false;
 };
 
+class CompiledPlan;
 class Executor;
+class ProgramCache;
 
 /**
  * A resumable cursor over an Executor's IterationProgram.
@@ -327,9 +337,12 @@ class IterationStepper
 class Executor
 {
   public:
+    /** Run @p plan; take its program from @p programs when set, else
+     *  compile a private one (compiledPlan()). */
     Executor(const net::Network &net, const dnn::CudnnSim &cudnn,
              gpu::Device &runtime, MemoryManager &mm,
-             const MemoryPlan &plan, ExecutorConfig config = {});
+             const MemoryPlan &plan, ExecutorConfig config = {},
+             ProgramCache *programs = nullptr);
 
     /**
      * Allocate the persistent state: weights, the shared dW buffer, the
@@ -384,8 +397,8 @@ class Executor
      * (mid-run re-planning). Requires no iteration in flight and a
      * plan of the same allocation style (the persistent set — weights,
      * dW, classifier block — is identical across layer-wise plans, so
-     * only the directives/algorithms and the recompiled
-     * IterationProgram change).
+     * only the directives/algorithms and the IterationProgram change;
+     * the program comes from the same cache as the constructor's).
      */
     void adoptPlan(const MemoryPlan &plan);
 
@@ -398,7 +411,7 @@ class Executor
     const MemoryPlan &plan() const { return execPlan; }
 
     /** The compiled op stream every iteration executes. */
-    const IterationProgram &program() const { return prog; }
+    const IterationProgram &program() const;
 
     /** Findings of the last gate run (empty when verification is off). */
     const check::CheckResult &checkResult() const { return gate; }
@@ -407,9 +420,10 @@ class Executor
     friend class IterationStepper;
 
     /**
-     * The verification gate: when cfg.check.verifyPlans, verify
-     * execPlan on prog (check::verifyCompiledPlan) against the pool's
-     * free bytes plus persistentTotal; panic on any error.
+     * The verification gate: when cfg.check.verifyPlans, copy the
+     * entry's verdict (verifying it on first use) and run the capacity
+     * step (check::checkShare) against the pool's free bytes plus
+     * persistentTotal; panic on any error.
      */
     void verifyGate(const char *when);
 
@@ -457,8 +471,10 @@ class Executor
     MemoryManager &mm;
     MemoryPlan execPlan;
     ExecutorConfig cfg;
-    net::NetworkStats stats;
-    IterationProgram prog;
+    /** Where the program comes from (null: private entries). */
+    ProgramCache *programs = nullptr;
+    /** The plan's program, footprint and verdict, maybe shared. */
+    std::shared_ptr<const CompiledPlan> compiled;
     check::CheckResult gate;
 
     gpu::StreamId streamCompute = -1;

@@ -8,7 +8,7 @@
  * all-or-nothing unit: an external scheduler could interleave tenants
  * only at iteration granularity, and the compute engine idled through
  * every tenant's DMA stalls. This IR decomposes the iteration into an
- * explicit op stream compiled once from (Network, MemoryPlan,
+ * explicit op stream compiled once per distinct (Network, MemoryPlan,
  * ExecutorConfig):
  *
  *   BeginIteration                          reset state, input batch
@@ -53,8 +53,8 @@
  * boundary — the substrate the serve layer's PackedOverlap policy uses
  * to run tenant B's compute under tenant A's DMAs, and that the
  * session lifecycle state machine builds on: mid-run re-planning
- * (Session::replan / resume-after-evict) swaps a freshly compiled
- * program in at an iteration boundary.
+ * (Session::replan / resume-after-evict) swaps the new plan's program
+ * in at an iteration boundary.
  */
 
 #ifndef VDNN_CORE_ITERATION_PROGRAM_HH
@@ -112,8 +112,9 @@ struct IterOp
 
 /**
  * The compiled op stream. Immutable once compiled; one program drives
- * every iteration of an Executor (the plan and config are fixed for
- * the executor's lifetime).
+ * every iteration of every Executor that runs the same (network, plan,
+ * config): a core::CompiledPlan (core/program_cache.hh) holds it, and
+ * executors share it through a ProgramCache.
  */
 struct IterationProgram
 {

@@ -10,7 +10,7 @@ MemoryManager::MemoryManager(gpu::Device &device, mem::MemoryPool &pool,
                              bool keep_timeline)
     : dev(device), gpuPool(pool), hostAlloc(host), client(client_id)
 {
-    auto clock = [this] { return dev.now(); };
+    const TimeNs *clock = dev.clock().timeSource();
     totalTrack = std::make_unique<mem::UsageTracker>(clock, keep_timeline);
     managedTrack =
         std::make_unique<mem::UsageTracker>(clock, keep_timeline);

@@ -115,10 +115,10 @@ offloadEligible(const net::Network &net, net::BufferId buffer)
 }
 
 PersistentFootprint
-persistentFootprint(const net::Network &net, const MemoryPlan &plan,
-                    const net::NetworkStats &stats)
+persistentFootprint(const net::Network &net, const MemoryPlan &plan)
 {
     using Scope = net::NetworkStats::GradScope;
+    const net::NetworkStats stats(net);
     PersistentFootprint fp;
     Bytes dw_managed = 0;
     Bytes dw_classifier = 0;

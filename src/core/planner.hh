@@ -108,6 +108,8 @@ struct BufferDirective
     int prefetchPriority = 0;
 
     bool offloaded() const { return action == Action::Offload; }
+
+    bool operator==(const BufferDirective &) const = default;
 };
 
 /**
@@ -334,7 +336,8 @@ struct PersistentRegion
  * feature maps materialized at setup (the classifier block; every map
  * under network-wide static allocation, Section II-C) and the shared
  * regions below. Executor::setup() allocates exactly this; admission
- * and the PlanVerifier charge its total().
+ * and the PlanVerifier charge its total(). A CompiledPlan
+ * (core/program_cache.hh) computes it once per distinct plan.
  */
 struct PersistentFootprint
 {
@@ -358,9 +361,10 @@ struct PersistentFootprint
     }
 };
 
+/** The persistent footprint of @p plan: a function of the graph, the
+ *  allocation style and the algorithms, not of the device. */
 PersistentFootprint persistentFootprint(const net::Network &net,
-                                        const MemoryPlan &plan,
-                                        const net::NetworkStats &stats);
+                                        const MemoryPlan &plan);
 
 // --- concrete planners -------------------------------------------------------
 

@@ -89,6 +89,7 @@ Session::bind(SharedGpu gpu)
     VDNN_ASSERT(gpu.runtime && gpu.pool && gpu.host,
                 "SharedGpu handles must all be set");
     rt = gpu.runtime;
+    programs = gpu.programs;
     spec = rt->spec();
     cudnn = std::make_unique<dnn::CudnnSim>(spec);
     mm = std::make_unique<MemoryManager>(*rt, *gpu.pool, *gpu.host,
@@ -200,7 +201,7 @@ Session::setup()
     if (!resolvePlan())
         return false;
     ex = std::make_unique<Executor>(net, *cudnn, *rt, *mm, execPlan,
-                                    config.exec);
+                                    config.exec, programs);
     if (!ex->setup()) {
         failed = true;
         failure = strFormat(
@@ -333,7 +334,7 @@ Session::resume()
 
     // Re-plan before restoring: the planner sees the *current* free
     // share, so the tenant may come back under a different plan (the
-    // IterationProgram is recompiled by the fresh Executor).
+    // fresh Executor takes that plan's IterationProgram).
     Bytes staged = evictStage.size;
     MemoryPlan old_plan = std::move(execPlan);
     planResolved = false;
@@ -343,7 +344,7 @@ Session::resume()
     }
 
     auto fresh = std::make_unique<Executor>(net, *cudnn, *rt, *mm,
-                                            execPlan, config.exec);
+                                            execPlan, config.exec, programs);
     if (!fresh->setup()) {
         // The pool cannot hold the rebuilt persistent state yet.
         failure = strFormat(
@@ -394,7 +395,7 @@ Session::migrate(SharedGpu target)
         // Re-home the runtime handles: target device spec (the node
         // may be heterogeneous), its perf model, its pool and host
         // share. The plan is invalidated so resume() re-plans against
-        // the target's free share and recompiles the program there.
+        // the target's free share and takes its program there.
         bind(target);
         planResolved = false;
         traceLifecycle("migrate-in");

@@ -33,8 +33,8 @@
  *    executor is torn down.
  *  - resume() re-activates. From Evicted it first *re-plans* against
  *    a fresh PlannerContext carrying the current free share, rebuilds
- *    the executor (recompiling the IterationProgram) and restores the
- *    persistent state over PCIe — so a resumed tenant may come back
+ *    the executor around the new plan's IterationProgram and restores
+ *    the persistent state over PCIe — so a resumed tenant may come back
  *    under a smaller (or larger) plan than it left with.
  *  - replan() swaps the plan in place at an iteration boundary
  *    without releasing the device share; only planners advertising
@@ -47,7 +47,9 @@
  * The Session does no verification of its own: every plan it resolves
  * (setup, resume-after-evict, in-place replan, migrate) reaches an
  * Executor, whose gate checks it on the compiled program against the
- * same share plannerContext() granted (core/executor.hh).
+ * same share plannerContext() granted (core/executor.hh). A serve-layer
+ * tenant's executors take their programs from the cache its SharedGpu
+ * carries; a Session run alone compiles private ones.
  */
 
 #ifndef VDNN_CORE_TRAINING_SESSION_HH
@@ -145,9 +147,9 @@ struct SessionResult
 
 /**
  * One tenant's handles on a cluster device: the device, its pool and
- * its pinned-host share. All pointers must outlive the Session;
- * allocations are charged to @p clientId in the pool's per-tenant
- * accounting.
+ * its pinned-host share, plus the serving engine's program cache when
+ * there is one. All pointers must outlive the Session; allocations are
+ * charged to @p clientId in the pool's per-tenant accounting.
  */
 struct SharedGpu
 {
@@ -155,6 +157,8 @@ struct SharedGpu
     mem::MemoryPool *pool = nullptr;
     mem::PinnedHostAllocator *host = nullptr;
     int clientId = 0;
+    /** Shared by the cluster's tenants; null: private programs. */
+    ProgramCache *programs = nullptr;
 };
 
 /** Client @p client's handles on device @p device of @p cluster. */
@@ -265,7 +269,7 @@ class Session
      * (Suspended -> Active). From Evicted it re-plans first: the
      * planner runs against a fresh PlannerContext carrying the
      * *current* free share, the executor is rebuilt around the new
-     * plan (recompiling the IterationProgram at the iteration
+     * plan (taking its IterationProgram at the iteration
      * boundary), the persistent state is restored over PCIe and the
      * staging buffer is released. @return false (still Evicted) when
      * the new plan is infeasible or the pool cannot hold the rebuilt
@@ -358,6 +362,8 @@ class Session
     std::unique_ptr<dnn::CudnnSim> cudnn;
     std::unique_ptr<MemoryManager> mm;
     gpu::Device *rt = nullptr;
+    /** The executors' program cache (SharedGpu::programs). */
+    ProgramCache *programs = nullptr;
 
     MemoryPlan execPlan;
     std::vector<TrialRecord> trials;

@@ -7,9 +7,8 @@
 namespace vdnn::mem
 {
 
-UsageTracker::UsageTracker(std::function<TimeNs()> clock_,
-                           bool keep_timeline)
-    : clock(std::move(clock_)), tw(keep_timeline)
+UsageTracker::UsageTracker(const TimeNs *clock_, bool keep_timeline)
+    : clock(clock_), tw(keep_timeline)
 {
     VDNN_ASSERT(clock != nullptr, "usage tracker needs a clock");
 }
@@ -17,13 +16,13 @@ UsageTracker::UsageTracker(std::function<TimeNs()> clock_,
 void
 UsageTracker::onUsage(Bytes current)
 {
-    tw.record(clock(), double(current));
+    tw.record(*clock, double(current));
 }
 
 void
 UsageTracker::finish()
 {
-    tw.finish(clock());
+    tw.finish(*clock);
 }
 
 Bytes

@@ -4,8 +4,10 @@
  *
  * Binds a memory pool's usage counter to the simulated clock so that
  * peak and *time-weighted average* usage (the metrics of Figs. 11/15)
- * can be computed. The clock is injected as a callback so the mem
- * library does not depend on the GPU runtime.
+ * can be computed. The clock is read through a pointer to the
+ * simulated time (sim::EventQueue::timeSource()), so the mem library
+ * depends on neither the GPU runtime nor the simulator, and the read
+ * on every pool allocation and release is one load, not a call.
  */
 
 #ifndef VDNN_MEM_USAGE_TRACKER_HH
@@ -14,8 +16,6 @@
 #include "common/types.hh"
 #include "stats/time_weighted.hh"
 
-#include <functional>
-
 namespace vdnn::mem
 {
 
@@ -23,11 +23,11 @@ class UsageTracker
 {
   public:
     /**
-     * @param clock        returns the current simulated time
+     * @param clock        the current simulated time; must outlive
+     *                      the tracker
      * @param keep_timeline keep all change points (for timeline dumps)
      */
-    explicit UsageTracker(std::function<TimeNs()> clock,
-                          bool keep_timeline = false);
+    explicit UsageTracker(const TimeNs *clock, bool keep_timeline = false);
 
     /** Record that usage is now @p current bytes. */
     void onUsage(Bytes current);
@@ -44,7 +44,7 @@ class UsageTracker
     const stats::TimeWeighted &signal() const { return tw; }
 
   private:
-    std::function<TimeNs()> clock;
+    const TimeNs *clock;
     stats::TimeWeighted tw;
 };
 

@@ -30,8 +30,7 @@ performanceOptimalAlgos(const Network &net, const dnn::CudnnSim &cudnn)
     return algos;
 }
 
-NetworkStats::NetworkStats(const Network &net_, const dnn::CudnnSim &cudnn_)
-    : net(net_), cudnn(cudnn_)
+NetworkStats::NetworkStats(const Network &net_) : net(net_)
 {
     VDNN_ASSERT(net.finalized(), "network must be finalized");
 }

@@ -79,7 +79,9 @@ struct LayerMemoryRow
 class NetworkStats
 {
   public:
-    NetworkStats(const Network &net, const dnn::CudnnSim &cudnn);
+    /** Every figure here depends on the graph and the algorithm
+     *  assignment alone, never on a device's perf model. */
+    explicit NetworkStats(const Network &net);
 
     /** Full-network baseline breakdown under @p algos. */
     MemoryBreakdown baselineBreakdown(const AlgoAssignment &algos) const;
@@ -123,7 +125,6 @@ class NetworkStats
     Bytes layerWorkspace(LayerId id, const AlgoAssignment &algos) const;
 
     const Network &net;
-    const dnn::CudnnSim &cudnn;
 };
 
 } // namespace vdnn::net

@@ -1,9 +1,7 @@
 #include "serve/admission.hh"
 
-#include "check/program_verifier.hh"
 #include "common/logging.hh"
-#include "core/iteration_program.hh"
-#include "net/network_stats.hh"
+#include "core/program_cache.hh"
 
 #include <algorithm>
 #include <cmath>
@@ -12,8 +10,8 @@ namespace vdnn::serve
 {
 
 FootprintEstimate
-estimateFootprint(const net::Network &net, const dnn::CudnnSim &cudnn,
-                  const core::MemoryPlan &plan)
+estimateFootprint(const net::Network &net, const core::MemoryPlan &plan,
+                  core::ProgramCache *programs)
 {
     VDNN_ASSERT(net.finalized(), "network must be finalized");
     VDNN_ASSERT(plan.buffers.size() == net.numBuffers() &&
@@ -25,17 +23,11 @@ estimateFootprint(const net::Network &net, const dnn::CudnnSim &cudnn,
     // reserve is the program's peak with prefetching off.
     core::ExecutorConfig cfg;
     cfg.prefetchEnabled = false;
-    check::CheckResult r = check::verifyProgram(
-        net, plan, cfg, core::IterationProgram::compile(net, plan, cfg));
+    auto entry = core::compiledPlan(programs, net, plan, cfg);
+    const check::CheckResult &r = entry->verdict();
     VDNN_ASSERT(r.ok(), "admission plan fails verification:\n%s",
                 r.report().c_str());
-
-    FootprintEstimate est;
-    est.persistent =
-        core::persistentFootprint(net, plan, net::NetworkStats(net, cudnn))
-            .total();
-    est.transient = r.peakTransientBytes;
-    return est;
+    return {entry->footprint().total(), r.peakTransientBytes};
 }
 
 AdmissionController::AdmissionController(Bytes capacity, double safety_,

@@ -16,9 +16,12 @@
  *    evicts them whenever a mandatory allocation needs the space.
  *
  * Both numbers are read off the plan statically, before the job ever
- * runs, and a reservation is never revised afterwards: the first
- * iteration's measured footprint (obs::ProfiledFootprint) is an
- * observation, not an admission input.
+ * runs, from the plan's prefetch-off CompiledPlan
+ * (core/program_cache.hh): a serving engine takes it from the same
+ * ProgramCache its tenants' executors use, so each distinct admission
+ * plan is compiled and verified once. A reservation is never revised
+ * afterwards: the first iteration's measured footprint
+ * (obs::ProfiledFootprint) is an observation, not an admission input.
  *
  * Because the scheduler interleaves tenants at *iteration*
  * granularity, at most one tenant's transient working set is live at
@@ -51,7 +54,7 @@
 #define VDNN_SERVE_ADMISSION_HH
 
 #include "core/planner.hh"
-#include "dnn/cudnn_sim.hh"
+#include "core/program_cache.hh"
 #include "net/network.hh"
 #include "serve/job.hh"
 
@@ -67,11 +70,12 @@ namespace vdnn::serve
  * core::persistentFootprint plus the ProgramVerifier's provable
  * transient peak of @p plan compiled with prefetching off (a
  * static-allocation plan holds everything persistently, so its
- * transient term is zero).
+ * transient term is zero). Both come from the prefetch-off entry of
+ * @p programs when set, else from a private one.
  */
 FootprintEstimate estimateFootprint(const net::Network &net,
-                                    const dnn::CudnnSim &cudnn,
-                                    const core::MemoryPlan &plan);
+                                    const core::MemoryPlan &plan,
+                                    core::ProgramCache *programs = nullptr);
 
 class AdmissionController
 {

@@ -76,12 +76,13 @@ schedPolicyName(SchedPolicy p)
 
 Scheduler::DeviceCtx::DeviceCtx(int id_, gpu::Cluster &cluster_,
                                 const SchedulerConfig &cfg_,
-                                bool overlap_transients)
+                                bool overlap_transients,
+                                core::ProgramCache *programs_)
     : id(id_), dev(&cluster_.device(id_)), pool(&cluster_.pool(id_)),
-      host(&cluster_.host(id_)), cudnn(dev->spec()),
+      host(&cluster_.host(id_)), programs(programs_),
       admission(pool->capacity(), cfg_.admissionSafety,
                 overlap_transients),
-      track([this] { return this->dev->now(); }, cfg_.keepTimeline)
+      track(cluster_.clock().timeSource(), cfg_.keepTimeline)
 {
     pool->setTracker(&track);
     record.device = id;
@@ -97,7 +98,8 @@ Scheduler::Scheduler(SchedulerConfig config)
         // Op-packed keeps several tenants' iterations in flight at
         // once, so their transient working sets are reserved together.
         devs.push_back(std::make_unique<DeviceCtx>(
-            d, cluster, cfg, preset.packing == Packing::OpPacked));
+            d, cluster, cfg, preset.packing == Packing::OpPacked,
+            &programs));
         // Identical devices yield identical estimates: share the cache
         // entry of the first same-spec device so a homogeneous cluster
         // derives each job's admission plan once, not once per device.
@@ -259,20 +261,14 @@ Scheduler::estimateFor(const Job &job, DeviceCtx &d)
         return *slot;
     // Budget for the planner's most conservative plan, derived against
     // the whole device (the reservation must hold however crowded the
-    // pool is when the job finally runs).
+    // pool is when the job finally runs). Jobs of one network and
+    // planner share its program cache entry.
     const net::Network &net = *job.spec.network;
-    core::MemoryPlan plan = job.spec.planner->admissionPlan(
-        net, core::PlannerContext::exclusive(d.dev->spec()));
-    // Jobs of one network and planner share the compile + verify.
-    FootprintKey key{d.estimateSlot, &net, plan.staticAllocation, {},
-                     plan.algos};
-    key.actions.reserve(plan.buffers.size());
-    for (const core::BufferDirective &b : plan.buffers)
-        key.actions.push_back(b.action);
-    auto [it, fresh] = footprints.try_emplace(std::move(key));
-    if (fresh)
-        it->second = estimateFootprint(net, d.cudnn, plan);
-    slot = it->second;
+    slot = estimateFootprint(
+        net,
+        job.spec.planner->admissionPlan(
+            net, core::PlannerContext::exclusive(d.dev->spec())),
+        &programs);
     return *slot;
 }
 

@@ -13,6 +13,12 @@
  * allocator. A single GPU is simply a cluster of one: the default
  * SchedulerConfig::devices holds one Titan X (Maxwell).
  *
+ * Programs. The scheduler owns one core::ProgramCache for its cluster
+ * and hands it to every tenant (DeviceCtx::share): the executors of
+ * tenants that run one network, plan and config share one compiled
+ * IterationProgram, verified once, and admission's estimates read the
+ * prefetch-off entries of the same cache.
+ *
  * Scheduling policies. Each SchedPolicy is a preset: one row of a
  * table (scheduler.cc) over two axes, resolved once at construction,
  * and every scheduling decision reads an axis, never the preset.
@@ -109,7 +115,6 @@
 #ifndef VDNN_SERVE_SCHEDULER_HH
 #define VDNN_SERVE_SCHEDULER_HH
 
-#include "dnn/cudnn_sim.hh"
 #include "gpu/cluster.hh"
 #include "gpu/gpu_spec.hh"
 #include "mem/memory_pool.hh"
@@ -122,9 +127,7 @@
 #include "serve/wake_set.hh"
 #include "stats/time_weighted.hh"
 
-#include <compare>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -257,7 +260,8 @@ class Scheduler
         gpu::Device *dev;
         mem::MemoryPool *pool;
         mem::PinnedHostAllocator *host;
-        dnn::CudnnSim cudnn;        ///< perf model for this device
+        /** The Scheduler's program cache, handed to every tenant. */
+        core::ProgramCache *programs;
         AdmissionController admission;
         mem::UsageTracker track;    ///< this device's pool usage
         std::vector<JobId> running; ///< admitted here, entry order
@@ -293,11 +297,12 @@ class Scheduler
         DeviceOutcome record;
 
         DeviceCtx(int id, gpu::Cluster &cluster,
-                  const SchedulerConfig &cfg, bool overlap_transients);
+                  const SchedulerConfig &cfg, bool overlap_transients,
+                  core::ProgramCache *programs);
         /** Job @p client's handle on this device's shared resources. */
         core::SharedGpu share(JobId client) const
         {
-            return {dev, pool, host, client};
+            return {dev, pool, host, client, programs};
         }
         /** Can this device's pinned-host share stage @p bytes more
          *  (the dry run before an eviction or a migration)? */
@@ -309,7 +314,8 @@ class Scheduler
 
     void collectArrivals();
     /** @p job's admission footprint on @p d: its planner's
-     *  admissionPlan() under estimateFootprint(), memoized. */
+     *  admissionPlan() under estimateFootprint() from `programs`,
+     *  memoized in `estimates`. */
     const FootprintEstimate &estimateFor(const Job &job, DeviceCtx &d);
     bool tryAdmit(Job &job, const FootprintEstimate &est, DeviceCtx &d);
     void finishJob(Job &job, JobState final_state,
@@ -462,6 +468,13 @@ class Scheduler
     /** cfg.policy's row of the preset table, resolved once. */
     const PolicyPreset &preset;
     gpu::Cluster cluster;
+    /**
+     * One compiled, verified program per distinct plan, shared by
+     * every tenant's executors and by admission's estimates. The job
+     * specs below keep the networks it keys on alive; declared before
+     * them, it outlives their sessions.
+     */
+    core::ProgramCache programs;
     std::vector<std::unique_ptr<DeviceCtx>> devs;
 
     std::vector<std::unique_ptr<Job>> jobs;
@@ -472,20 +485,6 @@ class Scheduler
      * submit(), so references handed out while running stay valid.
      */
     std::vector<std::optional<FootprintEstimate>> estimates;
-    /** What estimateFootprint() reads: the estimate slot, the network
-     *  and the plan's device-byte facts. */
-    struct FootprintKey
-    {
-        int slot;
-        const net::Network *net;
-        bool staticAllocation;
-        std::vector<core::BufferDirective::Action> actions;
-        net::AlgoAssignment algos;
-        auto operator<=>(const FootprintKey &) const = default;
-    };
-    /** Footprints by key, shared by every job whose admission plan
-     *  has the same device-byte facts. */
-    std::map<FootprintKey, FootprintEstimate> footprints;
     JobQueue queue;                 ///< arrived, waiting for admission
     std::vector<JobId> evictedJobs; ///< preempted/stalled, awaiting resume
     /** Capacity freed since the last resume sweep. */

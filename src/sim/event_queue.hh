@@ -119,6 +119,10 @@ class EventQueue
     /** Current simulated time. */
     TimeNs now() const { return curTime; }
 
+    /** The clock itself, for readers that poll it without a call
+     *  (mem::UsageTracker). Valid for the queue's lifetime. */
+    const TimeNs *timeSource() const { return &curTime; }
+
     /** True when no live events remain. */
     bool empty() const { return liveEvents == 0; }
 

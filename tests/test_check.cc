@@ -162,7 +162,7 @@ TEST(CheckCleanPass, EveryPlannerByEveryNetwork)
                     // same persistent bytes, and the transient peak of
                     // the default config with prefetching off.
                     serve::FootprintEstimate est =
-                        serve::estimateFootprint(*nc.net, cudnn, plan);
+                        serve::estimateFootprint(*nc.net, plan);
                     EXPECT_EQ(est.persistent, r.persistentBytes) << what;
                     if (sync_boundary && !prefetch) {
                         EXPECT_EQ(est.transient, r.peakTransientBytes)

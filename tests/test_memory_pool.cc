@@ -180,7 +180,7 @@ TEST(MemoryPoolDeath, NegativeClientPanics)
 TEST(MemoryPool, TrackerSeesEveryChange)
 {
     TimeNs fake_now = 0;
-    UsageTracker tracker([&] { return fake_now; }, true);
+    UsageTracker tracker(&fake_now, true);
     MemoryPool pool(1_MiB);
     pool.setTracker(&tracker);
 

@@ -27,7 +27,7 @@ class NetworkStatsTest : public ::testing::Test
 TEST_F(NetworkStatsTest, MemoryOptimalHasZeroWorkspace)
 {
     auto net = buildVgg16(64);
-    NetworkStats ns(*net, cudnn);
+    NetworkStats ns(*net);
     auto algos = memoryOptimalAlgos(*net);
     EXPECT_EQ(ns.maxWorkspaceBytes(algos), 0);
 }
@@ -35,7 +35,7 @@ TEST_F(NetworkStatsTest, MemoryOptimalHasZeroWorkspace)
 TEST_F(NetworkStatsTest, PerformanceOptimalNeedsWorkspace)
 {
     auto net = buildVgg16(64);
-    NetworkStats ns(*net, cudnn);
+    NetworkStats ns(*net);
     auto algos = performanceOptimalAlgos(*net, cudnn);
     EXPECT_GT(ns.maxWorkspaceBytes(algos), 100_MiB);
 }
@@ -43,7 +43,7 @@ TEST_F(NetworkStatsTest, PerformanceOptimalNeedsWorkspace)
 TEST_F(NetworkStatsTest, BreakdownComponentsSumToTotal)
 {
     auto net = buildAlexNet(128);
-    NetworkStats ns(*net, cudnn);
+    NetworkStats ns(*net);
     auto algos = performanceOptimalAlgos(*net, cudnn);
     auto b = ns.baselineBreakdown(algos);
     EXPECT_EQ(b.total(), b.weights + b.featureMaps + b.gradientMaps +
@@ -56,7 +56,7 @@ TEST_F(NetworkStatsTest, BreakdownComponentsSumToTotal)
 TEST_F(NetworkStatsTest, PaperAnchorAlexNetAround1GB)
 {
     auto net = buildAlexNet(128);
-    NetworkStats ns(*net, cudnn);
+    NetworkStats ns(*net);
     double gb =
         double(ns.baselineBreakdown(memoryOptimalAlgos(*net)).total()) /
         1e9;
@@ -67,7 +67,7 @@ TEST_F(NetworkStatsTest, PaperAnchorAlexNetAround1GB)
 TEST_F(NetworkStatsTest, PaperAnchorVgg16b256NeedsOver20GB)
 {
     auto net = buildVgg16(256);
-    NetworkStats ns(*net, cudnn);
+    NetworkStats ns(*net);
     double gb =
         double(ns.baselineBreakdown(performanceOptimalAlgos(*net, cudnn))
                    .total()) /
@@ -80,7 +80,7 @@ TEST_F(NetworkStatsTest, PaperAnchorVgg16b128MFitsTitanX)
 {
     // The power study requires baseline (m) VGG-16 (128) to train.
     auto net = buildVgg16(128);
-    NetworkStats ns(*net, cudnn);
+    NetworkStats ns(*net);
     EXPECT_LE(ns.baselineBreakdown(memoryOptimalAlgos(*net)).total(),
               gpu::titanXMaxwell().dramCapacity);
     // ... while (p) must not fit (Fig. 11 asterisk).
@@ -94,7 +94,7 @@ TEST_F(NetworkStatsTest, GradientPeakIsTwoMaxBuffersOnLinearNets)
     // For VGG the two largest adjacent gradient maps are the first conv
     // group's 224x224x64 buffers.
     auto net = buildVgg16(64);
-    NetworkStats ns(*net, cudnn);
+    NetworkStats ns(*net);
     Bytes big = Bytes(64) * 64 * 224 * 224 * 4;
     EXPECT_EQ(ns.peakGradientBytes(NetworkStats::GradScope::All), 2 * big);
 }
@@ -102,7 +102,7 @@ TEST_F(NetworkStatsTest, GradientPeakIsTwoMaxBuffersOnLinearNets)
 TEST_F(NetworkStatsTest, GradientScopesArePartitioned)
 {
     auto net = buildAlexNet(128);
-    NetworkStats ns(*net, cudnn);
+    NetworkStats ns(*net);
     using Scope = NetworkStats::GradScope;
     Bytes all = ns.peakGradientBytes(Scope::All);
     Bytes managed = ns.peakGradientBytes(Scope::Managed);
@@ -115,7 +115,7 @@ TEST_F(NetworkStatsTest, GradientScopesArePartitioned)
 TEST_F(NetworkStatsTest, ManagedExcludesClassifierWeights)
 {
     auto net = buildVgg16(64);
-    NetworkStats ns(*net, cudnn);
+    NetworkStats ns(*net);
     auto algos = memoryOptimalAlgos(*net);
     auto full = ns.baselineBreakdown(algos);
     auto managed = ns.managedBreakdown(algos);
@@ -128,7 +128,7 @@ TEST_F(NetworkStatsTest, ManagedExcludesClassifierWeights)
 TEST_F(NetworkStatsTest, ClassifierBytesSmallShareForVgg)
 {
     auto net = buildVgg16(256);
-    NetworkStats ns(*net, cudnn);
+    NetworkStats ns(*net);
     auto algos = memoryOptimalAlgos(*net);
     Bytes total = ns.baselineBreakdown(algos).total();
     // Section III: feature extraction is 96% of VGG-16 (256), so the
@@ -139,7 +139,7 @@ TEST_F(NetworkStatsTest, ClassifierBytesSmallShareForVgg)
 TEST_F(NetworkStatsTest, PerLayerRowsCoverConvAndFcOnly)
 {
     auto net = buildVgg16(64);
-    NetworkStats ns(*net, cudnn);
+    NetworkStats ns(*net);
     auto rows = ns.perLayerForward(performanceOptimalAlgos(*net, cudnn));
     EXPECT_EQ(rows.size(), 16u + 3u);
     for (const auto &row : rows) {
@@ -153,7 +153,7 @@ TEST_F(NetworkStatsTest, MaxLayerwiseUsageFarBelowTotal)
 {
     for (int depth : {116, 216}) {
         auto net = buildVggDeep(depth, 32);
-        NetworkStats ns(*net, cudnn);
+        NetworkStats ns(*net);
         auto algos = memoryOptimalAlgos(*net);
         Bytes total = ns.baselineBreakdown(algos).total();
         Bytes layer = ns.maxLayerWiseUsage(algos);
@@ -168,8 +168,8 @@ TEST_F(NetworkStatsTest, DeepVggScalingAnchors)
     // reaching ~67 GB.
     auto base = buildVgg16(32);
     auto deep = buildVggDeep(416, 32);
-    NetworkStats ns16(*base, cudnn);
-    NetworkStats ns416(*deep, cudnn);
+    NetworkStats ns16(*base);
+    NetworkStats ns416(*deep);
     double gb16 = double(ns16.baselineBreakdown(memoryOptimalAlgos(*base))
                              .total()) /
                   1e9;
@@ -186,7 +186,7 @@ TEST_F(NetworkStatsTest, GoogLeNetGradientPeakHandlesForks)
     // The inception joins keep several branch gradients live at once;
     // the analysis must not underflow or explode.
     auto net = buildGoogLeNet(128);
-    NetworkStats ns(*net, cudnn);
+    NetworkStats ns(*net);
     Bytes peak = ns.peakGradientBytes(NetworkStats::GradScope::All);
     EXPECT_GT(peak, 100_MiB);
     EXPECT_LT(peak, 2_GiB);

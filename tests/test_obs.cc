@@ -243,7 +243,6 @@ TEST(Admission, FootprintBoundsTheMeasuredFirstIteration)
     // it: one exclusive iteration must measure at least that much, per
     // component, on every paper network and planner.
     gpu::GpuSpec titan = gpu::titanXMaxwell();
-    dnn::CudnnSim cudnn(titan);
     std::vector<std::unique_ptr<net::Network>> nets;
     nets.push_back(net::buildAlexNet(128));
     nets.push_back(net::buildOverFeat(64));
@@ -275,7 +274,7 @@ TEST(Admission, FootprintBoundsTheMeasuredFirstIteration)
             const obs::ProfiledFootprint &fp = session.profiledFootprint();
             ASSERT_TRUE(fp.valid) << what;
             serve::FootprintEstimate est =
-                serve::estimateFootprint(*network, cudnn, session.plan());
+                serve::estimateFootprint(*network, session.plan());
             EXPECT_GE(fp.persistent, est.persistent) << what;
             EXPECT_GE(fp.transientPeak, est.transient) << what;
             session.teardown();
@@ -290,15 +289,14 @@ TEST(Admission, FootprintPinsOnAlexNet)
     auto alex = net::buildAlexNet(128);
     core::PlannerContext ctx =
         core::PlannerContext::exclusive(gpu::titanXMaxwell());
-    dnn::CudnnSim cudnn(ctx.gpu);
     serve::FootprintEstimate all = serve::estimateFootprint(
-        *alex, cudnn,
+        *alex,
         core::OffloadAllPlanner(core::AlgoPreference::MemoryOptimal)
             .plan(*alex, ctx));
     EXPECT_EQ(all.persistent, 408367264);
     EXPECT_EQ(all.transient, 396492800);
     serve::FootprintEstimate conv = serve::estimateFootprint(
-        *alex, cudnn,
+        *alex,
         core::OffloadConvPlanner(core::AlgoPreference::MemoryOptimal)
             .plan(*alex, ctx));
     EXPECT_EQ(conv.transient, 484900864);

@@ -159,11 +159,10 @@ TEST(SharedContext, DynamicPlanShrinksWithTheFreeShare)
     EXPECT_GT(squeezed.offloadCount(), 0);
 
     // The derived footprint shrinks alongside the share.
-    dnn::CudnnSim cudnn(spec);
     serve::FootprintEstimate whole_est =
-        serve::estimateFootprint(*network, cudnn, whole);
+        serve::estimateFootprint(*network, whole);
     serve::FootprintEstimate squeezed_est =
-        serve::estimateFootprint(*network, cudnn, squeezed);
+        serve::estimateFootprint(*network, squeezed);
     EXPECT_LT(squeezed_est.total(), whole_est.total());
 }
 

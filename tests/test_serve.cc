@@ -187,21 +187,20 @@ TEST(Admission, FeasibleMeansFitsAnEmptyLedger)
 
 TEST(Admission, FootprintEstimateShape)
 {
-    dnn::CudnnSim cudnn(gpu::titanXMaxwell());
     auto vgg = net::buildVgg16(64);
     core::PlannerContext ctx =
         core::PlannerContext::exclusive(gpu::titanXMaxwell());
 
     FootprintEstimate base = estimateFootprint(
-        *vgg, cudnn,
+        *vgg,
         core::BaselinePlanner(core::AlgoPreference::MemoryOptimal)
             .plan(*vgg, ctx));
     FootprintEstimate all = estimateFootprint(
-        *vgg, cudnn,
+        *vgg,
         core::OffloadAllPlanner(core::AlgoPreference::MemoryOptimal)
             .plan(*vgg, ctx));
     FootprintEstimate conv = estimateFootprint(
-        *vgg, cudnn,
+        *vgg,
         core::OffloadConvPlanner(core::AlgoPreference::MemoryOptimal)
             .plan(*vgg, ctx));
 
@@ -219,17 +218,16 @@ TEST(Admission, DynamicBudgetedAtTheMemoryFloor)
 {
     // Dynamic jobs are budgeted at the vDNN_dyn memory floor
     // (vDNN_all with memory-optimal algorithms), without trials.
-    dnn::CudnnSim cudnn(gpu::titanXMaxwell());
     auto vgg = net::buildVgg16(64);
     core::PlannerContext ctx =
         core::PlannerContext::exclusive(gpu::titanXMaxwell());
 
     core::OffloadAllPlanner all_m(core::AlgoPreference::MemoryOptimal);
     FootprintEstimate floor =
-        estimateFootprint(*vgg, cudnn, all_m.admissionPlan(*vgg, ctx));
+        estimateFootprint(*vgg, all_m.admissionPlan(*vgg, ctx));
     core::DynamicPlanner dyn;
     FootprintEstimate budget =
-        estimateFootprint(*vgg, cudnn, dyn.admissionPlan(*vgg, ctx));
+        estimateFootprint(*vgg, dyn.admissionPlan(*vgg, ctx));
     EXPECT_EQ(budget.persistent, floor.persistent);
     EXPECT_EQ(budget.transient, floor.transient);
 }
