@@ -1,8 +1,10 @@
 #include "check/ledger_auditor.hh"
 
+#include "check/lifecycle_table.hh"
 #include "common/logging.hh"
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -11,97 +13,115 @@ namespace vdnn::check
 {
 
 using serve::JobOutcome;
+using serve::JobState;
 using serve::LifecycleEvent;
+using serve::LifecycleKind;
 using serve::ServeReport;
 
 namespace
 {
 
-/** Replay state of one tenant (refines serve::JobState). */
-enum class ReplayState : std::uint8_t
+/** The row of @p kind from @p from; nullptr when that is illegal. */
+const TransitionRow *
+findRow(LifecycleKind kind, JobState from)
 {
-    Unseen,    ///< no event yet (admission pending)
-    Queued,    ///< requeued, waiting for re-admission
-    Running,
-    Suspended,
-    Evicted,
-    Migrating, ///< between migrate-out and migrate/migrate-stall
-    Terminal,  ///< finished or failed
-};
-
-const char *
-replayStateName(ReplayState s)
-{
-    switch (s) {
-      case ReplayState::Unseen:
-        return "unseen";
-      case ReplayState::Queued:
-        return "queued";
-      case ReplayState::Running:
-        return "running";
-      case ReplayState::Suspended:
-        return "suspended";
-      case ReplayState::Evicted:
-        return "evicted";
-      case ReplayState::Migrating:
-        return "migrating";
-      case ReplayState::Terminal:
-        return "terminal";
+    for (const TransitionRow &row : kTransitions) {
+        if (row.kind == kind && row.from == from)
+            return &row;
     }
-    return "?";
+    return nullptr;
 }
 
-/** How an event kind must move the reserved-bytes ledger. */
-enum class DeltaRule : std::uint8_t
+/** Would @p kind from @p from make a job resident a second time? An
+ *  admission while it is resident or mid-migration, or a resume while
+ *  it runs. */
+bool
+doubleResidency(LifecycleKind kind, JobState from)
 {
-    Positive, ///< reserves bytes: delta > 0
-    Negative, ///< frees bytes: delta < 0
-    Zero,     ///< bookkeeping only: delta == 0
-    NonPos,   ///< frees or no-op: delta <= 0
-};
+    return (kind == LifecycleKind::Admit &&
+            (from == JobState::Running || from == JobState::Suspended ||
+             from == JobState::Migrating)) ||
+           (kind == LifecycleKind::Resume && from == JobState::Running);
+}
 
 bool
 deltaLegal(DeltaRule rule, Bytes delta)
 {
-    switch (rule) {
-      case DeltaRule::Positive:
-        return delta > 0;
-      case DeltaRule::Negative:
-        return delta < 0;
-      case DeltaRule::Zero:
-        return delta == 0;
-      case DeltaRule::NonPos:
-        return delta <= 0;
-    }
-    return false;
+    return std::uint8_t(rule) & (1 << ((delta > 0) - (delta < 0) + 1));
 }
 
+/** The rule as its comparison against zero, indexed by its sign set. */
 const char *
 deltaRuleName(DeltaRule rule)
 {
-    switch (rule) {
-      case DeltaRule::Positive:
-        return "> 0";
-      case DeltaRule::Negative:
-        return "< 0";
-      case DeltaRule::Zero:
-        return "== 0";
-      case DeltaRule::NonPos:
-        return "<= 0";
-    }
-    return "?";
+    constexpr const char *kNames[] = {"?", "< 0", "== 0", "<= 0", "> 0"};
+    return kNames[std::size_t(rule)];
 }
 
 struct JobTrail
 {
-    ReplayState state = ReplayState::Unseen;
-    int device = -1; ///< device while Running
+    JobState state = JobState::Queued; ///< arrival is not logged
     int evicts = 0;
     int replans = 0;
     int migrateOuts = 0; ///< "migrate-out" events
 };
 
 } // namespace
+
+std::optional<LifecycleKind>
+findLoggedKind(const char *what)
+{
+    for (const TransitionRow &row : kTransitions) {
+        if (kindLogged(row.kind) && std::strcmp(row.name, what) == 0)
+            return row.kind;
+    }
+    return std::nullopt;
+}
+
+const TransitionRow &
+checkRow(serve::JobId job, LifecycleKind kind, JobState from, Bytes delta,
+         CheckResult &out, int event)
+{
+    const char *name = firstRow(kind).name;
+    const char *state = serve::jobStateName(from);
+    if (doubleResidency(kind, from)) {
+        out.add(DiagCode::DoubleResidency, Severity::Error,
+                strFormat("job %d '%s' while already %s", job, name,
+                          state),
+                event);
+    }
+    const TransitionRow *row = findRow(kind, from);
+    if (!row) {
+        out.add(DiagCode::BadTransition, Severity::Error,
+                strFormat("job %d '%s' is illegal from state '%s'", job,
+                          name, state),
+                event);
+        row = &firstRow(kind);
+    }
+    if (!deltaLegal(row->delta, delta)) {
+        out.add(DiagCode::DeltaSign, Severity::Error,
+                strFormat("job %d '%s' from state '%s' moved the ledger "
+                          "by %lld bytes (must be %s)",
+                          job, name, state, (long long)delta,
+                          deltaRuleName(row->delta)),
+                event);
+    }
+    return *row;
+}
+
+const TransitionRow &
+checkTransition(serve::JobId job, LifecycleKind kind, JobState from,
+                Bytes delta, const std::function<std::string()> &context)
+{
+    CheckResult faults;
+    const TransitionRow &row = checkRow(job, kind, from, delta, faults);
+    if (!faults.diags.empty()) {
+        panic("lifecycle check: %s\n%s", faults.diags.front().str().c_str(),
+              context().c_str());
+    }
+    return row;
+}
+
 
 CheckResult
 auditLedger(const ServeReport &report)
@@ -112,7 +132,7 @@ auditLedger(const ServeReport &report)
 
     for (std::size_t i = 0; i < report.lifecycle.size(); ++i) {
         const LifecycleEvent &ev = report.lifecycle[i];
-        const std::string what = ev.what ? ev.what : "";
+        const char *what = ev.what ? ev.what : "";
         JobTrail &t = trails[ev.job];
         int idx = int(i);
 
@@ -121,7 +141,7 @@ auditLedger(const ServeReport &report)
                     strFormat("event %zu ('%s' of job %d) starts from "
                               "%lld reserved bytes but the previous "
                               "event left %lld",
-                              i, what.c_str(), ev.job,
+                              i, what, ev.job,
                               (long long)ev.reservedBefore,
                               (long long)chained),
                     idx);
@@ -129,118 +149,31 @@ auditLedger(const ServeReport &report)
         chained = ev.reservedAfter;
         Bytes delta = ev.reservedAfter - ev.reservedBefore;
 
-        ReplayState next = t.state;
-        DeltaRule rule = DeltaRule::Zero;
-        bool legal = true;
-        if (what == "admit") {
-            if (t.state == ReplayState::Running ||
-                t.state == ReplayState::Suspended ||
-                t.state == ReplayState::Migrating) {
-                out.add(DiagCode::DoubleResidency, Severity::Error,
-                        strFormat("job %d admitted while already %s "
-                                  "(on device %d)",
-                                  ev.job, replayStateName(t.state),
-                                  t.device),
-                        idx);
-            }
-            legal = t.state == ReplayState::Unseen ||
-                    t.state == ReplayState::Queued;
-            next = ReplayState::Running;
-            rule = DeltaRule::Positive;
-        } else if (what == "suspend") {
-            legal = t.state == ReplayState::Running;
-            next = ReplayState::Suspended;
-            rule = DeltaRule::Zero;
-        } else if (what == "evict") {
-            legal = t.state == ReplayState::Suspended;
-            next = ReplayState::Evicted;
-            rule = DeltaRule::Negative;
-            ++t.evicts;
-        } else if (what == "resume") {
-            if (t.state == ReplayState::Running) {
-                out.add(DiagCode::DoubleResidency, Severity::Error,
-                        strFormat("job %d resumed while already "
-                                  "running on device %d",
-                                  ev.job, t.device),
-                        idx);
-            }
-            legal = t.state == ReplayState::Suspended ||
-                    t.state == ReplayState::Evicted;
-            rule = t.state == ReplayState::Evicted
-                       ? DeltaRule::Positive
-                       : DeltaRule::Zero;
-            next = ReplayState::Running;
-        } else if (what == "replan") {
-            legal = t.state == ReplayState::Running;
-            rule = DeltaRule::Zero;
-            ++t.replans;
-        } else if (what == "migrate-out") {
-            legal = t.state == ReplayState::Running;
-            next = ReplayState::Migrating;
-            rule = DeltaRule::Negative;
-            ++t.migrateOuts;
-        } else if (what == "migrate") {
-            legal = t.state == ReplayState::Migrating;
-            next = ReplayState::Running;
-            rule = DeltaRule::Positive;
-        } else if (what == "migrate-stall") {
-            legal = t.state == ReplayState::Migrating;
-            next = ReplayState::Evicted;
-            rule = DeltaRule::Zero; // target reserve+evict cancel out
-        } else if (what == "finish" || what == "fail") {
-            // Admission may give up on a job still queued (repeated
-            // setup OOM): it holds no reservation, so nothing moves.
-            const bool queued = what == "fail" &&
-                                (t.state == ReplayState::Unseen ||
-                                 t.state == ReplayState::Queued);
-            legal = queued || t.state == ReplayState::Running ||
-                    t.state == ReplayState::Suspended ||
-                    t.state == ReplayState::Evicted;
-            next = ReplayState::Terminal;
-            rule = queued ? DeltaRule::Zero : DeltaRule::NonPos;
-        } else if (what == "requeue") {
-            legal = t.state == ReplayState::Running ||
-                    t.state == ReplayState::Suspended ||
-                    t.state == ReplayState::Evicted;
-            next = ReplayState::Queued;
-            rule = DeltaRule::NonPos;
-        } else {
+        std::optional<LifecycleKind> kind = findLoggedKind(what);
+        if (!kind) {
             out.add(DiagCode::BadTransition, Severity::Error,
                     strFormat("event %zu: unknown lifecycle event "
                               "'%s' for job %d",
-                              i, what.c_str(), ev.job),
+                              i, what, ev.job),
                     idx);
             continue;
         }
-
-        if (!legal) {
-            out.add(DiagCode::BadTransition, Severity::Error,
-                    strFormat("event %zu: '%s' of job %d is illegal "
-                              "from state '%s'",
-                              i, what.c_str(), ev.job,
-                              replayStateName(t.state)),
-                    idx);
-        }
-        if (!deltaLegal(rule, delta)) {
-            out.add(DiagCode::DeltaSign, Severity::Error,
-                    strFormat("event %zu: '%s' of job %d moved the "
-                              "ledger by %lld bytes (must be %s)",
-                              i, what.c_str(), ev.job,
-                              (long long)delta, deltaRuleName(rule)),
-                    idx);
-        }
-        t.state = next;
-        t.device = next == ReplayState::Running ? ev.device : -1;
+        const TransitionRow &row =
+            checkRow(ev.job, *kind, t.state, delta, out, idx);
+        t.evicts += row.kind == LifecycleKind::Evict;
+        t.replans += row.kind == LifecycleKind::Replan;
+        t.migrateOuts += row.kind == LifecycleKind::MigrateOut;
+        t.state = row.to;
     }
 
     // --- drain: everyone terminal, every ledger at zero ------------------
     for (const auto &[job, t] : trails) {
-        if (t.state != ReplayState::Terminal) {
+        if (!serve::jobStateTerminal(t.state)) {
             out.add(DiagCode::LostJob, Severity::Error,
                     strFormat("job %d ends the run in state '%s' — "
                               "its preemption/requeue was never "
                               "resolved by a resume, finish or fail",
-                              job, replayStateName(t.state)));
+                              job, serve::jobStateName(t.state)));
         }
     }
     if (report.reservedBytesAtEnd != 0) {

@@ -5,37 +5,6 @@
 namespace vdnn::serve
 {
 
-const char *
-jobStateName(JobState s)
-{
-    switch (s) {
-      case JobState::Pending:
-        return "pending";
-      case JobState::Queued:
-        return "queued";
-      case JobState::Running:
-        return "running";
-      case JobState::Suspended:
-        return "suspended";
-      case JobState::Evicted:
-        return "evicted";
-      case JobState::Finished:
-        return "finished";
-      case JobState::Failed:
-        return "failed";
-      case JobState::Rejected:
-        return "rejected";
-    }
-    return "?";
-}
-
-bool
-jobStateLive(JobState s)
-{
-    return s == JobState::Running || s == JobState::Suspended ||
-           s == JobState::Evicted;
-}
-
 JobId
 JobQueue::take(std::size_t i)
 {

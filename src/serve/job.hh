@@ -4,18 +4,14 @@
  *
  * A Job is one tenant's training request against the shared GPU: a
  * network, a memory Planner, a priority, an arrival time and an
- * iteration budget. The Scheduler drives each admitted job through
- * the core::Session lifecycle state machine
- *
- *   Queued -> Admitted/Running <-> Suspended(resident)
- *                                  <-> Evicted(host) -> Finished/Failed
- *
- * (suspend/evict/resume under SchedPolicy::PreemptivePriority).
- * Each Job carries one JobOutcome, its record: the scheduler keeps it
- * live (Scheduler::setState is the one writer of its state, and runs
- * the priority-aging clock), and the ServeReport copies it, so the
- * serving metrics (queueing delay, job completion time, SLO
- * attainment) read the very record the scheduler wrote.
+ * iteration budget. The Scheduler drives each job through the
+ * lifecycle whose legal transitions are the rows of
+ * check/lifecycle_table.hh. Each Job carries one JobOutcome, its
+ * record: the scheduler keeps it live (Scheduler::transition is the
+ * one writer of its state, and runs the priority-aging clock), and
+ * the ServeReport copies it, so the serving metrics (queueing delay,
+ * job completion time, SLO attainment) read the very record the
+ * scheduler wrote.
  */
 
 #ifndef VDNN_SERVE_JOB_HH
@@ -45,13 +41,49 @@ enum class JobState : std::uint8_t
     Evicted,   ///< preempted; device share released, state on host
     Finished,  ///< iteration budget completed
     Failed,    ///< gave up after repeated in-flight OOM aborts
-    Rejected   ///< can never fit the device, even alone
+    Rejected,  ///< can never fit the device, even alone
+    Migrating  ///< staged on host between two devices (rebalance)
 };
 
-const char *jobStateName(JobState s);
+constexpr const char *
+jobStateName(JobState s)
+{
+    constexpr const char *kNames[] = {
+        "pending",  "queued", "running",  "suspended", "evicted",
+        "finished", "failed", "rejected", "migrating"};
+    return kNames[std::size_t(s)];
+}
 
-/** A job still occupying (or entitled to re-occupy) the system. */
-bool jobStateLive(JobState s);
+/** Finished, Failed or Rejected: the job has left the system. */
+constexpr bool
+jobStateTerminal(JobState s)
+{
+    return s == JobState::Finished || s == JobState::Failed ||
+           s == JobState::Rejected;
+}
+
+/**
+ * What moved a job from one state to the next. The first eleven are
+ * logged (LifecycleEvent::what prints their name); arrival and
+ * rejection are not. check/lifecycle_table.hh holds each kind's legal
+ * from-states, its to-state, its reservation-delta rule and its name.
+ */
+enum class LifecycleKind : std::uint8_t
+{
+    Admit,
+    Suspend,
+    Evict,
+    Resume,
+    Replan,
+    MigrateOut,
+    Migrate,
+    MigrateStall,
+    Finish,
+    Requeue,
+    Fail,
+    Arrive, ///< unlogged: Pending -> Queued
+    Reject  ///< unlogged: Queued -> Rejected
+};
 
 /** One tenant's training request. */
 struct JobSpec
@@ -110,7 +142,7 @@ struct JobOutcome
      *  submission (which perfbench's setup_s times) formats no string
      *  per job. */
     std::string configName;
-    /** Written only by the scheduler's one state routine. */
+    /** Written only by Scheduler::transition. */
     JobState state = JobState::Pending;
     int priority = 0;
     TimeNs arrival = 0;
@@ -216,11 +248,11 @@ struct Job
     std::uint64_t runSeq = 0;
     /**
      * Priority-aging clock, run by the scheduler's state routine:
-     * wait accrued over completed Queued/Evicted spells, and the start
-     * of the current spell (kTimeNone outside one). The earned boost
-     * is *retained* while running — otherwise the next hostile arrival
-     * would instantly re-preempt a job that aged its way in, and the
-     * starvation aging exists to bound would continue.
+     * wait accrued over completed Queued/Evicted/Migrating spells, and
+     * the start of the current spell (kTimeNone outside one). The
+     * earned boost is *retained* while running — otherwise the next
+     * hostile arrival would instantly re-preempt a job that aged its
+     * way in, and the starvation aging exists to bound would continue.
      */
     TimeNs agedWait = 0;
     TimeNs waitingSince = kTimeNone;

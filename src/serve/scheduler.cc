@@ -1,5 +1,6 @@
 #include "serve/scheduler.hh"
 
+#include "check/lifecycle_table.hh"
 #include "common/logging.hh"
 #include "common/units.hh"
 
@@ -226,7 +227,7 @@ Scheduler::collectArrivals()
                      });
     for (JobId id : arrived) {
         Job &job = *jobs[std::size_t(id)];
-        setState(job, JobState::Queued);
+        transition(job, LifecycleKind::Arrive, -1, reservedBytesTotal());
         // Aging clock: the wait began at arrival, not collection.
         job.waitingSince = job.spec.arrival;
         queue.push(id);
@@ -234,21 +235,37 @@ Scheduler::collectArrivals()
 }
 
 void
-Scheduler::setState(Job &job, JobState s)
+Scheduler::transition(Job &job, LifecycleKind kind, int device,
+                      Bytes reserved_before)
 {
     TimeNs now = cluster.now();
+    Bytes reserved_after = reservedBytesTotal();
+    const check::TransitionRow &row = check::checkTransition(
+        job.id, kind, job.record.state, reserved_after - reserved_before,
+        [this] { return stateDump(); });
     if (job.waitingSince != kTimeNone) {
         job.agedWait += now - job.waitingSince;
         job.waitingSince = kTimeNone;
     }
-    if (s == JobState::Queued || s == JobState::Evicted)
+    if (row.to == JobState::Queued || row.to == JobState::Evicted ||
+        row.to == JobState::Migrating)
         job.waitingSince = now;
-    if (s == JobState::Finished || s == JobState::Failed ||
-        s == JobState::Rejected) {
+    if (jobStateTerminal(row.to)) {
         job.record.finishTime = now;
         ++numTerminal;
     }
-    job.record.state = s;
+    job.record.state = row.to;
+    if (!check::kindLogged(kind))
+        return;
+    lifecycleLog.push_back(
+        {now, job.id, row.name, device, reserved_before, reserved_after});
+    if (cfg.telemetry.tracing()) {
+        cfg.telemetry.trace->instant(
+            device, job.id, "sched", row.name, now,
+            strFormat(
+                "{\"reserved_before\":%lld,\"reserved_after\":%lld}",
+                (long long)reserved_before, (long long)reserved_after));
+    }
 }
 
 const FootprintEstimate &
@@ -325,7 +342,7 @@ Scheduler::tryAdmit(Job &job, const FootprintEstimate &est, DeviceCtx &d)
     }
     ++d.record.jobsPlaced;
     enterRunning(job, d);
-    logLifecycle(job.id, "admit", before, d.id);
+    transition(job, LifecycleKind::Admit, d.id, before);
     if (ctrAdmissions)
         ctrAdmissions->add();
     if (cfg.telemetry.tracing()) {
@@ -354,14 +371,13 @@ Scheduler::backoffAfterSetupOom(Job &job, std::size_t queue_index)
     admissionDirty = true;
     std::string give_up = stepOomBackoff(job, "setup OOM");
     if (!give_up.empty()) {
-        std::string why = job.record.failReason;
         queue.take(queue_index);
-        setState(job, JobState::Failed);
         job.record.failReason =
-            "admission gave up after " + give_up + ": " + why;
+            "admission gave up after " + give_up + ": " +
+            job.record.failReason;
         // Queued jobs hold no reservation: the ledger does not move.
-        logLifecycle(job.id, "fail", reservedBytesTotal(),
-                     job.record.device);
+        transition(job, LifecycleKind::Fail, job.record.device,
+                   reservedBytesTotal());
         return true; // taken from the queue, now terminal
     }
     return false;
@@ -387,7 +403,6 @@ Scheduler::stepOomBackoff(Job &job, const char *oom)
 void
 Scheduler::enterRunning(Job &job, DeviceCtx &d)
 {
-    setState(job, JobState::Running);
     d.running.push_back(job.id);
     // The only way a Running resident can come to outrank the
     // top-ranked in-flight tenant: topChallengerOn must rescan.
@@ -449,12 +464,8 @@ Scheduler::leaveReady(Job &job)
 }
 
 void
-Scheduler::finishJob(Job &job, JobState final_state,
-                     const std::string &why)
+Scheduler::finishJob(Job &job, LifecycleKind kind, const std::string &why)
 {
-    VDNN_ASSERT(jobStateLive(job.record.state),
-                "finishing job %d in state %s", job.id,
-                jobStateName(job.record.state));
     DeviceCtx &d = *devs[std::size_t(job.record.device)];
     Bytes before = reservedBytesTotal();
     job.record.peakPoolBytes = std::max(
@@ -478,14 +489,9 @@ Scheduler::finishJob(Job &job, JobState final_state,
         removeFromRunning(job.id);
     }
 
-    setState(job, final_state);
+    transition(job, kind, d.id, before);
     job.record.failReason = why;
-    logLifecycle(job.id,
-                 final_state == JobState::Finished ? "finish"
-                 : final_state == JobState::Queued ? "requeue"
-                                                   : "fail",
-                 before, d.id);
-    if (final_state == JobState::Finished && jctAcc)
+    if (kind == LifecycleKind::Finish && jctAcc)
         jctAcc->add(double(job.record.finishTime - job.spec.arrival) / 1e6);
 
     // Freed capacity: evicted tenants may fit again, and survivors
@@ -503,11 +509,11 @@ Scheduler::evictForRequeue(Job &job)
     std::string give_up = stepOomBackoff(job, "iteration OOM");
     std::string why = job.session->failReason();
     if (!give_up.empty()) {
-        finishJob(job, JobState::Failed,
+        finishJob(job, LifecycleKind::Fail,
                   "gave up after " + give_up + ": " + why);
         return;
     }
-    finishJob(job, JobState::Queued, why);
+    finishJob(job, LifecycleKind::Requeue, why);
     // Head of the queue: the job keeps its arrival-order priority.
     queue.pushFront(job.id);
 }
@@ -523,9 +529,8 @@ Scheduler::setParked(Job &job, bool parked)
         job.session->suspend();
     else
         job.session->resume();
-    setState(job, parked ? JobState::Suspended : JobState::Running);
-    logLifecycle(job.id, parked ? "suspend" : "resume", before,
-                 job.record.device);
+    transition(job, parked ? LifecycleKind::Suspend : LifecycleKind::Resume,
+               job.record.device, before);
 }
 
 Job *
@@ -578,10 +583,6 @@ Scheduler::parkInFlight(DeviceCtx &d, Job &victim, Job &challenger)
 void
 Scheduler::preempt(Job &victim)
 {
-    VDNN_ASSERT(victim.record.state == JobState::Running ||
-                    victim.record.state == JobState::Suspended,
-                "preempting job %d in state %s", victim.id,
-                jobStateName(victim.record.state));
     DeviceCtx &d = *devs[std::size_t(victim.record.device)];
     Bytes before = reservedBytesTotal();
     // An op-granularity dispatch preemption may already have parked
@@ -597,9 +598,8 @@ Scheduler::preempt(Job &victim)
     removeFromRunning(victim.id);
     admissionDirty = true;
     evictedJobs.push_back(victim.id);
-    setState(victim, JobState::Evicted);
     ++victim.record.preemptions;
-    logLifecycle(victim.id, "evict", before, d.id);
+    transition(victim, LifecycleKind::Evict, d.id, before);
     if (ctrPreemptions)
         ctrPreemptions->add();
     if (cfg.telemetry.tracing()) {
@@ -744,30 +744,8 @@ Scheduler::tryResumeOn(Job &job, DeviceCtx &d)
     evictedJobs.erase(ev);
     enterRunning(job, d);
     admissionDirty = true;
-    logLifecycle(job.id, "resume", before, d.id);
+    transition(job, LifecycleKind::Resume, d.id, before);
     return true;
-}
-
-void
-Scheduler::logLifecycle(JobId id, const char *what,
-                        Bytes reserved_before, int device)
-{
-    LifecycleEvent ev;
-    ev.when = cluster.now();
-    ev.job = id;
-    ev.what = what;
-    ev.device = device;
-    ev.reservedBefore = reserved_before;
-    ev.reservedAfter = reservedBytesTotal();
-    lifecycleLog.push_back(ev);
-    if (cfg.telemetry.tracing()) {
-        cfg.telemetry.trace->instant(
-            device, id, "sched", what, ev.when,
-            strFormat(
-                "{\"reserved_before\":%lld,\"reserved_after\":%lld}",
-                (long long)ev.reservedBefore,
-                (long long)ev.reservedAfter));
-    }
 }
 
 void
@@ -860,7 +838,7 @@ Scheduler::admitQueued()
         }
         if (!feasible_somewhere) {
             queue.take(i);
-            setState(job, JobState::Rejected);
+            transition(job, LifecycleKind::Reject, -1, reservedBytesTotal());
             job.record.failReason = strFormat(
                 "reservation exceeds every device's capacity "
                 "(largest %s)",
@@ -990,7 +968,7 @@ Scheduler::pickInFlight(DeviceCtx &d)
             Bytes before = reservedBytesTotal();
             if (job.session->replan()) {
                 ++job.record.replans;
-                logLifecycle(job.id, "replan", before, d.id);
+                transition(job, LifecycleKind::Replan, d.id, before);
             }
         }
     }
@@ -1036,7 +1014,7 @@ Scheduler::stepTenant(Job &job)
     if (r.ok) {
         chargeIteration(job, r);
         if (job.record.iterations >= job.spec.iterations)
-            finishJob(job, JobState::Finished);
+            finishJob(job, LifecycleKind::Finish);
     } else {
         // In-flight OOM: only this job's iteration aborts; it is torn
         // down and requeued (it may be re-placed on another device).
@@ -1137,9 +1115,6 @@ Scheduler::maybeRebalance()
 void
 Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
 {
-    VDNN_ASSERT(job.record.state == JobState::Running,
-                "migrating job %d in state %s", job.id,
-                jobStateName(job.record.state));
     Bytes before = reservedBytesTotal();
     job.session->suspend();
     VDNN_ASSERT(job.session->evictToHost(),
@@ -1158,8 +1133,7 @@ Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
     // Both outcomes move ledger entries across devices.
     admissionDirty = true;
     ++src.record.migrationsOut;
-    setState(job, JobState::Evicted);
-    logLifecycle(job.id, "migrate-out", before, src.id);
+    transition(job, LifecycleKind::MigrateOut, src.id, before);
     // The migrate-out event above already accounted the source
     // release; the migrate/migrate-stall event below must chain from
     // the ledger as it stands *now*, or its delta double-counts it.
@@ -1194,7 +1168,8 @@ Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
         evictedJobs.push_back(job.id);
         resumePending = true;
     }
-    logLifecycle(job.id, ok ? "migrate" : "migrate-stall", before, dst.id);
+    transition(job, ok ? LifecycleKind::Migrate : LifecycleKind::MigrateStall,
+               dst.id, before);
     if (ok && ctrMigrations)
         ctrMigrations->add();
     if (cfg.telemetry.tracing()) {
@@ -1279,7 +1254,7 @@ Scheduler::runEngine()
                     // not hang the scheduler.
                     std::vector<JobId> stuck = evictedJobs;
                     for (JobId id : stuck) {
-                        finishJob(*jobs[std::size_t(id)], JobState::Failed,
+                        finishJob(*jobs[std::size_t(id)], LifecycleKind::Fail,
                                   "evicted tenant could not be "
                                   "readmitted: " +
                                       jobs[std::size_t(id)]

@@ -60,12 +60,13 @@
  * effective priority grows with its wait, so a hostile stream of
  * high-priority arrivals cannot park a low-priority job forever.
  *
- * Every change of a job's state goes through one routine, setState,
- * which also runs the aging clock: the wait is the job's time in
- * Queued (from arrival or a requeue) and Evicted (a preemption, a
- * migration in progress or stalled) spells, whatever moved it there.
- * The job's record (JobOutcome) is live from submission; the report
- * copies it.
+ * Every change of a job's state goes through one routine, transition,
+ * which checks it against the lifecycle table
+ * (check/lifecycle_table.hh) as it happens, logs it and runs the aging
+ * clock: the wait is the job's time in Queued (from arrival or a
+ * requeue), Evicted (a preemption or a stalled migration) and
+ * Migrating spells, whatever moved it there. The job's record
+ * (JobOutcome) is live from submission; the report copies it.
  *
  * One event-driven engine serves every configuration with one
  * cadence: per turn it collects arrivals, reruns the one admission
@@ -318,8 +319,9 @@ class Scheduler
      *  memoized in `estimates`. */
     const FootprintEstimate &estimateFor(const Job &job, DeviceCtx &d);
     bool tryAdmit(Job &job, const FootprintEstimate &est, DeviceCtx &d);
-    void finishJob(Job &job, JobState final_state,
-                   const std::string &why = "");
+    /** Tear a live job down and take it off its device: @p kind is
+     *  Finish, Requeue or Fail. */
+    void finishJob(Job &job, LifecycleKind kind, const std::string &why = "");
     void evictForRequeue(Job &job);
     void recordInflight();
     /** Fold one completed (ok) iteration into the job's record. */
@@ -327,18 +329,24 @@ class Scheduler
     /** Reservation bytes summed over every device's ledger. */
     Bytes reservedBytesTotal() const;
     /** Effective priority: static priority plus queue-wait aging
-     *  (accrued while Queued/Evicted, retained while running). */
+     *  (accrued while Queued/Evicted/Migrating, retained while
+     *  running). */
     double effectivePriority(const Job &job, TimeNs now) const;
     /**
-     * The one writer of a job's state. It runs the aging clock:
-     * entering Queued or Evicted opens a waiting spell, leaving one
-     * banks it into Job::agedWait. Entering a terminal state (Finished,
-     * Failed, Rejected) stamps the finish time and counts the job
-     * terminal.
+     * The one writer of a job's state, called after the ledger moved
+     * (from @p reserved_before). It checks the transition against the
+     * lifecycle table and panics with stateDump() on a broken rule
+     * (check::checkTransition). It runs the aging clock: entering
+     * Queued, Evicted or Migrating opens a waiting spell, leaving one
+     * banks it into Job::agedWait. Entering a terminal state
+     * (Finished, Failed, Rejected) stamps the finish time and counts
+     * the job terminal. A logged kind appends its LifecycleEvent on
+     * @p device and emits its trace instant.
      */
-    void setState(Job &job, JobState s);
-    /** Put @p job on @p d's resident set as Running (its waiting spell
-     *  ends, the device is woken). */
+    void transition(Job &job, LifecycleKind kind, int device,
+                    Bytes reserved_before);
+    /** Put @p job on @p d's resident set (the caller then makes it
+     *  Running) and wake the device. */
     void enterRunning(Job &job, DeviceCtx &d);
     /** Does exclusive packing bar @p d from taking another tenant?
      *  (An exclusive device holds at most one resident.) */
@@ -357,9 +365,6 @@ class Scheduler
      *  Failed: it has used up its requeues, or its inflated
      *  reservation fits no device. */
     std::string stepOomBackoff(Job &job, const char *oom);
-    /** Append a lifecycle transition to the audit log. */
-    void logLifecycle(JobId id, const char *what, Bytes reserved_before,
-                      int device);
     ServeReport buildReport();
 
     // --- admission -------------------------------------------------------

@@ -55,9 +55,8 @@ struct LifecycleEvent
 {
     TimeNs when = 0;
     JobId job = -1;
-    /** "admit" / "suspend" / "evict" / "replan" / "resume" /
-     *  "migrate" / "migrate-out" / "migrate-stall" / "finish" /
-     *  "requeue" / "fail". */
+    /** The kind's name in the transition table
+     *  (check/lifecycle_table.hh), which it points at. */
     const char *what = "";
     /** Device the transition happened on (migrate: the target). */
     int device = -1;

@@ -2,8 +2,9 @@
  * @file
  * Tests for the static-analysis subsystem (src/check/): the clean-pass
  * matrix over every planner x network, seeded-defect rejection with
- * the right diagnostic for each defect class, and the LedgerAuditor's
- * replay over both hand-built and corrupted lifecycle trails.
+ * the right diagnostic for each defect class, the LedgerAuditor's
+ * replay over both hand-built and corrupted lifecycle trails, and the
+ * online lifecycle check the scheduler runs at every transition.
  *
  * Each seeded defect hand-corrupts a golden artifact (a compiled
  * IterationProgram, a planner-produced MemoryPlan, or a lifecycle
@@ -15,6 +16,7 @@
 
 #include "check/check.hh"
 #include "check/ledger_auditor.hh"
+#include "check/lifecycle_table.hh"
 #include "check/plan_verifier.hh"
 #include "check/program_verifier.hh"
 
@@ -34,6 +36,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -775,6 +778,63 @@ TEST(CheckLedgerAudit, StalledMigrationStillCountsAsAMigration)
     rep.jobs[0].migrations = 0;
     r = check::auditLedger(rep);
     EXPECT_TRUE(hasCode(r, DiagCode::OutcomeMismatch)) << r.report();
+}
+
+// --- online lifecycle check --------------------------------------------------
+
+namespace
+{
+
+std::string
+fakeStateDump()
+{
+    return "<state dump>";
+}
+
+} // namespace
+
+TEST(CheckLifecycleTable, EveryKindHasRowsAndOnlyLoggedNamesReplay)
+{
+    for (int k = 0; k <= int(serve::LifecycleKind::Reject); ++k) {
+        auto kind = serve::LifecycleKind(k);
+        const check::TransitionRow &first = check::firstRow(kind);
+        EXPECT_EQ(first.kind, kind) << k;
+        EXPECT_EQ(check::findLoggedKind(first.name),
+                  check::kindLogged(kind) ? std::optional(kind)
+                                          : std::nullopt)
+            << first.name;
+    }
+}
+
+// Each rule class the scheduler checks at the event (Scheduler::
+// transition calls check::checkTransition) panics there, naming the
+// job, the kind and the from-state, then the scheduler's state dump.
+
+TEST(CheckLifecycleOnlineDeathTest, BadFromStatePanicsAtTheEvent)
+{
+    EXPECT_DEATH(check::checkTransition(7, serve::LifecycleKind::Evict,
+                                        serve::JobState::Running, -100,
+                                        fakeStateDump),
+                 "BadTransition.: job 7 'evict' is illegal from state "
+                 "'running'.*<state dump>");
+}
+
+TEST(CheckLifecycleOnlineDeathTest, WrongDeltaSignPanicsAtTheEvent)
+{
+    EXPECT_DEATH(check::checkTransition(7, serve::LifecycleKind::Suspend,
+                                        serve::JobState::Running, 50,
+                                        fakeStateDump),
+                 "DeltaSign.: job 7 'suspend' from state 'running' moved "
+                 "the ledger by 50 bytes .must be == 0.*<state dump>");
+}
+
+TEST(CheckLifecycleOnlineDeathTest, DoubleResidencyPanicsAtTheEvent)
+{
+    EXPECT_DEATH(check::checkTransition(7, serve::LifecycleKind::Admit,
+                                        serve::JobState::Suspended, 100,
+                                        fakeStateDump),
+                 "DoubleResidency.: job 7 'admit' while already "
+                 "suspended.*<state dump>");
 }
 
 // --- diagnostics rendering ---------------------------------------------------

@@ -580,6 +580,88 @@ TEST(ClusterScheduler, RebalanceMigratesOffTheLoadedDevice)
     EXPECT_EQ(sched.devicePoolOn(1).usedBytes(), 0);
 }
 
+namespace
+{
+
+/** vDNN_all that finds no plan on device 1. Admission's estimate (the
+ *  device-independent admissionPlan) still fits there, so the
+ *  rebalance sweep migrates tenants to device 1, where their resume
+ *  can never re-plan. */
+class NoPlanOnDeviceOne : public core::Planner
+{
+  public:
+    std::string name() const override { return inner.name(); }
+    MemoryPlan plan(const net::Network &net,
+                    const PlannerContext &ctx) override
+    {
+        MemoryPlan p = inner.plan(net, ctx);
+        if (ctx.deviceId == 1) {
+            p.feasible = false;
+            p.failReason = "no plan on device 1";
+        }
+        return p;
+    }
+    MemoryPlan admissionPlan(const net::Network &net,
+                             const PlannerContext &ctx) override
+    {
+        return inner.plan(net, ctx);
+    }
+
+  private:
+    OffloadAllPlanner inner{AlgoPreference::MemoryOptimal};
+};
+
+} // namespace
+
+TEST(ClusterScheduler, StalledMigrationWaitsEvictedUntilTheBackstopFails)
+{
+    // The rebalance sweep of RebalanceMigratesOffTheLoadedDevice, but
+    // no tenant can re-plan on device 1: each migration stalls there
+    // (migrate-stall, Migrating -> Evicted), the resume sweep retries
+    // in vain, and once nothing else runs the drained backstop fails
+    // the tenant from Evicted.
+    SchedulerConfig cfg =
+        clusterConfig(2, std::make_shared<BestFitPlacement>());
+    cfg.rebalancePeriod = 2_ms;
+    cfg.rebalanceThreshold = 2;
+    Scheduler sched(cfg);
+    auto network = tinyNet();
+    for (int i = 0; i < 6; ++i) {
+        sched.submit(
+            makeJob(network, std::make_shared<NoPlanOnDeviceOne>(), 0, 6));
+    }
+    ServeReport rep = sched.run();
+
+    std::vector<std::string> last(rep.jobs.size());
+    int stalls = 0;
+    for (const LifecycleEvent &ev : rep.lifecycle) {
+        std::string what = ev.what;
+        EXPECT_NE(what, "migrate") << "job " << ev.job;
+        stalls += what == "migrate-stall";
+        last[std::size_t(ev.job)] = what;
+    }
+    EXPECT_GT(stalls, 0);
+    for (const JobOutcome &j : rep.jobs) {
+        if (j.migrations == 0) {
+            EXPECT_EQ(j.state, JobState::Finished) << j.name;
+            continue;
+        }
+        EXPECT_EQ(j.state, JobState::Failed) << j.name;
+        EXPECT_EQ(j.device, 1) << j.name;
+        EXPECT_EQ(last[std::size_t(j.id)], "fail") << j.name;
+        EXPECT_NE(j.failReason.find("could not be readmitted"),
+                  std::string::npos)
+            << j.failReason;
+    }
+    EXPECT_GT(rep.finishedCount(), 0);
+    EXPECT_EQ(rep.failedCount(), stalls);
+    // The stall keeps the waiting spell open from migrate-out to the
+    // final fail, as the log reads it.
+    EXPECT_GT(expectAgingMatchesLog(sched, rep), 0);
+    check::CheckResult audit = check::auditLedger(rep);
+    EXPECT_TRUE(audit.ok()) << audit.report();
+}
+
 TEST(ClusterScheduler, RebalanceSkipsAMigrationTheHostCannotStage)
 {
     // The rebalance sweep of RebalanceMigratesOffTheLoadedDevice, but
