@@ -26,8 +26,8 @@
  * trace (bench/traces/skewed_arrivals.csv, replayed through
  * serve::TraceArrivals) front-loads a burst that static best-fit
  * placement consolidates onto one device while its sibling idles.
- * The rebalance sweep (Session::migrate: suspend -> evict-to-host ->
- * re-plan and resume on the target) repairs exactly that: best-fit
+ * The rebalance sweep (evict-to-host, then Session::migrate: re-plan
+ * and resume on the target) repairs exactly that: best-fit
  * *with* migration — and load-balance placement with migration —
  * must beat static best-fit mean JCT.
  *

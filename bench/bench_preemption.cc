@@ -4,11 +4,11 @@
  *
  * Without preemption, an important arrival waits behind whatever the
  * packing scheduler already admitted: its JCT is hostage to the
- * low-priority mix. SchedPolicy::PreemptivePriority instead drives
- * victims through Session::suspend() -> evictToHost() — releasing
- * their *entire* device share over PCIe — admits the arrival at once,
- * and resumes the victims (re-planning against the then-current free
- * share) when it leaves.
+ * low-priority mix. SchedPolicy::PreemptivePriority instead parks
+ * victims (the scheduler's Suspended state) and evicts them through
+ * Session::evictToHost() — releasing their *entire* device share
+ * over PCIe — admits the arrival at once, and resumes the victims
+ * (re-planning against the then-current free share) when it leaves.
  *
  * Scenario A — 8 mixed VGG-16 (64) / AlexNet (128) vDNN_all (m)
  * low-priority tenants resident on one 12 GB Titan X, plus three

@@ -162,9 +162,9 @@ mainMultiDevice(int njobs, std::int64_t batch, int ndev)
                     rep.aggregateThroughput());
     }
     std::printf("placement chooses the device, the rebalance sweep\n"
-                "corrects it: migrations (suspend -> evict-to-host ->\n"
-                "re-plan and resume on the target) drain hot devices\n"
-                "while tenants keep their training state.\n");
+                "corrects it: migrations (evict-to-host -> re-plan\n"
+                "and resume on the target) drain hot devices while\n"
+                "tenants keep their training state.\n");
     return 0;
 }
 

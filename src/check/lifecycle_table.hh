@@ -74,13 +74,10 @@ inline constexpr TransitionRow kRows[] = {
     // The target's reserve and evict cancel out.
     {MigrateStall, "migrate-stall", Migrating, Evicted,   Zero},
     {Finish,       "finish",        Running,   Finished,  NonPos},
-    {Finish,       "finish",        Suspended, Finished,  NonPos},
-    {Finish,       "finish",        Evicted,   Finished,  NonPos},
     {Requeue,      "requeue",       Running,   Queued,    NonPos},
-    {Requeue,      "requeue",       Suspended, Queued,    NonPos},
-    {Requeue,      "requeue",       Evicted,   Queued,    NonPos},
     {Fail,         "fail",          Running,   Failed,    NonPos},
-    {Fail,         "fail",          Suspended, Failed,    NonPos},
+    // runEngine's backstop: an evicted tenant that cannot come back
+    // with the cluster drained.
     {Fail,         "fail",          Evicted,   Failed,    NonPos},
     // Admission gave up on a queued job: it holds no reservation.
     {Fail,         "fail",          Queued,    Failed,    Zero},

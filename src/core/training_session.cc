@@ -29,8 +29,6 @@ sessionStateName(SessionState s)
         return "fresh";
       case SessionState::Active:
         return "active";
-      case SessionState::Suspended:
-        return "suspended";
       case SessionState::Evicted:
         return "evicted";
       case SessionState::Torn:
@@ -273,22 +271,10 @@ Session::checkResult() const
 
 // --- lifecycle transitions ---------------------------------------------------
 
-void
-Session::suspend()
-{
-    VDNN_ASSERT(lifecycle == SessionState::Active,
-                "suspend() on a %s session", sessionStateName(lifecycle));
-    // The host holds control, so a live stepper is by construction at
-    // a legal boundary (between ops, or parked on a Sync/Barrier
-    // join); it simply stops receiving steps until resume().
-    lifecycle = SessionState::Suspended;
-    traceLifecycle("suspend");
-}
-
 bool
 Session::evictToHost()
 {
-    VDNN_ASSERT(lifecycle == SessionState::Suspended,
+    VDNN_ASSERT(lifecycle == SessionState::Active,
                 "evictToHost() on a %s session",
                 sessionStateName(lifecycle));
     VDNN_ASSERT(ex, "evicting a session with no executor");
@@ -297,7 +283,7 @@ Session::evictToHost()
     auto stage =
         mm->host().tryAllocate(persist, Label::named("evict:", net.name()));
     if (!stage)
-        return false; // pinned host exhausted; stay Suspended
+        return false; // pinned host exhausted; stay Active
 
     // A partially executed iteration cannot survive the device share
     // being released: cancel it (its transients are dead; the
@@ -322,13 +308,6 @@ Session::evictToHost()
 bool
 Session::resume()
 {
-    if (lifecycle == SessionState::Suspended) {
-        // Resident suspension: nothing moved, nothing to re-plan; the
-        // parked stepper (if any) continues exactly where it froze.
-        lifecycle = SessionState::Active;
-        traceLifecycle("resume");
-        return true;
-    }
     VDNN_ASSERT(lifecycle == SessionState::Evicted,
                 "resume() on a %s session", sessionStateName(lifecycle));
 

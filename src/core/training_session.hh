@@ -16,22 +16,16 @@
  * Its lifecycle is an explicit state machine the scheduler drives:
  *
  *     Fresh --setup()--> Active --teardown()--> Torn
- *                        |  ^
- *              suspend() |  | resume()
- *                        v  |
- *                      Suspended --evictToHost()--> Evicted
- *                           ^                          |
- *                           +------- resume() ---------+
+ *                        |  ^                    ^
+ *          evictToHost() |  | resume()           |
+ *                        v  | migrate()          |
+ *                       Evicted ---teardown()----+
  *
- *  - suspend() parks the session at the host's current boundary (the
- *    live stepper, if any, stays frozen at its next Sync/Barrier
- *    join); the tenant keeps its device share but receives no more
- *    steps — Suspended(resident).
  *  - evictToHost() releases the tenant's *entire* device share: a
  *    partially executed iteration is cancelled (it re-runs later),
  *    the persistent state is DMAed into pinned host memory, and the
  *    executor is torn down.
- *  - resume() re-activates. From Evicted it first *re-plans* against
+ *  - resume() restores an Evicted tenant. It first *re-plans* against
  *    a fresh PlannerContext carrying the current free share, rebuilds
  *    the executor around the new plan's IterationProgram and restores
  *    the persistent state over PCIe — so a resumed tenant may come back
@@ -167,11 +161,10 @@ SharedGpu shareOf(gpu::Cluster &cluster, int device, int client);
 /** Lifecycle state of a Session (see the file comment's diagram). */
 enum class SessionState : std::uint8_t
 {
-    Fresh,     ///< constructed; setup() has not succeeded yet
-    Active,    ///< device-resident and steppable
-    Suspended, ///< parked; device share retained, no steps offered
-    Evicted,   ///< device share released; state staged in pinned host
-    Torn,      ///< teardown() ran (terminal)
+    Fresh,   ///< constructed; setup() has not succeeded yet
+    Active,  ///< device-resident and steppable
+    Evicted, ///< device share released; state staged in pinned host
+    Torn,    ///< teardown() ran (terminal)
 };
 
 const char *sessionStateName(SessionState s);
@@ -182,11 +175,12 @@ const char *sessionStateName(SessionState s);
  * runSession() runs the whole experiment in one call; Session exposes
  * the same lifecycle as separate setup / runIteration / teardown steps
  * so an external scheduler (src/serve/) can interleave iterations of
- * many jobs on one shared device, and the suspend / evict / resume /
- * replan transitions documented above. Either way it is a tenant of a
- * SharedGpu: its persistent and transient allocations come from the
- * device's pool and its kernels/DMAs arbitrate the device's compute
- * and copy engines.
+ * many jobs on one shared device, and the evict / resume / replan
+ * transitions documented above. Whether a resident tenant is offered
+ * steps (parking) is the scheduler's decision, not a Session state.
+ * Either way it is a tenant of a SharedGpu: its persistent and
+ * transient allocations come from the device's pool and its
+ * kernels/DMAs arbitrate the device's compute and copy engines.
  */
 class Session
 {
@@ -243,37 +237,26 @@ class Session
     // --- lifecycle transitions (the serve layer's state machine) ---------
 
     /**
-     * Park the session: Active -> Suspended. Legal at any point the
-     * host holds control — in particular at every Sync/Barrier
-     * boundary of a live stepper, which stays frozen exactly where it
-     * is (suspending and resuming without evicting perturbs nothing;
-     * the device timeline is byte-identical to an uninterrupted run).
-     * The tenant keeps its device share.
-     */
-    void suspend();
-
-    /**
-     * Release the tenant's entire device share: Suspended -> Evicted.
+     * Release the tenant's entire device share: Active -> Evicted.
      * A partially executed iteration is cancelled (unwound without
      * being counted; it re-runs after resume), the persistent state —
      * weights, shared dW, the classifier block, and for
      * static-allocation plans the whole network — is DMAed into a
      * pinned host staging buffer, and the executor is torn down.
-     * @return false (still Suspended) when pinned host memory cannot
-     *         hold the staged state.
+     * @return false (still Active, its iteration untouched) when
+     *         pinned host memory cannot hold the staged state.
      */
     bool evictToHost();
 
     /**
-     * Reactivate the session. From Suspended this just unparks
-     * (Suspended -> Active). From Evicted it re-plans first: the
-     * planner runs against a fresh PlannerContext carrying the
-     * *current* free share, the executor is rebuilt around the new
-     * plan (taking its IterationProgram at the iteration
-     * boundary), the persistent state is restored over PCIe and the
-     * staging buffer is released. @return false (still Evicted) when
-     * the new plan is infeasible or the pool cannot hold the rebuilt
-     * persistent state; the caller may retry once capacity frees up.
+     * Restore an Evicted session: Evicted -> Active. The planner runs
+     * against a fresh PlannerContext carrying the *current* free
+     * share, the executor is rebuilt around the new plan (taking its
+     * IterationProgram at the iteration boundary), the persistent
+     * state is restored over PCIe and the staging buffer is released.
+     * @return false (still Evicted) when the new plan is infeasible
+     * or the pool cannot hold the rebuilt persistent state; the caller
+     * may retry once capacity frees up.
      */
     bool resume();
 

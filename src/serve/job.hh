@@ -37,7 +37,9 @@ enum class JobState : std::uint8_t
     Pending,   ///< submitted, arrival time not reached yet
     Queued,    ///< arrived, waiting for admission
     Running,   ///< admitted; session active on the shared device
-    Suspended, ///< preempted; device share retained, no steps offered
+    /** Parked: the session stays active and resident, but the
+     *  scheduler offers it no steps (stepTenant asserts Running). */
+    Suspended,
     Evicted,   ///< preempted; device share released, state on host
     Finished,  ///< iteration budget completed
     Failed,    ///< gave up after repeated in-flight OOM aborts

@@ -520,19 +520,6 @@ Scheduler::evictForRequeue(Job &job)
 
 // --- lifecycle state machine (priority ordering) -----------------------------
 
-void
-Scheduler::setParked(Job &job, bool parked)
-{
-    // Suspend/resume in place: the ledger does not move.
-    Bytes before = reservedBytesTotal();
-    if (parked)
-        job.session->suspend();
-    else
-        job.session->resume();
-    transition(job, parked ? LifecycleKind::Suspend : LifecycleKind::Resume,
-               job.record.device, before);
-}
-
 Job *
 Scheduler::topChallengerOn(DeviceCtx &d, const Job &inflight)
 {
@@ -573,7 +560,7 @@ Scheduler::parkInFlight(DeviceCtx &d, Job &victim, Job &challenger)
     // dispatch (stepTenant keys on victimsPreempted).
     // record.preemptions is *not* bumped: the auditor equates that
     // count with evict events, and nothing was evicted.
-    setParked(victim, true);
+    transition(victim, LifecycleKind::Suspend, d.id, reservedBytesTotal());
     d.inFlight = -1;
     ++challenger.record.victimsPreempted;
     if (ctrPreemptions)
@@ -589,7 +576,7 @@ Scheduler::preempt(Job &victim)
     // this victim resident (Suspended); eviction then just skips the
     // suspend step and stages the frozen state out.
     if (victim.record.state == JobState::Running)
-        setParked(victim, true);
+        transition(victim, LifecycleKind::Suspend, d.id, before);
     VDNN_ASSERT(victim.session->evictToHost(),
                 "job %d: pinned host refused the staging makeRoomFor's "
                 "dry run sized",
@@ -941,9 +928,9 @@ Scheduler::pickInFlight(DeviceCtx &d)
         // the in-flight tenant's boundary; at op granularity a
         // strictly higher-priority resident tenant takes the device at
         // the next op step. The in-flight tenant parks *resident*
-        // (suspend() freezes its stepper mid-iteration, memory and
-        // ledger reservation untouched) and continues byte-identically
-        // when it is next picked, so the switch costs no DMA at all.
+        // (its stepper is simply offered no steps, memory and ledger
+        // reservation untouched) and continues byte-identically when
+        // it is next picked, so the switch costs no DMA at all.
         Job *top = nullptr;
         if (preset.ordering == Ordering::Priority &&
             cfg.preemptGranularity == PreemptGranularity::Op) {
@@ -954,10 +941,10 @@ Scheduler::pickInFlight(DeviceCtx &d)
         parkInFlight(d, job, *top);
     }
     Job &job = *pickNextOn(d);
-    // A parked-resident victim is top again: un-freeze its stepper
-    // and continue the interrupted iteration in place.
+    // A parked-resident victim is top again: its frozen stepper
+    // continues the interrupted iteration in place.
     if (job.record.state == JobState::Suspended)
-        setParked(job, false);
+        transition(job, LifecycleKind::Resume, d.id, reservedBytesTotal());
     // Grow-back sweep (priority ordering, the only one that requests
     // it): a co-tenant exited since this tenant last ran; planners
     // that support it re-plan in place against the fresh free share
@@ -980,6 +967,9 @@ Scheduler::pickInFlight(DeviceCtx &d)
 bool
 Scheduler::stepTenant(Job &job)
 {
+    VDNN_ASSERT(job.record.state == JobState::Running,
+                "job %d stepped while %s", job.id,
+                jobStateName(job.record.state));
     core::IterationStepper *st = job.session->activeStepper();
     if (!st) {
         if (job.record.firstDispatchTime == kTimeNone) {
@@ -1116,7 +1106,6 @@ void
 Scheduler::migrateJob(Job &job, DeviceCtx &src, DeviceCtx &dst)
 {
     Bytes before = reservedBytesTotal();
-    job.session->suspend();
     VDNN_ASSERT(job.session->evictToHost(),
                 "job %d: source host share refused the staging "
                 "maybeRebalance's dry run sized",

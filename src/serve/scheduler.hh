@@ -82,8 +82,8 @@
  * rejoins it when a completion lands on one of its own streams. On a
  * cluster a periodic rebalance sweep migrates the smallest-footprint
  * tenant off the most-loaded device whenever the queue-depth
- * imbalance reaches a threshold (Session::migrate: suspend ->
- * evict-to-host -> re-plan and resume on the target).
+ * imbalance reaches a threshold (Session::evictToHost, then
+ * Session::migrate: re-plan and resume on the target).
  *
  * Priority ordering asks each distinct question once. An admission
  * pass reads every queued job's effective priority once for its sort
@@ -390,9 +390,6 @@ class Scheduler
      *  staging first. Accepts a victim already parked resident by
      *  parkInFlight(). */
     void preempt(Job &victim);
-    /** Suspend (@p parked) or resume a resident tenant in place,
-     *  logging the lifecycle transition; the ledger does not move. */
-    void setParked(Job &job, bool parked);
     /** Highest effective-priority *Running* co-tenant of @p d with
      *  strictly higher priority than the in-flight tenant, or
      *  nullptr. Parked (Suspended) residents never challenge. A null

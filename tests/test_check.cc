@@ -819,6 +819,39 @@ TEST(CheckLifecycleOnlineDeathTest, BadFromStatePanicsAtTheEvent)
                  "'running'.*<state dump>");
 }
 
+TEST(CheckLifecycleOnlineDeathTest, FinishRequeueAndFailFromUnreachableStatesPanic)
+{
+    // The scheduler finishes and requeues only the tenant whose
+    // iteration just ended (Running), and fails a live tenant only
+    // from Running or through the drained-cluster backstop (Evicted).
+    // Every other live from-state is a bug, caught at the event.
+    using serve::JobState;
+    using serve::LifecycleKind;
+    const struct
+    {
+        LifecycleKind kind;
+        JobState from;
+        const char *message;
+    } kIllegal[] = {
+        {LifecycleKind::Finish, JobState::Suspended,
+         "job 7 'finish' is illegal from state 'suspended'"},
+        {LifecycleKind::Finish, JobState::Evicted,
+         "job 7 'finish' is illegal from state 'evicted'"},
+        {LifecycleKind::Requeue, JobState::Suspended,
+         "job 7 'requeue' is illegal from state 'suspended'"},
+        {LifecycleKind::Requeue, JobState::Evicted,
+         "job 7 'requeue' is illegal from state 'evicted'"},
+        {LifecycleKind::Fail, JobState::Suspended,
+         "job 7 'fail' is illegal from state 'suspended'"},
+    };
+    for (const auto &c : kIllegal) {
+        EXPECT_DEATH(check::checkTransition(7, c.kind, c.from, 0,
+                                            fakeStateDump),
+                     std::string("BadTransition.: ") + c.message +
+                         ".*<state dump>");
+    }
+}
+
 TEST(CheckLifecycleOnlineDeathTest, WrongDeltaSignPanicsAtTheEvent)
 {
     EXPECT_DEATH(check::checkTransition(7, serve::LifecycleKind::Suspend,

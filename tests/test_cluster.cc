@@ -337,7 +337,6 @@ TEST(Migration, EvictedTenantResumesOnAnotherDeviceByteIdentically)
     IterationResult first = migrant.runIteration();
     ASSERT_TRUE(first.ok);
 
-    migrant.suspend();
     ASSERT_TRUE(migrant.evictToHost());
     Bytes staged = migrant.evictedBytes();
     EXPECT_GT(staged, 0);
@@ -395,7 +394,6 @@ TEST(Migration, SqueezedDynamicTenantReplansAgainstTheTargetShare)
     EXPECT_GT(session.plan().offloadCount(), 0); // squeezed
     ASSERT_TRUE(session.runIteration().ok);
 
-    session.suspend();
     ASSERT_TRUE(session.evictToHost());
     ASSERT_TRUE(session.migrate(shareOf(cluster, 1, 1)));
     EXPECT_EQ(session.deviceId(), 1);
@@ -436,7 +434,6 @@ TEST(Migration, RefusedWhenTargetHostShareIsExhausted)
     Session session(*network, scfg, shareOf(cluster, 0, 1));
     ASSERT_TRUE(session.setup());
     ASSERT_TRUE(session.runIteration().ok);
-    session.suspend();
     ASSERT_TRUE(session.evictToHost());
 
     EXPECT_FALSE(session.migrate(shareOf(cluster, 1, 1)));

@@ -133,7 +133,6 @@ TEST(LabelGolden, SessionKernelAndCopyLogs)
                           dev.share(1));
     ASSERT_TRUE(session.setup());
     ASSERT_TRUE(session.runIteration().ok);
-    session.suspend();
     ASSERT_TRUE(session.evictToHost());
     ASSERT_TRUE(session.resume());
     session.teardown();

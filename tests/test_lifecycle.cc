@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the Session lifecycle state machine: suspend/resume
- * identity (golden-pinned against the uninterrupted stepper run),
+ * Tests for the Session lifecycle state machine: host-driven stepping
+ * (golden-pinned against the uninterrupted stepper run),
  * evict-to-host / restore round trips, mid-iteration cancellation,
  * mid-run in-place re-planning against a moving free share, and the
  * executor's verification gate on every re-plan surface.
@@ -50,7 +50,7 @@ tinyAllConfig()
 
 } // namespace
 
-// --- suspend/resume identity -------------------------------------------------
+// --- host-driven stepping ----------------------------------------------------
 
 TEST(Lifecycle, FreshSessionStateMachine)
 {
@@ -59,21 +59,18 @@ TEST(Lifecycle, FreshSessionStateMachine)
     EXPECT_EQ(session.state(), SessionState::Fresh);
     ASSERT_TRUE(session.setup());
     EXPECT_EQ(session.state(), SessionState::Active);
-    session.suspend();
-    EXPECT_EQ(session.state(), SessionState::Suspended);
-    EXPECT_TRUE(session.resume());
-    EXPECT_EQ(session.state(), SessionState::Active);
     session.teardown();
     EXPECT_EQ(session.state(), SessionState::Torn);
 }
 
-TEST(Lifecycle, SuspendAtEveryBoundaryMatchesUninterruptedGolden)
+TEST(Lifecycle, HostDrivenSteppingAtEveryBoundaryMatchesUninterruptedGolden)
 {
     // Golden numbers recorded from the pre-refactor monolithic
     // executor (VGG-16 (64), vDNN_all (m), Titan X, 2 iterations) —
-    // the same constants test_iteration_program pins. Suspending and
-    // immediately resuming at *every* stepper boundary must leave the
-    // device timeline byte-identical.
+    // the same constants test_iteration_program pins. The host taking
+    // control at *every* stepper boundary (one step, then the clock
+    // advanced by hand on a Blocked join) must leave the device
+    // timeline byte-identical.
     auto network = net::buildVgg16(64);
     Session session(*network, vggAllConfig());
     ASSERT_TRUE(session.setup());
@@ -84,8 +81,6 @@ TEST(Lifecycle, SuspendAtEveryBoundaryMatchesUninterruptedGolden)
             IterationStepper::Status s = st.step();
             if (st.finished())
                 break;
-            session.suspend();
-            ASSERT_TRUE(session.resume());
             ++boundaries;
             if (s == IterationStepper::Status::Blocked) {
                 ASSERT_TRUE(session.runtime().stepDevice());
@@ -117,14 +112,13 @@ TEST(Lifecycle, EvictRestoreBetweenIterationsPreservesIterations)
     SessionResult golden = runSession(*network, vggAllConfig());
     ASSERT_TRUE(golden.trainable);
 
-    // Same experiment, but the tenant is parked, fully evicted to
-    // pinned host memory and restored between the two iterations.
+    // Same experiment, but the tenant is fully evicted to pinned host
+    // memory and restored between the two iterations.
     Session session(*network, vggAllConfig());
     ASSERT_TRUE(session.setup());
     Bytes persistent = session.persistentBytes();
     ASSERT_TRUE(session.runIteration().ok);
 
-    session.suspend();
     ASSERT_TRUE(session.evictToHost());
     EXPECT_EQ(session.state(), SessionState::Evicted);
     // The entire device share is released; the state is staged in
@@ -169,7 +163,6 @@ TEST(Lifecycle, EvictMidIterationCancelsAndRerunsCleanly)
     ASSERT_FALSE(st.finished());
     ASSERT_GT(st.pc(), 0u);
 
-    session.suspend();
     ASSERT_TRUE(session.evictToHost());
     // The partial iteration was cancelled, not counted, and every
     // transient it held was unwound before the DMA out.
@@ -191,8 +184,8 @@ TEST(Lifecycle, EvictMidIterationCancelsAndRerunsCleanly)
 TEST(Lifecycle, EvictFailsGracefullyWhenHostExhausted)
 {
     // A pinned host allocator too small to stage the persistent state:
-    // evictToHost() must refuse and leave the tenant Suspended
-    // (resident), still resumable.
+    // evictToHost() must refuse and leave the tenant Active (resident)
+    // and runnable.
     gpu::GpuSpec spec = gpu::titanXMaxwell();
     spec.hostCapacity = 1_KiB;
     gpu::Cluster cluster({{spec}});
@@ -205,10 +198,9 @@ TEST(Lifecycle, EvictFailsGracefullyWhenHostExhausted)
         AlgoPreference::MemoryOptimal);
     Session session(*network, cfg, shared);
     ASSERT_TRUE(session.setup());
-    session.suspend();
     EXPECT_FALSE(session.evictToHost());
-    EXPECT_EQ(session.state(), SessionState::Suspended);
-    EXPECT_TRUE(session.resume());
+    EXPECT_EQ(session.state(), SessionState::Active);
+    EXPECT_EQ(session.evictedBytes(), 0);
     EXPECT_TRUE(session.runIteration().ok);
     session.teardown();
     EXPECT_EQ(pool.usedBytes(), 0);
@@ -274,7 +266,6 @@ TEST(Lifecycle, ResumedTenantReplansAgainstTheCurrentShare)
     EXPECT_GT(session.plan().offloadCount(), 0);
     ASSERT_TRUE(session.runIteration().ok);
 
-    session.suspend();
     ASSERT_TRUE(session.evictToHost());
     EXPECT_EQ(pool.usedByClient(1), 0);
 
@@ -356,7 +347,6 @@ TEST(Lifecycle, EveryReplanSurfaceIsVerifiedOnceAgainstTheShare)
     EXPECT_TRUE(reportsShareExceeded(session.checkResult()))
         << session.checkResult().report();
 
-    session.suspend();
     ASSERT_TRUE(session.evictToHost());
     ASSERT_TRUE(session.resume());
     EXPECT_EQ(verified.value(), 3.0);

@@ -392,16 +392,21 @@ TEST(Telemetry, PreemptionFlowConnectsVictimAndBeneficiary)
     EXPECT_EQ(start->tid, low_id);  // arrow leaves the victim...
     EXPECT_EQ(end->tid, high_id);   // ...and lands on the beneficiary
     EXPECT_LE(start->ts, end->ts);
-    // Session lifecycle instants flank the arrow on the victim lane.
-    bool saw_suspend = false, saw_resume = false;
+    // Lifecycle instants flank the arrow on the victim lane: the
+    // scheduler parks and later resumes it, and the session restores
+    // its state from the host.
+    bool saw_suspend = false, saw_resume = false, saw_restore = false;
     for (const obs::TraceEvent &e : trace.events()) {
-        if (e.tid != low_id || std::string(e.cat) != "session")
+        if (e.tid != low_id)
             continue;
-        saw_suspend |= e.name == "suspend";
-        saw_resume |= e.name == "resume-from-evict";
+        std::string cat = e.cat;
+        saw_suspend |= cat == "sched" && e.name == "suspend";
+        saw_resume |= cat == "sched" && e.name == "resume";
+        saw_restore |= cat == "session" && e.name == "resume-from-evict";
     }
     EXPECT_TRUE(saw_suspend);
     EXPECT_TRUE(saw_resume);
+    EXPECT_TRUE(saw_restore);
 }
 
 TEST(Telemetry, DisabledRecorderLeavesZeroEvents)
