@@ -4,6 +4,7 @@
 #include "common/units.hh"
 
 #include <algorithm>
+#include <iterator>
 #include <map>
 
 namespace vdnn::mem
@@ -18,6 +19,37 @@ alignUp(Bytes v, Bytes alignment)
     return (v + alignment - 1) / alignment * alignment;
 }
 
+/** The reduction's "no block fits"; no lane entry reaches it. */
+constexpr std::uint32_t kNoFit = UINT32_MAX;
+
+/**
+ * The smallest of the @p n lane entries (a multiple of 8) that is at
+ * least @p want, or kNoFit. Eight independent accumulators, one per
+ * lane position, keep the loop free of a carried dependence and of
+ * branches, so the compiler vectorizes it.
+ */
+std::uint32_t
+smallestFit(const std::uint32_t *lane, std::size_t n, std::uint32_t want)
+{
+    std::uint32_t acc[MemoryPool::kLaneWidth];
+    std::fill(std::begin(acc), std::end(acc), kNoFit);
+    for (std::size_t i = 0; i < n; i += MemoryPool::kLaneWidth) {
+        for (std::size_t k = 0; k < MemoryPool::kLaneWidth; ++k) {
+            std::uint32_t v = lane[i + k];
+            acc[k] = std::min(acc[k], v >= want ? v : kNoFit);
+        }
+    }
+    return *std::min_element(std::begin(acc), std::end(acc));
+}
+
+/** Lane length holding @p blocks entries: the next multiple of 8. */
+std::size_t
+paddedLength(std::size_t blocks)
+{
+    return (blocks + MemoryPool::kLaneWidth - 1) / MemoryPool::kLaneWidth *
+           MemoryPool::kLaneWidth;
+}
+
 } // namespace
 
 MemoryPool::MemoryPool(Bytes capacity, std::string name)
@@ -25,7 +57,31 @@ MemoryPool::MemoryPool(Bytes capacity, std::string name)
       largeThreshold(cap / kLargeFraction), poolName(std::move(name))
 {
     VDNN_ASSERT(capacity > 0, "pool capacity must be positive");
-    freeBlocks.push_back(FreeBlock{0, cap});
+    if (cap / kAlignment > kMaxGranules) {
+        fatal("%s: capacity %s (%lld bytes) exceeds the largest pool "
+              "arena, %lld granules of %lld bytes",
+              poolName.c_str(), formatBytes(cap).c_str(), (long long)cap,
+              (long long)kMaxGranules, (long long)kAlignment);
+    }
+    freeOffsets.push_back(0);
+    freeGranules.assign(kLaneWidth, 0);
+    freeGranules[0] = std::uint32_t(cap / kAlignment);
+}
+
+void
+MemoryPool::insertFree(std::size_t i, Bytes offset, std::uint32_t granules)
+{
+    freeOffsets.insert(freeOffsets.begin() + std::ptrdiff_t(i), offset);
+    freeGranules.insert(freeGranules.begin() + std::ptrdiff_t(i), granules);
+    freeGranules.resize(paddedLength(freeOffsets.size()));
+}
+
+void
+MemoryPool::eraseFree(std::size_t i)
+{
+    freeOffsets.erase(freeOffsets.begin() + std::ptrdiff_t(i));
+    freeGranules.erase(freeGranules.begin() + std::ptrdiff_t(i));
+    freeGranules.resize(paddedLength(freeOffsets.size()));
 }
 
 void
@@ -51,47 +107,45 @@ MemoryPool::tryAllocate(Bytes size, Label tag, int client)
     Bytes need = std::max<Bytes>(alignUp(size, kAlignment), kAlignment);
 
     // Best fit: the smallest sufficient block, the lowest offset on
-    // ties (the scan runs in offset order and keeps the first), so
-    // layouts are deterministic. Small requests never need a separate
-    // small-block pass: any sufficient block below the large threshold
-    // is tighter than every large block, so plain best fit already
-    // keeps them out of the holes the giant-class buffers cycle
-    // through whenever a small hole fits.
-    std::size_t best = freeBlocks.size();
-    Bytes best_size = 0; // free blocks are never empty
-    for (std::size_t i = 0; i < freeBlocks.size(); ++i) {
-        Bytes bsize = freeBlocks[i].size;
-        if (bsize < need || (best_size > 0 && bsize >= best_size))
-            continue;
-        best = i;
-        best_size = bsize;
-        if (bsize == need)
-            break; // exact fit: nothing later can be tighter
+    // ties (std::find returns the first entry holding the minimum, and
+    // the lanes run in offset order), so layouts are deterministic.
+    // Small requests never need a separate small-block pass: any
+    // sufficient block below the large threshold is tighter than every
+    // large block, so plain best fit already keeps them out of the
+    // holes the giant-class buffers cycle through whenever a small
+    // hole fits. A request larger than the arena fails before its
+    // granule count is narrowed to the lane's width.
+    std::uint32_t best = kNoFit;
+    std::uint32_t want = 0;
+    if (need <= cap) {
+        want = std::uint32_t(need / kAlignment);
+        best = smallestFit(freeGranules.data(), freeGranules.size(), want);
     }
-
-    if (best == freeBlocks.size()) {
+    if (best == kNoFit) {
         oom.requested = need;
         oom.totalFree = freeBytes();
         oom.largestFree = largestFreeBlock();
         tag.formatTo(oom.tag);
         return std::nullopt;
     }
+    std::size_t i = std::size_t(
+        std::find(freeGranules.begin(), freeGranules.end(), best) -
+        freeGranules.begin());
 
     // Carve in place: the remainder stays inside the block's span, so
-    // the vector keeps its offset order.
-    FreeBlock &blk = freeBlocks[best];
+    // the lanes keep their offset order.
     Bytes offset;
     if (need >= largeThreshold) {
         // Large: carve from the high end of the block.
-        offset = blk.offset + blk.size - need;
+        offset = freeOffsets[i] + freeSize(i) - need;
     } else {
         // Small: carve from the low end.
-        offset = blk.offset;
-        blk.offset += need;
+        offset = freeOffsets[i];
+        freeOffsets[i] += need;
     }
-    blk.size -= need;
-    if (blk.size == 0)
-        freeBlocks.erase(freeBlocks.begin() + std::ptrdiff_t(best));
+    freeGranules[i] -= want;
+    if (freeGranules[i] == 0)
+        eraseFree(i);
 
     Allocation a;
     a.id = live.insert(LiveBlock{offset, need, tag, client});
@@ -141,27 +195,27 @@ MemoryPool::release(const Allocation &alloc)
 
     // First free block above the released span; its predecessor (if
     // any) lies below it.
-    auto next = std::lower_bound(
-        freeBlocks.begin(), freeBlocks.end(), offset,
-        [](const FreeBlock &b, Bytes off) { return b.offset < off; });
-    VDNN_ASSERT(next == freeBlocks.end() || next->offset != offset,
+    std::size_t n = std::size_t(
+        std::lower_bound(freeOffsets.begin(), freeOffsets.end(), offset) -
+        freeOffsets.begin());
+    VDNN_ASSERT(n == freeOffsets.size() || freeOffsets[n] != offset,
                 "double free at offset %lld", (long long)offset);
+    auto granules = std::uint32_t(size / kAlignment);
     bool join_next =
-        next != freeBlocks.end() && offset + size == next->offset;
-    bool join_prev = next != freeBlocks.begin() &&
-                     std::prev(next)->offset + std::prev(next)->size ==
-                         offset;
+        n < freeOffsets.size() && offset + size == freeOffsets[n];
+    bool join_prev =
+        n > 0 && freeOffsets[n - 1] + freeSize(n - 1) == offset;
     if (join_prev) {
-        std::prev(next)->size += size;
+        freeGranules[n - 1] += granules;
         if (join_next) {
-            std::prev(next)->size += next->size;
-            freeBlocks.erase(next);
+            freeGranules[n - 1] += freeGranules[n];
+            eraseFree(n);
         }
     } else if (join_next) {
-        next->offset = offset;
-        next->size += size;
+        freeOffsets[n] = offset;
+        freeGranules[n] += granules;
     } else {
-        freeBlocks.insert(next, FreeBlock{offset, size});
+        insertFree(n, offset, granules);
     }
     notify();
 }
@@ -185,10 +239,10 @@ MemoryPool::peakByClient(int client) const
 Bytes
 MemoryPool::largestFreeBlock() const
 {
-    Bytes largest = 0;
-    for (const FreeBlock &b : freeBlocks)
-        largest = std::max(largest, b.size);
-    return largest;
+    std::uint32_t largest = 0;
+    for (std::uint32_t g : freeGranules)
+        largest = std::max(largest, g);
+    return Bytes(largest) * kAlignment;
 }
 
 std::string
@@ -196,8 +250,8 @@ MemoryPool::layoutString() const
 {
     // Merge live and free blocks into one offset-ordered map.
     std::map<Bytes, std::pair<Bytes, std::string>> blocks;
-    for (const FreeBlock &b : freeBlocks)
-        blocks[b.offset] = {b.size, "<free>"};
+    for (std::size_t i = 0; i < freeOffsets.size(); ++i)
+        blocks[freeOffsets[i]] = {freeSize(i), "<free>"};
     live.forEach([&](const LiveBlock &blk) {
         blocks[blk.offset] = {blk.size, blk.tag.str()};
     });
@@ -216,17 +270,27 @@ MemoryPool::layoutString() const
 bool
 MemoryPool::checkInvariants() const
 {
-    // Free blocks are strictly offset-ordered, disjoint, non-adjacent
-    // and inside the arena.
+    // The granule lane holds one entry per block, then zeros up to a
+    // multiple of the lane width.
+    if (freeGranules.size() != paddedLength(freeOffsets.size()))
+        return false;
+    for (std::size_t i = freeOffsets.size(); i < freeGranules.size(); ++i) {
+        if (freeGranules[i] != 0)
+            return false;
+    }
+    // Free blocks are nonempty, strictly offset-ordered, disjoint,
+    // non-adjacent and inside the arena.
     Bytes total_free = 0;
     Bytes prev_end = -1;
-    for (const FreeBlock &b : freeBlocks) {
-        if (b.size <= 0 || b.offset < 0 || b.offset + b.size > cap)
+    for (std::size_t i = 0; i < freeOffsets.size(); ++i) {
+        Bytes offset = freeOffsets[i];
+        Bytes size = freeSize(i);
+        if (size <= 0 || offset < 0 || offset + size > cap)
             return false;
-        if (prev_end >= 0 && b.offset <= prev_end)
+        if (prev_end >= 0 && offset <= prev_end)
             return false; // out of order, overlapping or uncoalesced
-        prev_end = b.offset + b.size;
-        total_free += b.size;
+        prev_end = offset + size;
+        total_free += size;
     }
     Bytes total_live = 0;
     live.forEach([&](const LiveBlock &blk) { total_live += blk.size; });

@@ -22,7 +22,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -268,7 +267,7 @@ class JobQueue
 {
   public:
     void push(JobId id) { ids.push_back(id); }
-    void pushFront(JobId id) { ids.push_front(id); }
+    void pushFront(JobId id) { ids.insert(ids.begin(), id); }
     bool empty() const { return ids.empty(); }
     std::size_t size() const { return ids.size(); }
 
@@ -277,15 +276,20 @@ class JobQueue
 
     JobId at(std::size_t i) const { return ids.at(i); }
 
-    /** Stable-sort the queued ids (priority admission order). */
+    /**
+     * Stable-sort the queued ids (priority admission order).
+     * std::stable_sort allocates a buffer even for an ordered queue,
+     * so it runs only when the queue is out of order.
+     */
     template <typename Cmp>
     void stableSort(Cmp cmp)
     {
-        std::stable_sort(ids.begin(), ids.end(), cmp);
+        if (!std::is_sorted(ids.begin(), ids.end(), cmp))
+            std::stable_sort(ids.begin(), ids.end(), cmp);
     }
 
   private:
-    std::deque<JobId> ids;
+    std::vector<JobId> ids;
 };
 
 } // namespace vdnn::serve

@@ -132,8 +132,7 @@ ScenarioGenerator::makeJob(int index, const Model &m, TimeNs arrival)
     JobSpec spec;
     spec.name = strFormat("%s-%03d", scenarioKindName(cfg.kind), index);
     spec.network = network(m);
-    spec.planner = std::make_shared<core::OffloadAllPlanner>(
-        core::AlgoPreference::MemoryOptimal);
+    spec.planner = offloadAll;
     spec.arrival = arrival;
     spec.iterations =
         int(rng.nextRange(cfg.minIterations, cfg.maxIterations));
@@ -258,9 +257,7 @@ ScenarioGenerator::generate()
             const Model &m = heavy ? kVgg64 : kAlexNet64;
             JobSpec spec = makeJob(i, m, arrival);
             if (heavy) {
-                spec.planner =
-                    std::make_shared<core::BaselinePlanner>(
-                        core::AlgoPreference::MemoryOptimal);
+                spec.planner = baseline;
                 // Keep the ledger churning: heavies come and go
                 // instead of squatting.
                 spec.iterations = cfg.minIterations;

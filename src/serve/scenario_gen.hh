@@ -38,6 +38,7 @@
 #include "common/random.hh"
 #include "common/types.hh"
 #include "common/units.hh"
+#include "core/planner.hh"
 #include "gpu/gpu_spec.hh"
 #include "net/network.hh"
 #include "serve/job.hh"
@@ -125,6 +126,15 @@ class ScenarioGenerator
     std::map<std::pair<int, std::int64_t>,
              std::shared_ptr<const net::Network>>
         netCache;
+    /** Planners shared across tenants, as the networks are, so the
+     *  scheduler derives one admission estimate per (network, planner)
+     *  rather than one per job. */
+    std::shared_ptr<core::Planner> offloadAll =
+        std::make_shared<core::OffloadAllPlanner>(
+            core::AlgoPreference::MemoryOptimal);
+    std::shared_ptr<core::Planner> baseline =
+        std::make_shared<core::BaselinePlanner>(
+            core::AlgoPreference::MemoryOptimal);
 };
 
 } // namespace vdnn::serve

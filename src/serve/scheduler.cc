@@ -187,7 +187,7 @@ Scheduler::submit(JobSpec spec)
     rec.arrival = job->spec.arrival;
     rec.sloJct = job->spec.sloJct;
     jobs.push_back(std::move(job));
-    estimates.resize(jobs.size() * devs.size());
+    estimateOf.resize(jobs.size() * devs.size());
     ++numPending;
     if (nextPendingArrival == kTimeNone ||
         jobs.back()->spec.arrival < nextPendingArrival) {
@@ -271,22 +271,26 @@ Scheduler::transition(Job &job, LifecycleKind kind, int device,
 const FootprintEstimate &
 Scheduler::estimateFor(const Job &job, DeviceCtx &d)
 {
-    std::optional<FootprintEstimate> &slot =
-        estimates[std::size_t(job.id) * devs.size() +
-                  std::size_t(d.estimateSlot)];
-    if (slot)
-        return *slot;
-    // Budget for the planner's most conservative plan, derived against
-    // the whole device (the reservation must hold however crowded the
-    // pool is when the job finally runs). Jobs of one network and
-    // planner share its program cache entry.
+    const FootprintEstimate *&ref =
+        estimateOf[std::size_t(job.id) * devs.size() +
+                   std::size_t(d.estimateSlot)];
+    if (ref)
+        return *ref;
     const net::Network &net = *job.spec.network;
-    slot = estimateFootprint(
-        net,
-        job.spec.planner->admissionPlan(
-            net, core::PlannerContext::exclusive(d.dev->spec())),
-        &programs);
-    return *slot;
+    auto [it, fresh] = estimates.try_emplace(
+        {&net, job.spec.planner.get(), d.estimateSlot});
+    if (fresh) {
+        // Budget for the planner's most conservative plan, derived
+        // against the whole device (the reservation must hold however
+        // crowded the pool is when the job finally runs).
+        it->second = estimateFootprint(
+            net,
+            job.spec.planner->admissionPlan(
+                net, core::PlannerContext::exclusive(d.dev->spec())),
+            &programs);
+    }
+    ref = &it->second;
+    return *ref;
 }
 
 double

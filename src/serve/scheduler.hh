@@ -129,6 +129,7 @@
 #include "stats/time_weighted.hh"
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -316,7 +317,7 @@ class Scheduler
     void collectArrivals();
     /** @p job's admission footprint on @p d: its planner's
      *  admissionPlan() under estimateFootprint() from `programs`,
-     *  memoized in `estimates`. */
+     *  memoized in `estimates` per network, planner and device spec. */
     const FootprintEstimate &estimateFor(const Job &job, DeviceCtx &d);
     bool tryAdmit(Job &job, const FootprintEstimate &est, DeviceCtx &d);
     /** Tear a live job down and take it off its device: @p kind is
@@ -481,12 +482,19 @@ class Scheduler
 
     std::vector<std::unique_ptr<Job>> jobs;
     /**
-     * Footprint estimates are deterministic per (spec, device): one
-     * lazily filled slot per job and device, at
-     * `id * deviceCount() + DeviceCtx::estimateSlot`. Sized by
-     * submit(), so references handed out while running stay valid.
+     * Footprint estimates are deterministic per (network, planner,
+     * device spec): one entry per (network, planner object,
+     * DeviceCtx::estimateSlot), shared by every job of that network
+     * and planner. A std::map, so the references handed out stay
+     * valid; the jobs keep the keyed objects alive.
      */
-    std::vector<std::optional<FootprintEstimate>> estimates;
+    std::map<std::tuple<const net::Network *, const core::Planner *, int>,
+             FootprintEstimate>
+        estimates;
+    /** Each job's entry in `estimates` per device spec, filled on first
+     *  use: `id * deviceCount() + DeviceCtx::estimateSlot`. Sized by
+     *  submit(). */
+    std::vector<const FootprintEstimate *> estimateOf;
     JobQueue queue;                 ///< arrived, waiting for admission
     std::vector<JobId> evictedJobs; ///< preempted/stalled, awaiting resume
     /** Capacity freed since the last resume sweep. */

@@ -113,6 +113,56 @@ TEST(MemoryPool, OutOfMemoryReportsDetails)
     pool.release(a);
 }
 
+TEST(MemoryPool, RequestsAboveTheArenaFailWithDetails)
+{
+    // A pool's free sizes are 32-bit granule counts, so a request is
+    // checked against the arena before it is narrowed: (2^32 + 1)
+    // granules would wrap to one granule, which fits everywhere.
+    const Bytes kGranule = MemoryPool::kAlignment;
+    MemoryPool pool(1_MiB, "gpu");
+    for (Bytes size : {1_MiB + 1, 2_MiB, ((Bytes(1) << 32) + 1) * kGranule,
+                       Bytes(1) << 50}) {
+        auto r = pool.tryAllocate(size, "huge");
+        ASSERT_FALSE(r.has_value()) << size;
+        EXPECT_EQ(pool.lastOom().requested,
+                  (size + kGranule - 1) / kGranule * kGranule);
+        EXPECT_EQ(pool.lastOom().tag, "huge");
+        EXPECT_EQ(pool.lastOom().totalFree, 1_MiB);
+        EXPECT_EQ(pool.lastOom().largestFree, 1_MiB);
+    }
+    EXPECT_EQ(pool.usedBytes(), 0);
+    EXPECT_EQ(pool.liveAllocations(), 0u);
+    EXPECT_TRUE(pool.checkInvariants());
+    // The whole arena still fits exactly.
+    auto all = pool.tryAllocate(1_MiB, "all");
+    ASSERT_TRUE(all.has_value());
+    EXPECT_EQ(all->offset, 0);
+}
+
+TEST(MemoryPool, ArenaAboveTheGranuleLimitIsFatal)
+{
+    const Bytes limit = MemoryPool::kMaxGranules * MemoryPool::kAlignment;
+    // The largest arena the lane indexes builds and allocates.
+    MemoryPool edge(limit);
+    EXPECT_EQ(edge.largestFreeBlock(), limit);
+    auto a = edge.tryAllocate(limit / 2, "half");
+    ASSERT_TRUE(a.has_value());
+    EXPECT_EQ(edge.largestFreeBlock(), limit - a->size);
+    EXPECT_TRUE(edge.checkInvariants());
+    // One granule more is a configuration error naming the capacity.
+    try {
+        MemoryPool pool(limit + MemoryPool::kAlignment, "huge pool");
+        FAIL() << "no FatalError for an oversized arena";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("huge pool"),
+                  std::string::npos) << e.what();
+        EXPECT_NE(std::string(e.what()).find(std::to_string(
+                      limit + MemoryPool::kAlignment)),
+                  std::string::npos) << e.what();
+    }
+    EXPECT_THROW(MemoryPool(Bytes(4096) * 1_GiB), FatalError);
+}
+
 TEST(MemoryPool, AllocateThrowsFatalOnOom)
 {
     MemoryPool pool(1_MiB);
@@ -324,10 +374,11 @@ class MemoryPoolDifferentialTest
     : public ::testing::TestWithParam<std::uint64_t>
 {};
 
-TEST_P(MemoryPoolDifferentialTest, MatchesTwoTierBestFit)
+/** 4,000 mixed operations at @p capacity, compared step by step. */
+void
+expectMatchesTwoTierBestFit(std::uint64_t seed, Bytes capacity)
 {
-    SplitMix64 rng(GetParam());
-    const Bytes capacity = 24_MiB;
+    SplitMix64 rng(seed);
     MemoryPool pool(capacity);
     TwoTierReferencePool ref(capacity);
     const Bytes large = capacity / MemoryPool::kLargeFraction;
@@ -370,6 +421,21 @@ TEST_P(MemoryPoolDifferentialTest, MatchesTwoTierBestFit)
     // The mix must actually fragment the arena and fail requests.
     EXPECT_GT(ooms, 0);
     EXPECT_GT(large_allocs, 0);
+}
+
+TEST_P(MemoryPoolDifferentialTest, MatchesTwoTierBestFit)
+{
+    expectMatchesTwoTierBestFit(GetParam(), 24_MiB);
+}
+
+/**
+ * The same mix on the 1 TiB arena of the oracle GPU
+ * (core/training_session.cc): 2^31 granules, past the range of a
+ * signed 32-bit granule count.
+ */
+TEST_P(MemoryPoolDifferentialTest, MatchesTwoTierBestFitAtOracleArena)
+{
+    expectMatchesTwoTierBestFit(GetParam(), 1024_GiB);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MemoryPoolDifferentialTest,
