@@ -16,7 +16,7 @@
  * near-linearly: >= 1.8x at 2 devices and >= 3.2x at 4.
  *
  * Scenario A2 — cluster-native PackedOverlap: the unified serve
- * engine steps one resumable stepper per admitted tenant per device,
+ * engine steps each admitted tenant's resumable executor per device,
  * so the bench_overlap_serve overlap workload doubled onto two
  * devices must reach >= 0.95 mean per-device compute utilization —
  * co-tenant compute ops dispatch under every DMA-join stall that
@@ -261,8 +261,8 @@ scenarioA()
     ServeReport one = runScaling(1);
     ServeReport two = runScaling(2);
     ServeReport four = runScaling(4);
-    // Cluster-native PackedOverlap: the unified engine steps one
-    // resumable stepper per tenant per device, so whenever a tenant
+    // Cluster-native PackedOverlap: the unified engine steps each
+    // tenant's resumable executor per device, so whenever a tenant
     // blocks on a DMA join the next ready co-tenant's compute op
     // dispatches under it — the round-robin iteration interleave
     // above leaves each device idle for exactly those joins.

@@ -18,7 +18,7 @@
  * drains — the state the Executor's op bodies mutate, interpreted
  * symbolically with no device, pool or clock behind it. The verifier
  * interprets the program's own operands (the buffers, Y/dY and
- * workspace each IterOp carries, the same ones the IterationStepper
+ * workspace each IterOp carries, the same ones Executor::step()
  * executes), plus the plan-coverage check that ties those operands
  * back to the MemoryPlan.
  *

@@ -18,6 +18,7 @@ Executor::Executor(const net::Network &net_, const dnn::CudnnSim &cudnn_,
     : net(net_), cudnn(cudnn_), rt(runtime), mm(mm_), execPlan(plan),
       cfg(config), programs(programs_),
       compiled(compiledPlan(programs_, net_, plan, config)),
+      streamCompute(mm_.computeStream()), streamMemory(mm_.memoryStream()),
       prefetchState(net_.numBuffers())
 {
     VDNN_ASSERT(net.finalized(), "network must be finalized");
@@ -26,11 +27,6 @@ Executor::Executor(const net::Network &net_, const dnn::CudnnSim &cudnn_,
                 "plan algo assignment size mismatch");
     VDNN_ASSERT(execPlan.buffers.size() == net.numBuffers(),
                 "plan directive vector size mismatch");
-    streamCompute = rt.createStream("stream_compute");
-    streamMemory = rt.createStream("stream_memory");
-    rt.setStreamClient(streamCompute, mm.clientId());
-    rt.setStreamClient(streamMemory, mm.clientId());
-
     staticBuffers.assign(net.numBuffers(), false);
 
     if (obs::MetricsRegistry *m = rt.telemetry().metrics) {
@@ -217,9 +213,9 @@ void
 Executor::teardown()
 {
     VDNN_ASSERT(setupDone, "teardown() without setup()");
-    VDNN_ASSERT(!stepperLive || stepper->finished(),
+    VDNN_ASSERT(!iterationInFlight() || finished(),
                 "teardown() with an iteration in flight");
-    stepperLive = false;
+    st = Status::Idle;
     teardownPartial();
     setupDone = false;
     persistentTotal = 0;
@@ -228,17 +224,15 @@ Executor::teardown()
 void
 Executor::cancelIteration()
 {
-    if (!stepperLive)
-        return;
-    if (!stepper->finished()) {
-        stepper->cancel();
+    if (st == Status::Running || st == Status::Blocked) {
+        abortIteration("iteration cancelled (tenant preempted)");
         if (rt.telemetry().tracing()) {
             rt.telemetry().trace->instant(rt.deviceId(), mm.clientId(),
                                           "iteration", "iteration-cancel",
                                           rt.now());
         }
     }
-    stepperLive = false;
+    st = Status::Idle;
 }
 
 void
@@ -253,7 +247,8 @@ void
 Executor::adoptPlan(const MemoryPlan &plan)
 {
     VDNN_ASSERT(setupDone, "adoptPlan() before setup()");
-    VDNN_ASSERT(!stepperLive, "adoptPlan() with an iteration in flight");
+    VDNN_ASSERT(!iterationInFlight(),
+                "adoptPlan() with an iteration in flight");
     VDNN_ASSERT(plan.feasible, "cannot adopt an infeasible plan");
     VDNN_ASSERT(plan.staticAllocation == execPlan.staticAllocation,
                 "adoptPlan() cannot change the allocation style");
@@ -266,30 +261,7 @@ Executor::adoptPlan(const MemoryPlan &plan)
     verifyGate("adopt-plan");
 }
 
-// --- kernel launches -----------------------------------------------------------
-
-void
-Executor::launchForwardKernels(net::LayerId id)
-{
-    rt.launchKernel(streamCompute, launchPlan[std::size_t(id)].fwd);
-}
-
-void
-Executor::launchBackwardKernels(net::LayerId id)
-{
-    const ExecLaunchPlan &lp = launchPlan[std::size_t(id)];
-    rt.launchKernel(streamCompute, lp.bwdFilter);
-    if (lp.hasBwdData)
-        rt.launchKernel(streamCompute, lp.bwdData);
-}
-
 // --- gradient buffers -------------------------------------------------------------
-
-bool
-Executor::gradientLive(net::BufferId b) const
-{
-    return gradients[std::size_t(b)].has_value();
-}
 
 bool
 Executor::allocGradient(net::BufferId b)
@@ -357,8 +329,7 @@ Executor::evictUnconsumedPrefetches(Bytes need, net::LayerId curr)
 }
 
 bool
-Executor::ensureResident(net::BufferId b, net::LayerId curr,
-                         IterationResult &result)
+Executor::ensureResident(net::BufferId b, net::LayerId curr)
 {
     switch (mm.residence(b)) {
       case Residence::Device:
@@ -380,9 +351,9 @@ Executor::ensureResident(net::BufferId b, net::LayerId curr,
                        Label::indexed("fetch:", b));
         rt.synchronize(streamMemory);
         mm.finishPrefetch(b);
-        result.transferStallTime += rt.now() - t0;
-        result.pcieBytes += bp.dmaBytes;
-        ++result.onDemandFetches;
+        res.transferStallTime += rt.now() - t0;
+        res.pcieBytes += bp.dmaBytes;
+        ++res.onDemandFetches;
         prefetchState.prefetched[std::size_t(b)] = true;
         return true;
       }
@@ -417,13 +388,28 @@ Executor::processDeferredReleases()
 }
 
 void
-Executor::abortIteration(IterationResult &result, const std::string &why,
-                         FailKind kind, net::LayerId layer)
+Executor::releaseWorkspace()
 {
-    result.ok = false;
-    result.failReason = why;
-    result.failKind = kind;
-    result.failLayer = layer;
+    if (ws) {
+        mm.releaseDevice(ws->alloc, ws->managed);
+        ws.reset();
+    }
+}
+
+void
+Executor::abortIteration(const std::string &why, FailKind kind,
+                         net::LayerId layer)
+{
+    // A cancelled cursor may hold a live workspace and joins it never
+    // reached; the drain-and-force-release below unwinds the buffer
+    // state machines.
+    releaseWorkspace();
+    offloading.clear();
+    prefetching.clear();
+    res.ok = false;
+    res.failReason = why;
+    res.failKind = kind;
+    res.failLayer = layer;
     // Drain all in-flight work so state machines can be forced down.
     rt.deviceSynchronize();
     deferredReleases.clear();
@@ -438,57 +424,21 @@ Executor::abortIteration(IterationResult &result, const std::string &why,
         if (!staticBuffers[std::size_t(b)])
             mm.forceRelease(net, b);
     }
-    result.end = rt.now();
-}
-
-// --- stepper: op bodies ------------------------------------------------------
-
-IterationStepper::IterationStepper(Executor &executor) : ex(executor) {}
-
-void
-IterationStepper::rewind()
-{
-    pcIndex = 0;
-    st = Status::Running;
-    blockedOn = -1;
-    computeJoined = false;
-    tComputeDone = 0;
-    groupLayer = -2;
-    groupBackward = false;
-    tLayerStart = 0;
-    ws.reset();
-    offloading.clear();
-    prefetching.clear();
-    res = IterationResult{};
-}
-
-void
-IterationStepper::cancel()
-{
-    VDNN_ASSERT(!finished(), "cancel() on a finished iteration");
-    // A parked cursor may hold a live workspace and joins it never
-    // reached; abortIteration()'s drain-and-force-release unwinds the
-    // buffer state machines, so only the stepper-local state needs
-    // explicit cleanup here.
-    if (ws) {
-        ex.mm.releaseDevice(ws->alloc, ws->managed);
-        ws.reset();
-    }
-    offloading.clear();
-    prefetching.clear();
-    ex.abortIteration(res, "iteration cancelled (tenant preempted)");
+    res.end = rt.now();
     st = Status::Failed;
 }
 
+// --- op bodies -------------------------------------------------------------
+
 const IterOp *
-IterationStepper::nextOp() const
+Executor::nextOp() const
 {
-    const std::vector<IterOp> &ops = ex.compiled->program().ops;
+    const std::vector<IterOp> &ops = compiled->program().ops;
     return pcIndex < ops.size() ? &ops[pcIndex] : nullptr;
 }
 
-IterationStepper::Status
-IterationStepper::blocked(gpu::StreamId stream)
+Executor::Status
+Executor::blocked(gpu::StreamId stream)
 {
     blockedOn = stream;
     st = Status::Blocked;
@@ -496,23 +446,16 @@ IterationStepper::blocked(gpu::StreamId stream)
 }
 
 bool
-IterationStepper::opBeginIteration()
+Executor::opBeginIteration()
 {
-    res.layers.assign(ex.net.numLayers(), LayerTiming{});
-    ex.gradients.assign(ex.net.numBuffers(), std::nullopt);
-    ex.liveGradients = 0;
-    ex.deferredReleases.clear();
-    ex.remainingReaders = ex.initialReaders;
-    ex.prefetchState.reset();
-
-    res.start = ex.rt.now();
+    res.start = rt.now();
 
     // Materialize the input batch (static under the baseline policy).
-    if (!ex.staticAlloc() &&
-        ex.mm.residence(ex.net.inputBuffer()) == Residence::Unallocated) {
-        if (!ex.mm.allocBuffer(ex.net, ex.net.inputBuffer())) {
-            ex.abortIteration(res, "OOM allocating the input batch",
-                              FailKind::FeatureMap, net::kInputLayer);
+    if (!staticAlloc() &&
+        mm.residence(net.inputBuffer()) == Residence::Unallocated) {
+        if (!mm.allocBuffer(net, net.inputBuffer())) {
+            abortIteration("OOM allocating the input batch",
+                           FailKind::FeatureMap, net::kInputLayer);
             return false;
         }
     }
@@ -520,28 +463,26 @@ IterationStepper::opBeginIteration()
 }
 
 bool
-IterationStepper::opFwdAlloc(const IterOp &op)
+Executor::opFwdAlloc(const IterOp &op)
 {
     net::LayerId id = op.layer;
     // Input feature maps must be device-resident during forward
     // propagation (they are only ever offloaded by their last reader).
     for (net::BufferId b : op.buffers) {
-        Residence r = ex.mm.residence(b);
+        Residence r = mm.residence(b);
         VDNN_ASSERT(r == Residence::Device,
                     "fwd '%s': input buffer %d not resident (state %d)",
-                    ex.net.node(id).spec.name.c_str(), b, int(r));
+                    net.node(id).spec.name.c_str(), b, int(r));
     }
 
     // Allocate the output feature maps (in-place layers reuse X).
-    if (op.allocY &&
-        ex.mm.residence(op.yBuffer) == Residence::Unallocated) {
-        if (!ex.mm.allocBuffer(ex.net, op.yBuffer)) {
-            ex.abortIteration(
-                res,
+    if (op.allocY && mm.residence(op.yBuffer) == Residence::Unallocated) {
+        if (!mm.allocBuffer(net, op.yBuffer)) {
+            abortIteration(
                 strFormat("OOM allocating Y of '%s' (%s)",
-                          ex.net.node(id).spec.name.c_str(),
-                          formatBytes(
-                              ex.bufferPlan[std::size_t(op.yBuffer)].bytes)
+                          net.node(id).spec.name.c_str(),
+                          formatBytes(bufferPlan[std::size_t(op.yBuffer)]
+                                          .bytes)
                               .c_str()),
                 FailKind::FeatureMap, id);
             return false;
@@ -549,18 +490,16 @@ IterationStepper::opFwdAlloc(const IterOp &op)
     }
 
     // Convolution workspace for the chosen algorithm.
-    ws.reset();
-    const ExecLaunchPlan &lp = ex.launchPlan[std::size_t(id)];
+    const ExecLaunchPlan &lp = launchPlan[std::size_t(id)];
     Bytes ws_bytes = op.wsBytes;
     if (ws_bytes > 0) {
-        auto a = ex.mm.allocDevice(ws_bytes, lp.wsTag, lp.wsManaged);
+        auto a = mm.allocDevice(ws_bytes, lp.wsTag, lp.wsManaged);
         if (!a) {
-            ex.abortIteration(res,
-                              strFormat("OOM allocating workspace of '%s' "
-                                        "(%s)",
-                                        ex.net.node(id).spec.name.c_str(),
-                                        formatBytes(ws_bytes).c_str()),
-                              FailKind::Workspace, id);
+            abortIteration(strFormat("OOM allocating workspace of '%s' "
+                                     "(%s)",
+                                     net.node(id).spec.name.c_str(),
+                                     formatBytes(ws_bytes).c_str()),
+                           FailKind::Workspace, id);
             return false;
         }
         ws = TaggedAlloc{*a, lp.wsManaged};
@@ -569,37 +508,30 @@ IterationStepper::opFwdAlloc(const IterOp &op)
 }
 
 void
-IterationStepper::opFwdKernel(net::LayerId id)
-{
-    ex.launchForwardKernels(id);
-}
-
-void
-IterationStepper::opFwdOffload(const IterOp &op)
+Executor::opFwdOffload(const IterOp &op)
 {
     // Offload: issued by the last forward consumer of each input buffer
     // (the refcount rule of Fig. 3, resolved into op.buffers at compile
     // time), overlapped with this layer's own forward computation on
     // stream_memory.
     for (net::BufferId b : op.buffers) {
-        if (!ex.mm.beginOffload(ex.net, b)) {
+        if (!mm.beginOffload(net, b)) {
             warn("host memory exhausted; keeping buffer %d resident", b);
             continue;
         }
-        const ExecBufferPlan &bp = ex.bufferPlan[std::size_t(b)];
-        ex.rt.memcpyAsync(ex.streamMemory, bp.dmaBytes,
-                          CopyDir::DeviceToHost,
-                          Label::indexed("offload:", b));
+        const ExecBufferPlan &bp = bufferPlan[std::size_t(b)];
+        rt.memcpyAsync(streamMemory, bp.dmaBytes, CopyDir::DeviceToHost,
+                       Label::indexed("offload:", b));
         offloading.push_back(b);
-        ex.prefetchState.offloaded[std::size_t(b)] = true;
+        prefetchState.offloaded[std::size_t(b)] = true;
         ++res.offloads;
         res.offloadedBytes += bp.bytes;
         res.pcieBytes += bp.dmaBytes;
     }
 }
 
-IterationStepper::Status
-IterationStepper::opSync(const IterOp &op)
+Executor::Status
+Executor::opSync(const IterOp &op)
 {
     // Layer boundary: wait for the computation, and for any transfer
     // launched under it — offloads so the device copy is released
@@ -611,55 +543,52 @@ IterationStepper::opSync(const IterOp &op)
         op.backward ? prefetching : offloading;
 
     if (!computeJoined) {
-        if (!ex.rt.streamIdle(ex.streamCompute))
-            return blocked(ex.streamCompute);
-        tComputeDone = ex.rt.now();
+        if (!rt.streamIdle(streamCompute))
+            return blocked(streamCompute);
+        tComputeDone = rt.now();
         computeJoined = true;
     }
-    bool join_memory = !pending.empty() &&
-                       (op.backward || ex.cfg.syncAtLayerBoundary);
+    bool join_memory =
+        !pending.empty() && (op.backward || cfg.syncAtLayerBoundary);
     if (join_memory) {
-        if (!ex.rt.streamIdle(ex.streamMemory))
-            return blocked(ex.streamMemory);
-        res.transferStallTime += ex.rt.now() - tComputeDone;
+        if (!rt.streamIdle(streamMemory))
+            return blocked(streamMemory);
+        res.transferStallTime += rt.now() - tComputeDone;
         for (net::BufferId b : pending) {
             if (op.backward)
-                ex.mm.finishPrefetch(b);
+                mm.finishPrefetch(b);
             else
-                ex.mm.finishOffload(ex.net, b);
+                mm.finishOffload(net, b);
         }
     } else if (!pending.empty()) {
         // Asynchronous-release mode (ablation): release at the first
         // synchronization point after the copy completes, i.e. once
         // the memory stream retires what it holds now.
-        gpu::StreamMark mark = ex.rt.streamMark(ex.streamMemory);
+        gpu::StreamMark mark = rt.streamMark(streamMemory);
         for (net::BufferId b : pending)
-            ex.deferredReleases.emplace_back(b, mark);
+            deferredReleases.emplace_back(b, mark);
     }
     pending.clear();
     computeJoined = false;
-    ex.processDeferredReleases();
+    processDeferredReleases();
     return Status::Running;
 }
 
 void
-IterationStepper::opFwdRelease(const IterOp &op)
+Executor::opFwdRelease(const IterOp &op)
 {
     net::LayerId id = op.layer;
-    if (ws) {
-        ex.mm.releaseDevice(ws->alloc, ws->managed);
-        ws.reset();
-    }
+    releaseWorkspace();
 
     // Aggressive release: buffers whose last reader has executed and
     // that are not reused by backward propagation are freed outright.
-    if (!ex.staticAlloc()) {
+    if (!staticAlloc()) {
         for (net::BufferId b : op.buffers) {
-            if (--ex.remainingReaders[std::size_t(b)] > 0)
+            if (--remainingReaders[std::size_t(b)] > 0)
                 continue;
-            if (ex.bufferPlan[std::size_t(b)].fwdReleasable &&
-                ex.mm.residence(b) == Residence::Device) {
-                ex.mm.releaseBuffer(ex.net, b);
+            if (bufferPlan[std::size_t(b)].fwdReleasable &&
+                mm.residence(b) == Residence::Device) {
+                mm.releaseBuffer(net, b);
             }
         }
     }
@@ -667,26 +596,24 @@ IterationStepper::opFwdRelease(const IterOp &op)
     LayerTiming &t = res.layers[std::size_t(id)];
     t.id = id;
     t.fwdStart = tLayerStart;
-    t.fwdEnd = ex.rt.now();
-    if (ex.launchPlan[std::size_t(id)].classifier)
+    t.fwdEnd = rt.now();
+    if (launchPlan[std::size_t(id)].classifier)
         res.classifierTime += t.fwdEnd - t.fwdStart;
 }
 
-IterationStepper::Status
-IterationStepper::opBarrier()
+Executor::Status
+Executor::opBarrier()
 {
     // Any deferred (asynchronous) offload releases must land before
     // backward propagation starts reusing the buffers.
-    if (!ex.deferredReleases.empty() &&
-        !ex.rt.streamIdle(ex.streamMemory)) {
-        return blocked(ex.streamMemory);
-    }
-    ex.processDeferredReleases();
+    if (!deferredReleases.empty() && !rt.streamIdle(streamMemory))
+        return blocked(streamMemory);
+    processDeferredReleases();
     return Status::Running;
 }
 
 bool
-IterationStepper::opBwdFetch(const IterOp &op)
+Executor::opBwdFetch(const IterOp &op)
 {
     net::LayerId id = op.layer;
     // Residency: the layer's backward pass needs X and/or Y (Section
@@ -696,11 +623,10 @@ IterationStepper::opBwdFetch(const IterOp &op)
         // A buffer prefetched during *this* layer cannot serve this
         // layer's own kernels without waiting; that only happens in
         // the degenerate single-layer-window case.
-        if (!ex.ensureResident(b, id, res)) {
-            ex.abortIteration(
-                res,
+        if (!ensureResident(b, id)) {
+            abortIteration(
                 strFormat("OOM fetching buffer %d for '%s' backward", b,
-                          ex.net.node(id).spec.name.c_str()),
+                          net.node(id).spec.name.c_str()),
                 FailKind::Fetch, id);
             return false;
         }
@@ -709,7 +635,7 @@ IterationStepper::opBwdFetch(const IterOp &op)
 }
 
 bool
-IterationStepper::opBwdAlloc(const IterOp &op)
+Executor::opBwdAlloc(const IterOp &op)
 {
     net::LayerId id = op.layer;
     // Gradient maps: dY must exist (allocated by this buffer's
@@ -717,49 +643,45 @@ IterationStepper::opBwdAlloc(const IterOp &op)
     // allocated on demand. The network input receives no gradient
     // (op.buffers holds the dX set with it already excluded).
     auto grad_with_recovery = [&](net::BufferId b) {
-        if (ex.allocGradient(b))
+        if (allocGradient(b))
             return true;
-        if (!ex.evictUnconsumedPrefetches(
-                ex.bufferPlan[std::size_t(b)].bytes, id)) {
+        if (!evictUnconsumedPrefetches(bufferPlan[std::size_t(b)].bytes,
+                                       id)) {
             return false;
         }
         ++res.prefetchEvictions;
-        return ex.allocGradient(b);
+        return allocGradient(b);
     };
     if (!grad_with_recovery(op.yBuffer)) {
-        ex.abortIteration(res,
-                          strFormat("OOM allocating dY of '%s'",
-                                    ex.net.node(id).spec.name.c_str()),
-                          FailKind::Gradient, id);
+        abortIteration(strFormat("OOM allocating dY of '%s'",
+                                 net.node(id).spec.name.c_str()),
+                       FailKind::Gradient, id);
         return false;
     }
     for (net::BufferId b : op.buffers) {
         if (!grad_with_recovery(b)) {
-            ex.abortIteration(res,
-                              strFormat("OOM allocating dX of '%s'",
-                                        ex.net.node(id).spec.name.c_str()),
-                              FailKind::Gradient, id);
+            abortIteration(strFormat("OOM allocating dX of '%s'",
+                                     net.node(id).spec.name.c_str()),
+                           FailKind::Gradient, id);
             return false;
         }
     }
 
     // Backward convolution workspace.
-    ws.reset();
-    const ExecLaunchPlan &lp = ex.launchPlan[std::size_t(id)];
+    const ExecLaunchPlan &lp = launchPlan[std::size_t(id)];
     Bytes ws_bytes = op.wsBytes;
     if (ws_bytes > 0) {
-        auto a = ex.mm.allocDevice(ws_bytes, lp.wsTag, lp.wsManaged);
-        if (!a && ex.evictUnconsumedPrefetches(ws_bytes, id)) {
+        auto a = mm.allocDevice(ws_bytes, lp.wsTag, lp.wsManaged);
+        if (!a && evictUnconsumedPrefetches(ws_bytes, id)) {
             ++res.prefetchEvictions;
-            a = ex.mm.allocDevice(ws_bytes, lp.wsTag, lp.wsManaged);
+            a = mm.allocDevice(ws_bytes, lp.wsTag, lp.wsManaged);
         }
         if (!a) {
-            ex.abortIteration(res,
-                              strFormat("OOM allocating bwd workspace of "
-                                        "'%s' (%s)",
-                                        ex.net.node(id).spec.name.c_str(),
-                                        formatBytes(ws_bytes).c_str()),
-                              FailKind::Workspace, id);
+            abortIteration(strFormat("OOM allocating bwd workspace of "
+                                     "'%s' (%s)",
+                                     net.node(id).spec.name.c_str(),
+                                     formatBytes(ws_bytes).c_str()),
+                           FailKind::Workspace, id);
             return false;
         }
         ws = TaggedAlloc{*a, lp.wsManaged};
@@ -768,7 +690,7 @@ IterationStepper::opBwdAlloc(const IterOp &op)
 }
 
 void
-IterationStepper::opBwdPrefetch(net::LayerId id)
+Executor::opBwdPrefetch(net::LayerId id)
 {
     // Prefetch: with the layer's mandatory allocations in place, search
     // for the best preceding layer to prefetch (Fig. 10) and overlap
@@ -777,22 +699,20 @@ IterationStepper::opBwdPrefetch(net::LayerId id)
     // is at its tightest around the first conv groups' backward pass),
     // it falls back to a later on-demand fetch instead of failing the
     // iteration.
-    PrefetchCandidate &cand = ex.prefetchHit;
-    findPrefetchLayer(ex.net, id, ex.prefetchState, cand,
-                      ex.cfg.prefetchWindowBounded, &ex.execPlan);
-    for (net::BufferId b : cand.buffers) {
-        if (ex.mm.residence(b) != Residence::Host) {
+    findPrefetchLayer(net, id, prefetchState, prefetchHit,
+                      cfg.prefetchWindowBounded, &execPlan);
+    for (net::BufferId b : prefetchHit.buffers) {
+        if (mm.residence(b) != Residence::Host) {
             continue; // already fetched on demand earlier
         }
-        if (!ex.mm.beginPrefetch(ex.net, b)) {
+        if (!mm.beginPrefetch(net, b)) {
             // No room yet; fall back to a later on-demand fetch.
-            ex.prefetchState.prefetched[std::size_t(b)] = false;
+            prefetchState.prefetched[std::size_t(b)] = false;
             continue;
         }
-        const ExecBufferPlan &bp = ex.bufferPlan[std::size_t(b)];
-        ex.rt.memcpyAsync(ex.streamMemory, bp.dmaBytes,
-                          CopyDir::HostToDevice,
-                          Label::indexed("prefetch:", b));
+        const ExecBufferPlan &bp = bufferPlan[std::size_t(b)];
+        rt.memcpyAsync(streamMemory, bp.dmaBytes, CopyDir::HostToDevice,
+                       Label::indexed("prefetch:", b));
         prefetching.push_back(b);
         ++res.prefetches;
         res.pcieBytes += bp.dmaBytes;
@@ -800,75 +720,96 @@ IterationStepper::opBwdPrefetch(net::LayerId id)
 }
 
 void
-IterationStepper::opBwdKernel(net::LayerId id)
+Executor::opBwdKernel(net::LayerId id)
 {
-    res.layers[std::size_t(id)].bwdStart = ex.rt.now();
-    ex.launchBackwardKernels(id);
+    res.layers[std::size_t(id)].bwdStart = rt.now();
+    const ExecLaunchPlan &lp = launchPlan[std::size_t(id)];
+    rt.launchKernel(streamCompute, lp.bwdFilter);
+    if (lp.hasBwdData)
+        rt.launchKernel(streamCompute, lp.bwdData);
 }
 
 void
-IterationStepper::opBwdRelease(const IterOp &op)
+Executor::opBwdRelease(const IterOp &op)
 {
     net::LayerId id = op.layer;
-    if (ws) {
-        ex.mm.releaseDevice(ws->alloc, ws->managed);
-        ws.reset();
-    }
+    releaseWorkspace();
 
-    if (!ex.staticAlloc()) {
+    if (!staticAlloc()) {
         // dY fully consumed once this buffer's producer has run.
         if (op.releaseDY)
-            ex.releaseGradient(op.yBuffer);
+            releaseGradient(op.yBuffer);
         // Feature maps whose last backward user just executed are
         // released immediately (Fig. 8).
         for (net::BufferId b : op.buffers) {
-            if (!ex.staticBuffers[std::size_t(b)] &&
-                ex.mm.residence(b) == Residence::Device) {
-                ex.mm.releaseBuffer(ex.net, b);
+            if (!staticBuffers[std::size_t(b)] &&
+                mm.residence(b) == Residence::Device) {
+                mm.releaseBuffer(net, b);
             }
         }
     }
 
     LayerTiming &t = res.layers[std::size_t(id)];
-    t.bwdEnd = ex.rt.now();
-    if (ex.launchPlan[std::size_t(id)].classifier)
+    t.bwdEnd = rt.now();
+    if (launchPlan[std::size_t(id)].classifier)
         res.classifierTime += t.bwdEnd - tLayerStart;
 }
 
-IterationStepper::Status
-IterationStepper::opEndIteration()
+Executor::Status
+Executor::opEndIteration()
 {
     // Drain this executor's own streams only: a co-tenant's in-flight
     // work on the shared device must not serialize this tenant's
     // iteration boundary.
-    if (!ex.rt.streamIdle(ex.streamCompute))
-        return blocked(ex.streamCompute);
-    if (!ex.rt.streamIdle(ex.streamMemory))
-        return blocked(ex.streamMemory);
-    ex.processDeferredReleases();
-    res.end = ex.rt.now();
+    if (!rt.streamIdle(streamCompute))
+        return blocked(streamCompute);
+    if (!rt.streamIdle(streamMemory))
+        return blocked(streamMemory);
+    processDeferredReleases();
+    res.end = rt.now();
 
     // Steady-state invariant: everything allocated inside the iteration
     // has been returned to the pool.
-    VDNN_ASSERT(ex.liveGradients == 0, "gradient buffers leaked");
-    VDNN_ASSERT(ex.mm.deviceUsage() == ex.persistentTotal,
+    VDNN_ASSERT(liveGradients == 0, "gradient buffers leaked");
+    VDNN_ASSERT(mm.deviceUsage() == persistentTotal,
                 "tenant usage %lld != persistent %lld after iteration",
-                (long long)ex.mm.deviceUsage(),
-                (long long)ex.persistentTotal);
+                (long long)mm.deviceUsage(), (long long)persistentTotal);
 
     res.ok = true;
     return Status::Done;
 }
 
-// --- stepper: dispatch -------------------------------------------------------
+// --- the iteration cursor ---------------------------------------------------
 
-IterationStepper::Status
-IterationStepper::step()
+void
+Executor::beginIteration()
+{
+    VDNN_ASSERT(setupDone, "beginIteration() before setup()");
+    VDNN_ASSERT(!iterationInFlight(), "previous iteration not collected "
+                                      "with finishIteration()");
+    // A clean end and abortIteration() both leave the workspace, the
+    // pending joins, the gradients and the deferred releases empty;
+    // the rest of the iteration's state starts over here.
+    pcIndex = 0;
+    st = Status::Running;
+    blockedOn = -1;
+    computeJoined = false;
+    groupLayer = -2;
+    groupBackward = false;
+    res = IterationResult{};
+    res.layers.assign(net.numLayers(), LayerTiming{});
+    remainingReaders = initialReaders;
+    prefetchState.reset();
+}
+
+Executor::Status
+Executor::step()
 {
     if (finished())
         return st;
-    const std::vector<IterOp> &ops = ex.compiled->program().ops;
-    VDNN_ASSERT(pcIndex < ops.size(), "stepper ran off the program");
+    VDNN_ASSERT(iterationInFlight(), "step() before beginIteration()");
+    const std::vector<IterOp> &ops = compiled->program().ops;
+    VDNN_ASSERT(pcIndex < ops.size(), "cursor ran off the program");
     const IterOp &op = ops[pcIndex];
 
     // Entering a new (layer, phase) group: take the timestamp the
@@ -876,7 +817,7 @@ IterationStepper::step()
     if (op.layer != groupLayer || op.backward != groupBackward) {
         groupLayer = op.layer;
         groupBackward = op.backward;
-        tLayerStart = ex.rt.now();
+        tLayerStart = rt.now();
     }
 
     st = Status::Running;
@@ -893,7 +834,8 @@ IterationStepper::step()
         if (op.backward)
             opBwdKernel(op.layer);
         else
-            opFwdKernel(op.layer);
+            rt.launchKernel(streamCompute,
+                            launchPlan[std::size_t(op.layer)].fwd);
         break;
       case OpKind::Offload:
         opFwdOffload(op);
@@ -918,46 +860,42 @@ IterationStepper::step()
         if (opBarrier() == Status::Blocked)
             return st;
         break;
-      case OpKind::EndIteration: {
-        Status s = opEndIteration();
-        if (s == Status::Blocked)
+      case OpKind::EndIteration:
+        if (opEndIteration() == Status::Blocked)
             return st;
-        st = s;
-        ++pcIndex;
-        return st;
-      }
+        st = Status::Done;
+        break;
     }
 
-    if (!ok) {
-        st = Status::Failed;
-        return st;
-    }
+    if (!ok)
+        return st; // abortIteration() marked the cursor Failed
     ++pcIndex;
     return st;
 }
 
-// --- iteration driver ---------------------------------------------------------------
-
-IterationStepper &
-Executor::beginIteration()
+void
+Executor::stepExclusive()
 {
-    VDNN_ASSERT(setupDone, "beginIteration() before setup()");
-    VDNN_ASSERT(!stepperLive, "previous iteration not collected with "
-                              "finishIteration()");
-    if (!stepper)
-        stepper.reset(new IterationStepper(*this));
-    stepper->rewind();
-    stepperLive = true;
-    return *stepper;
+    // The tenant owns the device: nothing else can run while it waits,
+    // so block the host on the joined stream and retry the op.
+    while (step() == Status::Blocked)
+        rt.synchronize(blockedOn);
+}
+
+void
+Executor::drain()
+{
+    while (!finished())
+        stepExclusive();
 }
 
 IterationResult
 Executor::finishIteration()
 {
-    VDNN_ASSERT(stepperLive && stepper->finished(),
-                "finishIteration() without a finished iteration");
-    IterationResult r = std::move(stepper->res);
-    stepperLive = false;
+    VDNN_ASSERT(finished(), "finishIteration() without a finished "
+                            "iteration");
+    IterationResult r = std::move(res);
+    st = Status::Idle;
     if (r.ok) {
         if (ctrIters) {
             ctrIters->add();
@@ -978,26 +916,11 @@ Executor::finishIteration()
     return r;
 }
 
-void
-IterationStepper::stepExclusive()
-{
-    // The tenant owns the device: nothing else can run while it waits,
-    // so block the host on the joined stream and retry the op.
-    while (step() == Status::Blocked)
-        ex.rt.synchronize(blockedOn);
-}
-
-void
-IterationStepper::drain()
-{
-    while (!finished())
-        stepExclusive();
-}
-
 IterationResult
 Executor::runIteration()
 {
-    beginIteration().drain();
+    beginIteration();
+    drain();
     return finishIteration();
 }
 

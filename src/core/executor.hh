@@ -49,16 +49,20 @@
  * trials and directly built executors are all checked there; each
  * distinct plan is verified once per cache.
  *
- * Execution is driven by an IterationStepper: a resumable cursor over
- * the program. A Sync op (and the Barrier / EndIteration drains)
- * returns Blocked while a stream it joins has in-flight work, and
- * resumes there on the next step(). A tenant that owns its device
- * drives the cursor with drain() (runIteration()): on Blocked it
- * blocks the host on the joined stream and retries, the paper's
- * layer-boundary join. A serving scheduler instead advances other
- * tenants meanwhile, so iterations of concurrent tenants on a shared
- * runtime interleave at op granularity — one tenant's compute ops run
- * under another's in-flight DMAs (serve::SchedPolicy::PackedOverlap).
+ * The Executor is also the iteration's cursor: beginIteration() resets
+ * it to the top of the program, and step() executes one op. A Sync op
+ * (and the Barrier / EndIteration drains) returns Blocked while a
+ * stream it joins has in-flight work, and resumes there on the next
+ * step(). A tenant that owns its device drives the iteration with
+ * drain() (runIteration()): on Blocked it blocks the host on the
+ * joined stream and retries, the paper's layer-boundary join. A
+ * serving scheduler instead advances other tenants meanwhile, so
+ * iterations of concurrent tenants on a shared runtime interleave at
+ * op granularity — one tenant's compute ops run under another's
+ * in-flight DMAs (serve::SchedPolicy::PackedOverlap). Whether an
+ * iteration is in flight is the cursor's status (Idle between
+ * iterations). The two streams are the tenant's, opened by its
+ * MemoryManager for the length of its device binding.
  *
  * Host waits that remain inside a step, for every driver:
  *  - ensureResident(): the on-demand fetch (the serialized fallback
@@ -188,7 +192,7 @@ struct TaggedAlloc
  * IterationProgram's ops carry the buffers each op touches; these
  * tables cache, per layer and per buffer, the device-side details —
  * kernel descriptors with their costs resolved, kernel and workspace
- * labels, compressed byte counts — so the stepper's per-op work is a
+ * labels, compressed byte counts — so the executor's per-op work is a
  * table walk, not cost-model calls. Labels (common/label.hh) are
  * views of the network's layer names or a prefix plus a buffer id,
  * so neither building these tables' labels nor handing them to the
@@ -227,116 +231,21 @@ struct ExecBufferPlan
 };
 
 class CompiledPlan;
-class Executor;
 class ProgramCache;
-
-/**
- * A resumable cursor over an Executor's IterationProgram.
- *
- * step() executes the next op, or returns Blocked from a Sync /
- * Barrier / EndIteration op whose stream has in-flight work, leaving
- * the host free to advance another tenant's stepper; the op resumes
- * where it left off on the next call. stepExclusive() and drain() are
- * the one driver for a tenant alone on its device: they wait out each
- * Blocked stream with Device::synchronize. Host waits inside an op
- * (file comment) happen under either driver.
- */
-class IterationStepper
-{
-  public:
-    enum class Status : std::uint8_t
-    {
-        Running, ///< more ops to execute
-        Blocked, ///< next op waits on blockedStream()
-        Done,    ///< iteration completed; result().ok == true
-        Failed,  ///< iteration aborted; result().failReason says why
-    };
-
-    /** Execute (or resume) the next op. */
-    Status step();
-
-    /**
-     * Execute the next op, blocking the host on each stream it joins
-     * until the op completes (status() is then never Blocked).
-     */
-    void stepExclusive();
-
-    /** Run the iteration to its end with stepExclusive(). */
-    void drain();
-
-    Status status() const { return st; }
-    bool finished() const
-    {
-        return st == Status::Done || st == Status::Failed;
-    }
-
-    /** Stream the stepper is blocked on (valid while Blocked). */
-    gpu::StreamId blockedStream() const { return blockedOn; }
-
-    /** Index of the next op to execute (the program counter). */
-    std::size_t pc() const { return pcIndex; }
-    const IterOp *nextOp() const;
-
-    const IterationResult &result() const { return res; }
-
-  private:
-    friend class Executor;
-
-    explicit IterationStepper(Executor &executor);
-
-    Status blocked(gpu::StreamId stream);
-
-    /** Rewind to the top of a new iteration. The stepper outlives its
-     *  iterations, so its vectors keep their storage. */
-    void rewind();
-
-    /** Unwind a partially executed iteration (tenant eviction). */
-    void cancel();
-
-    // --- op bodies (false = iteration aborted) ---------------------------
-    bool opBeginIteration();
-    bool opFwdAlloc(const IterOp &op);
-    void opFwdKernel(net::LayerId id);
-    void opFwdOffload(const IterOp &op);
-    void opFwdRelease(const IterOp &op);
-    bool opBwdFetch(const IterOp &op);
-    bool opBwdAlloc(const IterOp &op);
-    void opBwdPrefetch(net::LayerId id);
-    void opBwdKernel(net::LayerId id);
-    void opBwdRelease(const IterOp &op);
-    Status opSync(const IterOp &op);
-    Status opBarrier();
-    Status opEndIteration();
-
-    Executor &ex;
-    std::size_t pcIndex = 0;
-    Status st = Status::Running;
-    gpu::StreamId blockedOn = -1;
-
-    /** Resume point of a Sync op blocked on the memory stream: the
-     *  compute stream was joined at tComputeDone. */
-    bool computeJoined = false;
-    TimeNs tComputeDone = 0;
-
-    /** (layer, phase) group the cursor is in, for entry timestamps. */
-    net::LayerId groupLayer = -2;
-    bool groupBackward = false;
-    /** rt.now() when the cursor entered the current layer group. */
-    TimeNs tLayerStart = 0;
-
-    /** Live convolution workspace of the current layer. */
-    std::optional<TaggedAlloc> ws;
-    /** Buffers whose offload DMA this layer's Sync op joins. */
-    std::vector<net::BufferId> offloading;
-    /** Buffers whose prefetch DMA this layer's Sync op joins. */
-    std::vector<net::BufferId> prefetching;
-
-    IterationResult res;
-};
 
 class Executor
 {
   public:
+    /** Where the iteration cursor stands. */
+    enum class Status : std::uint8_t
+    {
+        Idle,    ///< no iteration in flight
+        Running, ///< more ops to execute
+        Blocked, ///< next op waits on blockedStream()
+        Done,    ///< iteration completed; finishIteration() collects it
+        Failed,  ///< iteration aborted; the result's failReason says why
+    };
+
     /** Run @p plan; take its program from @p programs when set, else
      *  compile a private one (compiledPlan()). */
     Executor(const net::Network &net, const dnn::CudnnSim &cudnn,
@@ -355,32 +264,63 @@ class Executor
 
     /**
      * Run one forward+backward pass as the device's only driver
-     * (IterationStepper::drain). Requires a successful setup().
+     * (drain()). Requires a successful setup().
      */
     IterationResult runIteration();
 
+    // --- the iteration cursor -------------------------------------------
     /**
-     * Start an iteration to be driven one op at a time. At most one
-     * stepper is live; the previous iteration must have been drained
-     * (finished()) and collected with finishIteration().
+     * Rewind to the top of a new iteration, to be driven one op at a
+     * time. The previous iteration must have been collected with
+     * finishIteration() (or cancelled).
      */
-    IterationStepper &beginIteration();
+    void beginIteration();
 
-    /** The live stepper, or nullptr between iterations. */
-    IterationStepper *activeStepper()
+    /** Between beginIteration() and finishIteration() /
+     *  cancelIteration(). */
+    bool iterationInFlight() const { return st != Status::Idle; }
+
+    /**
+     * Execute the next op, or return Blocked from a Sync / Barrier /
+     * EndIteration op whose stream has in-flight work, leaving the host
+     * free to advance another tenant; the op resumes where it left off
+     * on the next call.
+     */
+    Status step();
+
+    /**
+     * Execute the next op, blocking the host on each stream it joins
+     * until the op completes (status() is then never Blocked): the one
+     * driver for a tenant alone on its device. Host waits inside an op
+     * (file comment) happen under either driver.
+     */
+    void stepExclusive();
+
+    /** Run the iteration to its end with stepExclusive(). */
+    void drain();
+
+    Status status() const { return st; }
+    bool finished() const
     {
-        return stepperLive ? stepper.get() : nullptr;
+        return st == Status::Done || st == Status::Failed;
     }
 
-    /** Collect a finished stepper's result and retire it. */
+    /** Stream the iteration is blocked on (valid while Blocked). */
+    gpu::StreamId blockedStream() const { return blockedOn; }
+
+    /** Index of the next op to execute (the program counter). */
+    std::size_t pc() const { return pcIndex; }
+    const IterOp *nextOp() const;
+
+    /** Collect a finished iteration's result; the cursor goes Idle. */
     IterationResult finishIteration();
 
     /**
      * Abandon the in-flight iteration (if any) without folding it into
-     * any result: drain the device, unwind every per-iteration
-     * allocation and retire the stepper. The iteration is simply
-     * re-run later — the path a tenant eviction takes when it parks
-     * mid-iteration. No-op between iterations.
+     * any result: drain the device and unwind every per-iteration
+     * allocation. The iteration is simply re-run later — the path a
+     * tenant eviction takes when it parks mid-iteration. No-op between
+     * iterations.
      */
     void cancelIteration();
 
@@ -417,8 +357,6 @@ class Executor
     const check::CheckResult &checkResult() const { return gate; }
 
   private:
-    friend class IterationStepper;
-
     /**
      * The verification gate: when cfg.check.verifyPlans, copy the
      * entry's verdict (verifying it on first use) and run the capacity
@@ -431,13 +369,25 @@ class Executor
     bool allocPersistent(Bytes bytes, Label tag, bool managed);
     void teardownPartial();
 
-    // --- kernel launch helpers -----------------------------------------------
-    void launchForwardKernels(net::LayerId id);
-    void launchBackwardKernels(net::LayerId id);
+    // --- op bodies (false = iteration aborted) -------------------------------
+    bool opBeginIteration();
+    bool opFwdAlloc(const IterOp &op);
+    void opFwdOffload(const IterOp &op);
+    void opFwdRelease(const IterOp &op);
+    bool opBwdFetch(const IterOp &op);
+    bool opBwdAlloc(const IterOp &op);
+    void opBwdPrefetch(net::LayerId id);
+    void opBwdKernel(net::LayerId id);
+    void opBwdRelease(const IterOp &op);
+    Status opSync(const IterOp &op);
+    Status opBarrier();
+    Status opEndIteration();
+    Status blocked(gpu::StreamId stream);
+    /** Release the layer's convolution workspace, if one is live. */
+    void releaseWorkspace();
 
     // --- memory helpers -----------------------------------------------------
-    bool ensureResident(net::BufferId b, net::LayerId curr,
-                        IterationResult &result);
+    bool ensureResident(net::BufferId b, net::LayerId curr);
     /**
      * Memory-pressure recovery: evict prefetched-but-unconsumed buffers
      * (device copy dropped for free; the pinned host copy is still
@@ -452,10 +402,14 @@ class Executor
     bool coldPrefetch(net::BufferId b, int curr_topo) const;
     bool allocGradient(net::BufferId b);
     void releaseGradient(net::BufferId b);
-    bool gradientLive(net::BufferId b) const;
     /** Release the deferred offloads whose stream mark has passed. */
     void processDeferredReleases();
-    void abortIteration(IterationResult &result, const std::string &why,
+    /**
+     * The one unwind of a partially executed iteration (an op's OOM or
+     * cancelIteration()): record the failure, drain the device, force
+     * every per-iteration allocation down and mark the cursor Failed.
+     */
+    void abortIteration(const std::string &why,
                         FailKind kind = FailKind::None,
                         net::LayerId layer = net::kInputLayer);
 
@@ -477,8 +431,10 @@ class Executor
     std::shared_ptr<const CompiledPlan> compiled;
     check::CheckResult gate;
 
-    gpu::StreamId streamCompute = -1;
-    gpu::StreamId streamMemory = -1;
+    /** The tenant's streams (MemoryManager::computeStream() and
+     *  memoryStream()). */
+    const gpu::StreamId streamCompute;
+    const gpu::StreamId streamMemory;
 
     bool setupDone = false;
     std::vector<TaggedAlloc> persistent;
@@ -492,7 +448,27 @@ class Executor
     /** Initial forward refcounts, copied into remainingReaders. */
     std::vector<int> initialReaders;
 
-    // Per-iteration state (reset by the BeginIteration op).
+    // Per-iteration state: reset by beginIteration(), unwound by
+    // abortIteration(). The vectors keep their storage across
+    // iterations.
+    std::size_t pcIndex = 0;
+    Status st = Status::Idle;
+    gpu::StreamId blockedOn = -1;
+    /** Resume point of a Sync op blocked on the memory stream: the
+     *  compute stream was joined at tComputeDone. */
+    bool computeJoined = false;
+    TimeNs tComputeDone = 0;
+    /** (layer, phase) group the cursor is in, for entry timestamps. */
+    net::LayerId groupLayer = -2;
+    bool groupBackward = false;
+    /** rt.now() when the cursor entered the current layer group. */
+    TimeNs tLayerStart = 0;
+    /** Live convolution workspace of the current layer. */
+    std::optional<TaggedAlloc> ws;
+    /** Buffers whose offload DMA this layer's Sync op joins. */
+    std::vector<net::BufferId> offloading;
+    /** Buffers whose prefetch DMA this layer's Sync op joins. */
+    std::vector<net::BufferId> prefetching;
     /** Live gradient allocations, indexed by buffer id. */
     std::vector<std::optional<TaggedAlloc>> gradients;
     int liveGradients = 0;
@@ -504,11 +480,7 @@ class Executor
     PrefetchState prefetchState;
     /** findPrefetchLayer's result (reused scratch). */
     PrefetchCandidate prefetchHit;
-
-    /** Kept across iterations; live between beginIteration() and
-     *  finishIteration() / cancelIteration(). */
-    std::unique_ptr<IterationStepper> stepper;
-    bool stepperLive = false;
+    IterationResult res;
 
     /** Registry slots cached at construction (null = telemetry off). */
     obs::Counter *ctrIters = nullptr;

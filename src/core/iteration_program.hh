@@ -42,14 +42,14 @@
  *   every layer op                yBuffer (Y, or dY backward), allocY,
  *                                 releaseDY, conv workspace bytes
  *
- * The IterationStepper executes those operands concretely and the
+ * The Executor's op bodies execute those operands concretely and the
  * ProgramVerifier (check/program_verifier.hh) interprets the same
  * operands abstractly, so the two cannot disagree on what an op
  * touches. Because operands live inside the op, a program edited op by
  * op (tests erase, insert and swap ops) keeps them attached.
  *
- * The program is executed by an IterationStepper (core/executor.hh),
- * which advances one op at a time and can be suspended at every Sync
+ * The program is executed by the Executor (core/executor.hh), whose
+ * cursor advances one op at a time and can be suspended at every Sync
  * boundary — the substrate the serve layer's PackedOverlap policy uses
  * to run tenant B's compute under tenant A's DMAs, and that the
  * session lifecycle state machine builds on: mid-run re-planning

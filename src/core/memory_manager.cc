@@ -16,6 +16,16 @@ MemoryManager::MemoryManager(gpu::Device &device, mem::MemoryPool &pool,
         std::make_unique<mem::UsageTracker>(clock, keep_timeline);
     totalTrack->onUsage(deviceBytes);
     touchManaged();
+    streamCompute = dev.createStream("stream_compute");
+    streamMemory = dev.createStream("stream_memory");
+    dev.setStreamClient(streamCompute, client);
+    dev.setStreamClient(streamMemory, client);
+}
+
+MemoryManager::~MemoryManager()
+{
+    if (streamCompute >= 0)
+        finish();
 }
 
 void
@@ -219,10 +229,15 @@ MemoryManager::residence(net::BufferId buffer) const
 }
 
 void
-MemoryManager::finishTracking()
+MemoryManager::finish()
 {
     totalTrack->finish();
     managedTrack->finish();
+    if (streamCompute >= 0) {
+        dev.destroyStream(streamCompute);
+        dev.destroyStream(streamMemory);
+        streamCompute = streamMemory = -1;
+    }
 }
 
 } // namespace vdnn::core

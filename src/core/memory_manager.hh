@@ -13,6 +13,11 @@
  * Two usage signals are tracked against the simulated clock: this
  * tenant's total pool usage, and its *managed* usage (total minus the
  * constant classifier block), which is the quantity Figs. 11/12 report.
+ *
+ * A manager is one tenant's binding to one device, so it also holds the
+ * tenant's two streams there (the executor's stream_compute and
+ * stream_memory): opened with the binding, returned to the device when
+ * it ends (finish(), or destruction).
  */
 
 #ifndef VDNN_CORE_MEMORY_MANAGER_HH
@@ -56,6 +61,14 @@ class MemoryManager
     MemoryManager(gpu::Device &device, mem::MemoryPool &pool,
                   mem::PinnedHostAllocator &host, int client,
                   bool keep_timeline = false);
+    ~MemoryManager();
+
+    MemoryManager(const MemoryManager &) = delete;
+    MemoryManager &operator=(const MemoryManager &) = delete;
+
+    /** The tenant's kernel stream and DMA stream on the device. */
+    gpu::StreamId computeStream() const { return streamCompute; }
+    gpu::StreamId memoryStream() const { return streamMemory; }
 
     // --- raw tagged allocations (weights, gradients, workspace) ----------
     /**
@@ -139,8 +152,11 @@ class MemoryManager
         return *managedTrack;
     }
 
-    /** Close both usage windows at the current simulated time. */
-    void finishTracking();
+    /**
+     * End the binding: close both usage windows at the current
+     * simulated time and return the (idle) streams to the device.
+     */
+    void finish();
 
     /** Cumulative bytes offloaded to host (Fig. 12). */
     Bytes offloadedBytes() const { return offloadTotal; }
@@ -171,6 +187,9 @@ class MemoryManager
      */
     std::vector<BufferState> bufferStates;
     int client = 0;
+    /** -1 once finish() returned them. */
+    gpu::StreamId streamCompute = -1;
+    gpu::StreamId streamMemory = -1;
     Bytes deviceBytes = 0;
     Bytes managedBytes = 0;
     Bytes offloadTotal = 0;

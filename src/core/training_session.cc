@@ -219,22 +219,17 @@ Session::setup()
 IterationResult
 Session::runIteration()
 {
-    beginIteration().drain();
+    beginIteration();
+    ex->drain();
     return completeIteration();
 }
 
-IterationStepper &
+void
 Session::beginIteration()
 {
     VDNN_ASSERT(active(), "beginIteration() on a %s session",
                 sessionStateName(lifecycle));
-    return ex->beginIteration();
-}
-
-IterationStepper *
-Session::activeStepper()
-{
-    return ex ? ex->activeStepper() : nullptr;
+    ex->beginIteration();
 }
 
 IterationResult
@@ -253,20 +248,6 @@ Session::completeIteration()
         failure = r.failReason;
     }
     return r;
-}
-
-const IterationProgram &
-Session::program() const
-{
-    VDNN_ASSERT(ex, "program() before setup()");
-    return ex->program();
-}
-
-const check::CheckResult &
-Session::checkResult() const
-{
-    VDNN_ASSERT(ex, "checkResult() before setup()");
-    return ex->checkResult();
 }
 
 // --- lifecycle transitions ---------------------------------------------------
@@ -369,7 +350,7 @@ Session::migrate(SharedGpu target)
 
         mm->host().release(evictStage);
         evictStage = *stage;
-        mm->finishTracking();
+        mm->finish();
 
         // Re-home the runtime handles: target device spec (the node
         // may be heterogeneous), its perf model, its pool and host
@@ -387,7 +368,7 @@ Session::replan()
 {
     VDNN_ASSERT(lifecycle == SessionState::Active,
                 "replan() on a %s session", sessionStateName(lifecycle));
-    VDNN_ASSERT(!ex->activeStepper(),
+    VDNN_ASSERT(!ex->iterationInFlight(),
                 "replan() with an iteration in flight");
     if (config.planner->replanHint() != ReplanHint::InPlace)
         return false;
@@ -427,7 +408,7 @@ Session::teardown()
         ex->cancelIteration();
         ex->teardown();
     }
-    mm->finishTracking();
+    mm->finish();
     if (ownCluster)
         ownCluster->finishPowerWindows();
     lifecycle = SessionState::Torn;

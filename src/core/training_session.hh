@@ -208,31 +208,33 @@ class Session
 
     /**
      * Run one training iteration as the device's only driver
-     * (IterationStepper::drain). Requires a successful setup().
+     * (Executor::drain). Requires a successful setup().
      */
     IterationResult runIteration();
 
     /**
      * Start an iteration to be driven one op at a time by an external
-     * scheduler (serve-layer packed overlap). The previous iteration
-     * must have been collected with completeIteration().
+     * scheduler (serve-layer packed overlap) through executor(). The
+     * previous iteration must have been collected with
+     * completeIteration().
      */
-    IterationStepper &beginIteration();
+    void beginIteration();
 
-    /** The live stepper, or nullptr between iterations. */
-    IterationStepper *activeStepper();
+    /** An iteration is begun and not yet collected or cancelled. */
+    bool iterationInFlight() const
+    {
+        return ex && ex->iterationInFlight();
+    }
+
+    /** The executor running the tenant's iterations, its compiled
+     *  program and its gate's findings (after a successful setup()). */
+    Executor &executor() { return *ex; }
 
     /**
-     * Fold a finished stepper's result into the session state
-     * (iteration count / failure) and retire the stepper.
+     * Fold a finished iteration's result into the session state
+     * (iteration count / failure); the executor goes Idle.
      */
     IterationResult completeIteration();
-
-    /** The compiled op stream (after a successful setup()). */
-    const IterationProgram &program() const;
-
-    /** Findings of the executor's verification gate on that stream. */
-    const check::CheckResult &checkResult() const;
 
     // --- lifecycle transitions (the serve layer's state machine) ---------
 

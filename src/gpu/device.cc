@@ -31,8 +31,29 @@ Device::Device(int id, GpuSpec spec, sim::EventQueue &clock,
 StreamId
 Device::createStream(const std::string &name)
 {
-    streams.push_back(Stream{name, {}, false, 0, 0, 0});
-    return StreamId(streams.size() - 1);
+    if (freeStreams.empty()) {
+        streams.push_back(Stream{name, {}, false, 0, 0, 0});
+        return StreamId(streams.size() - 1);
+    }
+    // The slot's marks keep counting, so a stale mark of the destroyed
+    // stream reads as passed on the new one, never as pending.
+    StreamId sid = freeStreams.back();
+    freeStreams.pop_back();
+    Stream &s = streams[size_t(sid)];
+    s.name = name;
+    s.client = 0;
+    return sid;
+}
+
+void
+Device::destroyStream(StreamId stream)
+{
+    VDNN_ASSERT(streamIdle(stream), "destroying busy stream '%s'",
+                streams[size_t(stream)].name.c_str());
+    VDNN_ASSERT(std::find(freeStreams.begin(), freeStreams.end(),
+                          stream) == freeStreams.end(),
+                "stream %d destroyed twice", stream);
+    freeStreams.push_back(stream);
 }
 
 void

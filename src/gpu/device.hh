@@ -125,7 +125,17 @@ class Device
     int deviceId() const { return devId; }
 
     // --- stream management ---------------------------------------------
+    /** Open a stream; it takes the slot of a destroyed one if any. */
     StreamId createStream(const std::string &name);
+
+    /** Return an idle @p stream's slot to the device. */
+    void destroyStream(StreamId stream);
+
+    /** Streams created and not yet destroyed. */
+    int liveStreams() const
+    {
+        return int(streams.size() - freeStreams.size());
+    }
 
     /**
      * Attach a stream to a tenant for per-client accounting and PCIe
@@ -184,7 +194,7 @@ class Device
     /**
      * Execute the single next pending device event, advancing the
      * host clock to it. Lets an external scheduler make minimal time
-     * progress while every tenant's stepper is blocked on in-flight
+     * progress while every tenant's iteration is blocked on in-flight
      * device work, instead of committing the host to one stream's
      * full drain. @return false when no event is pending.
      */
@@ -218,14 +228,14 @@ class Device
      * Completion wake hook: invoked every time this device executes a
      * scheduled event (kernel retirement or DMA completion), after the
      * completion is fully processed — the stream's next command
-     * dispatched and its retired count advanced. A stepper blocks
+     * dispatched and its retired count advanced. An iteration blocks
      * only on its own device's streams, and streams drain only
      * through these two completion paths, so an external serve loop
      * that wakes exactly the hooked device on each call never misses
      * an unblock — it drains woken devices instead of polling all of
      * them per event. `client` is the owner of the completing stream
      * (setStreamClient), so a multi-tenant loop can further narrow the
-     * wake to the one tenant whose stepper the completion could have
+     * wake to the one tenant whose iteration the completion could have
      * unblocked. Plain function pointer + context: the unset case
      * (a Session driving its device alone) costs one branch.
      */
@@ -331,6 +341,8 @@ class Device
     PowerModel powerModel;
 
     std::vector<Stream> streams;
+    /** Slots of destroyed streams, reused by createStream(). */
+    std::vector<StreamId> freeStreams;
 
     ComputeEngine compute;
     CopyEngine copyD2H;

@@ -234,7 +234,7 @@ struct Job
     bool replanRequested = false;
     /**
      * On its device's ready list: the next sweep offers this resident
-     * a step. A resident leaves the list when its live stepper returns
+     * a step. A resident leaves the list when its iteration returns
      * Blocked on one of its own streams, and rejoins it when a
      * completion lands on one of those streams (the wake hook), on a
      * fresh pick under one-iteration packing, or on entering the

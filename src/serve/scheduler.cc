@@ -142,14 +142,14 @@ void
 Scheduler::onDeviceWake(int device, int client)
 {
     // Every executed completion event lands here: the owning device
-    // may have an unblocked stepper (or a drained stream an admission
+    // may have an unblocked tenant (or a drained stream an admission
     // teardown was waiting on), so the next turn must offer it a step.
     wake.add(device);
     ++statWakeups;
-    // The completion landed on `client`'s stream, and a stepper
-    // blocks only on its own streams: this is the one tenant whose
-    // blocked stepper could have been released, so it alone rejoins
-    // the ready list — if it is resident.
+    // The completion landed on `client`'s stream, and an iteration
+    // blocks only on its tenant's own streams: this is the one tenant
+    // whose blocked iteration could have been released, so it alone
+    // rejoins the ready list — if it is resident.
     if (client < 0 || std::size_t(client) >= jobs.size())
         return;
     Job &job = *jobs[std::size_t(client)];
@@ -557,7 +557,7 @@ Scheduler::topChallengerOn(DeviceCtx &d, const Job &inflight)
 void
 Scheduler::parkInFlight(DeviceCtx &d, Job &victim, Job &challenger)
 {
-    // Salus-style fast switch: the victim's stepper freezes at its
+    // Salus-style fast switch: the victim's iteration freezes at its
     // current op boundary and every byte it holds stays resident, so
     // the reservation ledger does not move and no staging DMA is
     // issued. The beneficiary samples preemption latency at its first
@@ -620,12 +620,12 @@ Scheduler::makeRoomFor(Job &job, double bar)
             Job *v = jobs[std::size_t(id)].get();
             double eff = effectivePriority(*v, now);
             // Iteration granularity parks victims only at iteration
-            // boundaries; at op granularity a live stepper is parked
-            // at its current Sync/Barrier boundary and the partial
-            // iteration unwound by evictToHost().
+            // boundaries; at op granularity an iteration in flight is
+            // parked at its current Sync/Barrier boundary and unwound
+            // by evictToHost().
             if (eff >= bar ||
                 (cfg.preemptGranularity == PreemptGranularity::Iteration &&
-                 v->session->activeStepper())) {
+                 v->session->iterationInFlight())) {
                 continue;
             }
             candidates.push_back({eff, v});
@@ -932,7 +932,7 @@ Scheduler::pickInFlight(DeviceCtx &d)
         // the in-flight tenant's boundary; at op granularity a
         // strictly higher-priority resident tenant takes the device at
         // the next op step. The in-flight tenant parks *resident*
-        // (its stepper is simply offered no steps, memory and ledger
+        // (its iteration is simply offered no steps, memory and ledger
         // reservation untouched) and continues byte-identically when
         // it is next picked, so the switch costs no DMA at all.
         Job *top = nullptr;
@@ -945,7 +945,7 @@ Scheduler::pickInFlight(DeviceCtx &d)
         parkInFlight(d, job, *top);
     }
     Job &job = *pickNextOn(d);
-    // A parked-resident victim is top again: its frozen stepper
+    // A parked-resident victim is top again: its frozen executor
     // continues the interrupted iteration in place.
     if (job.record.state == JobState::Suspended)
         transition(job, LifecycleKind::Resume, d.id, reservedBytesTotal());
@@ -955,7 +955,7 @@ Scheduler::pickInFlight(DeviceCtx &d)
     // at this iteration boundary.
     if (job.replanRequested) {
         job.replanRequested = false;
-        if (!job.session->activeStepper()) {
+        if (!job.session->iterationInFlight()) {
             Bytes before = reservedBytesTotal();
             if (job.session->replan()) {
                 ++job.record.replans;
@@ -974,8 +974,7 @@ Scheduler::stepTenant(Job &job)
     VDNN_ASSERT(job.record.state == JobState::Running,
                 "job %d stepped while %s", job.id,
                 jobStateName(job.record.state));
-    core::IterationStepper *st = job.session->activeStepper();
-    if (!st) {
+    if (!job.session->iterationInFlight()) {
         if (job.record.firstDispatchTime == kTimeNone) {
             job.record.firstDispatchTime = cluster.now();
             // Preemption latency: arrival to first kernel dispatch of
@@ -986,7 +985,7 @@ Scheduler::stepTenant(Job &job)
                     double(cluster.now() - job.spec.arrival) / 1e6);
             }
         }
-        st = &job.session->beginIteration();
+        job.session->beginIteration();
     }
     if (!job.ready) {
         // The in-flight tenant of a one-tenant-at-a-time device is
@@ -996,12 +995,13 @@ Scheduler::stepTenant(Job &job)
         ++statFruitlessPolls;
         return false;
     }
-    if (st->step() == core::IterationStepper::Status::Blocked) {
+    core::Executor &ex = job.session->executor();
+    if (ex.step() == core::Executor::Status::Blocked) {
         leaveReady(job);
         ++statFruitlessPolls;
         return false;
     }
-    if (!st->finished())
+    if (!ex.finished())
         return true;
     devs[std::size_t(job.record.device)]->inFlight = -1;
     core::IterationResult r = job.session->completeIteration();
@@ -1031,8 +1031,8 @@ Scheduler::stepDevice(DeviceCtx &d)
     }
     if (preset.packing != Packing::OpPacked)
         return stepTenant(pickInFlight(d));
-    // Op-granularity packing: every resident tenant owns a resumable
-    // IterationStepper over its compiled IterationProgram. One sweep
+    // Op-granularity packing: every resident tenant's Executor is a
+    // resumable cursor over its compiled IterationProgram. One sweep
     // offers each ready tenant a single step, in entry order; a tenant
     // blocked on a stream join (its offload or prefetch still in
     // flight) leaves the ready list rather than stalling the host, so
@@ -1086,7 +1086,7 @@ Scheduler::maybeRebalance()
     Job *cand = nullptr;
     for (JobId id : src->running) {
         Job *j = jobs[std::size_t(id)].get();
-        if (id == src->inFlight || j->session->activeStepper())
+        if (id == src->inFlight || j->session->iterationInFlight())
             continue;
         if (!cand || j->session->persistentBytes() <
                          cand->session->persistentBytes()) {
@@ -1182,10 +1182,10 @@ Scheduler::runEngine()
 {
     // The one serve loop: every policy at every device count, one
     // cadence. Each device's resident set advances through resumable
-    // steppers while its siblings' kernels and DMAs run on the shared
+    // iterations while its siblings' kernels and DMAs run on the shared
     // clock, so N devices genuinely serve N tenants' compute
     // concurrently — and under op-packed packing every resident tenant
-    // of a device holds a live stepper at once.
+    // of a device may have an iteration in flight at once.
     //
     // The loop is event-driven. Each turn drains only the wake-set —
     // the devices whose state actually changed since they last made no
@@ -1342,9 +1342,20 @@ Scheduler::buildReport()
     rep.schedulerName = preset.name;
     rep.deviceCount = deviceCount();
     if (deviceCount() > 1) {
-        rep.gpuName = strFormat("%s x%d",
-                                devs[0]->dev->spec().name.c_str(),
-                                deviceCount());
+        // Each distinct spec with its count, in device order:
+        // "Titan X (Maxwell) x16", "Small 4 GiB GPU x1 + Titan X ...".
+        for (std::size_t i = 0; i < devs.size(); ++i) {
+            const std::string &name = devs[i]->dev->spec().name;
+            auto same = [&](const auto &d) {
+                return d->dev->spec().name == name;
+            };
+            auto first = devs.begin() + std::ptrdiff_t(i);
+            if (std::any_of(devs.begin(), first, same))
+                continue;
+            rep.gpuName += strFormat("%s%s x%d", i ? " + " : "", name.c_str(),
+                                     int(std::count_if(first, devs.end(),
+                                                       same)));
+        }
         rep.placementName = cfg.placement->name();
     } else {
         rep.gpuName = devs[0]->dev->spec().name;

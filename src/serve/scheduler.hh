@@ -33,8 +33,8 @@
  *    one-iteration (every admitted job keeps its persistent state
  *    device-resident while iterations from all tenants interleave on
  *    the shared compute engine, Salus-style, and the queue is
- *    backfilled) or op-packed (every resident tenant holds a live
- *    IterationProgram stepper; whenever one blocks on a DMA join the
+ *    backfilled) or op-packed (every resident tenant may have an
+ *    iteration in flight; whenever one blocks on a DMA join the
  *    next tenant's compute op dispatches, and admission reserves the
  *    *sum* of transients per device).
  *
@@ -73,11 +73,11 @@
  * sweep when a dirty flag says its inputs moved, then sweeps only the
  * devices on the WakeSet (populated by the Device completion hooks,
  * which also identify the one tenant whose stream drained) and
- * executes exactly one completion event when no stepper progressed.
+ * executes exactly one completion event when no tenant progressed.
  * Every tenant advances through one per-tenant step routine; the
  * exclusive and one-iteration packings call it for the tenant they
  * pick, op-packed for every tenant on the device's ready list: the
- * residents whose stepper is not known to be blocked, in resident-set
+ * residents whose iteration is not known to be blocked, in resident-set
  * order. A tenant leaves the list when its step returns Blocked and
  * rejoins it when a completion lands on one of its own streams. On a
  * cluster a periodic rebalance sweep migrates the smallest-footprint
@@ -164,7 +164,7 @@ enum class PreemptGranularity : std::uint8_t
      */
     Iteration,
     /**
-     * The in-flight victim's live stepper is frozen at its current op
+     * The in-flight victim's iteration is frozen at its current op
      * boundary and parked resident (no DMA, ledger untouched); it
      * continues in place when it is next picked. Only a later
      * eviction unwinds the partial iteration, which then re-runs
@@ -286,7 +286,7 @@ class Scheduler
         std::size_t rrCursor = 0;
         /** Job whose iteration the engine has in flight (exclusive
          *  and one-iteration packing; -1 under op-packed, where every
-         *  resident tenant may hold a live stepper). */
+         *  resident tenant may have an iteration in flight). */
         JobId inFlight = -1;
         /** In-flight job topChallengerOn last found unchallenged (-1:
          *  none); enterRunning clears it. */
@@ -399,7 +399,7 @@ class Scheduler
      *  was top-ranked when picked. */
     Job *topChallengerOn(DeviceCtx &d, const Job &inflight);
     /** Op-granularity dispatch preemption: freeze the in-flight
-     *  tenant's stepper at its current op boundary and leave it
+     *  tenant's iteration at its current op boundary and leave it
      *  resident (no DMA, ledger untouched); the device goes to
      *  @p challenger, which is charged the victimsPreempted
      *  attribution that feeds preemption-latency sampling. */

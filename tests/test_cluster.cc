@@ -713,4 +713,6 @@ TEST(ClusterScheduler, HeterogeneousDevicesPlaceByCapacity)
     ServeReport rep = sched.run();
     ASSERT_EQ(rep.finishedCount(), 1);
     EXPECT_EQ(rep.jobs[0].device, 1);
+    // The report names each distinct device spec with its count.
+    EXPECT_EQ(rep.gpuName, "Small 4 GiB GPU x1 + Titan X (Maxwell) x1");
 }

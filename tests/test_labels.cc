@@ -159,7 +159,8 @@ TEST(LabelGolden, LayoutDumpWithFeatureMapWorkspaceAndWeightBlocks)
                           offloadAll(core::AlgoPreference::PerformanceOptimal),
                           dev.share(1));
     ASSERT_TRUE(session.setup());
-    core::IterationStepper &s = session.beginIteration();
+    session.beginIteration();
+    core::Executor &s = session.executor();
     bool stopped = false;
     while (!s.finished() && !stopped) {
         const core::IterOp *op = s.nextOp();

@@ -1,8 +1,7 @@
 /**
  * @file
- * Tests for the Session lifecycle state machine: host-driven stepping
- * (golden-pinned against the uninterrupted stepper run),
- * evict-to-host / restore round trips, mid-iteration cancellation,
+ * Tests for the Session lifecycle state machine: evict-to-host /
+ * restore round trips, mid-iteration cancellation,
  * mid-run in-place re-planning against a moving free share, and the
  * executor's verification gate on every re-plan surface.
  */
@@ -50,7 +49,7 @@ tinyAllConfig()
 
 } // namespace
 
-// --- host-driven stepping ----------------------------------------------------
+// --- state machine -----------------------------------------------------------
 
 TEST(Lifecycle, FreshSessionStateMachine)
 {
@@ -61,45 +60,6 @@ TEST(Lifecycle, FreshSessionStateMachine)
     EXPECT_EQ(session.state(), SessionState::Active);
     session.teardown();
     EXPECT_EQ(session.state(), SessionState::Torn);
-}
-
-TEST(Lifecycle, HostDrivenSteppingAtEveryBoundaryMatchesUninterruptedGolden)
-{
-    // Golden numbers recorded from the pre-refactor monolithic
-    // executor (VGG-16 (64), vDNN_all (m), Titan X, 2 iterations) —
-    // the same constants test_iteration_program pins. The host taking
-    // control at *every* stepper boundary (one step, then the clock
-    // advanced by hand on a Blocked join) must leave the device
-    // timeline byte-identical.
-    auto network = net::buildVgg16(64);
-    Session session(*network, vggAllConfig());
-    ASSERT_TRUE(session.setup());
-    int boundaries = 0;
-    for (int i = 0; i < 2; ++i) {
-        IterationStepper &st = session.beginIteration();
-        while (!st.finished()) {
-            IterationStepper::Status s = st.step();
-            if (st.finished())
-                break;
-            ++boundaries;
-            if (s == IterationStepper::Status::Blocked) {
-                ASSERT_TRUE(session.runtime().stepDevice());
-            }
-        }
-        ASSERT_EQ(st.status(), IterationStepper::Status::Done);
-        session.completeIteration();
-    }
-    session.teardown();
-    SessionResult r = session.result();
-    ASSERT_TRUE(r.trainable);
-    EXPECT_GT(boundaries, 100);
-    EXPECT_EQ(r.iterationTime, 3230943807LL);
-    EXPECT_EQ(r.featureExtractionTime, 3213061240LL);
-    EXPECT_EQ(r.transferStallTime, 222438258LL);
-    EXPECT_EQ(r.pcieBytesPerIter, 8464891904LL);
-    EXPECT_EQ(r.offloads, 22);
-    EXPECT_EQ(r.prefetches, 22);
-    EXPECT_EQ(r.onDemandFetches, 0);
 }
 
 // --- evict / restore ---------------------------------------------------------
@@ -153,15 +113,16 @@ TEST(Lifecycle, EvictMidIterationCancelsAndRerunsCleanly)
     ASSERT_TRUE(session.setup());
     Bytes persistent = session.persistentBytes();
 
-    // Park the stepper somewhere in the middle of the iteration.
-    IterationStepper &st = session.beginIteration();
-    for (int steps = 0; steps < 40 && !st.finished(); ++steps) {
-        if (st.step() == IterationStepper::Status::Blocked) {
+    // Park the iteration somewhere in the middle.
+    session.beginIteration();
+    Executor &ex = session.executor();
+    for (int steps = 0; steps < 40 && !ex.finished(); ++steps) {
+        if (ex.step() == Executor::Status::Blocked) {
             ASSERT_TRUE(session.runtime().stepDevice());
         }
     }
-    ASSERT_FALSE(st.finished());
-    ASSERT_GT(st.pc(), 0u);
+    ASSERT_FALSE(ex.finished());
+    ASSERT_GT(ex.pc(), 0u);
 
     ASSERT_TRUE(session.evictToHost());
     // The partial iteration was cancelled, not counted, and every
@@ -171,7 +132,7 @@ TEST(Lifecycle, EvictMidIterationCancelsAndRerunsCleanly)
     EXPECT_EQ(session.evictedBytes(), persistent);
 
     ASSERT_TRUE(session.resume());
-    EXPECT_EQ(session.activeStepper(), nullptr);
+    EXPECT_FALSE(session.iterationInFlight());
     // The iteration re-runs from the top under the restored state.
     ASSERT_TRUE(session.runIteration().ok);
     EXPECT_EQ(session.iterationsDone(), 1);
@@ -204,6 +165,53 @@ TEST(Lifecycle, EvictFailsGracefullyWhenHostExhausted)
     EXPECT_TRUE(session.runIteration().ok);
     session.teardown();
     EXPECT_EQ(pool.usedBytes(), 0);
+}
+
+// --- device streams ----------------------------------------------------------
+
+TEST(Lifecycle, StreamsLiveOnlyAsLongAsTheDeviceBinding)
+{
+    // A tenant opens its two streams once per device binding: resumes
+    // reuse them, and teardown or migrating off returns them.
+    gpu::Cluster cluster(
+        gpu::homogeneousCluster(gpu::titanXMaxwell(), 2));
+    gpu::Device &d0 = cluster.device(0);
+    auto network = net::buildTinyCnn(8);
+
+    Session tenant(*network, tinyAllConfig(), shareOf(cluster, 0, 1));
+    ASSERT_TRUE(tenant.setup());
+    for (int i = 0; i < 5; ++i) {
+        ASSERT_TRUE(tenant.runIteration().ok);
+        ASSERT_TRUE(tenant.evictToHost());
+        EXPECT_EQ(d0.liveStreams(), 2); // evicted, still bound
+        ASSERT_TRUE(tenant.resume());
+        EXPECT_EQ(d0.liveStreams(), 2);
+    }
+
+    // Tenants admitted one after another beside it.
+    for (int client = 2; client < 7; ++client) {
+        Session next(*network, tinyAllConfig(),
+                     shareOf(cluster, 0, client));
+        ASSERT_TRUE(next.setup());
+        EXPECT_EQ(d0.liveStreams(), 4);
+        ASSERT_TRUE(next.runIteration().ok);
+        next.teardown();
+        EXPECT_EQ(d0.liveStreams(), 2);
+    }
+    {
+        // One destroyed before it ever set up.
+        Session fresh(*network, tinyAllConfig(), shareOf(cluster, 0, 7));
+        EXPECT_EQ(d0.liveStreams(), 4);
+    }
+    EXPECT_EQ(d0.liveStreams(), 2);
+
+    ASSERT_TRUE(tenant.evictToHost());
+    ASSERT_TRUE(tenant.migrate(shareOf(cluster, 1, 1)));
+    EXPECT_EQ(d0.liveStreams(), 0);
+    EXPECT_EQ(cluster.device(1).liveStreams(), 2);
+    ASSERT_TRUE(tenant.runIteration().ok);
+    tenant.teardown();
+    EXPECT_EQ(cluster.device(1).liveStreams(), 0);
 }
 
 // --- mid-run re-planning -----------------------------------------------------
@@ -338,20 +346,20 @@ TEST(Lifecycle, EveryReplanSurfaceIsVerifiedOnceAgainstTheShare)
 
     ASSERT_TRUE(session.setup());
     EXPECT_EQ(verified.value(), 1.0);
-    EXPECT_TRUE(session.checkResult().ok());
-    EXPECT_TRUE(reportsShareExceeded(session.checkResult()))
-        << session.checkResult().report();
+    EXPECT_TRUE(session.executor().checkResult().ok());
+    EXPECT_TRUE(reportsShareExceeded(session.executor().checkResult()))
+        << session.executor().checkResult().report();
 
     ASSERT_TRUE(session.replan());
     EXPECT_EQ(verified.value(), 2.0);
-    EXPECT_TRUE(reportsShareExceeded(session.checkResult()))
-        << session.checkResult().report();
+    EXPECT_TRUE(reportsShareExceeded(session.executor().checkResult()))
+        << session.executor().checkResult().report();
 
     ASSERT_TRUE(session.evictToHost());
     ASSERT_TRUE(session.resume());
     EXPECT_EQ(verified.value(), 3.0);
-    EXPECT_TRUE(reportsShareExceeded(session.checkResult()))
-        << session.checkResult().report();
+    EXPECT_TRUE(reportsShareExceeded(session.executor().checkResult()))
+        << session.executor().checkResult().report();
 
     session.teardown();
     pool.release(hog);

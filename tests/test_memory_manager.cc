@@ -197,7 +197,7 @@ TEST_F(MemoryManagerTest, UsageTrackersFollowSimulatedTime)
     mm.releaseBuffer(*net, b);
     rt.launchKernel(s, k);
     rt.synchronize(s);
-    mm.finishTracking();
+    mm.finish();
     Bytes size = ((net->buffer(b).bytes() + 511) / 512) * 512;
     EXPECT_EQ(mm.totalTracker().peakBytes(), size);
     // Allocated for half the 2000 ns window.

@@ -4,7 +4,7 @@
  * admission pass's refused-demand memo.
  *
  * PreemptGranularity::Op lets a high-priority arrival take the device
- * *mid-iteration*: the in-flight victim parks resident (stepper frozen
+ * *mid-iteration*: the in-flight victim parks resident (iteration frozen
  * at its current op boundary, no DMA) and later continues in place,
  * cutting the arrival's first-dispatch latency from the victim's
  * remaining iteration (~seconds) to the next event boundary

@@ -273,17 +273,17 @@ TEST(ProgramCache, TenantsShareOneVerificationAndKeepTheirOwnShare)
     auto b = tenant(2);
     ASSERT_TRUE(a->setup());
     ASSERT_TRUE(b->setup());
-    EXPECT_EQ(&a->program(), &b->program());
+    EXPECT_EQ(&a->executor().program(), &b->executor().program());
     EXPECT_EQ(cache.size(), 1u);
     EXPECT_EQ(verified.value(), 1.0);
     EXPECT_EQ(hits.value(), 1.0);
-    EXPECT_TRUE(a->checkResult().ok());
-    EXPECT_FALSE(reportsShareExceeded(a->checkResult()));
-    EXPECT_FALSE(reportsShareExceeded(b->checkResult()));
+    EXPECT_TRUE(a->executor().checkResult().ok());
+    EXPECT_FALSE(reportsShareExceeded(a->executor().checkResult()));
+    EXPECT_FALSE(reportsShareExceeded(b->executor().checkResult()));
 
     // Leave the third tenant room for its persistent state but not for
     // its provable peak.
-    const check::CheckResult &full = a->checkResult();
+    const check::CheckResult &full = a->executor().checkResult();
     mem::MemoryPool &pool = cluster.pool(0);
     Bytes share = full.persistentBytes +
                   (full.provablePeakBytes - full.persistentBytes) / 2;
@@ -292,16 +292,16 @@ TEST(ProgramCache, TenantsShareOneVerificationAndKeepTheirOwnShare)
     auto c = tenant(3);
     const Bytes free_at_gate = pool.freeBytes();
     ASSERT_TRUE(c->setup());
-    EXPECT_EQ(&c->program(), &a->program());
+    EXPECT_EQ(&c->executor().program(), &a->executor().program());
     EXPECT_EQ(verified.value(), 1.0);
     EXPECT_EQ(hits.value(), 2.0);
-    EXPECT_TRUE(c->checkResult().ok());
-    EXPECT_TRUE(reportsShareExceeded(c->checkResult()))
-        << c->checkResult().report();
-    EXPECT_FALSE(reportsShareExceeded(a->checkResult()));
+    EXPECT_TRUE(c->executor().checkResult().ok());
+    EXPECT_TRUE(reportsShareExceeded(c->executor().checkResult()))
+        << c->executor().checkResult().report();
+    EXPECT_FALSE(reportsShareExceeded(a->executor().checkResult()));
     // Its verdict is byte for byte what verifying its plan alone
     // against that share reports.
-    EXPECT_EQ(c->checkResult().report(),
+    EXPECT_EQ(c->executor().checkResult().report(),
               check::verifyPlan(*network, c->plan(),
                                 PlannerContext::shared(spec, free_at_gate),
                                 cfg.exec)

@@ -168,6 +168,33 @@ TEST(Runtime, StreamMarkPassesWhenPriorCommandsRetire)
     EXPECT_TRUE(rt.markPassed(sm, second));
 }
 
+TEST(Runtime, DestroyedStreamSlotIsReused)
+{
+    sim::EventQueue clock;
+    Device rt(0, testSpec(), clock, false);
+    auto a = rt.createStream("a");
+    auto b = rt.createStream("b");
+    rt.setStreamClient(a, 3);
+    EXPECT_EQ(rt.liveStreams(), 2);
+    rt.destroyStream(a);
+    EXPECT_EQ(rt.liveStreams(), 1);
+
+    // A new stream takes the returned slot, as a fresh client-0 stream.
+    auto c = rt.createStream("c");
+    EXPECT_EQ(c, a);
+    EXPECT_EQ(rt.liveStreams(), 2);
+    EXPECT_EQ(rt.streamClient(c), 0);
+    rt.memcpyAsync(c, 10_MiB, CopyDir::DeviceToHost, "on-c");
+    StreamMark mark = rt.streamMark(c);
+    rt.synchronize(c);
+    EXPECT_TRUE(rt.markPassed(c, mark));
+    EXPECT_EQ(rt.bytesCopiedByClient(CopyDir::DeviceToHost, 0), 10_MiB);
+
+    // Returning a busy stream is a bug.
+    rt.memcpyAsync(b, 10_MiB, CopyDir::DeviceToHost, "on-b");
+    EXPECT_DEATH(rt.destroyStream(b), "destroying busy stream 'b'");
+}
+
 TEST(Runtime, BytesCopiedAccumulatePerDirection)
 {
     sim::EventQueue clock;

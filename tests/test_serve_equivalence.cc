@@ -431,10 +431,10 @@ runClusterPriority(bool forceWakeAll = false)
 
 /** The dense-packed shape scaled to a test: 64 tenants of mixed batch
  *  size pour onto one device in a 16 ms burst under op-granularity
- *  packing, so dozens of residents hold live steppers at once and
- *  most of them sit blocked on a DMA join at any instant. An unpadded
- *  reservation (admissionSafety 1.0) lets some setups and one
- *  iteration hit OOM, so both backoff paths run too: the setup-OOM
+ *  packing, so dozens of residents have an iteration in flight at
+ *  once and most of them sit blocked on a DMA join at any instant. An
+ *  unpadded reservation (admissionSafety 1.0) lets some setups and
+ *  one iteration hit OOM, so both backoff paths run too: the setup-OOM
  *  retry, and the in-flight OOM requeue mid-sweep. */
 ServeReport
 runDensePacked(bool forceWakeAll = false)
@@ -577,7 +577,7 @@ TEST(ServeEquivalence, SpuriousWakeupsClusterSrpt)
 
 // Single-device spurious wakeups: forceWakeAll additionally marks
 // every resident ready each turn, so every tenant the ready list
-// would skip gets an explicit step offer to its blocked stepper.
+// would skip gets an explicit step offer to its blocked iteration.
 // Identical outputs prove the skip was pure — re-polling a tenant
 // whose streams saw no completion cannot change the trajectory.
 
@@ -683,7 +683,7 @@ TEST(ServeEquivalence, SingleDeviceCountersAndSlo)
 
     EXPECT_EQ(r.finishedCount(), 3);
     EXPECT_GT(r.loopWakeups, 0u);
-    EXPECT_GT(r.loopFruitlessPolls, 0u); // DMA joins block the stepper
+    EXPECT_GT(r.loopFruitlessPolls, 0u); // DMA joins block an iteration
     EXPECT_GT(r.loopIdleAdvances, 0u);   // 2 s gaps drain the device
     EXPECT_EQ(metrics.counter("serve.wakeups").value(),
               double(r.loopWakeups));
